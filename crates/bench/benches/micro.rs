@@ -23,22 +23,6 @@ use rinval::{AlgorithmKind, Handle, Stm, TxResult, Txn};
 use std::time::Instant;
 use txds::RbTree;
 
-fn algos() -> Vec<AlgorithmKind> {
-    vec![
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-    ]
-}
-
 /// Best-of-`rounds` time for `ops` repetitions of `op`, in ns/op.
 /// Minimum (not mean) so background scheduling noise on shared CI hosts
 /// biases results high, never low.
@@ -63,7 +47,7 @@ fn table(title: &str, ops: u64, rows: Vec<(&'static str, f64)>) {
 
 fn rmw_tx(ops: u64) {
     let mut rows = Vec::new();
-    for algo in algos() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let arr = stm.alloc(8);
         let mut th = stm.register_thread();
@@ -85,7 +69,7 @@ fn rmw_tx(ops: u64) {
 
 fn read_only_tx(ops: u64) {
     let mut rows = Vec::new();
-    for algo in algos() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let arr = stm.alloc(32);
         let mut th = stm.register_thread();
@@ -153,7 +137,6 @@ macro_rules! dispatch_arm {
 dispatch_arm!(arm_coarse);
 dispatch_arm!(arm_tml);
 dispatch_arm!(arm_norec);
-dispatch_arm!(arm_tl2);
 dispatch_arm!(arm_invalstm);
 dispatch_arm!(arm_rinval_v1);
 dispatch_arm!(arm_rinval_v2);
@@ -167,7 +150,6 @@ fn enum_dispatch_read(kind: AlgorithmKind, tx: &mut Txn<'_>, h: Handle) -> TxRes
         AlgorithmKind::CoarseLock => arm_coarse(tx, h),
         AlgorithmKind::Tml => arm_tml(tx, h),
         AlgorithmKind::NOrec => arm_norec(tx, h),
-        AlgorithmKind::Tl2 => arm_tl2(tx, h),
         AlgorithmKind::InvalStm => arm_invalstm(tx, h),
         AlgorithmKind::RInvalV1 => arm_rinval_v1(tx, h),
         AlgorithmKind::RInvalV2 { .. } => arm_rinval_v2(tx, h),

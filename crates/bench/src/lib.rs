@@ -35,7 +35,7 @@ pub fn sim_lineup() -> [SimAlgorithm; 4] {
 /// Overridable via the `RINVAL_LINEUP` environment variable — a
 /// comma-separated list of [`AlgorithmKind::NAMES`] entries (with the
 /// optional `rinval-v2:<n>` / `rinval-v3:<n>:<k>` / `rinval-mv:<n>:<k>`
-/// parameters), e.g. `RINVAL_LINEUP=tl2,norec,rinval-mv:8:4` — so the
+/// parameters), e.g. `RINVAL_LINEUP=tml,norec,rinval-mv:8:4` — so the
 /// real cross-check layers can be pointed at any engine set without
 /// editing the harnesses.
 pub fn real_lineup() -> Vec<AlgorithmKind> {

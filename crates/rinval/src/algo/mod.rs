@@ -29,7 +29,6 @@ pub(crate) mod invalstm;
 pub(crate) mod mv;
 pub(crate) mod norec;
 pub(crate) mod rinval;
-pub(crate) mod tl2;
 pub(crate) mod tml;
 
 use crate::heap::Handle;
@@ -62,10 +61,11 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// circulation while it may hold handles to them. The default is the
     /// plain pin ([`crate::registry::Registry::pin_era`]) — a single
     /// uncontended `Release` store, keeping the fast algorithms' critical
-    /// path free of shared-map traffic. TL2 overrides this with the
-    /// fenced variant; the invalidation family overrides it with the full
-    /// [`registry_begin`] (which also publishes the slot in the `live`
-    /// map and clears the read signature that committers/servers scan).
+    /// path free of shared-map traffic. MV overrides this with the
+    /// fenced variant ([`crate::registry::Registry::pin_era_fenced`]); the
+    /// invalidation family overrides it with the full [`registry_begin`]
+    /// (which also publishes the slot in the `live` map and clears the
+    /// read signature that committers/servers scan).
     ///
     /// The pinned era is the thread's cached copy of the clock, not a
     /// fresh read — begins must not touch the era cache line, which every
@@ -141,12 +141,11 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// Default: [`Algorithm::cleanup_abort`] — correct for engines whose
     /// abort path already releases everything they can hold at any panic
     /// point (coarse lock and TML roll back their undo logs and release
-    /// the seqlock they track via `lock_held`/`tml_writer`; TL2's commit
-    /// releases its orecs on every internal path and its clock CAS-free
-    /// `fetch_add` cannot strand an odd value). Engines that can panic
-    /// *between* seqlock acquisition and release (NOrec, InvalSTM) or
-    /// with a commit request posted to a server (RInval family) override
-    /// this to release the lock / withdraw the request first.
+    /// the seqlock they track via `lock_held`/`tml_writer`). Engines that
+    /// can panic *between* seqlock acquisition and release (NOrec,
+    /// InvalSTM) or with a commit request posted to a server (RInval
+    /// family) override this to release the lock / withdraw the request
+    /// first.
     #[inline]
     fn cleanup_panic(tx: &mut Txn<'_>) {
         Self::cleanup_abort(tx);
@@ -160,8 +159,7 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// acquisition is retried on later attempts while the abort streak
     /// persists. Default: [`seqlock_grant_token`], correct for every
     /// engine whose commits serialize through the global seqlock; the
-    /// RInval family (server-granted) and TL2 (independent version clock)
-    /// override it.
+    /// RInval family (server-granted) overrides it.
     #[inline]
     fn try_acquire_irrevocable(tx: &mut Txn<'_>) -> bool {
         seqlock_grant_token(tx)
@@ -290,10 +288,6 @@ macro_rules! with_algorithm {
             }
             $crate::AlgorithmKind::NOrec => {
                 type $A = $crate::algo::norec::NOrec;
-                $e
-            }
-            $crate::AlgorithmKind::Tl2 => {
-                type $A = $crate::algo::tl2::Tl2;
                 $e
             }
             $crate::AlgorithmKind::InvalStm => {

@@ -51,12 +51,12 @@ impl Algorithm for RInvalMV {
     fn pin(tx: &mut Txn<'_>) {
         // Era-only pin: snapshot readers must hold the reclamation horizon
         // (their ring walks dereference blocks other threads may free) but
-        // stay out of the `live` map. The *fenced* pin, for the same
-        // reason as TL2: snapshot reads never revalidate, so the horizon
-        // scan must never miss the pin. Under domain sharding the cached
-        // era is the *minimum* over the per-domain clocks, so the pin
-        // holds back frees from every domain — see DESIGN.md §15 for why
-        // min (not max) is the safe choice.
+        // stay out of the `live` map. The *fenced* pin: snapshot reads
+        // never revalidate, so the horizon scan must never miss the pin.
+        // Under domain sharding the cached era is the *minimum* over the
+        // per-domain clocks, so the pin holds back frees from every
+        // domain — see DESIGN.md §15 for why min (not max) is the safe
+        // choice.
         tx.stm
             .registry
             .pin_era_fenced(tx.slot_idx, tx.cache.era_cache);

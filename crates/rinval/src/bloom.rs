@@ -34,11 +34,11 @@
 //! accumulator lanes OR-combined into a single conflict mask, which LLVM
 //! autovectorizes to SIMD for the plain flavour and turns into a 4-way
 //! unrolled load/AND/OR chain (one branch per block instead of one per
-//! word) for the atomic flavour. The `scan-kernel-scalar` cargo feature
-//! swaps every public signature op onto the word-at-a-time scalar core
-//! instead — same results bit for bit (the equivalence suite in
-//! `tests/scan_equiv.rs` and the unit tests below pin this), so the
-//! feature isolates vectorization miscompiles and gives CI a parity leg.
+//! word) for the atomic flavour. Each lane core has a word-at-a-time
+//! `_scalar` twin that the public ops never call: it is the reference the
+//! equivalence suite in `tests/scan_equiv.rs` and the unit tests below
+//! compare against bit for bit, and the baseline the `server_scan` bench
+//! times the lanes against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,11 +83,10 @@ fn bit_ref(bit: u32) -> (usize, u64) {
 /// implementation and a word-at-a-time scalar reference for every hot
 /// whole-filter operation.
 ///
-/// Both cores are always compiled; the `scan-kernel-scalar` cargo feature
-/// only selects which one the public [`Bloom`] / [`AtomicBloom`] methods
-/// dispatch to. That keeps the reference path testable from any build —
-/// `tests/scan_equiv.rs` asserts bit-identical results pairwise — and lets
-/// the `server_scan` bench time one core against the other directly.
+/// The public [`Bloom`] / [`AtomicBloom`] methods always call the lane
+/// cores. The `_scalar` twins are the reference: `tests/scan_equiv.rs`
+/// asserts bit-identical results pairwise, and the `server_scan` bench
+/// times one core against the other directly.
 ///
 /// Hidden from docs: these are implementation probes, not API. Call the
 /// methods on the filter types instead.
@@ -301,20 +300,6 @@ pub mod cores {
     }
 }
 
-#[cfg(not(feature = "scan-kernel-scalar"))]
-use cores::{
-    intersects_lanes as intersects_impl, intersects_plain_lanes as intersects_plain_impl,
-    intersects_plain_sparse_lanes as intersects_plain_sparse_impl, or_into_lanes as or_into_impl,
-    snapshot_intersect2_lanes as snapshot_intersect2_impl, union_lanes as union_impl,
-};
-#[cfg(feature = "scan-kernel-scalar")]
-use cores::{
-    intersects_plain_scalar as intersects_plain_impl,
-    intersects_plain_sparse_scalar as intersects_plain_sparse_impl,
-    intersects_scalar as intersects_impl, or_into_scalar as or_into_impl,
-    snapshot_intersect2_scalar as snapshot_intersect2_impl, union_scalar as union_impl,
-};
-
 /// The indices of a signature's non-zero words, captured by
 /// [`Bloom::nonzero_words`]. An invalidation scan indexes the committer's
 /// write signature once and then runs the sparse intersection
@@ -387,14 +372,14 @@ impl Bloom {
     /// atomic-snapshot flavour is [`AtomicBloom::intersects_plain`]).
     #[inline]
     pub fn intersects(&self, other: &Bloom) -> bool {
-        intersects_impl(self, other)
+        cores::intersects_lanes(self, other)
     }
 
     /// Merges every bit of `other` into `self` (set union) — used by the
     /// V1 commit-server to build a batch's combined write signature.
     #[inline]
     pub fn union_with(&mut self, other: &Bloom) {
-        union_impl(self, other);
+        cores::union_lanes(self, other);
     }
 
     /// Raw words, used when publishing into an [`AtomicBloom`].
@@ -492,7 +477,7 @@ impl AtomicBloom {
     /// accumulate a commit batch's combined *read* signature without an
     /// intermediate snapshot).
     pub fn or_into(&self, dst: &mut Bloom) {
-        or_into_impl(self, dst);
+        cores::or_into_lanes(self, dst);
     }
 
     /// Fused snapshot-and-test: loads the current contents into `dst` and,
@@ -507,7 +492,7 @@ impl AtomicBloom {
     /// `(dst ∩ a, dst ∩ b)` for exactly the snapshot left in `dst`.
     #[inline]
     pub fn snapshot_intersect2(&self, dst: &mut Bloom, a: &Bloom, b: &Bloom) -> (bool, bool) {
-        snapshot_intersect2_impl(self, dst, a, b)
+        cores::snapshot_intersect2_lanes(self, dst, a, b)
     }
 
     /// True if `write_sig` shares a bit with this (read) signature — the
@@ -515,7 +500,7 @@ impl AtomicBloom {
     /// the plain × plain flavour is [`Bloom::intersects`]).
     #[inline]
     pub fn intersects_plain(&self, write_sig: &Bloom) -> bool {
-        intersects_plain_impl(self, write_sig)
+        cores::intersects_plain_lanes(self, write_sig)
     }
 
     /// Sparse form of [`AtomicBloom::intersects_plain`]: `nz` must be
@@ -526,7 +511,7 @@ impl AtomicBloom {
     /// signature is indexed once and checked against every live reader.
     #[inline]
     pub fn intersects_plain_sparse(&self, write_sig: &Bloom, nz: &NonZeroWords) -> bool {
-        intersects_plain_sparse_impl(self, write_sig, nz.as_slice())
+        cores::intersects_plain_sparse_lanes(self, write_sig, nz.as_slice())
     }
 
     /// Membership test against the current contents.

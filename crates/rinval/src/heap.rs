@@ -38,12 +38,12 @@
 //! again only once the *reclamation horizon* — the minimum `start_era`
 //! over all live registry slots — has reached its stamp, which guarantees
 //! no in-flight transaction (including invalidation-lagged zombies under
-//! RInval, and TL2 readers whose orecs a private re-initialization would
-//! not bump) can still observe the block under its old identity. The
-//! horizon computation lives in `StmInner::reclaim_horizon`; DESIGN.md §9
-//! gives the proof sketch. Aborted transactions surrender their
-//! speculative allocations straight back to the cache (they were never
-//! published, so no horizon is needed).
+//! RInval, and MV snapshot readers, which never revalidate) can still
+//! observe the block under its old identity. The horizon computation
+//! lives in `StmInner::reclaim_horizon`; DESIGN.md §9 gives the proof
+//! sketch. Aborted transactions surrender their speculative allocations
+//! straight back to the cache (they were never published, so no horizon is
+//! needed).
 //!
 //! Holding a `Handle` *across* transactions after another thread frees it
 //! is a logic error, exactly like a dangling pointer; the `txds`

@@ -15,7 +15,6 @@
 //! | [`AlgorithmKind::RInvalMV`] | V3 + per-word version ring: read-only transactions run wait-free on a begin snapshot (§V read-mostly extension) |
 //! | [`AlgorithmKind::Tml`] | transactional mutex lock (extra reference point, paper §II) |
 //! | [`AlgorithmKind::CoarseLock`] | single global lock, no speculation (Fig. 1b) |
-//! | [`AlgorithmKind::Tl2`] | fine-grained ownership-record baseline the paper contrasts against (§II) |
 //!
 //! ## Quick start
 //!
@@ -208,16 +207,12 @@ pub enum AlgorithmKind {
         /// invalidation-server by.
         steps_ahead: usize,
     },
-    /// TL2 (Dice/Shalev/Shavit): fine-grained per-stripe versioned locks
-    /// with a global version clock — the fine-grained alternative the
-    /// paper contrasts coarse-grained designs against (§II).
-    Tl2,
 }
 
 impl AlgorithmKind {
     /// The canonical names accepted by the [`std::str::FromStr`] impl, in
     /// declaration order — the single source for CLI help strings.
-    pub const NAMES: [&'static str; 9] = [
+    pub const NAMES: [&'static str; 8] = [
         "coarse-lock",
         "tml",
         "norec",
@@ -226,7 +221,6 @@ impl AlgorithmKind {
         "rinval-v2",
         "rinval-v3",
         "rinval-mv",
-        "tl2",
     ];
 
     /// Short stable name used in benchmark output (matches the paper's
@@ -241,7 +235,6 @@ impl AlgorithmKind {
             AlgorithmKind::RInvalV2 { .. } => "rinval-v2",
             AlgorithmKind::RInvalV3 { .. } => "rinval-v3",
             AlgorithmKind::RInvalMV { .. } => "rinval-mv",
-            AlgorithmKind::Tl2 => "tl2",
         }
     }
 
@@ -289,6 +282,30 @@ impl AlgorithmKind {
             AlgorithmKind::InvalStm,
             AlgorithmKind::RInvalV1,
             AlgorithmKind::RInvalV2 { invalidators: 4 },
+        ]
+    }
+
+    /// Every engine, in [`AlgorithmKind::NAMES`] order, with the
+    /// parameterized kinds at the given server geometry — the one list
+    /// every "all engines" test, bench and chaos lineup draws from (and
+    /// filters, where an engine legitimately differs), so a new engine
+    /// enters all of them at once.
+    pub fn all(invalidators: usize, steps_ahead: usize) -> [AlgorithmKind; 8] {
+        [
+            AlgorithmKind::CoarseLock,
+            AlgorithmKind::Tml,
+            AlgorithmKind::NOrec,
+            AlgorithmKind::InvalStm,
+            AlgorithmKind::RInvalV1,
+            AlgorithmKind::RInvalV2 { invalidators },
+            AlgorithmKind::RInvalV3 {
+                invalidators,
+                steps_ahead,
+            },
+            AlgorithmKind::RInvalMV {
+                invalidators,
+                steps_ahead,
+            },
         ]
     }
 }
@@ -351,7 +368,6 @@ impl std::str::FromStr for AlgorithmKind {
             "norec" => bare(AlgorithmKind::NOrec),
             "invalstm" => bare(AlgorithmKind::InvalStm),
             "rinval-v1" => bare(AlgorithmKind::RInvalV1),
-            "tl2" => bare(AlgorithmKind::Tl2),
             "rinval-v2" => {
                 if params[1].is_some() {
                     return Err(err());
@@ -422,21 +438,14 @@ pub(crate) struct StmInner {
     pub(crate) priority_ceiling: CachePadded<AtomicU32>,
     /// Registry index of the transaction holding the global irrevocable
     /// token, or [`registry::NO_IRREVOCABLE_HOLDER`]. Granted by the
-    /// commit-server (RInval) or under the seqlock / by CAS (serverless
-    /// engines); released by the holder's owner thread with a plain store.
+    /// commit-server (RInval) or under the seqlock (serverless engines);
+    /// released by the holder's owner thread with a plain store.
     pub(crate) irrevocable: CachePadded<AtomicUsize>,
-    /// In-flight TL2 write-commit count: TL2's version clock advances by
-    /// `fetch_add`, so an irrevocable grant cannot drain committers through
-    /// the seqlock — it CASes the token and then waits for this count to
-    /// reach zero instead. Unused by the other engines.
-    pub(crate) tl2_committers: CachePadded<AtomicU64>,
     /// Whether commit-latency observations are recorded into
     /// [`stats::ServerCounters::commit_latency`].
     pub(crate) latency_histogram: bool,
     /// Scan/batch counters maintained by servers and InvalSTM committers.
     pub(crate) server_stats: stats::ServerCounters,
-    /// TL2's ownership-record table (present only under `Tl2`).
-    pub(crate) orecs: Option<algo::tl2::OrecTable>,
 }
 
 impl StmInner {
@@ -585,7 +594,6 @@ pub struct StmBuilder {
     cm_policy: policy::CmPolicy,
     starvation: policy::StarvationConfig,
     latency_histogram: bool,
-    tl2_stripes: usize,
     watchdog: WatchdogConfig,
     topology: Option<Topology>,
     fault_seed: Option<u64>,
@@ -648,13 +656,6 @@ impl StmBuilder {
     /// Off by default.
     pub fn latency_histogram(mut self, on: bool) -> Self {
         self.latency_histogram = on;
-        self
-    }
-
-    /// Size of TL2's ownership-record table (stripes; rounded up to a
-    /// power of two, default 2^16). Ignored by other algorithms.
-    pub fn tl2_stripes(mut self, stripes: usize) -> Self {
-        self.tl2_stripes = stripes;
         self
     }
 
@@ -750,14 +751,8 @@ impl StmBuilder {
             starvation: self.starvation,
             priority_ceiling: CachePadded::new(AtomicU32::new(0)),
             irrevocable: CachePadded::new(AtomicUsize::new(registry::NO_IRREVOCABLE_HOLDER)),
-            tl2_committers: CachePadded::new(AtomicU64::new(0)),
             latency_histogram: self.latency_histogram,
             server_stats: stats::ServerCounters::default(),
-            orecs: if self.algo == AlgorithmKind::Tl2 {
-                Some(algo::tl2::OrecTable::new(self.tl2_stripes))
-            } else {
-                None
-            },
         })
     }
 
@@ -818,7 +813,6 @@ impl Stm {
             cm_policy: policy::CmPolicy::CommitterWins,
             starvation: policy::StarvationConfig::default(),
             latency_histogram: false,
-            tl2_stripes: 1 << 16,
             watchdog: WatchdogConfig::default(),
             topology: None,
             fault_seed: None,

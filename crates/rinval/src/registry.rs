@@ -378,9 +378,9 @@ impl Registry {
     /// — bumping the global timestamp — after the missed transaction's
     /// snapshot, and those protocols revalidate against the timestamp
     /// *before returning any read value*, so a read that could observe
-    /// recycled contents aborts instead (DESIGN.md §9). TL2 cannot make
-    /// that argument (recycling rewrites words without touching their
-    /// stripe versions) and uses [`Registry::pin_era_fenced`].
+    /// recycled contents aborts instead (DESIGN.md §9). MV snapshot
+    /// readers cannot make that argument (they never revalidate) and use
+    /// [`Registry::pin_era_fenced`].
     #[inline]
     pub fn pin_era(&self, idx: usize, era: u64) {
         self.slots[idx].start_era.store(era, Ordering::Release);
@@ -389,9 +389,9 @@ impl Registry {
     /// [`Registry::pin_era`] with a full `SeqCst` fence: the pin is
     /// globally visible before the transaction's first read *executes*, so
     /// a horizon scan can never miss an in-flight transaction. Required by
-    /// TL2, whose per-stripe versions do not cover non-transactional
-    /// recycling writes, so a zombie read of a recycled block would return
-    /// inconsistent data rather than abort.
+    /// the MV engine, whose snapshot reads never revalidate: a ring walk
+    /// into a recycled block would return inconsistent data rather than
+    /// abort.
     #[inline]
     pub fn pin_era_fenced(&self, idx: usize, era: u64) {
         self.slots[idx].start_era.store(era, Ordering::SeqCst);

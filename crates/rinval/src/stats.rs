@@ -81,6 +81,33 @@ impl PhaseStats {
     }
 }
 
+/// The log₂ latency-histogram bucket an observation of `ns` nanoseconds
+/// falls in: bucket `i` covers `[2^i, 2^(i+1))` ns, 0 ns counts as 1 ns,
+/// and everything from 2^31 ns (≈ 2 s) up lands in the last of the 32
+/// buckets. The one bucket formula behind
+/// [`ServerStats::commit_latency`] and the `svc` endpoint histograms.
+#[inline]
+pub fn log2_bucket(ns: u64) -> usize {
+    (ns.max(1).ilog2() as usize).min(31)
+}
+
+/// The `q`-quantile (`0.0 ..= 1.0`) of a [`log2_bucket`] histogram in
+/// nanoseconds: the upper edge of the bucket containing rank
+/// `ceil(q·total)`, `None` when the histogram is empty.
+pub fn log2_quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    let i = buckets.iter().position(|&n| {
+        seen += n;
+        seen >= rank
+    })?;
+    Some(1u64 << (i + 1))
+}
+
 /// Shared scan/batch counters maintained by the server threads (and by
 /// InvalSTM committers, which run the same invalidation scan inline).
 ///
@@ -201,8 +228,7 @@ impl ServerCounters {
     /// Adds one commit latency observation to the log₂ histogram.
     #[inline]
     pub(crate) fn record_latency_ns(&self, ns: u64) {
-        let bucket = (ns.max(1).ilog2() as usize).min(31);
-        self.commit_latency[bucket].fetch_add(1, Ordering::Relaxed);
+        self.commit_latency[log2_bucket(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A plain-value snapshot of the current counters.
@@ -412,19 +438,7 @@ impl ServerStats {
     /// when no latencies were recorded. Bucket resolution makes this exact
     /// to within a factor of 2, which is what a log₂ histogram promises.
     pub fn latency_quantile_ns(&self, q: f64) -> Option<u64> {
-        let total: u64 = self.commit_latency.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.commit_latency.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(1u64 << (i as u32 + 1).min(63));
-            }
-        }
-        Some(u64::MAX)
+        log2_quantile_ns(&self.commit_latency, q)
     }
 
     /// True when any recovery-path counter is nonzero — a quick flag for

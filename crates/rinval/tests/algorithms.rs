@@ -343,4 +343,10 @@ algorithm_suite!(
     rinval_v2_single_invalidator,
     AlgorithmKind::RInvalV2 { invalidators: 1 }
 );
-algorithm_suite!(tl2, AlgorithmKind::Tl2);
+algorithm_suite!(
+    rinval_mv,
+    AlgorithmKind::RInvalMV {
+        invalidators: 2,
+        steps_ahead: 3
+    }
+);

@@ -9,17 +9,17 @@
 //!   `tx_status != TX_IDLE` implies the slot's live bit is set
 //!   (set-before-alive / clear-after-idle).
 //! * **pending**: a set pending bit implies the slot carries a posted
-//!   request — `request_state` is `REQ_PENDING` or `REQ_IRREVOCABLE` (an
-//!   irrevocable-token request travels the same summary map;
-//!   set-after-post; only the server clears, and it does so before
-//!   answering).
+//!   request — `request_state` is `REQ_PENDING`, `REQ_CLAIMED` or
+//!   `REQ_IRREVOCABLE` (an irrevocable-token request travels the same
+//!   summary map; set-after-post; only the server clears, after claiming
+//!   and before answering).
 //!
 //! A checker thread cannot sample a remote slot atomically, so each probe
 //! brackets its reads with the slot's `epoch` counter (bumped on every
 //! `begin`): if the epoch is unchanged across the probe, the sampled
 //! values belong to one transaction attempt and the implication must hold.
 
-use rinval::registry::{REQ_IRREVOCABLE, REQ_PENDING, TX_IDLE};
+use rinval::registry::{REQ_CLAIMED, REQ_IRREVOCABLE, REQ_PENDING, TX_IDLE};
 use rinval::{AlgorithmKind, Stm, TxResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -107,7 +107,7 @@ fn summary_maps_agree_with_slot_state_under_stress() {
                         let e2 = slot.epoch.load(Ordering::SeqCst);
                         if e1 == e2 && b1 && b2 {
                             assert!(
-                                st == REQ_PENDING || st == REQ_IRREVOCABLE,
+                                st == REQ_PENDING || st == REQ_CLAIMED || st == REQ_IRREVOCABLE,
                                 "slot {i} has its pending bit set but \
                                  request_state {st} under {algo:?}"
                             );

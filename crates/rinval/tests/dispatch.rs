@@ -1,6 +1,6 @@
 //! Dispatch-equivalence suite for the monomorphized engine layer.
 //!
-//! The engines behind the nine [`AlgorithmKind`]s are now resolved once
+//! The engines behind the eight [`AlgorithmKind`]s are now resolved once
 //! per transaction attempt and run statically dispatched; these tests pin
 //! down that the *observable* behaviour through the public [`Stm`] facade
 //! is identical regardless of that dispatch path: a deterministic
@@ -12,28 +12,6 @@
 //! must be enumerated.
 
 use rinval::{AlgorithmKind, PhaseStats, Stm};
-
-/// Every kind, with the parameterized family members at small server
-/// counts so the suite stays fast on single-core hosts.
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
 
 /// Deterministic single-thread workload touching every op the facade
 /// exposes: reads, writes, alloc/init, free, and a couple of user aborts.
@@ -94,7 +72,7 @@ fn workload_observables_identical_across_kinds() {
     let (ref_words, ref_stats, ref_heap) = run_workload(AlgorithmKind::CoarseLock);
     assert!(ref_stats.commits > 0);
     assert_eq!(ref_stats.aborts, 3, "try_run must burn exactly 3 attempts");
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 3) {
         let (words, stats, heap) = run_workload(algo);
         let name = algo.name();
         assert_eq!(words, ref_words, "{name}: final heap words diverge");
@@ -120,7 +98,7 @@ fn workload_observables_identical_across_kinds() {
 #[test]
 fn server_counters_match_write_commits() {
     const INCS: u64 = 40;
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[0]);
         {
@@ -174,7 +152,7 @@ fn server_counters_match_write_commits() {
 /// parameterized kinds landing on the documented defaults).
 #[test]
 fn from_str_inverts_name() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 3) {
         let parsed: AlgorithmKind = algo.name().parse().unwrap();
         assert_eq!(parsed.name(), algo.name());
         // The bare name yields the paper-default parameters.
@@ -198,6 +176,8 @@ fn from_str_inverts_name() {
         let parsed: AlgorithmKind = name.parse().unwrap();
         assert_eq!(parsed.name(), name);
     }
+    // `all` is `NAMES`, engine for name: neither list can drop an engine.
+    assert_eq!(AlgorithmKind::all(2, 3).map(|k| k.name()), AlgorithmKind::NAMES);
 }
 
 #[test]

@@ -21,26 +21,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(feature = "failpoints")]
 use std::time::Duration;
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 /// No transaction in flight, no request posted, no slot leaked.
 fn assert_registry_quiescent(stm: &Stm) {
     assert!(
@@ -60,7 +40,7 @@ fn assert_registry_quiescent(stm: &Stm) {
 /// registrations still work and no registry bits leak.
 #[test]
 fn body_panic_leaves_stm_usable_on_every_engine() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[0]);
         let mut th = stm.register_thread();
@@ -102,7 +82,7 @@ fn try_run_for_fast_fails_expired_deadline() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[0]);
         let mut th = stm.register_thread();
@@ -140,7 +120,7 @@ fn try_run_for_fast_fails_expired_deadline() {
 /// survivors' updates must all land, on every engine.
 #[test]
 fn panics_do_not_disturb_concurrent_threads() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[0]);
         const THREADS: usize = 3;
@@ -183,7 +163,7 @@ fn panics_do_not_disturb_concurrent_threads() {
 /// two fresh registrations succeed afterwards.
 #[test]
 fn drop_during_unwind_releases_the_slot() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 10).max_threads(2).build();
         let c = stm.alloc_init(&[0]);
         std::thread::scope(|s| {
@@ -440,7 +420,7 @@ mod injected {
     /// engine; the handle, heap and registry all survive it.
     #[test]
     fn alloc_failure_is_contained_on_every_engine() {
-        for kind in all_kinds() {
+        for kind in AlgorithmKind::all(2, 2) {
             let stm = Stm::builder(kind).heap_words(1 << 10).build();
             let list = stm.alloc_init(&[0]);
             let mut th = stm.register_thread();

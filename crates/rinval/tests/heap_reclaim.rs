@@ -19,26 +19,6 @@ use rinval::{AlgorithmKind, Stm, TxResult};
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-    ]
-}
-
 /// Concurrent alloc/hold/verify/free churn. Each handed-out block carries a
 /// unique tag pair; a double-handout trips the held-set insert, a premature
 /// recycle (the zeroing on re-handout, or another holder's tag) trips the
@@ -48,7 +28,7 @@ fn concurrent_churn_no_double_handout_no_corruption() {
     const THREADS: u64 = 3;
     const ITERS: u64 = 120;
     const HOLD: usize = 4;
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo)
             .heap_words(1 << 10)
             .max_threads(16)
@@ -122,15 +102,17 @@ fn concurrent_churn_no_double_handout_no_corruption() {
 
 /// Single-threaded alloc→free cycling must reach a steady state: after the
 /// first block, every take recycles it (the freeing thread's own next
-/// transaction always starts past the free's era stamp).
+/// transaction always starts past the free's era stamp) — and hands it
+/// out zeroed, whatever the previous owner left in it.
 #[test]
 fn steady_state_churn_does_not_grow_arena() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let mut th = stm.register_thread();
-        for i in 0..200u64 {
+        for i in 1..=200u64 {
             let h = th.run(|tx| {
                 let h = tx.alloc(3)?;
+                assert_eq!(tx.read(h)?, 0, "{algo:?}: recycled block not zeroed");
                 tx.write(h, i)?;
                 Ok(h)
             });
@@ -156,7 +138,7 @@ fn steady_state_churn_does_not_grow_arena() {
 /// every aborted allocation).
 #[test]
 fn abort_churn_does_not_leak() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let mut th = stm.register_thread();
         for _ in 0..100 {
@@ -181,7 +163,7 @@ fn abort_churn_does_not_leak() {
 /// survives and the block is never handed out again while reachable.
 #[test]
 fn aborted_free_is_discarded() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let mut th = stm.register_thread();
         let h = th.run(|tx| {
@@ -269,7 +251,7 @@ fn retired_versions_recycle_past_the_horizon() {
 /// every algorithm (no free calls at all — pure growth).
 #[test]
 fn arena_grows_under_allocation_pressure() {
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let mut th = stm.register_thread();
         let mut handles = Vec::new();

@@ -7,19 +7,10 @@ use rinval::{Aborted, AlgorithmKind, Stm, TxResult};
 
 /// Algorithms where a second transaction may run while the first is open
 /// (i.e. everything except the begin-time global lock).
-fn overlapping_algorithms() -> [AlgorithmKind; 7] {
-    [
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-    ]
+fn overlapping_algorithms() -> impl Iterator<Item = AlgorithmKind> {
+    AlgorithmKind::all(2, 2)
+        .into_iter()
+        .filter(|a| *a != AlgorithmKind::CoarseLock)
 }
 
 /// Read x; a concurrent transaction overwrites x; then try to commit a
@@ -55,12 +46,10 @@ fn conflicting_commit_aborts() {
 #[test]
 fn doomed_reader_aborts_at_next_read() {
     for algo in overlapping_algorithms() {
-        if algo == AlgorithmKind::Tl2 {
-            // TL2 semantics differ by design: reading an *unchanged*
-            // location after a disjoint-value commit is a consistent
-            // snapshot extension, so the read legitimately succeeds and
-            // the conflict is caught at commit (covered by
-            // conflicting_commit_aborts).
+        // MV reads `z` at its begin snapshot, where it is consistent with
+        // `x`; the conflict surfaces at the first write (covered by
+        // conflicting_commit_aborts).
+        if algo.is_multi_version() {
             continue;
         }
         let stm = Stm::builder(algo).heap_words(256).build();
@@ -187,13 +176,11 @@ fn server_serves_many_clients() {
 /// and not at all for read-only transactions.
 #[test]
 fn timestamp_discipline() {
-    for algo in [
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 1 },
-    ] {
+    for algo in AlgorithmKind::all(1, 1) {
+        // The coarse lock *is* the timestamp: every transaction bumps it.
+        if algo == AlgorithmKind::CoarseLock {
+            continue;
+        }
         let stm = Stm::builder(algo).heap_words(256).build();
         let x = stm.alloc_init(&[0]);
         let mut th = stm.register_thread();

@@ -1,14 +1,11 @@
 //! Equivalence suite for the scan-kernel layer.
 //!
-//! The bloom ops behind every signature intersection ship two cores — the
-//! default 4-lane unrolled one and a scalar reference (`bloom::cores`) —
-//! with the `scan-kernel-scalar` feature flipping which one the public
-//! methods dispatch to. These properties pin down that the two cores are
+//! The bloom ops behind every signature intersection have two cores in
+//! `bloom::cores` — the 4-lane unrolled one the public methods call and a
+//! scalar reference. These properties pin down that the two cores are
 //! bit-identical on arbitrary signatures, that the kernel walk delivers
-//! exactly what the reference bit iterator yields, and that a full
-//! 9-engine workload produces identical committed state whichever core is
-//! compiled in — so CI can run this same suite under the fallback feature
-//! and a divergence in either core fails loudly.
+//! exactly what the reference bit iterator yields, and that a
+//! deterministic workload commits identical state on every engine.
 
 use proptest::prelude::*;
 use rinval::bloom::{cores, AtomicBloom, Bloom};
@@ -159,37 +156,14 @@ proptest! {
     }
 }
 
-/// Every kind, mirroring the dispatch suite's parameterization.
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
-
-/// A deterministic workload must commit the same final state on all nine
-/// engines regardless of which bloom core the build dispatches to. Run
-/// with `--features scan-kernel-scalar` this pins the scalar fallback to
-/// the exact observable behaviour of the default lanes build.
+/// A deterministic workload must commit the same final state on every
+/// engine: the scan kernel and the lane cores sit under all of them.
 #[test]
-fn nine_engines_agree_under_either_core() {
+fn all_engines_commit_identical_state() {
     const WORDS: u32 = 12;
     const ROUNDS: u64 = 30;
     let mut reference: Option<Vec<u64>> = None;
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let arr = stm.alloc(WORDS as usize);
         {

@@ -1,7 +1,7 @@
 //! Long-running mixed-workload soak (the CI `soak` job; `#[ignore]`d in
 //! ordinary runs so `cargo test` stays fast).
 //!
-//! `RINVAL_SOAK_SECS` (default 2) is split evenly across all nine
+//! `RINVAL_SOAK_SECS` (default 2) is split evenly across all eight
 //! engines. Each slice runs an oversubscribed mix — short writers plus
 //! wide readers under an irrevocable-heavy starvation profile with
 //! backpressure enabled — and must end with:
@@ -20,26 +20,6 @@ use rinval::{AlgorithmKind, StarvationConfig, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 #[test]
 #[ignore = "long-running; exercised by the CI soak job (RINVAL_SOAK_SECS)"]
 fn mixed_soak_stays_healthy() {
@@ -51,9 +31,10 @@ fn mixed_soak_stays_healthy() {
     // Oversubscribe: twice the hardware parallelism, so yields (the
     // backpressure gate, the spin-budget clamp) actually matter.
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get() * 2);
-    let slice = Duration::from_secs_f64(secs / all_kinds().len() as f64);
+    let kinds = AlgorithmKind::all(2, 2);
+    let slice = Duration::from_secs_f64(secs / kinds.len() as f64);
 
-    for kind in all_kinds() {
+    for kind in kinds {
         let stm = Stm::builder(kind)
             .heap_words(1 << 12)
             .max_threads(threads + 2)

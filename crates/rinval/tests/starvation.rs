@@ -18,22 +18,6 @@ use rinval::{AlgorithmKind, CmPolicy, StarvationConfig, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-fn all_kinds() -> [AlgorithmKind; 8] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 const IRREVOCABLE_AFTER: u32 = 6;
 
 /// A wide reader (touches every word, with artificial dwell between
@@ -47,7 +31,7 @@ const IRREVOCABLE_AFTER: u32 = 6;
 fn aged_reader_commits_within_token_bound_on_every_engine() {
     const WORDS: u32 = 8;
     const WRITERS: u32 = 2;
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind)
             .heap_words(1 << 10)
             .max_threads(16)
@@ -246,7 +230,6 @@ mod injected {
         for kind in [
             AlgorithmKind::InvalStm,
             AlgorithmKind::RInvalV1,
-            AlgorithmKind::Tl2,
             AlgorithmKind::NOrec,
         ] {
             let stm = Stm::builder(kind)

@@ -5,7 +5,7 @@
 //! slots, heap blocks and server seats land:
 //!
 //! * the dispatch-equivalence workload from `tests/dispatch.rs` must
-//!   produce identical observables on all nine kinds under
+//!   produce identical observables on all eight kinds under
 //!   `Topology::logical(2)`, and identical to the single-domain run;
 //! * a conserved-sum transfer workload across accounts first-touched in
 //!   *different* domains must conserve the sum (cross-domain write-backs
@@ -23,26 +23,6 @@
 
 use rinval::{AlgorithmKind, PhaseStats, Stm, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
 
 /// The `tests/dispatch.rs` workload, parameterized by topology. Single
 /// thread, deterministic; returns (final words, thread stats, heap
@@ -99,13 +79,13 @@ fn run_workload(
     (words, stats, stm.heap_stats())
 }
 
-/// All nine engines under a forced 2-domain topology must produce the
+/// All eight engines under a forced 2-domain topology must produce the
 /// observables of the single-domain seed run.
 #[test]
 fn dispatch_equivalence_under_two_domains() {
     let (ref_words, ref_stats, ref_heap) = run_workload(AlgorithmKind::CoarseLock, None);
     assert!(ref_stats.commits > 0);
-    for algo in all_kinds() {
+    for algo in AlgorithmKind::all(2, 3) {
         let (words, stats, heap) = run_workload(algo, Some(Topology::logical(2)));
         let name = algo.name();
         assert_eq!(words, ref_words, "{name}@2dom: final heap words diverge");

@@ -602,23 +602,7 @@ mod tests {
         assert!(token.starts_with("CHAOS1,"));
         assert_eq!(Episode::parse_token(&token).unwrap(), ep);
         // Every engine name round-trips, parameterized or not.
-        for algo in [
-            AlgorithmKind::CoarseLock,
-            AlgorithmKind::Tml,
-            AlgorithmKind::NOrec,
-            AlgorithmKind::InvalStm,
-            AlgorithmKind::RInvalV1,
-            AlgorithmKind::RInvalV2 { invalidators: 2 },
-            AlgorithmKind::RInvalV3 {
-                invalidators: 2,
-                steps_ahead: 2,
-            },
-            AlgorithmKind::RInvalMV {
-                invalidators: 2,
-                steps_ahead: 2,
-            },
-            AlgorithmKind::Tl2,
-        ] {
+        for algo in AlgorithmKind::all(2, 2) {
             let mut e = ep.clone();
             e.algo = algo;
             assert_eq!(Episode::parse_token(&e.token()).unwrap().algo, algo);

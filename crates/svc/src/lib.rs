@@ -49,6 +49,7 @@ pub use stats::SvcStats;
 
 use mailbox::{Envelope, Mailbox, ReplySlot};
 use rinval::faults::site;
+use rinval::stats::log2_quantile_ns;
 use rinval::{FaultAction, Stm, TxError, TxResult, Txn};
 use stats::{bump, Counters, WindowHist};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -395,7 +396,7 @@ impl Frontend<'_, '_> {
 
     /// Lifetime latency quantile for one endpoint (upper bucket edge, ns).
     pub fn endpoint_quantile_ns(&self, endpoint: u8, q: f64) -> Option<u64> {
-        stats::quantile_ns(&self.shared.hists[endpoint as usize].lifetime(), q)
+        log2_quantile_ns(&self.shared.hists[endpoint as usize].lifetime(), q)
     }
 
     /// The cached p50/p99 of the endpoint's most recent full latency

@@ -19,6 +19,7 @@
 
 use crate::{Request, SvcConfig, SvcError, SvcStats, Workload};
 use rinval::faults::site;
+use rinval::stats::log2_quantile_ns;
 use rinval::{FaultAction, ServerStats, Stm};
 use stamp::SplitMix;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -318,7 +319,7 @@ pub fn run(
                             }
                             prev[j] = cur;
                         }
-                        match crate::stats::quantile_ns(&delta, 0.99) {
+                        match log2_quantile_ns(&delta, 0.99) {
                             Some(p99) if p99 <= slo_ns => {
                                 recovered
                                     .store(disarmed.elapsed().as_nanos() as u64, Ordering::SeqCst);
@@ -441,8 +442,8 @@ pub fn run(
                 EndpointReport {
                     name: ep.name,
                     executed: count,
-                    p50_ns: crate::stats::quantile_ns(&hist, 0.50).unwrap_or(0),
-                    p99_ns: crate::stats::quantile_ns(&hist, 0.99).unwrap_or(0),
+                    p50_ns: log2_quantile_ns(&hist, 0.50).unwrap_or(0),
+                    p99_ns: log2_quantile_ns(&hist, 0.99).unwrap_or(0),
                 }
             })
             .collect();

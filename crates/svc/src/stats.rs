@@ -1,17 +1,17 @@
 //! Service-layer telemetry: lifecycle counters and per-endpoint windowed
 //! log₂ latency histograms.
 //!
-//! The histogram mirrors the bucket convention of
-//! [`rinval::ServerStats::commit_latency`] (bucket `i` counts observations
-//! in `[2^i, 2^(i+1))` ns, quantiles report the bucket's upper edge) but
-//! adds a *rotating window*: every `window` observations the current
-//! buckets are drained and their p50/p99 cached, so the admission gate
-//! reads a recent signal with one relaxed load instead of walking 32
-//! buckets per request. A cached breach goes *stale* after a TTL — once
-//! shedding stops the flow of fresh write latencies, the stale signal must
-//! not shed forever, so probe writes are re-admitted to re-measure
-//! (DESIGN.md §17).
+//! The histogram shares the bucket and quantile math of
+//! [`rinval::ServerStats::commit_latency`] ([`rinval::stats::log2_bucket`],
+//! [`rinval::stats::log2_quantile_ns`]) and adds a *rotating window*: every
+//! `window` observations the current buckets are drained and their p50/p99
+//! cached, so the admission gate reads a recent signal with one relaxed
+//! load instead of walking 32 buckets per request. A cached breach goes
+//! *stale* after a TTL — once shedding stops the flow of fresh write
+//! latencies, the stale signal must not shed forever, so probe writes are
+//! re-admitted to re-measure (DESIGN.md §17).
 
+use rinval::stats::{log2_bucket, log2_quantile_ns};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -132,25 +132,6 @@ pub(crate) struct WindowHist {
     rotating: Mutex<()>,
 }
 
-/// Quantile over a drained bucket array: the upper edge of the bucket
-/// containing rank `ceil(q·total)` (same convention as
-/// [`rinval::ServerStats::latency_quantile_ns`]).
-pub(crate) fn quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        seen += n;
-        if seen >= rank {
-            return Some(1u64 << (i as u32 + 1).min(63));
-        }
-    }
-    None
-}
-
 impl WindowHist {
     pub(crate) fn new(window: u64) -> WindowHist {
         WindowHist {
@@ -169,8 +150,7 @@ impl WindowHist {
     /// Records one latency observation; `now_ns` is nanoseconds since
     /// service start (used to timestamp a rotation).
     pub(crate) fn record(&self, lat: Duration, now_ns: u64) {
-        let ns = lat.as_nanos() as u64;
-        let bucket = (ns.max(1).ilog2() as usize).min(31);
+        let bucket = log2_bucket(lat.as_nanos() as u64);
         self.cur[bucket].fetch_add(1, Ordering::Relaxed);
         self.life[bucket].fetch_add(1, Ordering::Relaxed);
         self.life_count.fetch_add(1, Ordering::Relaxed);
@@ -188,10 +168,10 @@ impl WindowHist {
         };
         let drained: [u64; 32] = std::array::from_fn(|i| self.cur[i].swap(0, Ordering::Relaxed));
         self.cur_count.store(0, Ordering::Relaxed);
-        if let Some(p50) = quantile_ns(&drained, 0.50) {
+        if let Some(p50) = log2_quantile_ns(&drained, 0.50) {
             self.cached_p50_ns.store(p50, Ordering::Relaxed);
         }
-        if let Some(p99) = quantile_ns(&drained, 0.99) {
+        if let Some(p99) = log2_quantile_ns(&drained, 0.99) {
             self.cached_p99_ns.store(p99, Ordering::Relaxed);
         }
         self.rotated_at_ns.store(now_ns, Ordering::Relaxed);
@@ -256,16 +236,5 @@ mod tests {
         assert!(!h.breached(slo, 2_000, 500));
         // A generous SLO is never breached.
         assert!(!h.breached(u64::MAX, 1_000, 500));
-    }
-
-    #[test]
-    fn quantile_matches_engine_convention() {
-        let mut b = [0u64; 32];
-        b[0] = 2;
-        b[9] = 1;
-        b[31] = 1;
-        assert_eq!(quantile_ns(&b, 0.5), Some(2));
-        assert_eq!(quantile_ns(&b, 0.99), Some(1u64 << 32));
-        assert_eq!(quantile_ns(&[0; 32], 0.5), None);
     }
 }

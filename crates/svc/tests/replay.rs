@@ -14,26 +14,6 @@
 use rinval::AlgorithmKind;
 use svc::chaos::{Episode, PlanSpec, WorkloadKind};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 /// Runs the episode twice (each time from a fresh STM and service) and
 /// asserts identical journals and verdicts.
 fn assert_replays(ep: &Episode) {
@@ -69,7 +49,7 @@ fn assert_replays(ep: &Episode) {
 
 #[test]
 fn replay_is_deterministic_across_all_engines() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let ep = Episode {
             algo: kind,
             workload: WorkloadKind::Bank,
@@ -132,31 +112,6 @@ fn travel_workload_replays_too() {
         workers: 2,
         timeout_ms: 100,
         plan: PlanSpec::parse("svc.mailbox.pop=exit:2"),
-        ..Episode::default()
-    };
-    assert_replays(&ep);
-}
-
-/// Spot-check that fault-journal determinism is independent of the scan
-/// kernel dispatch: the same episode under the scalar reference cores
-/// must still self-replay (CI runs this suite under
-/// `--features failpoints,scan-kernel-scalar`).
-#[test]
-#[cfg(feature = "scan-kernel-scalar")]
-fn replay_is_deterministic_under_scalar_scan_kernels() {
-    let ep = Episode {
-        algo: AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        workload: WorkloadKind::Bank,
-        seed: 0x5CA1A2,
-        clients: 2,
-        ops_per_client: 30,
-        write_pct: 70,
-        workers: 2,
-        timeout_ms: 100,
-        plan: PlanSpec::parse("svc.reply.pre=exit:2;server.inval.lag=delay(1):2"),
         ..Episode::default()
     };
     assert_replays(&ep);

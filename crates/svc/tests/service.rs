@@ -6,26 +6,6 @@ use rinval::{AlgorithmKind, Stm};
 use std::time::Duration;
 use svc::{bank, serve, Request, SvcConfig, SvcError};
 
-fn all_kinds() -> [AlgorithmKind; 9] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::RInvalMV {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        AlgorithmKind::Tl2,
-    ]
-}
-
 fn transfer(client: u64, key: u64, from: u64, to: u64, amount: u64) -> Request {
     Request {
         client,
@@ -50,7 +30,7 @@ const TIMEOUT: Duration = Duration::from_secs(5);
 /// ledger and the conservation invariant agree.
 #[test]
 fn round_trip_on_every_engine() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 14).build();
         let bank = bank::BankService::setup(&stm, 16, 1_000);
         serve(&stm, &bank, &SvcConfig::default(), |front| {
@@ -79,7 +59,7 @@ fn round_trip_on_every_engine() {
 /// comes back and the ledger does not advance. On every engine.
 #[test]
 fn duplicate_keys_are_exactly_once_on_every_engine() {
-    for kind in all_kinds() {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 14).build();
         let bank = bank::BankService::setup(&stm, 8, 1_000);
         serve(&stm, &bank, &SvcConfig::default(), |front| {
@@ -305,7 +285,7 @@ mod drills {
     /// on every engine.
     #[test]
     fn lost_replies_recover_exactly_once_on_every_engine() {
-        for kind in all_kinds() {
+        for kind in AlgorithmKind::all(2, 2) {
             let stm = Stm::builder(kind).heap_words(1 << 14).build();
             let bank = bank::BankService::setup(&stm, 8, 1_000);
             stm.faults()
@@ -390,14 +370,14 @@ mod drills {
 
     // The property: a client retrying *every* request with the same
     // idempotency key under a kill-every-reply fault plan observes
-    // exactly-once effects — on all 9 engines.
+    // exactly-once effects — on all 8 engines.
     proptest! {
         #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
         #[test]
         fn retried_ops_under_kill_every_reply_are_exactly_once(
             ops in prop::collection::vec((0u64..8, 0u64..8, 1u64..40), 1..8),
         ) {
-            for kind in all_kinds() {
+            for kind in AlgorithmKind::all(2, 2) {
                 let stm = Stm::builder(kind).heap_words(1 << 14).build();
                 let bank = bank::BankService::setup(&stm, 8, 1_000);
                 stm.faults().arm(site::SVC_REPLY_PRE, FaultAction::Exit, None);

@@ -6,13 +6,13 @@
 //! transactions are the "cheap" end of the workload spectrum, in contrast
 //! to [`crate::TSortedList`].
 
-use crate::free_list::FreeList;
 use rinval::{Handle, Stm, TxResult, Txn};
 
 // Node layout: [key, val, next].
 const KEY: u32 = 0;
 const VAL: u32 = 1;
 const NEXT: u32 = 2;
+const NODE_WORDS: usize = 3;
 
 /// A shared transactional hash map.
 #[derive(Clone, Copy, Debug)]
@@ -23,7 +23,6 @@ pub struct THashMap {
     nbuckets: u32,
     /// Cell holding the element count.
     size: Handle,
-    free: FreeList,
 }
 
 #[inline]
@@ -44,7 +43,6 @@ impl THashMap {
             buckets,
             nbuckets,
             size: stm.alloc_init(&[0]),
-            free: FreeList::new(stm, 3),
         }
     }
 
@@ -93,7 +91,7 @@ impl THashMap {
             }
             cur = tx.read_handle(cur.field(NEXT))?;
         }
-        let node = self.free.take(tx)?;
+        let node = tx.alloc(NODE_WORDS)?;
         tx.write(node.field(KEY), key)?;
         tx.write(node.field(VAL), val)?;
         tx.write(node.field(NEXT), head.to_word())?;
@@ -118,7 +116,7 @@ impl THashMap {
             }
             cur = tx.read_handle(cur.field(NEXT))?;
         }
-        let node = self.free.take(tx)?;
+        let node = tx.alloc(NODE_WORDS)?;
         tx.write(node.field(KEY), key)?;
         tx.write(node.field(VAL), delta)?;
         tx.write(node.field(NEXT), head.to_word())?;
@@ -143,7 +141,7 @@ impl THashMap {
                 }
                 let s = tx.read(self.size)?;
                 tx.write(self.size, s - 1)?;
-                self.free.put(tx, cur)?;
+                tx.free(cur, NODE_WORDS)?;
                 return Ok(Some(val));
             }
             prev = Some(cur);

@@ -12,9 +12,9 @@
 //! aliases the same shared object, like copying a pointer in the C
 //! original. Memory comes from the STM's growable heap through its
 //! transactional allocation lifecycle ([`rinval::Txn::alloc`] /
-//! [`rinval::Txn::free`] via the [`free_list::FreeList`] facade): removed
-//! nodes are freed in the removing transaction and recycled by the STM
-//! once its reclamation horizon passes.
+//! [`rinval::Txn::free`]): removed nodes are freed in the removing
+//! transaction and recycled by the STM once its reclamation horizon
+//! passes.
 //!
 //! ```
 //! use rinval::{AlgorithmKind, Stm};
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod bitmap;
-pub mod free_list;
 pub mod hashtable;
 pub mod list;
 pub mod queue;

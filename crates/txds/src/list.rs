@@ -7,12 +7,12 @@
 //! validation and the best case for invalidation's O(1) per-read check.
 //! This structure exists to reproduce exactly that behaviour.
 
-use crate::free_list::FreeList;
 use rinval::{Handle, Stm, TxResult, Txn};
 
 // Node layout: [key, next].
 const KEY: u32 = 0;
 const NEXT: u32 = 1;
+const NODE_WORDS: usize = 2;
 
 /// A shared transactional sorted list of unique `u64` keys.
 #[derive(Clone, Copy, Debug)]
@@ -21,7 +21,6 @@ pub struct TSortedList {
     head: Handle,
     /// Cell holding the element count.
     size: Handle,
-    free: FreeList,
 }
 
 impl TSortedList {
@@ -31,7 +30,6 @@ impl TSortedList {
         TSortedList {
             head,
             size: stm.alloc_init(&[0]),
-            free: FreeList::new(stm, 2),
         }
     }
 
@@ -77,7 +75,7 @@ impl TSortedList {
         if !cur.is_null() && tx.read(cur.field(KEY))? == key {
             return Ok(false);
         }
-        let node = self.free.take(tx)?;
+        let node = tx.alloc(NODE_WORDS)?;
         tx.write(node.field(KEY), key)?;
         tx.write(node.field(NEXT), cur.to_word())?;
         tx.write(prev.field(NEXT), node.to_word())?;
@@ -97,7 +95,7 @@ impl TSortedList {
         tx.write(prev.field(NEXT), next)?;
         let s = tx.read(self.size)?;
         tx.write(self.size, s - 1)?;
-        self.free.put(tx, cur)?;
+        tx.free(cur, NODE_WORDS)?;
         Ok(true)
     }
 

@@ -5,12 +5,12 @@
 //! hot-spot of that benchmark, which is why it lives here rather than in
 //! application code.
 
-use crate::free_list::FreeList;
 use rinval::{Handle, Stm, TxResult, Txn};
 
 // Node layout: [val, next].
 const VAL: u32 = 0;
 const NEXT: u32 = 1;
+const NODE_WORDS: usize = 2;
 
 /// A shared transactional FIFO queue of `u64` values.
 #[derive(Clone, Copy, Debug)]
@@ -21,7 +21,6 @@ pub struct TQueue {
     tail: Handle,
     /// Cell holding the element count.
     size: Handle,
-    free: FreeList,
 }
 
 impl TQueue {
@@ -31,7 +30,6 @@ impl TQueue {
             head: stm.alloc_init(&[0]),
             tail: stm.alloc_init(&[0]),
             size: stm.alloc_init(&[0]),
-            free: FreeList::new(stm, 2),
         }
     }
 
@@ -47,7 +45,7 @@ impl TQueue {
 
     /// Appends `val` at the tail.
     pub fn enqueue(&self, tx: &mut Txn<'_>, val: u64) -> TxResult<()> {
-        let node = self.free.take(tx)?;
+        let node = tx.alloc(NODE_WORDS)?;
         tx.write(node.field(VAL), val)?;
         tx.write(node.field(NEXT), 0)?;
         let tail = tx.read_handle(self.tail)?;
@@ -75,7 +73,7 @@ impl TQueue {
         }
         let s = tx.read(self.size)?;
         tx.write(self.size, s - 1)?;
-        self.free.put(tx, head)?;
+        tx.free(head, NODE_WORDS)?;
         Ok(Some(val))
     }
 

@@ -8,7 +8,6 @@
 //! root-to-leaf path (≈ 2·log₂ n words) — the workload shape the paper's
 //! validation-cost analysis assumes.
 
-use crate::free_list::FreeList;
 use rinval::{Handle, Stm, TxResult, Txn};
 
 // Node layout (6 words).
@@ -18,6 +17,7 @@ const LEFT: u32 = 2;
 const RIGHT: u32 = 3;
 const PARENT: u32 = 4;
 const COLOR: u32 = 5;
+const NODE_WORDS: usize = 6;
 
 const RED: u64 = 0;
 const BLACK: u64 = 1;
@@ -32,22 +32,16 @@ pub struct RbTree {
     nil: Handle,
     /// Cell holding the element count.
     size: Handle,
-    free: FreeList,
 }
 
 impl RbTree {
     /// Creates an empty tree.
     pub fn new(stm: &Stm) -> RbTree {
-        let nil = stm.alloc(6);
+        let nil = stm.alloc(NODE_WORDS);
         stm.poke(nil.field(COLOR), BLACK);
         let root = stm.alloc_init(&[nil.to_word()]);
         let size = stm.alloc_init(&[0]);
-        RbTree {
-            root,
-            nil,
-            size,
-            free: FreeList::new(stm, 6),
-        }
+        RbTree { root, nil, size }
     }
 
     #[inline]
@@ -160,7 +154,7 @@ impl RbTree {
             }
             x = self.ptr(tx, x, if key < k { LEFT } else { RIGHT })?;
         }
-        let z = self.free.take(tx)?;
+        let z = tx.alloc(NODE_WORDS)?;
         // Fresh or recycled either way: set every field. A recycled node is
         // unreachable, so plain transactional writes suffice.
         tx.write(z.field(KEY), key)?;
@@ -298,7 +292,7 @@ impl RbTree {
         }
         let s = tx.read(self.size)?;
         tx.write(self.size, s - 1)?;
-        self.free.put(tx, z)?;
+        tx.free(z, NODE_WORDS)?;
         Ok(Some(val))
     }
 

@@ -6,10 +6,9 @@
 use rinval::{AlgorithmKind, Stm};
 use txds::{RbTree, THashMap, TQueue};
 
-fn algorithms() -> [AlgorithmKind; 4] {
+fn algorithms() -> [AlgorithmKind; 3] {
     [
         AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
         AlgorithmKind::InvalStm,
         AlgorithmKind::RInvalV2 { invalidators: 2 },
     ]

@@ -6,28 +6,12 @@
 use rinval::{AlgorithmKind, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn all_algorithms() -> [AlgorithmKind; 8] {
-    [
-        AlgorithmKind::CoarseLock,
-        AlgorithmKind::Tml,
-        AlgorithmKind::NOrec,
-        AlgorithmKind::Tl2,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV1,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 3,
-        },
-    ]
-}
-
 /// Writers keep `x² == y` (writing both together); in-flight readers must
 /// never see the square relation broken, even on attempts that later
 /// abort.
 #[test]
 fn zombie_transactions_never_see_torn_invariants() {
-    for algo in all_algorithms() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let x = stm.alloc_init(&[2]);
         let y = stm.alloc_init(&[4]);
@@ -71,7 +55,7 @@ fn zombie_transactions_never_see_torn_invariants() {
 /// readers walk the chain and must always reach a consistent tail.
 #[test]
 fn pointer_chains_stay_consistent() {
-    for algo in all_algorithms() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(1 << 14).build();
         // head -> node(version, payload). Writers atomically swing head to
         // a fresh node whose payload equals version * 7.
@@ -115,7 +99,7 @@ fn pointer_chains_stay_consistent() {
 #[test]
 fn multiword_snapshots_are_permutations() {
     const N: usize = 12;
-    for algo in all_algorithms() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let arr = stm.alloc(N);
         for i in 0..N {
@@ -168,7 +152,7 @@ fn multiword_snapshots_are_permutations() {
 /// transaction's writes may never become visible.
 #[test]
 fn aborted_transactions_leave_no_trace() {
-    for algo in all_algorithms() {
+    for algo in AlgorithmKind::all(2, 3) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let flag = stm.alloc_init(&[0]);
         let data = stm.alloc_init(&[0]);
