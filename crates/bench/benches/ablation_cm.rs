@@ -4,9 +4,11 @@
 //! loses (genome, vacation), to "bias the contention manager to readers,
 //! and allow it to abort the committing transaction if it is conflicting
 //! with many readers (instead of the classical winning commit mechanism)".
-//! This repository implements that policy (`CmPolicy::ReaderBias`) in the
-//! real algorithms and in the simulator; this bench measures whether the
-//! hypothesis holds and what it costs on writer-dominated workloads.
+//! The policy exists in the simulator alone (`SimConfig::reader_bias`):
+//! this bench measures whether the hypothesis holds and what it costs on
+//! writer-dominated workloads, and its result — a loss on three of four
+//! apps (EXPERIMENTS.md §"Ablation §V") — is why the real engines keep the
+//! paper's committer-always-wins rule and nothing else.
 
 use bench::banner;
 use simcore::{simulate, CostModel, SimAlgorithm, SimConfig};

@@ -20,7 +20,7 @@
 use super::{registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
-use crate::registry::{TX_ALIVE, TX_INVALIDATED};
+use crate::registry::{refusal, TX_ALIVE, TX_INVALIDATED};
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
 use crate::sync::Backoff;
@@ -182,22 +182,18 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Algorithm 1, lines 15–19 fused into a single kernel walk of the
     // `live` summary map ([`crate::scan::scan`]): collect the conflicting
     // in-flight transactions, apply the §13 admission census (priority
-    // refusal / reader-bias budget), and only then invalidate them
-    // (committer always wins under the default policy; paper §IV-D). The
-    // census and the invalidation used to be two full registry walks; one
-    // scan now serves both, and its [`ScanKind`] says so: `InvalCensus`
-    // records both scan flavours' counters when the census is armed,
-    // plain `Inval` otherwise. Priority loads ride the same scan and are
-    // skipped entirely — `check_census` false — while CommitterWins is in
-    // force and nothing has ever aged (`priority_ceiling` still zero),
-    // and for the token holder, whose commit must never be refused.
+    // refusal), and only then invalidate them (committer always wins;
+    // paper §IV-D). One scan serves both, and its [`ScanKind`] says so:
+    // `InvalCensus` records both scan flavours' counters when the census
+    // is armed, plain `Inval` otherwise. Priority loads ride the same scan
+    // and are skipped entirely — `check_census` false — while nothing has
+    // ever aged (`priority_ceiling` still zero), and for the token holder,
+    // whose commit must never be refused.
     let st = &tx.stm.server_stats;
-    let budget = tx.stm.cm_policy.max_doomed();
-    // Cheap arm first: the ceiling/budget test alone decides the common
-    // unarmed case, so neither the token word nor the own-priority load
-    // is touched on an uncontended commit.
-    let check_census = (budget != u32::MAX
-        || tx.stm.priority_ceiling.load(Ordering::SeqCst) != 0)
+    // Cheap arm first: the ceiling test alone decides the common unarmed
+    // case, so neither the token word nor the own-priority load is
+    // touched on an uncontended commit.
+    let check_census = tx.stm.priority_ceiling.load(Ordering::SeqCst) != 0
         && tx.stm.irrevocable_holder() != Some(tx.slot_idx);
     let pc = if check_census {
         slot.priority.load(Ordering::SeqCst)
@@ -205,7 +201,6 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         0
     };
     let mut max_pv = 0u32;
-    let mut preceding = false;
     let mut doomed: Vec<usize> = Vec::new();
     // Index our write signature once; every live reader below is tested
     // with the sparse intersection against just its non-zero words.
@@ -226,22 +221,17 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         |i, other| {
             if other.is_live() && other.read_bf.intersects_plain_sparse(tx.wbf, &nz) {
                 if check_census {
-                    let pv = other.priority.load(Ordering::SeqCst);
-                    max_pv = max_pv.max(pv);
-                    preceding |= crate::registry::precedes(pv, i, pc, tx.slot_idx);
+                    max_pv = max_pv.max(other.priority.load(Ordering::SeqCst));
                 }
                 doomed.push(i);
             }
             ControlFlow::Continue(())
         },
     );
-    // Refusal rule (kept identical to the server-side `census_refusal`):
-    // only a committer that is *not* the local (priority, index) maximum
-    // among the conflict set can be refused — by a strictly
-    // higher-priority victim, or by the doom budget. The maximum itself
-    // always proceeds, which is what breaks the mutual-refusal livelock.
-    if check_census && preceding && (max_pv > pc || doomed.len() as u64 > budget as u64) {
-        let inherit = max_pv + 1;
+    // The refusal rule itself is `registry::refusal`, shared with the
+    // commit-servers' `census_refusal`. An unarmed census leaves `max_pv`
+    // zero, which refuses nothing.
+    if let Some(inherit) = refusal(max_pv, pc) {
         slot.priority.fetch_max(inherit, Ordering::SeqCst);
         tx.stm.note_priority(inherit);
         ServerCounters::add(&st.priority_refusals, 1);

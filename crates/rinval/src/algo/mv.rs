@@ -119,7 +119,7 @@ impl Algorithm for RInvalMV {
                     // values in it makes the first-write promotion's
                     // revalidation fail *deterministically*, and at scale
                     // the resulting abort storm feeds on itself (aborts →
-                    // backpressure → longer attempts → staler snapshots).
+                    // retries → longer attempts → staler snapshots).
                     // Advance to the present instead, NOrec-style.
                     refresh_to_present(tx, h)
                 }

@@ -40,6 +40,7 @@
 //! compare against bit for bit, and the baseline the `server_scan` bench
 //! times the lanes against.
 
+use crate::sync::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of 64-bit words per filter: 16384 bits (2 KiB).
@@ -64,10 +65,7 @@ pub const NUM_HASHES: usize = 1;
 /// this runs on every transactional read.
 #[inline]
 fn probe_bits(addr: u32) -> [u32; NUM_HASHES] {
-    let mut z = (addr as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = mix64((addr as u64).wrapping_add(0x9E37_79B9_7F4A_7C15));
     [(z as u32) % BLOOM_BITS as u32]
 }
 

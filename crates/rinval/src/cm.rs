@@ -71,10 +71,9 @@ impl ContentionManager {
     /// amount before the caller retries. Spins briefly, then yields — on an
     /// oversubscribed host the yield is what lets the conflicting committer
     /// actually finish. Equivalent to
-    /// [`ContentionManager::on_abort_bounded`] with no deadline and no
-    /// saturation signal.
+    /// [`ContentionManager::on_abort_bounded`] with no deadline.
     pub fn on_abort(&mut self) {
-        let _ = self.on_abort_bounded(None, false);
+        let _ = self.on_abort_bounded(None);
     }
 
     /// Deadline-aware [`ContentionManager::on_abort`]: the wait is spent
@@ -85,11 +84,10 @@ impl ContentionManager {
     /// the wait.
     ///
     /// The spin portion is also clamped by the cumulative per-streak
-    /// budget, and the wait *always* ends in a yield when the caller
-    /// reports admission-gate saturation (`saturated`), when the streak is
-    /// long, or when the budget is spent — burning cycles is
-    /// counterproductive exactly when the machine is oversubscribed.
-    pub fn on_abort_bounded(&mut self, deadline: Option<Instant>, saturated: bool) -> bool {
+    /// budget, and the wait *always* ends in a yield when the streak is
+    /// long or the budget is spent — burning cycles is counterproductive
+    /// exactly when the machine is oversubscribed.
+    pub fn on_abort_bounded(&mut self, deadline: Option<Instant>) -> bool {
         self.streak = self.streak.saturating_add(1);
         let exp = self.streak.min(self.max_exp);
         let ceiling = 1u64 << exp;
@@ -109,7 +107,7 @@ impl ContentionManager {
                 break;
             }
         }
-        if self.streak > 3 || saturated || budget_left == 0 {
+        if self.streak > 3 || budget_left == 0 {
             std::thread::yield_now();
         }
         expired
@@ -167,9 +165,9 @@ mod tests {
     fn bounded_abort_reports_expired_deadline() {
         let mut cm = ContentionManager::new(5);
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        assert!(cm.on_abort_bounded(Some(past), false));
+        assert!(cm.on_abort_bounded(Some(past)));
         let future = Instant::now() + std::time::Duration::from_secs(60);
-        assert!(!cm.on_abort_bounded(Some(future), false));
+        assert!(!cm.on_abort_bounded(Some(future)));
     }
 
     #[test]

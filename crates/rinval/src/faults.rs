@@ -295,18 +295,10 @@ pub struct FiredHit {
 #[cfg(feature = "failpoints")]
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// SplitMix64 output mix (Steele et al.); also the journal's entry hash.
-#[cfg(feature = "failpoints")]
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(feature = "failpoints")]
 mod imp {
-    use super::{mix64, site, FaultAction, FiredHit, GAMMA, SITE_NAMES};
+    use super::{site, FaultAction, FiredHit, GAMMA, SITE_NAMES};
+    use crate::sync::mix64;
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::time::Duration;
 

@@ -53,7 +53,6 @@
 pub mod bloom;
 pub mod cm;
 pub mod faults;
-pub mod policy;
 pub mod heap;
 pub mod logs;
 pub mod registry;
@@ -69,7 +68,6 @@ mod txn;
 
 pub use faults::{FaultAction, FaultPlan, FiredHit, ProbFault};
 pub use heap::{DomainHeapStats, Handle, Heap, HeapStats};
-pub use policy::{CmPolicy, StarvationConfig};
 pub use stats::{PhaseStats, ServerStats};
 pub use topology::Topology;
 pub use tvar::{TVar, Word};
@@ -427,14 +425,14 @@ pub(crate) struct StmInner {
     pub(crate) faults: faults::FaultPlan,
     pub(crate) watchdog: WatchdogConfig,
     pub(crate) profile: bool,
-    pub(crate) cm_policy: policy::CmPolicy,
-    /// Starvation-freedom knobs (DESIGN.md §13).
-    pub(crate) starvation: policy::StarvationConfig,
+    /// Consecutive aborts of one transaction before it requests the
+    /// global irrevocable token (DESIGN.md §13); `u32::MAX` = never.
+    pub(crate) irrevocable_after: u32,
     /// Highest transaction priority ever published on this instance — a
     /// monotone hint, not a live maximum. While it is zero (no
-    /// transaction has aged), the CommitterWins admission path skips the
-    /// priority census entirely, so uncontended runs pay nothing for the
-    /// starvation layer.
+    /// transaction has aged), commit admission skips the priority census
+    /// entirely, so uncontended runs pay nothing for the starvation
+    /// layer.
     pub(crate) priority_ceiling: CachePadded<AtomicU32>,
     /// Registry index of the transaction holding the global irrevocable
     /// token, or [`registry::NO_IRREVOCABLE_HOLDER`]. Granted by the
@@ -591,8 +589,7 @@ pub struct StmBuilder {
     heap_max_words: Option<usize>,
     max_threads: usize,
     profile: bool,
-    cm_policy: policy::CmPolicy,
-    starvation: policy::StarvationConfig,
+    irrevocable_after: u32,
     latency_histogram: bool,
     watchdog: WatchdogConfig,
     topology: Option<Topology>,
@@ -633,20 +630,13 @@ impl StmBuilder {
         self
     }
 
-    /// Contention-management policy (default: committer always wins, as
-    /// evaluated in the paper; see [`CmPolicy::ReaderBias`] for the §V
-    /// future-work variant).
-    pub fn cm_policy(mut self, policy: policy::CmPolicy) -> Self {
-        self.cm_policy = policy;
-        self
-    }
-
-    /// Starvation-freedom knobs: when an abort streak escalates to
-    /// irrevocable mode and when overload backpressure engages (default
-    /// [`StarvationConfig::default`]; see DESIGN.md §13). Priority aging
-    /// is always on regardless.
-    pub fn starvation(mut self, cfg: policy::StarvationConfig) -> Self {
-        self.starvation = cfg;
+    /// Consecutive aborts of one transaction before it requests the
+    /// global irrevocable token (default 32, far beyond what priority
+    /// aging normally lets accumulate; `u32::MAX` = never). The one
+    /// contention-management knob: the committer always wins, as in the
+    /// paper, and priority aging is always on (DESIGN.md §13).
+    pub fn irrevocable_after(mut self, aborts: u32) -> Self {
+        self.irrevocable_after = aborts;
         self
     }
 
@@ -747,8 +737,7 @@ impl StmBuilder {
             faults,
             watchdog: self.watchdog,
             profile: self.profile,
-            cm_policy: self.cm_policy,
-            starvation: self.starvation,
+            irrevocable_after: self.irrevocable_after,
             priority_ceiling: CachePadded::new(AtomicU32::new(0)),
             irrevocable: CachePadded::new(AtomicUsize::new(registry::NO_IRREVOCABLE_HOLDER)),
             latency_histogram: self.latency_histogram,
@@ -810,8 +799,7 @@ impl Stm {
             heap_max_words: None,
             max_threads: 64,
             profile: false,
-            cm_policy: policy::CmPolicy::CommitterWins,
-            starvation: policy::StarvationConfig::default(),
+            irrevocable_after: 32,
             latency_histogram: false,
             watchdog: WatchdogConfig::default(),
             topology: None,

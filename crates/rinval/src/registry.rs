@@ -159,15 +159,27 @@ impl TxSlot {
     }
 }
 
-/// The starvation total order (DESIGN.md §13): true when the live
-/// transaction in slot `v_idx` with priority `pv` *precedes* the
-/// committer in slot `c_idx` with priority `pc` — higher priority first,
-/// ties broken by lower slot index. A committer must not doom a victim
-/// that precedes it; the order has a unique global maximum, which no one
-/// may refuse, so some transaction always makes progress.
+/// The token-arbitration order (DESIGN.md §13): true when the request in
+/// slot `v_idx` with priority `pv` *precedes* the one in slot `c_idx`
+/// with priority `pc` — higher priority first, ties broken by lower slot
+/// index. A total order with a unique maximum, so simultaneous
+/// irrevocable-token requests always have exactly one winner.
 #[inline]
 pub fn precedes(pv: u32, v_idx: usize, pc: u32, c_idx: usize) -> bool {
     pv > pc || (pv == pc && v_idx < c_idx)
+}
+
+/// The commit-admission refusal rule (DESIGN.md §13), the one place it
+/// lives: a committer with priority `pc` whose write signature conflicts
+/// with live transactions of maximum priority `max_pv` is refused iff some
+/// victim's priority is *strictly* higher. Returns the priority the
+/// refused committer inherits — `max_pv + 1 > pc`, so it outranks the
+/// victim that blocked it and is never refused twice at the same level.
+/// Equal priorities never refuse (the committer wins, as in the paper);
+/// ties are resolved by aging and ultimately by the irrevocable token.
+#[inline]
+pub fn refusal(max_pv: u32, pc: u32) -> Option<u32> {
+    (max_pv > pc).then(|| max_pv + 1)
 }
 
 /// Fixed array of [`TxSlot`]s plus slot-index recycling and the summary
@@ -588,6 +600,14 @@ mod tests {
         for (pv, v, pc, c) in [(0, 0, 0, 1), (1, 3, 2, 0), (5, 2, 5, 7)] {
             assert_ne!(precedes(pv, v, pc, c), precedes(pc, c, pv, v));
         }
+    }
+
+    #[test]
+    fn refusal_needs_strictly_higher_priority_and_inherits_above_it() {
+        assert_eq!(refusal(0, 0), None);
+        assert_eq!(refusal(3, 3), None, "equal priority: committer wins");
+        assert_eq!(refusal(2, 5), None);
+        assert_eq!(refusal(5, 2), Some(6));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! ## Summary-bitmap scans
 //!
 //! The paper's loops walk the whole `max_threads` registry on every pass —
-//! three times per commit (request discovery, reader-bias census,
+//! three times per commit (request discovery, priority census,
 //! invalidation). All three walks now iterate only the set bits of the
 //! registry's `pending` / `live` summary maps
 //! ([`crate::registry::Registry::pending`] /
@@ -80,7 +80,7 @@
 //! Recovery leans on two protocol invariants (DESIGN.md §11):
 //!
 //! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** Both
-//!    commit-servers answer doomed requests (invalidated / over budget)
+//!    commit-servers answer doomed requests (invalidated / refused)
 //!    *before* bumping the timestamp, so any slot still `CLAIMED` while
 //!    the timestamp is odd passed its status checks and its commit must be
 //!    *completed*: readers spin while the timestamp is odd, so no partial
@@ -99,7 +99,7 @@ use crate::bloom::Bloom;
 use crate::faults::{self, FaultAction};
 use crate::logs::WriteEntry;
 use crate::registry::{
-    precedes, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE,
+    precedes, refusal, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE,
     REQ_IRREVOCABLE, REQ_PENDING, TX_ALIVE, TX_INVALIDATED,
 };
 use crate::scan::{scan, ScanKind};
@@ -246,39 +246,25 @@ unsafe fn tally_commit_domains(
 }
 
 /// Commit admission census (DESIGN.md §13): walks the `live` summary map
-/// counting the transactions the commit of slot `c_idx` (priority `pc`)
-/// would doom, and applies the priority/budget rule. Returns
-/// `Some(inherited_priority)` when the commit must be **refused**:
+/// for the highest priority among the transactions the commit of slot
+/// `c_idx` (priority `pc`) would doom and applies the refusal rule
+/// ([`refusal`]). Returns `Some(inherited_priority)` when the commit must
+/// be **refused** — some conflicting victim's priority strictly exceeds
+/// `pc` — and the caller must raise the committer's published priority to
+/// the returned value.
 ///
-/// * some conflicting victim *precedes* the committer in the total order
-///   (priority descending, then slot index ascending), **and**
-/// * either a victim's priority strictly exceeds `pc` (hard refusal —
-///   applies even under CommitterWins) or the total doom count exceeds
-///   the [`crate::CmPolicy`] budget.
+/// Refusal happens only here, at admission; post-admission invalidation
+/// scans doom *every* conflicting reader regardless of priority (skipping
+/// one after write-back is admitted would leave it on an inconsistent
+/// snapshot).
 ///
-/// The caller must raise the committer's published priority to the
-/// returned value: the refused side inherits `max(victim priority) + 1 >
-/// pc`, so the order keeps a unique maximum that is never refused —
-/// repeated mutual refusals cannot cycle forever at one priority level.
-/// When no victim precedes the committer (it already is the local
-/// maximum), the budget does not apply: an aged committer may doom any
-/// number of younger readers, which is exactly the ReaderBias-livelock
-/// escape. Refusal happens only here, at admission; post-admission
-/// invalidation scans doom *every* conflicting reader regardless of
-/// priority (skipping one after write-back is admitted would leave it on
-/// an inconsistent snapshot).
-///
-/// Under CommitterWins with a zero [`crate::StmInner::priority_ceiling`]
-/// (nothing has aged) the rule cannot fire and the scan is skipped
-/// entirely.
+/// With a zero [`crate::StmInner::priority_ceiling`] (nothing has aged)
+/// the rule cannot fire and the scan is skipped entirely.
 fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize, pc: u32) -> Option<u32> {
-    let budget = stm.cm_policy.max_doomed();
-    if budget == u32::MAX && stm.priority_ceiling.load(Ordering::SeqCst) == 0 {
+    if stm.priority_ceiling.load(Ordering::SeqCst) == 0 {
         return None;
     }
-    let mut total = 0u32;
     let mut max_pv = 0u32;
-    let mut preceding = false;
     let _ = scan(
         &stm.registry,
         &stm.server_stats,
@@ -286,21 +272,14 @@ fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize, pc: u32) -> Option<
         ScanKind::Census,
         stm.served_word_ranges(None),
         |i| i != c_idx,
-        |i, slot| {
+        |_, slot| {
             if slot.is_live() && slot.read_bf.intersects_plain(wbf) {
-                total += 1;
-                let pv = slot.priority.load(Ordering::SeqCst);
-                max_pv = max_pv.max(pv);
-                preceding |= precedes(pv, i, pc, c_idx);
+                max_pv = max_pv.max(slot.priority.load(Ordering::SeqCst));
             }
             ControlFlow::Continue(())
         },
     );
-    if preceding && (max_pv > pc || total > budget) {
-        Some(max_pv + 1)
-    } else {
-        None
-    }
+    refusal(max_pv, pc)
 }
 
 /// Refuses a claimed commit request on census grounds: raises the
@@ -513,9 +492,8 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                 let (hits_w, hits_r) =
                     slot.req_write_bf
                         .snapshot_intersect2(&mut wbf, &batch_wbf, &batch_rbf);
-                // Admission census (§13): priority/budget refusal, checked
-                // per request at admission so batching preserves the
-                // per-commit budget. The token holder bypasses it — its
+                // Admission census (§13): priority refusal, checked per
+                // request at admission. The token holder bypasses it — its
                 // commit must never be refused or the grant's progress
                 // guarantee is void.
                 if holder != Some(i) {
@@ -724,7 +702,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // t/2.
                 slot.req_write_bf.load_into(&mut wbf);
                 // Admission census (§13): the commit-server applies the
-                // priority/budget refusal itself before involving the
+                // priority refusal itself before involving the
                 // invalidation-servers. The token holder bypasses it.
                 if holder != Some(i) {
                     let pc = slot.priority.load(Ordering::SeqCst);
@@ -1432,7 +1410,7 @@ mod tests {
 
     #[test]
     fn census_gate_skips_scan_without_aged_priorities() {
-        // CommitterWins + zero ceiling: no refusal, regardless of victims.
+        // Zero ceiling: no refusal, regardless of victims.
         let inner = inner_v1();
         let rd = inner.registry.claim().unwrap();
         let h = inner.heap.alloc(1).unwrap();

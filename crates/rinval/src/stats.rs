@@ -157,9 +157,8 @@ pub struct ServerCounters {
     pub timed_out_requests: AtomicU64,
     /// Bounded runs cut short by their deadline: up-front fast-fails of
     /// [`crate::ThreadHandle::try_run_for`] with an already-expired
-    /// deadline (no attempt runs, no backpressure gate entered) plus
-    /// posted commit requests a client retracted when its deadline
-    /// expired mid-wait.
+    /// deadline (no attempt runs) plus posted commit requests a client
+    /// retracted when its deadline expired mid-wait.
     pub timeout_withdrawals: AtomicU64,
     /// Posted requests withdrawn by clients (deadline, degradation or
     /// handle teardown) before a server claimed them.
@@ -168,17 +167,14 @@ pub struct ServerCounters {
     /// crash-recovery drains rather than by normal server processing.
     pub drained_requests: AtomicU64,
     /// Live transactions doomed by admitted commits (every invalidation
-    /// path). `txs_doomed / commits` is the doom rate the backpressure
-    /// gate watches.
+    /// path); `txs_doomed / commits` is the doom rate.
     pub txs_doomed: AtomicU64,
-    /// Commits refused because a conflicting live transaction preceded
-    /// the committer in the starvation order (DESIGN.md §13); each refusal
-    /// raised the committer's inherited priority.
+    /// Commits refused because a conflicting live transaction had a
+    /// strictly higher priority than the committer (DESIGN.md §13); each
+    /// refusal raised the committer's inherited priority.
     pub priority_refusals: AtomicU64,
     /// Irrevocable-token grants (server- or seqlock-side).
     pub irrevocable_grants: AtomicU64,
-    /// Begins delayed by the overload admission gate.
-    pub backpressure_delays: AtomicU64,
     /// Highest abort streak any transaction reached (`fetch_max`, so the
     /// mark survives the streak's own reset on commit).
     pub streak_high_water: AtomicU64,
@@ -253,7 +249,6 @@ impl ServerCounters {
             txs_doomed: self.txs_doomed.load(Ordering::Relaxed),
             priority_refusals: self.priority_refusals.load(Ordering::Relaxed),
             irrevocable_grants: self.irrevocable_grants.load(Ordering::Relaxed),
-            backpressure_delays: self.backpressure_delays.load(Ordering::Relaxed),
             streak_high_water: self.streak_high_water.load(Ordering::Relaxed),
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
             ring_misses: self.ring_misses.load(Ordering::Relaxed),
@@ -307,12 +302,10 @@ pub struct ServerStats {
     pub drained_requests: u64,
     /// Live transactions doomed by admitted commits.
     pub txs_doomed: u64,
-    /// Commits refused in favour of a preceding live transaction.
+    /// Commits refused in favour of a higher-priority live transaction.
     pub priority_refusals: u64,
     /// Irrevocable-token grants.
     pub irrevocable_grants: u64,
-    /// Begins delayed by the overload admission gate.
-    pub backpressure_delays: u64,
     /// Highest abort streak any transaction reached.
     pub streak_high_water: u64,
     /// Read-only transactions committed straight off their begin snapshot.
@@ -409,7 +402,6 @@ impl ServerStats {
             txs_doomed: self.txs_doomed - earlier.txs_doomed,
             priority_refusals: self.priority_refusals - earlier.priority_refusals,
             irrevocable_grants: self.irrevocable_grants - earlier.irrevocable_grants,
-            backpressure_delays: self.backpressure_delays - earlier.backpressure_delays,
             // A high-water mark has no meaningful difference; report the
             // later window's mark as-is.
             streak_high_water: self.streak_high_water,
@@ -611,14 +603,12 @@ mod tests {
         ServerCounters::add(&c.txs_doomed, 5);
         ServerCounters::add(&c.priority_refusals, 2);
         ServerCounters::add(&c.irrevocable_grants, 1);
-        ServerCounters::add(&c.backpressure_delays, 3);
         ServerCounters::raise(&c.streak_high_water, 9);
         ServerCounters::raise(&c.streak_high_water, 4); // must not lower it
         let s = c.snapshot();
         assert_eq!(s.txs_doomed, 5);
         assert_eq!(s.priority_refusals, 2);
         assert_eq!(s.irrevocable_grants, 1);
-        assert_eq!(s.backpressure_delays, 3);
         assert_eq!(s.streak_high_water, 9);
         assert!(!s.degraded());
 

@@ -20,6 +20,18 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// SplitMix64 output mix (Steele et al.): the workspace's one
+/// allocation- and state-free 64-bit avalanche — bloom probe bits, hash
+/// buckets, the fault journal's entry hash and `stamp::SplitMix` all go
+/// through it. Callers wanting the full SplitMix64 step add the
+/// golden-ratio increment `0x9E37_79B9_7F4A_7C15` first.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Pads and aligns a value to 128 bytes.
 ///
 /// 128 rather than 64 because modern x86 prefetches cache lines in adjacent
@@ -126,9 +138,9 @@ impl AtomicBitmap {
     }
 
     /// Number of set bits (one popcount per word; a per-word snapshot, not
-    /// an atomic total). Used by the backpressure gate as a cheap
-    /// commit-queue occupancy estimate — with the default 64 slots this is
-    /// a single load.
+    /// an atomic total). A cheap commit-queue occupancy estimate for
+    /// callers that shed load (`svc`'s `shed_pending` gate) — with the
+    /// default 64 slots this is a single load.
     pub fn count_set(&self) -> usize {
         self.words
             .iter()
@@ -328,6 +340,18 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix64_matches_splitmix64_reference_stream() {
+        // First outputs of SplitMix64 seeded with 0 (Vigna's reference).
+        let mut state = 0u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix64(state)
+        };
+        assert_eq!(next(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(next(), 0x6E78_9E6A_A1B9_65F4);
+    }
     use std::mem::{align_of, size_of};
     use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -32,7 +32,6 @@ use crate::faults;
 use crate::heap::{Handle, HeapCache};
 use crate::logs::{AllocLog, ValueReadSet, WriteSet};
 use crate::stats::{PhaseStats, Probe, ServerCounters};
-use crate::sync::Backoff;
 use crate::{Aborted, StmInner, TxError, TxResult};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -53,11 +52,6 @@ pub struct ThreadHandle<'a> {
     alog: AllocLog,
     cache: HeapCache,
     stats: PhaseStats,
-    /// Backpressure window anchor: `txs_doomed` at the last window roll.
-    bp_doomed: u64,
-    /// Backpressure window anchor: commit count (timestamp / 2) at the
-    /// last window roll.
-    bp_commits: u64,
 }
 
 impl<'a> ThreadHandle<'a> {
@@ -78,75 +72,6 @@ impl<'a> ThreadHandle<'a> {
             // server already scans.
             cache: HeapCache::new_at_in(stm.heap.current_era(), stm.registry.domain_of(slot_idx)),
             stats: PhaseStats::default(),
-            bp_doomed: 0,
-            bp_commits: 0,
-        }
-    }
-
-    /// Whether the instance currently looks overloaded — the §13 admission
-    /// signal. Two indicators, either suffices: the commit queue is deep
-    /// (pending summary-map occupancy ≥ `backpressure_pending`), or the
-    /// recent doomed-per-commit rate crossed `backpressure_doom_rate`
-    /// (measured over a rolling window of at least 8 commits, anchored
-    /// per-thread so no shared state is written). All loads are relaxed —
-    /// this is a heuristic, not a protocol edge.
-    #[inline]
-    fn admission_saturated(&mut self) -> bool {
-        let cfg = &self.stm.starvation;
-        if !cfg.backpressure {
-            return false;
-        }
-        if self.stm.registry.pending().count_set() >= cfg.backpressure_pending {
-            return true;
-        }
-        let commits = self.stm.timestamp.load(Ordering::Relaxed) / 2;
-        let d_commits = commits.saturating_sub(self.bp_commits);
-        if d_commits < 8 {
-            return false;
-        }
-        self.doom_rate_crossed(commits, d_commits)
-    }
-
-    /// The windowed doomed-per-commit check — off the inlined fast path;
-    /// reached at most once per 8 commits (the window anchor resets here).
-    #[cold]
-    #[inline(never)]
-    fn doom_rate_crossed(&mut self, commits: u64, d_commits: u64) -> bool {
-        let doomed = self.stm.server_stats.txs_doomed.load(Ordering::Relaxed);
-        let d_doomed = doomed.saturating_sub(self.bp_doomed);
-        self.bp_doomed = doomed;
-        self.bp_commits = commits;
-        d_doomed / d_commits >= self.stm.starvation.backpressure_doom_rate as u64
-    }
-
-    /// The overload admission gate, run once per attempt *before* the
-    /// engine is entered. Under saturation a zero-streak (i.e. lowest
-    /// priority, not yet victimized) transaction's begin is delayed by one
-    /// bounded backoff ramp, giving the already-aborted transactions the
-    /// machine; aged transactions are never delayed. Returns the sampled
-    /// saturation flag so the abort path can pass it to the contention
-    /// manager (which then always yields rather than spins).
-    #[inline]
-    fn backpressure_gate(&mut self, deadline: Option<Instant>) -> bool {
-        let saturated = self.admission_saturated();
-        if saturated && self.cm.streak() == 0 {
-            self.backpressure_delay(deadline);
-        }
-        saturated
-    }
-
-    /// The bounded admission delay itself — cold, so the uncontended
-    /// attempt path only carries the branch, not the backoff machinery.
-    #[cold]
-    #[inline(never)]
-    fn backpressure_delay(&self, deadline: Option<Instant>) {
-        ServerCounters::add(&self.stm.server_stats.backpressure_delays, 1);
-        let mut bk = Backoff::new();
-        for _ in 0..64 {
-            if bk.is_yielding() && deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
-            }
-            bk.snooze();
         }
     }
 
@@ -253,10 +178,10 @@ impl<'a> ThreadHandle<'a> {
     ) -> Result<T, TxError> {
         let deadline = Instant::now() + timeout;
         loop {
-            // Fast-fail before the attempt (and before the backpressure
-            // gate inside it): a deadline that has already passed — a
-            // zero/expired budget handed down by a caller with its own
-            // deadline — must not buy one more attempt's worth of work.
+            // Fast-fail before the attempt: a deadline that has already
+            // passed — a zero/expired budget handed down by a caller with
+            // its own deadline — must not buy one more attempt's worth of
+            // work.
             if Instant::now() >= deadline {
                 ServerCounters::add(&self.stm.server_stats.timeout_withdrawals, 1);
                 return Err(TxError::Timeout);
@@ -296,7 +221,6 @@ impl<'a> ThreadHandle<'a> {
             self.wbf.clear();
             self.alog.clear();
         }
-        let saturated = self.backpressure_gate(deadline);
 
         let mut tx = Txn {
             stm: self.stm,
@@ -323,7 +247,7 @@ impl<'a> ThreadHandle<'a> {
         // (another holder, deadline) the attempt simply runs revocably and
         // retries acquisition next time. The token is held for exactly
         // this one attempt; every exit arm below releases it.
-        let it = self.stm.starvation.irrevocable_after;
+        let it = self.stm.irrevocable_after;
         let want_token = it != u32::MAX && self.cm.streak() >= it;
         if want_token {
             let _ = A::try_acquire_irrevocable(&mut tx);
@@ -401,8 +325,8 @@ impl<'a> ThreadHandle<'a> {
                 // Priority aging (§13): publish `streak - 1` from the
                 // second consecutive abort on. A single sporadic abort —
                 // ubiquitous under any contention — publishes nothing, so
-                // it never arms the census on CommitterWins instances.
-                let expired = self.cm.on_abort_bounded(deadline, saturated);
+                // it never arms the census.
+                let expired = self.cm.on_abort_bounded(deadline);
                 let streak = self.cm.streak();
                 if streak >= 2 {
                     let p = streak - 1;

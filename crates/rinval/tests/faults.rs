@@ -73,9 +73,9 @@ fn body_panic_leaves_stm_usable_on_every_engine() {
 }
 
 /// A deadline that has already passed must fast-fail: `try_run_for`
-/// returns `Timeout` without running the body (and thus without entering
-/// the backpressure gate or posting anything), and the withdrawal is
-/// counted in `ServerStats::timeout_withdrawals` — on every engine.
+/// returns `Timeout` without running the body (and thus without posting
+/// anything), and the withdrawal is counted in
+/// `ServerStats::timeout_withdrawals` — on every engine.
 #[test]
 fn try_run_for_fast_fails_expired_deadline() {
     use rinval::TxError;

@@ -69,6 +69,8 @@ fn doomed_reader_aborts_at_next_read() {
             tx.read(z)
         });
         assert_eq!(r, Err(Aborted), "doomed read survived under {algo:?}");
+        // …and the committer won: its write landed.
+        assert_eq!(stm.peek(x), 110, "committer lost under {algo:?}");
     }
 }
 

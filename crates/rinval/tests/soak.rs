@@ -3,8 +3,8 @@
 //!
 //! `RINVAL_SOAK_SECS` (default 2) is split evenly across all eight
 //! engines. Each slice runs an oversubscribed mix — short writers plus
-//! wide readers under an irrevocable-heavy starvation profile with
-//! backpressure enabled — and must end with:
+//! wide readers under an irrevocable-heavy starvation profile
+//! (`irrevocable_after(4)`) — and must end with:
 //!
 //! * a consistent heap (every committed increment accounted for),
 //! * a quiescent registry and no leaked irrevocable token,
@@ -16,7 +16,7 @@
 //! which perturbs timing without killing servers, so the no-degradation
 //! bar still holds.
 
-use rinval::{AlgorithmKind, StarvationConfig, Stm};
+use rinval::{AlgorithmKind, Stm};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -29,7 +29,7 @@ fn mixed_soak_stays_healthy() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2.0);
     // Oversubscribe: twice the hardware parallelism, so yields (the
-    // backpressure gate, the spin-budget clamp) actually matter.
+    // spin-budget clamp) actually matter.
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get() * 2);
     let kinds = AlgorithmKind::all(2, 2);
     let slice = Duration::from_secs_f64(secs / kinds.len() as f64);
@@ -38,11 +38,7 @@ fn mixed_soak_stays_healthy() {
         let stm = Stm::builder(kind)
             .heap_words(1 << 12)
             .max_threads(threads + 2)
-            .starvation(StarvationConfig {
-                irrevocable_after: 4,
-                backpressure_pending: threads,
-                ..StarvationConfig::default()
-            })
+            .irrevocable_after(4)
             .build();
         let arr = stm.alloc(WORDS);
         let stop = AtomicBool::new(false);

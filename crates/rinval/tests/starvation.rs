@@ -4,17 +4,18 @@
 //!   configuration-derived attempt bound on **every** engine — the
 //!   irrevocable token is the hard backstop once priority aging alone
 //!   does not win.
-//! * Two symmetric committers under `ReaderBias { max_doomed: 0 }` used
-//!   to be able to doom each other forever (mutual-refusal livelock);
-//!   the priority total order plus the token must keep both live.
-//! * The overload admission gate and the commit-latency histogram are
-//!   observable through `ServerStats`.
+//! * The refusal rule, end to end over the invalidation family: a fresh
+//!   committer is refused in favour of a strictly higher-priority live
+//!   reader, inherits a priority above it and then wins; at *equal*
+//!   priority the committer wins outright, and two symmetric committers
+//!   both finish.
+//! * The commit-latency histogram is observable through `ServerStats`.
 //!
 //! The failpoint half additionally proves the token cannot leak: a panic
 //! in the token holder's body must release it and leave the instance
 //! committing.
 
-use rinval::{AlgorithmKind, CmPolicy, StarvationConfig, Stm};
+use rinval::{Aborted, AlgorithmKind, Stm, ThreadHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -35,10 +36,7 @@ fn aged_reader_commits_within_token_bound_on_every_engine() {
         let stm = Stm::builder(kind)
             .heap_words(1 << 10)
             .max_threads(16)
-            .starvation(StarvationConfig {
-                irrevocable_after: IRREVOCABLE_AFTER,
-                ..StarvationConfig::default()
-            })
+            .irrevocable_after(IRREVOCABLE_AFTER)
             .build();
         let arr = stm.alloc(WORDS as usize);
         let stop = AtomicBool::new(false);
@@ -84,26 +82,107 @@ fn aged_reader_commits_within_token_bound_on_every_engine() {
     }
 }
 
-/// Mutual-abort regression: two identical read-modify-write transactions
-/// over the same two words, under the strictest reader bias
-/// (`max_doomed: 0`). Each commit dooms the other in-flight transaction,
-/// so before the §13 total order both sides could refuse forever. Both
-/// must now finish a fixed workload, bounded in wall time.
-#[test]
-fn reader_bias_symmetric_committers_stay_live() {
-    const OPS: u64 = 100;
-    for kind in [
+/// The engines whose commit admission runs the priority census.
+fn inval_family() -> [AlgorithmKind; 3] {
+    [
         AlgorithmKind::InvalStm,
         AlgorithmKind::RInvalV1,
         AlgorithmKind::RInvalV2 { invalidators: 2 },
-    ] {
+    ]
+}
+
+/// Ages `th`'s next transaction to published priority `p` (≥ 1): the
+/// abort streak survives a failed `try_run`, and `streak - 1` is published
+/// from the second consecutive abort on.
+fn age_to(th: &mut ThreadHandle<'_>, p: usize) {
+    let r = th.try_run(p + 1, |tx| tx.user_abort::<()>());
+    assert_eq!(r, Err(Aborted));
+}
+
+fn published_priority(stm: &Stm, th: &ThreadHandle<'_>) -> u32 {
+    stm.registry()
+        .slot(th.slot())
+        .priority
+        .load(Ordering::SeqCst)
+}
+
+/// The refusal path through the public API (nested handles give the exact
+/// interleaving): a reader aged to priority 1 and parked live is *not*
+/// doomed by a fresh conflicting committer — the committer is refused,
+/// `priority_refusals` rises and it inherits priority 2. Its next attempt
+/// carries that priority, outranks the reader and commits, dooming it.
+#[test]
+fn aged_live_reader_refuses_fresh_committer_which_inherits_and_wins() {
+    for kind in inval_family() {
+        let stm = Stm::builder(kind).heap_words(256).build();
+        let x = stm.alloc_init(&[10]);
+        let mut reader = stm.register_thread();
+        let mut writer = stm.register_thread();
+        age_to(&mut reader, 1);
+        assert_eq!(published_priority(&stm, &reader), 1, "{kind:?}");
+
+        let mut first = true;
+        let seen = reader.run(|tx| {
+            let v = tx.read(x)?;
+            if !first {
+                return Ok(v);
+            }
+            first = false;
+            let refused = writer.try_run(1, |tx2| tx2.write(x, 99));
+            assert_eq!(refused, Err(Aborted), "{kind:?}: fresh committer won");
+            assert_eq!(stm.server_stats().priority_refusals, 1, "{kind:?}");
+            assert_eq!(published_priority(&stm, &writer), 2, "{kind:?}");
+            assert_eq!(tx.read(x), Ok(10), "{kind:?}: aged reader was doomed");
+
+            let won = writer.try_run(1, |tx2| tx2.write(x, 99));
+            assert_eq!(won, Ok(()), "{kind:?}: inherited priority did not win");
+            assert_eq!(stm.server_stats().priority_refusals, 1, "{kind:?}");
+            assert_eq!(published_priority(&stm, &writer), 0, "{kind:?}");
+            assert_eq!(tx.read(x), Err(Aborted), "{kind:?}: outranked reader lived");
+            Err(Aborted)
+        });
+        assert_eq!(seen, 99, "{kind:?}");
+    }
+}
+
+/// Equal priority refuses nothing: the committer wins, as in the paper,
+/// whichever slot index it has (the index tie-break exists only in token
+/// arbitration).
+#[test]
+fn equal_priority_victim_is_doomed_not_refused() {
+    for kind in inval_family() {
+        let stm = Stm::builder(kind).heap_words(256).build();
+        let x = stm.alloc_init(&[10]);
+        // The reader holds the lower slot index.
+        let mut reader = stm.register_thread();
+        let mut writer = stm.register_thread();
+        assert!(reader.slot() < writer.slot());
+        age_to(&mut reader, 1);
+        age_to(&mut writer, 1);
+
+        let r = reader.try_run(1, |tx| {
+            tx.read(x)?;
+            let w = writer.try_run(1, |tx2| tx2.write(x, 99));
+            assert_eq!(w, Ok(()), "{kind:?}: equal-priority committer refused");
+            tx.read(x)
+        });
+        assert_eq!(r, Err(Aborted), "{kind:?}: equal-priority reader survived");
+        assert_eq!(stm.server_stats().priority_refusals, 0, "{kind:?}");
+        assert_eq!(stm.peek(x), 99, "{kind:?}");
+    }
+}
+
+/// Mutual-abort regression: two identical read-modify-write transactions
+/// over the same two words. Each commit dooms the other in-flight
+/// transaction; ties are resolved by aging, then by the token. Both must
+/// finish a fixed workload, bounded in wall time.
+#[test]
+fn symmetric_committers_stay_live() {
+    const OPS: u64 = 100;
+    for kind in inval_family() {
         let stm = Stm::builder(kind)
             .heap_words(256)
-            .cm_policy(CmPolicy::ReaderBias { max_doomed: 0 })
-            .starvation(StarvationConfig {
-                irrevocable_after: IRREVOCABLE_AFTER,
-                ..StarvationConfig::default()
-            })
+            .irrevocable_after(IRREVOCABLE_AFTER)
             .build();
         let a = stm.alloc_init(&[0]);
         let b = stm.alloc_init(&[0]);
@@ -120,7 +199,7 @@ fn reader_bias_symmetric_committers_stay_live() {
                             tx.write(a, va + 1)?;
                             tx.write(b, vb + 1)
                         })
-                        .expect("symmetric committer starved under ReaderBias(0)");
+                        .expect("symmetric committer starved");
                     }
                 });
             }
@@ -130,35 +209,6 @@ fn reader_bias_symmetric_committers_stay_live() {
         assert_eq!(stm.peek(b), 2 * OPS, "{kind:?}: lost increments on b");
         assert_eq!(stm.irrevocable_holder(), None, "{kind:?}: token leaked");
     }
-}
-
-/// With `backpressure_pending: 0` every admission looks saturated, so
-/// every fresh (zero-streak) attempt pays exactly one bounded delay —
-/// observable in the counter — and the workload still completes.
-#[test]
-fn backpressure_gate_counts_delays_and_stays_live() {
-    const OPS: u64 = 10;
-    let stm = Stm::builder(AlgorithmKind::InvalStm)
-        .heap_words(256)
-        .starvation(StarvationConfig {
-            backpressure_pending: 0,
-            ..StarvationConfig::default()
-        })
-        .build();
-    let c = stm.alloc_init(&[0]);
-    let mut th = stm.register_thread();
-    for _ in 0..OPS {
-        th.run(|tx| {
-            let v = tx.read(c)?;
-            tx.write(c, v + 1)
-        });
-    }
-    drop(th);
-    assert_eq!(stm.peek(c), OPS);
-    assert!(
-        stm.server_stats().backpressure_delays >= OPS,
-        "admission gate never fired"
-    );
 }
 
 /// The opt-in commit-latency histogram records every committed write
@@ -185,13 +235,13 @@ fn latency_histogram_records_commit_quantiles() {
     assert!(p99 >= p50, "quantiles not monotone: p50 {p50:?} p99 {p99:?}");
 }
 
-/// Disabled config: no aging is published and no token is ever granted,
+/// `irrevocable_after(u32::MAX)` means never: no token is ever granted,
 /// no matter how long the streaks run.
 #[test]
-fn disabled_config_grants_nothing() {
+fn irrevocable_never_grants_nothing() {
     let stm = Stm::builder(AlgorithmKind::InvalStm)
         .heap_words(256)
-        .starvation(StarvationConfig::disabled())
+        .irrevocable_after(u32::MAX)
         .build();
     let c = stm.alloc_init(&[0]);
     let stm_ref = &stm;
@@ -209,9 +259,7 @@ fn disabled_config_grants_nothing() {
         }
     });
     assert_eq!(stm.peek(c), 800);
-    let st = stm.server_stats();
-    assert_eq!(st.irrevocable_grants, 0);
-    assert_eq!(st.backpressure_delays, 0);
+    assert_eq!(stm.server_stats().irrevocable_grants, 0);
 }
 
 #[cfg(feature = "failpoints")]
@@ -222,7 +270,7 @@ mod injected {
 
     /// A panic in the body of the irrevocable-token *holder* must release
     /// the token on the unwind path: a leaked token would gate every
-    /// other commit forever. `irrevocable_after: 0` makes the very first
+    /// other commit forever. `irrevocable_after(0)` makes the very first
     /// attempt acquire the token, and the armed body failpoint fires
     /// inside it.
     #[test]
@@ -234,10 +282,7 @@ mod injected {
         ] {
             let stm = Stm::builder(kind)
                 .heap_words(256)
-                .starvation(StarvationConfig {
-                    irrevocable_after: 0,
-                    ..StarvationConfig::default()
-                })
+                .irrevocable_after(0)
                 .build();
             let c = stm.alloc_init(&[0]);
             stm.faults()

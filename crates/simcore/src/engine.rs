@@ -15,7 +15,9 @@ use crate::model::{SimAlgorithm, SimConfig, SimResult};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Deterministic RNG (same construction as `stamp::SplitMix`).
+/// Deterministic RNG (same construction as `stamp::SplitMix`). `simcore`
+/// has no dependencies and stays standalone, so it keeps its own copy of
+/// the mix instead of calling `rinval::sync::mix64`.
 struct Rng {
     state: u64,
 }

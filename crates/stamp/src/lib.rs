@@ -61,6 +61,21 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run whose verifier failed before producing one: no
+    /// wall time, stats or checksum, just the instance's end-of-run
+    /// telemetry.
+    pub fn failed(stm: &rinval::Stm, threads: usize) -> RunReport {
+        RunReport {
+            wall: Duration::ZERO,
+            stats: PhaseStats::default(),
+            threads,
+            checksum: 0,
+            heap: stm.heap_stats(),
+            server: stm.server_stats(),
+            domains: stm.domain_heap_stats(),
+        }
+    }
+
     /// Committed transactions per second over the parallel phase.
     pub fn throughput(&self) -> f64 {
         self.stats.commits as f64 / self.wall.as_secs_f64().max(f64::MIN_POSITIVE)
@@ -190,18 +205,7 @@ impl App {
                 };
                 match labyrinth::run_verified(stm, threads, &cfg) {
                     Ok(r) => (r, Ok(())),
-                    Err(e) => (
-                        RunReport {
-                            wall: std::time::Duration::ZERO,
-                            stats: PhaseStats::default(),
-                            threads,
-                            checksum: 0,
-                            heap: stm.heap_stats(),
-                            server: stm.server_stats(),
-                            domains: stm.domain_heap_stats(),
-                        },
-                        Err(e),
-                    ),
+                    Err(e) => (RunReport::failed(stm, threads), Err(e)),
                 }
             }
             App::Intruder => {
@@ -238,18 +242,7 @@ impl App {
                 };
                 match vacation::run_verified(stm, threads, &cfg) {
                     Ok(r) => (r, Ok(())),
-                    Err(e) => (
-                        RunReport {
-                            wall: std::time::Duration::ZERO,
-                            stats: PhaseStats::default(),
-                            threads,
-                            checksum: 0,
-                            heap: stm.heap_stats(),
-                            server: stm.server_stats(),
-                            domains: stm.domain_heap_stats(),
-                        },
-                        Err(e),
-                    ),
+                    Err(e) => (RunReport::failed(stm, threads), Err(e)),
                 }
             }
             App::Bayes => {
@@ -261,18 +254,7 @@ impl App {
                 };
                 match bayes::run_verified(stm, threads, &cfg) {
                     Ok(r) => (r, Ok(())),
-                    Err(e) => (
-                        RunReport {
-                            wall: std::time::Duration::ZERO,
-                            stats: PhaseStats::default(),
-                            threads,
-                            checksum: 0,
-                            heap: stm.heap_stats(),
-                            server: stm.server_stats(),
-                            domains: stm.domain_heap_stats(),
-                        },
-                        Err(e),
-                    ),
+                    Err(e) => (RunReport::failed(stm, threads), Err(e)),
                 }
             }
         }
@@ -298,10 +280,7 @@ impl SplitMix {
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        rinval::sync::mix64(self.state)
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be nonzero.

@@ -19,8 +19,8 @@
 //!   result instead of re-applying. Effects are exactly-once under every
 //!   fault the service layer can inject.
 //! * **SLO admission control** — when the windowed write p99 breaches the
-//!   SLO, or the STM's backpressure signal (pending commit requests) says
-//!   the servers are saturated, write traffic is shed first
+//!   SLO, or the STM's commit queue (pending commit requests) says the
+//!   servers are saturated, write traffic is shed first
 //!   (`RetryAfter`); reads keep being served through
 //!   [`rinval::ThreadHandle::run_ro`], so the service degrades to
 //!   read-only instead of failing outright.
@@ -150,8 +150,9 @@ pub struct SvcConfig {
     pub slo_p99: Duration,
     /// Observations per latency window (cached p99 refresh rate).
     pub hist_window: u64,
-    /// Pending-commit-request threshold above which writes are shed
-    /// (mirrors [`rinval::StarvationConfig::backpressure_pending`]).
+    /// Pending-commit-request threshold at or above which writes are shed
+    /// — the stack's one backpressure gate (the STM itself never delays a
+    /// `begin`).
     pub shed_pending: usize,
     /// How long a breached p99 window sheds before the signal goes stale
     /// and probe writes are re-admitted to re-measure.
@@ -304,8 +305,9 @@ impl Shared<'_> {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The shed decision (writes only): recent write p99 over SLO, or the
-    /// STM's own backpressure signal. Reads never consult this.
+    /// The shed decision (writes only), the one overload gate: recent
+    /// write p99 over SLO, or the STM's commit queue at least
+    /// `shed_pending` deep. Reads never consult this.
     fn should_shed_write(&self) -> bool {
         if self.stm.registry().pending().count_set() >= self.cfg.shed_pending {
             return true;

@@ -27,11 +27,7 @@ pub struct THashMap {
 
 #[inline]
 fn hash(key: u64) -> u64 {
-    // SplitMix64 finalizer.
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rinval::sync::mix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 impl THashMap {
