@@ -181,7 +181,6 @@ fn kernel_speedup(slots: usize, iters: u32, reps: usize) -> f64 {
             &counters,
             reg.live(),
             ScanKind::Inval,
-            std::iter::once(0..reg.live().words_len()),
             |_| true,
             |_, s| {
                 if s.is_live() && s.read_bf.intersects_plain_sparse(&wbf, &nz) {

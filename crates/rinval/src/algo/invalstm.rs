@@ -205,8 +205,6 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Index our write signature once; every live reader below is tested
     // with the sparse intersection against just its non-zero words.
     let nz = tx.wbf.nonzero_words();
-    // Inline invalidation has no domain partition to exploit: every commit
-    // walks the whole live map (`served_word_ranges(None)`).
     let _ = scan(
         &tx.stm.registry,
         st,
@@ -216,7 +214,6 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         } else {
             ScanKind::Inval
         },
-        tx.stm.served_word_ranges(None),
         |i| i != tx.slot_idx,
         |i, other| {
             if other.is_live() && other.read_bf.intersects_plain_sparse(tx.wbf, &nz) {
@@ -239,10 +236,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         tx.lock_held = false;
         return Err(Aborted);
     }
-    let sharded = tx.stm.registry.num_domains() > 1;
-    let home = tx.stm.registry.domain_of(tx.slot_idx);
     let mut doomed_n = 0u64;
-    let mut cross_n = 0u64;
     for &i in &doomed {
         if tx
             .stm
@@ -253,33 +247,20 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
             .is_ok()
         {
             doomed_n += 1;
-            if sharded && tx.stm.registry.domain_of(i) != home {
-                cross_n += 1;
-            }
         }
     }
     if doomed_n != 0 {
         ServerCounters::add(&st.txs_doomed, doomed_n);
-    }
-    if cross_n != 0 {
-        ServerCounters::add(&st.cross_domain_invalidations, cross_n);
     }
     // Algorithm 1, line 20: publish the write-set. Versioned: when the MV
     // ring is enabled (degraded RInvalMV instances fall back to this
     // engine), each store also retires the pre-image into the word's ring
     // stamped with this commit's release timestamp, so concurrent
     // snapshot readers keep resolving.
-    let mut cross_commit = false;
     for e in tx.ws.entries() {
         tx.stm
             .heap
             .store_versioned(Handle::from_addr(e.addr), e.val, t + 2);
-        cross_commit |= sharded && tx.stm.heap.domain_of_word(e.addr as usize) != home;
-    }
-    if cross_commit {
-        ServerCounters::add(&st.cross_domain_commits, 1);
-    } else {
-        ServerCounters::add(&st.local_commits, 1);
     }
     // Algorithm 1, line 21: release the sequence lock.
     ts.store(t + 2, Ordering::SeqCst);

@@ -298,12 +298,8 @@ macro_rules! with_algorithm {
                 type $A = $crate::algo::rinval::RInvalV1;
                 $e
             }
-            $crate::AlgorithmKind::RInvalV2 { .. } => {
+            $crate::AlgorithmKind::RInvalV2 { .. } | $crate::AlgorithmKind::RInvalV3 { .. } => {
                 type $A = $crate::algo::rinval::RInvalV2;
-                $e
-            }
-            $crate::AlgorithmKind::RInvalV3 { .. } => {
-                type $A = $crate::algo::rinval::RInvalV3;
                 $e
             }
             $crate::AlgorithmKind::RInvalMV { .. } => {

@@ -30,7 +30,8 @@
 //!   `live` map, republishes its reads into the slot's signature, and
 //!   value-validates them once under a stable window. From then on reads
 //!   take the invalidation-checked path and commit goes through the
-//!   commit-server, exactly like [`super::rinval::RInvalV3`].
+//!   commit-server, exactly like the V2/V3 client
+//!   ([`super::rinval::RInvalV2`]).
 
 use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
@@ -53,10 +54,6 @@ impl Algorithm for RInvalMV {
         // (their ring walks dereference blocks other threads may free) but
         // stay out of the `live` map. The *fenced* pin: snapshot reads
         // never revalidate, so the horizon scan must never miss the pin.
-        // Under domain sharding the cached era is the *minimum* over the
-        // per-domain clocks, so the pin holds back frees from every
-        // domain — see DESIGN.md §15 for why min (not max) is the safe
-        // choice.
         tx.stm
             .registry
             .pin_era_fenced(tx.slot_idx, tx.cache.era_cache);

@@ -14,12 +14,6 @@
 //!
 //! No CAS is executed anywhere on this path, which is the paper's headline
 //! mechanism for removing coherence traffic from the critical path.
-//!
-//! Under domain sharding ([`crate::Topology`]) nothing here changes shape:
-//! the V2/V3 read path's invalidation-server check
-//! (`StmInner::inval_server_of`) resolves to the server covering the
-//! slot's *domain*, so a client only ever waits on the server that scans
-//! its own domain's registry words.
 
 use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
@@ -34,7 +28,7 @@ use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::Ordering;
 
-/// The lifecycle shared by all three RInval engines; only the read path's
+/// The lifecycle shared by both RInval engines; only the read path's
 /// invalidation-server check distinguishes them at the client.
 macro_rules! rinval_engine {
     ($(#[$meta:meta])* $name:ident, check_inval_server = $chk:literal) => {
@@ -91,13 +85,11 @@ rinval_engine!(
     check_inval_server = false
 );
 rinval_engine!(
-    /// Engine for [`crate::AlgorithmKind::RInvalV2`].
+    /// Engine for [`crate::AlgorithmKind::RInvalV2`] and
+    /// [`crate::AlgorithmKind::RInvalV3`]: one client, whose reads wait on
+    /// their slot's invalidation-server. The two kinds differ only in how
+    /// far the commit-server may run ahead (`steps_ahead`).
     RInvalV2,
-    check_inval_server = true
-);
-rinval_engine!(
-    /// Engine for [`crate::AlgorithmKind::RInvalV3`].
-    RInvalV3,
     check_inval_server = true
 );
 

@@ -13,7 +13,7 @@
 //! site check folds away — the production binary carries no trace of the
 //! framework (the micro-bench dispatch gate enforces this at ≤1.05×).
 //!
-//! ## Determinism contract (DESIGN.md §18)
+//! ## Determinism contract (DESIGN.md §17)
 //!
 //! Each site owns a *hit counter* and a SplitMix64 draw stream derived
 //! from the plan's episode seed ([`FaultPlan::set_seed`]). Whether the

@@ -214,22 +214,6 @@ impl HeapStats {
     }
 }
 
-/// Per-domain slice of the heap's allocation telemetry (see
-/// [`crate::Stm::domain_heap_stats`]). Frees and recycling are tracked
-/// globally (a block may be freed by any domain's thread), so the
-/// per-domain view covers the bump-frontier occupancy of each region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DomainHeapStats {
-    /// The domain index this row describes.
-    pub domain: usize,
-    /// Words handed out from this domain's bump frontier (monotone).
-    pub allocated_words: u64,
-    /// This domain's region capacity in words.
-    pub capacity_words: u64,
-    /// This domain's era clock (reclamation stamps issued here).
-    pub era: u64,
-}
-
 /// A retired block awaiting its reclamation horizon: `(era stamp, addr, len)`.
 type Retired = (u64, u32, u32);
 
@@ -254,27 +238,12 @@ pub struct Heap {
     seg_shift: u32,
     /// Usable word indices are `1..=max_words`.
     max_words: usize,
-    /// Number of domain shards (1 = the seed's global layout).
-    domains: usize,
-    /// Region boundaries: domain `d` bump-allocates inside
-    /// `bounds[d]..bounds[d+1]`. With one domain that is the whole arena
-    /// `[1, max_words]` — exactly the seed's single frontier. Slot 0 is
-    /// reserved so index 0 can mean NULL.
-    bounds: Box<[usize]>,
-    /// Per-domain bump frontiers (`cursors[d]` starts at `bounds[d]`).
-    cursors: Box<[CachePadded<AtomicUsize>]>,
-    /// Per-domain reclamation clocks: `eras[d]` is bumped once per
-    /// committed transaction homed in `d` that freed blocks, *after* its
-    /// commit is fully visible. The reclamation horizon pins the **min**
-    /// over all domain clocks — see [`Heap::current_era`] for why min (not
-    /// max) is the safe pin under sharded clocks.
-    eras: Box<[CachePadded<AtomicU64>]>,
-    /// Epoch fence: the high-water mark of recently issued era stamps.
-    /// Lagging domains lift their clock to it (at their next free-commit
-    /// or allocation slow path), which bounds how long the min-clock
-    /// horizon — and therefore recycling — can trail a busy domain.
-    /// Never consulted with a single domain.
-    era_fence: AtomicU64,
+    /// Bump frontier: the next never-allocated word index. Starts at 1;
+    /// slot 0 is reserved so index 0 can mean NULL.
+    cursor: CachePadded<AtomicUsize>,
+    /// Reclamation clock: bumped once per committed transaction that freed
+    /// blocks, *after* its commit is fully visible.
+    era: CachePadded<AtomicU64>,
     live_segments: AtomicUsize,
     freed_words: AtomicU64,
     recycled_words: AtomicU64,
@@ -297,22 +266,6 @@ impl Heap {
     /// ceiling (`None` = as far as the segment table and 32-bit handles
     /// reach). Tests use a small ceiling to exercise true exhaustion.
     pub fn with_limits(initial_words: usize, max_words: Option<usize>) -> Heap {
-        Heap::with_limits_sharded(initial_words, max_words, 1)
-    }
-
-    /// Like [`Heap::with_limits`], but splits the word range into
-    /// `domains` contiguous allocation regions, one per topology domain:
-    /// domain `d`'s allocations bump inside its own region (spilling to
-    /// the others only on exhaustion), so the segments a domain
-    /// materializes — and the write-back / version-ring traffic on them —
-    /// stay with that domain's threads. One domain reproduces the seed
-    /// layout exactly.
-    pub fn with_limits_sharded(
-        initial_words: usize,
-        max_words: Option<usize>,
-        domains: usize,
-    ) -> Heap {
-        assert!(domains >= 1, "heap needs at least one domain");
         assert!(
             initial_words <= HARD_CAP_WORDS,
             "heap capacity must fit in 32-bit handles"
@@ -346,14 +299,6 @@ impl Heap {
             let p = base[s * seg_words..].as_ptr() as *mut AtomicU64;
             table[s].store(p, Ordering::Release);
         }
-        let bounds: Box<[usize]> = (0..=domains).map(|d| 1 + max_words * d / domains).collect();
-        let cursors: Box<[CachePadded<AtomicUsize>]> = bounds[..domains]
-            .iter()
-            .map(|&s| CachePadded::new(AtomicUsize::new(s)))
-            .collect();
-        let eras: Box<[CachePadded<AtomicU64>]> = (0..domains)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect();
         Heap {
             base,
             base_words,
@@ -362,11 +307,8 @@ impl Heap {
             seg_words,
             seg_shift: seg_words.trailing_zeros(),
             max_words,
-            domains,
-            bounds,
-            cursors,
-            eras,
-            era_fence: AtomicU64::new(0),
+            cursor: CachePadded::new(AtomicUsize::new(1)),
+            era: CachePadded::new(AtomicU64::new(0)),
             live_segments: AtomicUsize::new(base_segs),
             freed_words: AtomicU64::new(0),
             recycled_words: AtomicU64::new(0),
@@ -399,41 +341,9 @@ impl Heap {
         self.max_words
     }
 
-    /// Words handed out from the bump frontiers so far (recycling excluded).
+    /// Words handed out from the bump frontier so far (recycling excluded).
     pub fn allocated(&self) -> usize {
-        (0..self.domains)
-            .map(|d| self.cursors[d].load(Ordering::Relaxed) - self.bounds[d])
-            .sum()
-    }
-
-    /// Number of domain allocation regions (1 = seed layout).
-    #[inline]
-    pub fn num_domains(&self) -> usize {
-        self.domains
-    }
-
-    /// The domain whose allocation region contains word `idx` (0 for
-    /// anything outside every region, e.g. the reserved null index).
-    #[inline]
-    pub fn domain_of_word(&self, idx: usize) -> usize {
-        if self.domains == 1 {
-            return 0;
-        }
-        self.bounds
-            .partition_point(|&b| b <= idx)
-            .saturating_sub(1)
-            .min(self.domains - 1)
-    }
-
-    /// Words domain `d`'s region has handed out from its bump frontier
-    /// (its occupancy, recycling excluded).
-    pub fn domain_allocated_words(&self, d: usize) -> u64 {
-        (self.cursors[d].load(Ordering::Relaxed) - self.bounds[d]) as u64
-    }
-
-    /// Capacity of domain `d`'s allocation region, in words.
-    pub fn domain_capacity_words(&self, d: usize) -> u64 {
-        (self.bounds[d + 1] - self.bounds[d]) as u64
+        self.cursor.load(Ordering::Relaxed) - 1
     }
 
     /// Telemetry snapshot.
@@ -463,77 +373,16 @@ impl Heap {
         }
     }
 
-    /// Per-domain telemetry rows, one per allocation region.
-    pub fn domain_stats(&self) -> Vec<DomainHeapStats> {
-        (0..self.domains)
-            .map(|d| DomainHeapStats {
-                domain: d,
-                allocated_words: self.domain_allocated_words(d),
-                capacity_words: self.domain_capacity_words(d),
-                era: self.eras[d].load(Ordering::SeqCst),
-            })
-            .collect()
-    }
-
-    /// Current value of the reclamation clock — with sharded clocks, the
-    /// **minimum** over all domain clocks.
-    ///
-    /// Min, not max, because this value becomes a pin (`start_era`) that
-    /// must lower-bound every stamp a *later* free can receive, in every
-    /// domain: a free homed in domain `d` stamps `clock_d + 1`, and
-    /// `min ≤ clock_d` at the time of the pin, so (clocks being monotone)
-    /// any advance after the pin exceeds it. A max pin would let a free in
-    /// a lagging domain stamp *below* an already-live pin and mature while
-    /// its reader still runs. The price of min is only recycling *delay*
-    /// on lagging domains, bounded by the [`Heap::era_fence`] drag.
+    /// Current value of the reclamation clock.
     #[inline]
     pub(crate) fn current_era(&self) -> u64 {
-        if self.domains == 1 {
-            return self.eras[0].load(Ordering::SeqCst);
-        }
-        self.eras
-            .iter()
-            .map(|e| e.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(0)
+        self.era.load(Ordering::SeqCst)
     }
 
-    /// [`Heap::current_era`] variant for the allocation slow path: first
-    /// lifts `domain`'s clock to the fence, so a domain that never frees
-    /// still follows the fleet and the min-clock horizon keeps advancing
-    /// (otherwise one quiet domain would pin recycling forever).
-    pub(crate) fn refreshed_era(&self, domain: usize) -> u64 {
-        if self.domains > 1 {
-            let f = self.era_fence.load(Ordering::SeqCst);
-            self.eras[domain % self.domains].fetch_max(f, Ordering::SeqCst);
-        }
-        self.current_era()
-    }
-
-    /// Advances domain `domain`'s reclamation clock — jumping it past the
-    /// fence first, so stamps keep loose global order — publishes the new
-    /// stamp as the fence, and returns it. Called by a committed
-    /// transaction with frees, after its commit is visible.
-    pub(crate) fn advance_era_in(&self, domain: usize) -> u64 {
-        if self.domains == 1 {
-            return self.eras[0].fetch_add(1, Ordering::SeqCst) + 1;
-        }
-        let clock = &self.eras[domain % self.domains];
-        let mut cur = clock.load(Ordering::SeqCst);
-        let stamp = loop {
-            let next = cur.max(self.era_fence.load(Ordering::SeqCst)) + 1;
-            match clock.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => break next,
-                Err(c) => cur = c,
-            }
-        };
-        self.era_fence.fetch_max(stamp, Ordering::SeqCst);
-        stamp
-    }
-
-    /// The fence's current value (telemetry / tests).
-    pub(crate) fn era_fence_value(&self) -> u64 {
-        self.era_fence.load(Ordering::SeqCst)
+    /// Advances the reclamation clock and returns the new stamp. Called by
+    /// a committed transaction with frees, after its commit is visible.
+    pub(crate) fn advance_era(&self) -> u64 {
+        self.era.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// Materializes every segment covering word indices `[start, start+n)`.
@@ -587,48 +436,24 @@ impl Heap {
         unsafe { &*ptr.add(off) }
     }
 
-    /// Allocates `n` contiguous zeroed words from domain 0's bump
-    /// frontier (the whole arena with a single domain), or `None` past
-    /// the capacity ceiling.
+    /// Allocates `n` contiguous zeroed words from the bump frontier, or
+    /// `None` past the capacity ceiling. Lock-free; a failed attempt
+    /// reserves nothing (CAS loop, not `fetch_add`), so smaller requests
+    /// still succeed after an oversized one fails.
     pub fn alloc(&self, n: usize) -> Option<Handle> {
-        self.alloc_in(0, n)
-    }
-
-    /// Allocates `n` contiguous zeroed words, preferring `domain`'s
-    /// region (first-touch placement) and spilling to the other domains'
-    /// regions in ascending wrapping order once it is exhausted. Returns
-    /// `None` only when every region is past its ceiling. Lock-free; a
-    /// failed attempt reserves nothing (CAS loop, not `fetch_add`), so
-    /// smaller requests still succeed after an oversized one fails.
-    pub(crate) fn alloc_in(&self, domain: usize, n: usize) -> Option<Handle> {
         if n == 0 {
             return Some(Handle::NULL);
         }
-        let d0 = if self.domains == 1 {
-            0
-        } else {
-            domain % self.domains
-        };
-        for k in 0..self.domains {
-            if let Some(h) = self.bump_in((d0 + k) % self.domains, n) {
-                return Some(h);
-            }
-        }
-        None
-    }
-
-    /// CAS-bump inside domain `d`'s region, or `None` if `n` words no
-    /// longer fit there.
-    fn bump_in(&self, d: usize, n: usize) -> Option<Handle> {
-        let limit = self.bounds[d + 1];
-        let cursor = &self.cursors[d];
-        let mut cur = cursor.load(Ordering::Relaxed);
+        let mut cur = self.cursor.load(Ordering::Relaxed);
         loop {
             let end = cur.checked_add(n)?;
-            if end > limit {
+            if end > self.max_words + 1 {
                 return None;
             }
-            match cursor.compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed) {
+            match self
+                .cursor
+                .compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => {
                     self.ensure_segments(cur, n);
                     return Some(Handle(cur as u32));
@@ -1017,29 +842,21 @@ pub(crate) struct HeapCache {
     /// free-commits, the allocation slow path) keeps the shared clock off
     /// the begin fast path. A stale (lower) pin is always safe — it only
     /// under-approximates the reclamation horizon, delaying (never
-    /// unleashing) recycling. Under sharded clocks the refreshed value is
-    /// the min over domains (see [`Heap::current_era`]), which is safe by
-    /// the same monotone argument.
+    /// unleashing) recycling.
     pub(crate) era_cache: u64,
-    /// The owning thread's topology domain: allocations first-touch this
-    /// domain's heap region, and free-commits stamp its era clock. 0
-    /// (the only domain) on single-domain heaps.
-    pub(crate) home_domain: usize,
 }
 
 impl HeapCache {
     /// A cache whose era starts at `era` (the clock value observed at
     /// thread registration — safe for the same reason any stale-low value
     /// is, and fresh enough that the thread's first pins don't stall the
-    /// horizon), homed in topology domain `domain`: allocations come from
-    /// that domain's heap region first, and free-commits stamp its clock.
-    pub(crate) fn new_at_in(era: u64, domain: usize) -> HeapCache {
+    /// horizon).
+    pub(crate) fn new_at(era: u64) -> HeapCache {
         HeapCache {
             bins: std::array::from_fn(|_| Vec::new()),
             large: Vec::new(),
             retired: VecDeque::new(),
             era_cache: era,
-            home_domain: domain,
         }
     }
 
@@ -1087,14 +904,14 @@ impl HeapCache {
         if let Some(addr) = self.pop_bin(len) {
             return Some(self.hand_out(heap, addr, n));
         }
-        self.era_cache = heap.refreshed_era(self.home_domain);
+        self.era_cache = heap.current_era();
         let hz = horizon();
         self.mature(hz);
         heap.pool_drain_into(self, hz);
         if let Some(addr) = self.pop_bin(len) {
             return Some(self.hand_out(heap, addr, n));
         }
-        heap.alloc_in(self.home_domain, n)
+        heap.alloc(n)
     }
 
     fn hand_out(&mut self, heap: &Heap, addr: u32, n: usize) -> Handle {
@@ -1112,13 +929,7 @@ impl HeapCache {
         if log.frees.is_empty() {
             return;
         }
-        // The stamp comes from the freeing thread's *home* clock even
-        // when a freed block lives in another domain's region: safety
-        // needs only that the stamp exceed every live pin, which the
-        // min-clock pin rule gives for any domain's clock, and
-        // `advance_era_in` publishes the stamp as the fence so remote
-        // domains' clocks catch up promptly.
-        let stamp = heap.advance_era_in(self.home_domain);
+        let stamp = heap.advance_era();
         self.era_cache = self.era_cache.max(stamp);
         for &(addr, len) in &log.frees {
             heap.freed_words.fetch_add(len as u64, Ordering::Relaxed);
@@ -1268,7 +1079,7 @@ mod tests {
     #[test]
     fn cache_recycles_committed_frees() {
         let heap = Heap::new(64);
-        let mut cache = HeapCache::new_at_in(0, 0);
+        let mut cache = HeapCache::new_at(0);
         let mut log = AllocLog::default();
 
         let a = cache.alloc(&heap, || u64::MAX, 3).unwrap();
@@ -1293,7 +1104,7 @@ mod tests {
     #[test]
     fn horizon_blocks_premature_reuse() {
         let heap = Heap::new(64);
-        let mut cache = HeapCache::new_at_in(0, 0);
+        let mut cache = HeapCache::new_at(0);
         let mut log = AllocLog::default();
         let a = cache.alloc(&heap, || u64::MAX, 2).unwrap();
         log.allocs.push((a.addr(), 2));
@@ -1313,7 +1124,7 @@ mod tests {
     #[test]
     fn abort_returns_speculative_allocations() {
         let heap = Heap::new(64);
-        let mut cache = HeapCache::new_at_in(0, 0);
+        let mut cache = HeapCache::new_at(0);
         let mut log = AllocLog::default();
         let a = cache.alloc(&heap, || u64::MAX, 4).unwrap();
         log.allocs.push((a.addr(), 4));
@@ -1330,7 +1141,7 @@ mod tests {
     #[test]
     fn alloc_then_free_in_one_attempt_is_single_counted() {
         let heap = Heap::new(64);
-        let mut cache = HeapCache::new_at_in(0, 0);
+        let mut cache = HeapCache::new_at(0);
         let mut log = AllocLog::default();
 
         // Commit path: the block is retired exactly once.
@@ -1359,7 +1170,7 @@ mod tests {
     fn pool_hands_blocks_between_caches() {
         let heap = Heap::new(64);
         let mut log = AllocLog::default();
-        let mut cache1 = HeapCache::new_at_in(0, 0);
+        let mut cache1 = HeapCache::new_at(0);
         let a = cache1.alloc(&heap, || u64::MAX, 3).unwrap();
         log.allocs.push((a.addr(), 3));
         cache1.commit(&heap, &mut log);
@@ -1367,7 +1178,7 @@ mod tests {
         cache1.commit(&heap, &mut log);
         heap.pool_flush(&mut cache1); // thread deregisters
 
-        let mut cache2 = HeapCache::new_at_in(0, 0);
+        let mut cache2 = HeapCache::new_at(0);
         let b = cache2.alloc(&heap, || u64::MAX, 3).unwrap();
         assert_eq!(b, a, "pooled block must be reusable by another thread");
     }
@@ -1462,7 +1273,7 @@ mod tests {
     fn recycled_block_sheds_its_versions() {
         let mut heap = Heap::new(64);
         heap.enable_versions();
-        let mut cache = HeapCache::new_at_in(0, 0);
+        let mut cache = HeapCache::new_at(0);
         let mut log = AllocLog::default();
         let a = cache.alloc(&heap, || u64::MAX, 2).unwrap();
         log.allocs.push((a.addr(), 2));
@@ -1519,92 +1330,5 @@ mod tests {
         for pair in all.windows(2) {
             assert!(pair[1] - pair[0] >= 5, "overlapping allocations");
         }
-    }
-
-    #[test]
-    fn single_domain_sharded_heap_matches_seed_layout() {
-        let heap = Heap::with_limits_sharded(64, Some(64), 1);
-        assert_eq!(heap.num_domains(), 1);
-        assert_eq!(heap.capacity(), Heap::with_limits(64, Some(64)).capacity());
-        let h = heap.alloc(3).unwrap();
-        assert_eq!(h.0, 1, "first allocation starts at word 1, like the seed");
-        assert_eq!(heap.allocated(), 3);
-        assert_eq!(heap.domain_of_word(h.0 as usize), 0);
-        assert_eq!(heap.domain_capacity_words(0), 64);
-    }
-
-    #[test]
-    fn sharded_regions_are_disjoint_and_first_touch() {
-        let heap = Heap::with_limits_sharded(64, Some(64), 2);
-        assert_eq!(heap.num_domains(), 2);
-        assert_eq!(
-            heap.domain_capacity_words(0) + heap.domain_capacity_words(1),
-            64,
-            "regions partition the arena"
-        );
-        let a = heap.alloc_in(0, 4).unwrap();
-        let b = heap.alloc_in(1, 4).unwrap();
-        assert_eq!(heap.domain_of_word(a.0 as usize), 0);
-        assert_eq!(heap.domain_of_word(b.0 as usize), 1);
-        assert_eq!(heap.allocated(), 8);
-        let rows = heap.domain_stats();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].allocated_words, 4);
-        assert_eq!(rows[1].allocated_words, 4);
-    }
-
-    #[test]
-    fn sharded_alloc_spills_before_failing() {
-        let heap = Heap::with_limits_sharded(8, Some(8), 2);
-        let cap1 = heap.domain_capacity_words(1) as usize;
-        for _ in 0..cap1 {
-            let h = heap.alloc_in(1, 1).unwrap();
-            assert_eq!(heap.domain_of_word(h.0 as usize), 1);
-        }
-        let spilled = heap.alloc_in(1, 1).unwrap();
-        assert_eq!(
-            heap.domain_of_word(spilled.0 as usize),
-            0,
-            "exhausted domain must spill, not fail"
-        );
-        while heap.alloc_in(0, 1).is_some() {}
-        assert!(heap.alloc_in(1, 1).is_none(), "true ceiling reached");
-        assert_eq!(heap.allocated(), 8);
-    }
-
-    #[test]
-    fn per_domain_era_clocks_pin_the_min() {
-        let heap = Heap::with_limits_sharded(64, Some(64), 2);
-        assert_eq!(heap.current_era(), 0);
-        let s1 = heap.advance_era_in(0);
-        let s2 = heap.advance_era_in(0);
-        assert!(s2 > s1);
-        // Domain 1 never advanced: the pinnable clock is the min.
-        assert_eq!(heap.current_era(), 0);
-        assert_eq!(heap.era_fence_value(), s2);
-        // The fence drags domain 1 forward on its next refresh…
-        assert_eq!(heap.refreshed_era(1), s2);
-        // …and its next stamp lands above everything already issued.
-        assert!(heap.advance_era_in(1) > s2);
-    }
-
-    #[test]
-    fn sharded_free_respects_lagging_reader_pin() {
-        let heap = Heap::with_limits_sharded(64, Some(64), 2);
-        let mut cache = HeapCache::new_at_in(0, 1);
-        let mut log = AllocLog::default();
-        let a = cache.alloc(&heap, || u64::MAX, 2).unwrap();
-        assert_eq!(heap.domain_of_word(a.addr() as usize), 1);
-        log.allocs.push((a.addr(), 2));
-        cache.commit(&heap, &mut log);
-        log.frees.push((a.addr(), 2));
-        cache.commit(&heap, &mut log);
-        let stamp = heap.era_fence_value();
-        assert!(stamp > 0, "free-commit must publish its stamp as the fence");
-        // A reader pinned below the stamp blocks reuse; at it, reuse.
-        let b = cache.alloc(&heap, || stamp - 1, 2).unwrap();
-        assert_ne!(b, a, "block reused before its horizon passed");
-        let c = cache.alloc(&heap, || stamp, 2).unwrap();
-        assert_eq!(c, a);
     }
 }

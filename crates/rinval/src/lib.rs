@@ -59,7 +59,6 @@ pub mod registry;
 pub mod scan;
 pub mod stats;
 pub mod sync;
-pub mod topology;
 pub mod tvar;
 
 mod algo;
@@ -67,9 +66,8 @@ mod server;
 mod txn;
 
 pub use faults::{FaultAction, FaultPlan, FiredHit, ProbFault};
-pub use heap::{DomainHeapStats, Handle, Heap, HeapStats};
+pub use heap::{Handle, Heap, HeapStats};
 pub use stats::{PhaseStats, ServerStats};
-pub use topology::Topology;
 pub use tvar::{TVar, Word};
 pub use txn::{ThreadHandle, Txn};
 
@@ -392,10 +390,6 @@ impl std::str::FromStr for AlgorithmKind {
 pub(crate) struct StmInner {
     pub(crate) heap: Heap,
     pub(crate) registry: Registry,
-    /// The domain layout every sharded structure (registry, heap regions,
-    /// era clocks, server partitions) is keyed by. [`Topology::single`]
-    /// unless overridden by [`StmBuilder::topology`] or `RINVAL_TOPOLOGY`.
-    pub(crate) topology: Topology,
     pub(crate) algo: AlgorithmKind,
     /// The global sequence-lock timestamp. Odd = a commit is in flight.
     /// Under RInval only the commit-server ever writes it.
@@ -447,69 +441,11 @@ pub(crate) struct StmInner {
 }
 
 impl StmInner {
-    /// Invalidation-server index responsible for registry slot `idx`.
-    ///
-    /// Single-domain (the default): the seed's round-robin `idx % nk`.
-    /// Sharded: the partition follows the domain layout so a server only
-    /// ever scans its served domains' bitmap words. With at least one
-    /// server per domain, server `k` serves domain `k % nd` and the
-    /// servers native to a domain round-robin over its local slot
-    /// indices; with fewer servers than domains, domains fold onto
-    /// servers (`d % nk`). Inverse of [`StmInner::served_domains`].
+    /// Invalidation-server index responsible for registry slot `idx`:
+    /// the paper's round-robin stripe (Algorithm 3, `i % K`).
     #[inline]
     pub(crate) fn inval_server_of(&self, idx: usize) -> usize {
-        let nk = self.inval_ts.len().max(1);
-        let nd = self.registry.num_domains();
-        if nd == 1 {
-            return idx % nk;
-        }
-        let d = self.registry.domain_of(idx);
-        if nk <= nd {
-            return d % nk;
-        }
-        // Servers native to domain `d` are {d, d + nd, d + 2·nd, …}.
-        let m = nk / nd + usize::from(d < nk % nd);
-        let local = idx - d * self.registry.slots_per_domain();
-        d + nd * (local % m)
-    }
-
-    /// The domains whose registry slots invalidation-server `k` scans —
-    /// the word ranges its per-pass walk is confined to. Every domain is
-    /// served by exactly the servers this mapping claims (see
-    /// [`StmInner::inval_server_of`]); with a single domain every server
-    /// serves it, which is the seed's full-registry walk.
-    pub(crate) fn served_domains(&self, k: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
-        let nd = self.registry.num_domains();
-        let nk = self.inval_ts.len().max(1);
-        if nk <= nd {
-            (k..nd).step_by(nk)
-        } else {
-            let d = k % nd;
-            (d..d + 1).step_by(1)
-        }
-    }
-
-    /// The summary-map word ranges an invalidation walk covers, as kernel
-    /// inputs ([`scan::scan`]): `Some(k)` yields invalidation-server `k`'s
-    /// served domains' ranges ([`StmInner::served_domains`] mapped through
-    /// [`Registry::domain_word_range`]); `None` yields the single
-    /// full-map range (V1's merged batch scan, recovery, InvalSTM).
-    pub(crate) fn served_word_ranges(
-        &self,
-        server: Option<usize>,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let mut domains = server.map(|k| self.served_domains(k));
-        let mut full = domains.is_none();
-        std::iter::from_fn(move || {
-            if full {
-                full = false;
-                return Some(0..self.registry.live().words_len());
-            }
-            domains
-                .as_mut()?
-                .next()
-                .map(|d| self.registry.domain_word_range(d))
-        })
+        idx % self.inval_ts.len().max(1)
     }
 
     /// The algorithm attempts should run *now*: the configured one, unless
@@ -592,7 +528,6 @@ pub struct StmBuilder {
     irrevocable_after: u32,
     latency_histogram: bool,
     watchdog: WatchdogConfig,
-    topology: Option<Topology>,
     fault_seed: Option<u64>,
     fault_spec: Option<String>,
 }
@@ -658,7 +593,7 @@ impl StmBuilder {
 
     /// Seeds the fault plan's per-site draw streams (and resets its
     /// journal) before any server thread spawns, making a chaos episode a
-    /// pure function of `(seed, plan, workload)` — see DESIGN.md §18. A
+    /// pure function of `(seed, plan, workload)` — see DESIGN.md §17. A
     /// no-op without the `failpoints` feature.
     pub fn fault_seed(mut self, seed: u64) -> Self {
         self.fault_seed = Some(seed);
@@ -679,17 +614,6 @@ impl StmBuilder {
         self
     }
 
-    /// Machine topology to shard the registry, heap regions, era clocks
-    /// and server partitions by (default: the `RINVAL_TOPOLOGY`
-    /// environment override if set, else [`Topology::single`] — sysfs
-    /// auto-detection is opt-in via [`Topology::detect`] or
-    /// `RINVAL_TOPOLOGY=detect`, so a multi-socket host never changes
-    /// sharding geometry silently).
-    pub fn topology(mut self, topo: Topology) -> Self {
-        self.topology = Some(topo);
-        self
-    }
-
     /// Builds the shared state without spawning any threads — the unit
     /// tests drive server/recovery code on it directly.
     pub(crate) fn build_inner(self) -> Arc<StmInner> {
@@ -703,16 +627,13 @@ impl StmBuilder {
         if let Some(spec) = &self.fault_spec {
             faults.arm_from_spec(spec);
         }
-        let topo = topology::Topology::resolve(self.topology);
-        let domains = topo.num_domains();
-        let mut heap = Heap::with_limits_sharded(self.heap_words, self.heap_max_words, domains);
+        let mut heap = Heap::with_limits(self.heap_words, self.heap_max_words);
         if self.algo.is_multi_version() {
             heap.enable_versions();
         }
         Arc::new(StmInner {
             heap,
-            registry: Registry::new_sharded(self.max_threads, domains),
-            topology: topo,
+            registry: Registry::new(self.max_threads),
             algo: self.algo,
             timestamp: CachePadded::new(AtomicU64::new(0)),
             inval_ts: (0..invalidators)
@@ -802,7 +723,6 @@ impl Stm {
             irrevocable_after: 32,
             latency_histogram: false,
             watchdog: WatchdogConfig::default(),
-            topology: None,
             fault_seed: None,
             fault_spec: None,
         }
@@ -879,30 +799,6 @@ impl Stm {
     /// freed / recycled, live segments and reserved backing memory.
     pub fn heap_stats(&self) -> HeapStats {
         self.inner.heap.stats()
-    }
-
-    /// The domain layout this instance was built with
-    /// ([`Topology::single`] unless overridden).
-    pub fn topology(&self) -> &Topology {
-        &self.inner.topology
-    }
-
-    /// Number of topology domains (1 = unsharded seed behavior).
-    pub fn num_domains(&self) -> usize {
-        self.inner.topology.num_domains()
-    }
-
-    /// Per-domain heap telemetry: one row per domain allocation region
-    /// (occupancy, capacity and that domain's era clock).
-    pub fn domain_heap_stats(&self) -> Vec<DomainHeapStats> {
-        self.inner.heap.domain_stats()
-    }
-
-    /// Current value of the era fence — the high-water mark of issued
-    /// reclamation stamps that lagging domains lift their clocks to
-    /// (always 0 with a single domain; diagnostics).
-    pub fn era_fence(&self) -> u64 {
-        self.inner.heap.era_fence_value()
     }
 
     /// Snapshot of the server-side scan/batch counters (slots visited per

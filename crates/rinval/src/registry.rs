@@ -33,7 +33,6 @@
 use crate::bloom::AtomicBloom;
 use crate::logs::WriteEntry;
 use crate::sync::{AtomicBitmap, CachePadded};
-use std::ops::Range;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -184,83 +183,30 @@ pub fn refusal(max_pv: u32, pc: u32) -> Option<u32> {
 
 /// Fixed array of [`TxSlot`]s plus slot-index recycling and the summary
 /// bitmaps server scans run on (see the module docs).
-///
-/// ## Domain sharding
-///
-/// With a multi-domain [`crate::Topology`] the slot array is grouped by
-/// domain: domain `d` owns the contiguous index range
-/// `d * slots_per_domain .. (d + 1) * slots_per_domain`, and
-/// `slots_per_domain` is rounded up to a multiple of 64 so every domain
-/// owns *whole words* of the summary bitmaps. That alignment is the whole
-/// point: a server serving domain `d` scans only the word range
-/// [`Registry::domain_word_range`] — per-pass cost follows the served
-/// domain, not the registry capacity, and no bitmap word is ever shared
-/// by two domains' scanners. Padding may raise [`Registry::len`] above
-/// the requested `max_threads` (extra capacity is harmless).
-///
-/// Registering threads are spread round-robin across domains (per-domain
-/// free lists, with cross-domain stealing once a domain is full), so a
-/// `t`-thread workload under a `D`-domain topology lands on ~`t/D`
-/// threads per domain without any placement input from the caller.
-///
-/// A single-domain registry takes none of these paths: one free list, no
-/// padding, and every scan covers the full word range — bit-for-bit the
-/// pre-topology layout.
 #[derive(Debug)]
 pub struct Registry {
     slots: Box<[CachePadded<TxSlot>]>,
-    /// One free list per domain; slot `i` belongs to list `domain_of(i)`.
-    free: Box<[Mutex<Vec<usize>>]>,
-    /// Round-robin cursor for spreading `claim()` calls across domains.
-    next_claim: AtomicUsize,
+    free: Mutex<Vec<usize>>,
     pending: AtomicBitmap,
     live: AtomicBitmap,
-    /// Slots per domain (`len() / domains`; a multiple of 64 when
-    /// `domains > 1`).
-    slots_per_domain: usize,
-    domains: usize,
 }
 
 impl Registry {
-    /// A single-domain registry with capacity for `max_threads`
-    /// concurrently registered client threads.
+    /// A registry with capacity for `max_threads` concurrently registered
+    /// client threads.
     pub fn new(max_threads: usize) -> Registry {
-        Registry::new_sharded(max_threads, 1)
-    }
-
-    /// A registry sharded into `domains` groups with total capacity of at
-    /// least `max_threads` slots (padded up so each domain owns whole
-    /// summary-bitmap words; see the type docs).
-    pub fn new_sharded(max_threads: usize, domains: usize) -> Registry {
         assert!(max_threads >= 1, "registry needs at least one slot");
-        assert!(domains >= 1, "registry needs at least one domain");
-        let slots_per_domain = if domains == 1 {
-            max_threads
-        } else {
-            max_threads.div_ceil(domains).div_ceil(64) * 64
-        };
-        let len = slots_per_domain * domains;
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || CachePadded::new(TxSlot::default()));
-        let free: Vec<Mutex<Vec<usize>>> = (0..domains)
-            .map(|d| {
-                let start = d * slots_per_domain;
-                Mutex::new((start..start + slots_per_domain).rev().collect())
-            })
-            .collect();
+        let mut v = Vec::with_capacity(max_threads);
+        v.resize_with(max_threads, || CachePadded::new(TxSlot::default()));
         Registry {
             slots: v.into_boxed_slice(),
-            free: free.into_boxed_slice(),
-            next_claim: AtomicUsize::new(0),
-            pending: AtomicBitmap::new(len),
-            live: AtomicBitmap::new(len),
-            slots_per_domain,
-            domains,
+            free: Mutex::new((0..max_threads).rev().collect()),
+            pending: AtomicBitmap::new(max_threads),
+            live: AtomicBitmap::new(max_threads),
         }
     }
 
-    /// Number of slots (`max_threads` at construction for a single
-    /// domain; possibly more under sharding, from word-alignment padding).
+    /// Number of slots (`max_threads` at construction).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
@@ -270,74 +216,17 @@ impl Registry {
         self.slots.is_empty()
     }
 
-    /// Number of domain shards (1 unless built with a multi-domain
-    /// topology).
-    #[inline]
-    pub fn num_domains(&self) -> usize {
-        self.domains
-    }
-
-    /// Slots per domain shard (`len() / num_domains()`).
-    #[inline]
-    pub fn slots_per_domain(&self) -> usize {
-        self.slots_per_domain
-    }
-
-    /// The domain owning slot `idx`.
-    #[inline]
-    pub fn domain_of(&self, idx: usize) -> usize {
-        if self.domains == 1 {
-            0
-        } else {
-            idx / self.slots_per_domain
-        }
-    }
-
-    /// The summary-bitmap word range covering domain `d`'s slots, for
-    /// [`AtomicBitmap::iter_set_bits_in`] scans over either map.
-    pub fn domain_word_range(&self, d: usize) -> Range<usize> {
-        debug_assert!(d < self.domains);
-        if self.domains == 1 {
-            0..self.live.words_len()
-        } else {
-            let wpd = self.slots_per_domain / 64;
-            d * wpd..(d + 1) * wpd
-        }
-    }
-
-    /// Claims a free slot index for a registering thread, spreading
-    /// successive claims across domains round-robin.
+    /// Claims a free slot index for a registering thread.
     pub fn claim(&self) -> Option<usize> {
-        if self.domains == 1 {
-            // Poison-tolerant (here and in `release`): the free-list is a
-            // plain Vec whose push/pop cannot be interrupted halfway by a
-            // panic elsewhere, and `release` runs during unwinds — a
-            // poisoned mutex must not turn one thread's panic into
-            // everyone's.
-            return self.free[0]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop();
-        }
-        let start = self.next_claim.fetch_add(1, Ordering::Relaxed) % self.domains;
-        self.claim_in(start)
-    }
-
-    /// Claims a slot in domain `preferred` when one is free, stealing
-    /// from the other domains (ascending, wrapping) otherwise.
-    pub fn claim_in(&self, preferred: usize) -> Option<usize> {
-        debug_assert!(preferred < self.domains);
-        for k in 0..self.domains {
-            let d = (preferred + k) % self.domains;
-            if let Some(idx) = self.free[d]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop()
-            {
-                return Some(idx);
-            }
-        }
-        None
+        // Poison-tolerant (here and in `release`): the free-list is a
+        // plain Vec whose push/pop cannot be interrupted halfway by a
+        // panic elsewhere, and `release` runs during unwinds — a
+        // poisoned mutex must not turn one thread's panic into
+        // everyone's.
+        self.free
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .pop()
     }
 
     /// Returns a slot index when its owner deregisters.
@@ -356,7 +245,7 @@ impl Registry {
         self.slots[idx].read_bf.owner_clear();
         self.pending.clear(idx);
         self.live.clear(idx);
-        self.free[self.domain_of(idx)]
+        self.free
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .push(idx);
@@ -616,95 +505,5 @@ mod tests {
         assert_eq!(reg.iter().count(), 5);
         let idxs: Vec<usize> = reg.iter().map(|(i, _)| i).collect();
         assert_eq!(idxs, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn single_domain_geometry_matches_seed_layout() {
-        let reg = Registry::new(5);
-        assert_eq!(reg.num_domains(), 1);
-        assert_eq!(reg.len(), 5, "no padding for a single domain");
-        assert_eq!(reg.domain_of(4), 0);
-        assert_eq!(reg.domain_word_range(0), 0..1);
-    }
-
-    #[test]
-    fn sharded_domains_own_whole_bitmap_words() {
-        let reg = Registry::new_sharded(100, 2);
-        assert_eq!(reg.num_domains(), 2);
-        // ceil(100 / 2) = 50, padded up to a whole word of 64 per domain.
-        assert_eq!(reg.len(), 128);
-        assert_eq!(reg.domain_word_range(0), 0..1);
-        assert_eq!(reg.domain_word_range(1), 1..2);
-        assert_eq!(reg.domain_of(0), 0);
-        assert_eq!(reg.domain_of(63), 0);
-        assert_eq!(reg.domain_of(64), 1);
-        assert_eq!(reg.domain_of(127), 1);
-    }
-
-    #[test]
-    fn claim_spreads_across_domains_round_robin() {
-        let reg = Registry::new_sharded(128, 2);
-        let a = reg.claim().unwrap();
-        let b = reg.claim().unwrap();
-        assert_ne!(
-            reg.domain_of(a),
-            reg.domain_of(b),
-            "successive registrations should land in distinct domains"
-        );
-        reg.release(a);
-        reg.release(b);
-    }
-
-    #[test]
-    fn claim_in_prefers_domain_and_steals_when_full() {
-        let reg = Registry::new_sharded(128, 2);
-        // Drain domain 1 entirely.
-        let mut taken = Vec::new();
-        loop {
-            match reg.claim_in(1) {
-                Some(i) if reg.domain_of(i) == 1 => taken.push(i),
-                Some(i) => {
-                    // First steal: domain 1 is exhausted.
-                    assert_eq!(reg.domain_of(i), 0);
-                    taken.push(i);
-                    break;
-                }
-                None => panic!("capacity left in domain 0"),
-            }
-        }
-        assert_eq!(taken.len(), 65, "64 domain-1 slots, then one stolen");
-        for i in taken {
-            reg.release(i);
-        }
-    }
-
-    #[test]
-    fn release_returns_slot_to_its_domain_list() {
-        let reg = Registry::new_sharded(128, 2);
-        let idx = reg.claim_in(1).unwrap();
-        assert_eq!(reg.domain_of(idx), 1);
-        reg.release(idx);
-        // Claimable again from its home domain without stealing.
-        assert_eq!(reg.claim_in(1), Some(idx));
-        reg.release(idx);
-    }
-
-    #[test]
-    fn domain_scoped_scans_see_only_their_domain() {
-        let reg = Registry::new_sharded(128, 2);
-        reg.begin(3, 0); // domain 0
-        reg.begin(70, 0); // domain 1
-        let d0: Vec<usize> = reg
-            .live()
-            .iter_set_bits_in(reg.domain_word_range(0))
-            .collect();
-        let d1: Vec<usize> = reg
-            .live()
-            .iter_set_bits_in(reg.domain_word_range(1))
-            .collect();
-        assert_eq!(d0, vec![3]);
-        assert_eq!(d1, vec![70]);
-        reg.end(3);
-        reg.end(70);
     }
 }

@@ -3,33 +3,32 @@
 //!
 //! Before this layer, the `iter_set_bits → load slot → is_live →
 //! read_bf.intersects_plain(wbf)` loop was hand-rolled four times — V1
-//! commit-server batch admission, the V2/V3 domain-scoped invalidation
-//! scans, the InvalSTM committer's fused doom/census pass, and the §13
-//! priority census — each with its own word/slot accounting (and each
-//! accounting slightly differently). [`scan`] is the one walk they all
-//! call now:
+//! commit-server batch admission, the V2/V3 invalidation scans, the
+//! InvalSTM committer's fused doom/census pass, and the §13 priority
+//! census — each with its own slot accounting (and each accounting
+//! slightly differently). [`scan`] is the one walk they all call now:
 //!
-//! * **Word cursor with lookahead prefetch.** The kernel walks the
-//!   caller's word ranges via [`AtomicBitmap::load_word`] and, while
-//!   processing word `w`, loads word `w + 1` and issues
-//!   [`Registry::prefetch_slot`] hints for its set bits — so by the time
-//!   the cursor reaches those slots their cache-line pair (status,
-//!   priority, the head of the read signature) is already in flight.
-//!   The signature intersection each visit performs is long enough
-//!   (256 words) to cover the prefetch distance.
+//! * **Word cursor with lookahead prefetch.** The kernel walks the map's
+//!   words via [`AtomicBitmap::load_word`] and, while processing word
+//!   `w`, loads word `w + 1` and issues [`Registry::prefetch_slot`] hints
+//!   for its set bits — so by the time the cursor reaches those slots
+//!   their cache-line pair (status, priority, the head of the read
+//!   signature) is already in flight. The signature intersection each
+//!   visit performs is long enough (256 words) to cover the prefetch
+//!   distance.
 //! * **Caller-supplied predicate split.** `filter` handles *uncounted*
 //!   index-level skips (a skip mask, a server partition, the scanner's
 //!   own slot); everything it admits is delivered to `visit` and counted
 //!   as an examined slot. This pins down exactly which skips are visible
 //!   in the counters — previously each site made that call on its own.
 //! * **Uniform counter recording.** [`ScanKind`] names the accounting
-//!   contract; the kernel records word traffic and visited slots into
-//!   [`ServerCounters`] on exit (early [`ControlFlow::Break`] included),
-//!   so `words_per_inval_scan` / `words_per_census_scan` mean the same
-//!   thing at every site.
+//!   contract; the kernel records the scan and its visited slots into
+//!   [`ServerCounters`] on exit (early [`ControlFlow::Break`] included).
+//!   Every scan walks the whole map, so word traffic is derivable
+//!   (`scans × words_len`) and not counted.
 //!
 //! The walk has the same per-word snapshot semantics as
-//! [`AtomicBitmap::iter_set_bits_in`]: each word is loaded exactly once
+//! [`AtomicBitmap::iter_set_bits`]: each word is loaded exactly once
 //! (one word ahead of the cursor), so bits set after that load are picked
 //! up by the caller's next pass and bits cleared after it may still be
 //! delivered — visitors re-check slot state (`is_live`, status CASes), as
@@ -38,103 +37,85 @@
 use crate::registry::{Registry, TxSlot};
 use crate::stats::ServerCounters;
 use crate::sync::AtomicBitmap;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 
 /// The counter contract of a kernel walk — which [`ServerCounters`] the
-/// scan records its word traffic and visited slots into.
+/// scan records itself and its visited slots into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScanKind {
     /// A commit-server pass over the `pending` map: delivered slots count
     /// as `slots_visited`. Passes themselves (`scan_passes`) are counted
     /// by the server loop, which may make several kernel calls per pass.
     Admission,
-    /// An invalidation scan over the `live` map: one `inval_scans`, words
-    /// into `inval_words_scanned`, delivered slots into
-    /// `inval_slots_visited`.
+    /// An invalidation scan over the `live` map: one `inval_scans`,
+    /// delivered slots into `inval_slots_visited`.
     Inval,
     /// A §13 priority census over the `live` map: one `census_scans`,
-    /// words into `census_words_scanned`, delivered slots into
-    /// `inval_slots_visited`.
+    /// delivered slots into `inval_slots_visited`.
     Census,
     /// A fused invalidation + census pass (the InvalSTM committer with the
     /// starvation layer armed): one pass over the words serves both roles,
-    /// so both scan counters and both word counters are recorded, while
-    /// each delivered slot counts once in `inval_slots_visited`.
+    /// so both scan counters are recorded, while each delivered slot
+    /// counts once in `inval_slots_visited`.
     InvalCensus,
     /// A bookkeeping walk (token-request discovery, request drains) that
     /// records nothing.
     Quiet,
 }
 
-/// Walks the set bits of `map` within `ranges` (summary-map *word*
-/// ranges, as produced by [`Registry::domain_word_range`]), delivering
-/// each admitted slot to `visit` and recording scan counters per `kind`.
+/// Walks the set bits of `map`, delivering each admitted slot to `visit`
+/// and recording scan counters per `kind`.
 ///
-/// For every set bit `i` (ascending within each range): if `filter(i)` is
-/// false the slot is skipped without being counted; otherwise it counts
-/// as examined and `visit(i, slot)` runs. A [`ControlFlow::Break`] from
-/// `visit` stops the walk immediately — counters for the work done so far
-/// are still recorded — and is returned to the caller (the slot that
-/// broke *was* delivered and is included in the visit count).
+/// For every set bit `i` (ascending): if `filter(i)` is false the slot is
+/// skipped without being counted; otherwise it counts as examined and
+/// `visit(i, slot)` runs. A [`ControlFlow::Break`] from `visit` stops the
+/// walk immediately — counters for the work done so far are still
+/// recorded — and is returned to the caller (the slot that broke *was*
+/// delivered and is included in the visit count).
 ///
 /// `map` must be a summary map of `registry` (its capacity must not
 /// exceed [`Registry::len`], which holds for [`Registry::pending`] /
-/// [`Registry::live`]); ranges are clamped to the map's words.
-pub fn scan<R, F, V>(
+/// [`Registry::live`]).
+pub fn scan<F, V>(
     registry: &Registry,
     counters: &ServerCounters,
     map: &AtomicBitmap,
     kind: ScanKind,
-    ranges: R,
     mut filter: F,
     mut visit: V,
 ) -> ControlFlow<()>
 where
-    R: IntoIterator<Item = Range<usize>>,
     F: FnMut(usize) -> bool,
     V: FnMut(usize, &TxSlot) -> ControlFlow<()>,
 {
-    let mut words = 0u64;
+    let end = map.words_len();
     let mut delivered = 0u64;
     let mut flow = ControlFlow::Continue(());
-    'ranges: for range in ranges {
-        let start = range.start.min(map.words_len());
-        let end = range.end.min(map.words_len());
-        if start >= end {
-            continue;
+    // One word of lookahead: word `w + 1`'s snapshot is loaded, and its set
+    // bits' slots prefetched, before word `w`'s slots are visited.
+    let mut cur = map.load_word(0);
+    'words: for w in 0..end {
+        let ahead = if w + 1 < end { map.load_word(w + 1) } else { 0 };
+        let mut pf = ahead;
+        while pf != 0 {
+            let b = pf.trailing_zeros() as usize;
+            pf &= pf - 1;
+            registry.prefetch_slot((w + 1) * 64 + b);
         }
-        words += (end - start) as u64;
-        // One word of lookahead: `ahead` always holds word `w + 1`'s
-        // snapshot (loaded while word `w` is being processed), and its set
-        // bits' slots are prefetched before the cursor reaches them.
-        let mut bits = map.load_word(start);
-        for w in start..end {
-            let cur = bits;
-            if w + 1 < end {
-                let ahead = map.load_word(w + 1);
-                bits = ahead;
-                let mut pf = ahead;
-                while pf != 0 {
-                    let b = pf.trailing_zeros() as usize;
-                    pf &= pf - 1;
-                    registry.prefetch_slot((w + 1) * 64 + b);
-                }
+        while cur != 0 {
+            let b = cur.trailing_zeros() as usize;
+            cur &= cur - 1;
+            let i = w * 64 + b;
+            if !filter(i) {
+                continue;
             }
-            let mut rest = cur;
-            while rest != 0 {
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let i = w * 64 + b;
-                if !filter(i) {
-                    continue;
-                }
-                delivered += 1;
-                if visit(i, registry.slot(i)).is_break() {
-                    flow = ControlFlow::Break(());
-                    break 'ranges;
-                }
+            delivered += 1;
+            if visit(i, registry.slot(i)).is_break() {
+                flow = ControlFlow::Break(());
+                break 'words;
             }
         }
+        cur = ahead;
     }
     match kind {
         ScanKind::Admission => {
@@ -142,19 +123,15 @@ where
         }
         ScanKind::Inval => {
             ServerCounters::add(&counters.inval_scans, 1);
-            ServerCounters::add(&counters.inval_words_scanned, words);
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
         ScanKind::Census => {
             ServerCounters::add(&counters.census_scans, 1);
-            ServerCounters::add(&counters.census_words_scanned, words);
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
         ScanKind::InvalCensus => {
             ServerCounters::add(&counters.inval_scans, 1);
             ServerCounters::add(&counters.census_scans, 1);
-            ServerCounters::add(&counters.inval_words_scanned, words);
-            ServerCounters::add(&counters.census_words_scanned, words);
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
         ScanKind::Quiet => {}
@@ -165,15 +142,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// All of a registry's domain word ranges — the geometry-agnostic way
-    /// to cover the full map, so these tests pass under any
-    /// `RINVAL_TOPOLOGY` the suite runs with.
-    fn all_ranges(reg: &Registry) -> Vec<Range<usize>> {
-        (0..reg.num_domains())
-            .map(|d| reg.domain_word_range(d))
-            .collect()
-    }
 
     #[test]
     fn delivers_set_bits_ascending_and_counts_them() {
@@ -188,7 +156,6 @@ mod tests {
             &c,
             reg.live(),
             ScanKind::Inval,
-            all_ranges(&reg),
             |_| true,
             |i, slot| {
                 assert!(!slot.is_live(), "no transaction was begun");
@@ -201,7 +168,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.inval_scans, 1);
         assert_eq!(s.inval_slots_visited, 6);
-        assert_eq!(s.inval_words_scanned, reg.live().words_len() as u64);
     }
 
     #[test]
@@ -217,7 +183,6 @@ mod tests {
             &c,
             reg.pending(),
             ScanKind::Admission,
-            all_ranges(&reg),
             |i| i % 2 == 0,
             |_, _| {
                 seen += 1;
@@ -228,7 +193,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.slots_visited, 5, "filtered skips must stay uncounted");
         assert_eq!(s.inval_scans, 0);
-        assert_eq!(s.inval_words_scanned, 0);
     }
 
     #[test]
@@ -244,7 +208,6 @@ mod tests {
             &c,
             reg.live(),
             ScanKind::Census,
-            all_ranges(&reg),
             |_| true,
             |i, _| {
                 seen.push(i);
@@ -260,33 +223,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.census_scans, 1);
         assert_eq!(s.inval_slots_visited, 2, "the breaking slot counts");
-        assert!(s.census_words_scanned >= 1);
-    }
-
-    #[test]
-    fn domain_ranges_confine_the_walk() {
-        let reg = Registry::new_sharded(128, 2);
-        let c = ServerCounters::default();
-        reg.live().set(3); // domain 0
-        reg.live().set(70); // domain 1
-        let mut seen = Vec::new();
-        let _ = scan(
-            &reg,
-            &c,
-            reg.live(),
-            ScanKind::Inval,
-            std::iter::once(reg.domain_word_range(1)),
-            |_| true,
-            |i, _| {
-                seen.push(i);
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(seen, vec![70], "domain 0's bit must not be touched");
-        let s = c.snapshot();
-        let wpd = (reg.domain_word_range(1).end - reg.domain_word_range(1).start) as u64;
-        assert_eq!(s.inval_words_scanned, wpd);
-        assert_eq!(s.inval_slots_visited, 1);
     }
 
     #[test]
@@ -299,14 +235,12 @@ mod tests {
             &c,
             reg.live(),
             ScanKind::InvalCensus,
-            all_ranges(&reg),
             |_| true,
             |_, _| ControlFlow::Continue(()),
         );
         let s = c.snapshot();
         assert_eq!(s.inval_scans, 1);
         assert_eq!(s.census_scans, 1);
-        assert_eq!(s.inval_words_scanned, s.census_words_scanned);
         assert_eq!(s.inval_slots_visited, 1, "one visit, counted once");
     }
 
@@ -321,7 +255,6 @@ mod tests {
             &c,
             reg.pending(),
             ScanKind::Quiet,
-            all_ranges(&reg),
             |_| true,
             |_, _| {
                 seen += 1;
@@ -333,62 +266,29 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_clamped_ranges_are_safe() {
-        let reg = Registry::new(64);
-        let c = ServerCounters::default();
-        reg.live().set(0);
-        let mut seen = 0;
-        // An empty range, a clamped over-long range and a backwards range
-        // (deliberately reversed: the kernel must treat it as empty).
-        #[allow(clippy::reversed_empty_ranges)]
-        let _ = scan(
-            &reg,
-            &c,
-            reg.live(),
-            ScanKind::Inval,
-            vec![1..1, 0..99, 5..2],
-            |_| true,
-            |_, _| {
-                seen += 1;
-                ControlFlow::Continue(())
-            },
-        );
-        assert_eq!(seen, 1);
-        assert_eq!(
-            c.snapshot().inval_words_scanned,
-            reg.live().words_len() as u64,
-            "only the clamped real words count"
-        );
-    }
-
-    #[test]
-    fn matches_iter_set_bits_on_every_geometry() {
+    fn matches_iter_set_bits_at_every_size() {
         // The kernel's word walk must deliver exactly what the reference
-        // iterator yields, for each domain's range and for the full map.
-        for (threads, domains) in [(5, 1), (128, 2), (300, 4)] {
-            let reg = Registry::new_sharded(threads, domains);
+        // iterator yields, including across word boundaries.
+        for threads in [1, 5, 64, 65, 128, 300] {
+            let reg = Registry::new(threads);
             for i in (0..reg.len()).step_by(7) {
                 reg.live().set(i);
             }
             let c = ServerCounters::default();
-            for d in 0..reg.num_domains() {
-                let range = reg.domain_word_range(d);
-                let expect: Vec<usize> = reg.live().iter_set_bits_in(range.clone()).collect();
-                let mut got = Vec::new();
-                let _ = scan(
-                    &reg,
-                    &c,
-                    reg.live(),
-                    ScanKind::Quiet,
-                    std::iter::once(range),
-                    |_| true,
-                    |i, _| {
-                        got.push(i);
-                        ControlFlow::Continue(())
-                    },
-                );
-                assert_eq!(got, expect, "{threads} slots / {domains} domains, domain {d}");
-            }
+            let expect: Vec<usize> = reg.live().iter_set_bits().collect();
+            let mut got = Vec::new();
+            let _ = scan(
+                &reg,
+                &c,
+                reg.live(),
+                ScanKind::Quiet,
+                |_| true,
+                |i, _| {
+                    got.push(i);
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(got, expect, "{threads} slots");
         }
     }
 }

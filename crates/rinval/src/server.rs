@@ -155,25 +155,10 @@ fn mask_get(mask: &[u64], i: usize) -> bool {
 /// Shared by V1's inline invalidation and the invalidation-servers.
 ///
 /// `server`: `Some(k)` restricts the walk to invalidation-server `k`'s
-/// partition — under domain sharding that means only `k`'s served domains'
-/// bitmap *words* are touched at all ([`StmInner::served_domains`] /
-/// [`crate::registry::Registry::domain_word_range`]); with one domain it
-/// is the seed's full-word walk with the `i % nk == k` predicate.
-/// `committer`: the committing slot, when known, so victims doomed across
-/// a domain boundary are counted as cross-domain invalidations.
-fn invalidate_conflicting(
-    stm: &StmInner,
-    wbf: &Bloom,
-    skip_mask: &[u64],
-    server: Option<usize>,
-    committer: Option<usize>,
-) {
+/// partition, the slots with `i % nk == k` ([`StmInner::inval_server_of`]).
+fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server: Option<usize>) {
     let st = &stm.server_stats;
-    let home = committer
-        .filter(|_| stm.registry.num_domains() > 1)
-        .map(|c| stm.registry.domain_of(c));
     let mut doomed = 0u64;
-    let mut cross = 0u64;
     // Index the committer's write signature once for the whole scan; each
     // live reader is then tested with the sparse intersection, loading
     // only `wbf`'s non-zero words instead of sweeping all 256.
@@ -183,11 +168,10 @@ fn invalidate_conflicting(
         st,
         stm.registry.live(),
         ScanKind::Inval,
-        stm.served_word_ranges(server),
         // Skip-mask and partition skips are index-level and uncounted;
         // everything delivered below is an examined slot.
         |i| !mask_get(skip_mask, i) && server.is_none_or(|k| stm.inval_server_of(i) == k),
-        |i, slot| {
+        |_, slot| {
             if slot.is_live() && slot.read_bf.intersects_plain_sparse(wbf, &nz) {
                 // CAS (not store) so an already-idle slot is never marked:
                 // the server must not leak an INVALIDATED flag into a slot
@@ -203,9 +187,6 @@ fn invalidate_conflicting(
                     .is_ok()
                 {
                     doomed += 1;
-                    if home.is_some_and(|h| stm.registry.domain_of(i) != h) {
-                        cross += 1;
-                    }
                 }
             }
             ControlFlow::Continue(())
@@ -214,35 +195,6 @@ fn invalidate_conflicting(
     if doomed != 0 {
         ServerCounters::add(&st.txs_doomed, doomed);
     }
-    if cross != 0 {
-        ServerCounters::add(&st.cross_domain_invalidations, cross);
-    }
-}
-
-/// Counts an answered commit as local or cross-domain: cross iff any
-/// written word lies outside the requester's home domain.
-///
-/// # Safety
-/// Same contract as [`write_back`]: `ptr/len` are a claimed request's
-/// published write-set, immutable until the request is answered.
-unsafe fn tally_commit_domains(
-    stm: &StmInner,
-    requester: usize,
-    ptr: *const WriteEntry,
-    len: usize,
-) {
-    let st = &stm.server_stats;
-    if stm.registry.num_domains() > 1 && !ptr.is_null() {
-        let home = stm.registry.domain_of(requester);
-        for i in 0..len {
-            let e = unsafe { *ptr.add(i) };
-            if stm.heap.domain_of_word(e.addr as usize) != home {
-                ServerCounters::add(&st.cross_domain_commits, 1);
-                return;
-            }
-        }
-    }
-    ServerCounters::add(&st.local_commits, 1);
 }
 
 /// Commit admission census (DESIGN.md §13): walks the `live` summary map
@@ -270,7 +222,6 @@ fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize, pc: u32) -> Option<
         &stm.server_stats,
         stm.registry.live(),
         ScanKind::Census,
-        stm.served_word_ranges(None),
         |i| i != c_idx,
         |_, slot| {
             if slot.is_live() && slot.read_bf.intersects_plain(wbf) {
@@ -302,7 +253,6 @@ fn token_request(stm: &StmInner) -> Option<usize> {
         &stm.server_stats,
         stm.registry.pending(),
         ScanKind::Quiet,
-        stm.served_word_ranges(None),
         |_| true,
         |i, slot| {
             if slot.request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE {
@@ -450,7 +400,6 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
             st,
             stm.registry.pending(),
             ScanKind::Admission,
-            stm.served_word_ranges(None),
             // While a token holder exists only its own requests are served;
             // the skip is uncounted, like the partition skips elsewhere.
             |i| holder.is_none_or(|h| h == i),
@@ -537,13 +486,10 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
             // Lines 19–21: one merged invalidation scan for the batch
             // (members skip each other; their own reads always intersect
             // their own writes).
-            invalidate_conflicting(stm, &batch_wbf, &batch_mask, None, None);
+            invalidate_conflicting(stm, &batch_wbf, &batch_mask, None);
             // Line 22: publish every member's write-set.
-            for &(i, ptr, len) in &batch {
-                unsafe {
-                    write_back(stm, ptr, len, t + 2);
-                    tally_commit_domains(stm, i, ptr, len);
-                }
+            for &(_, ptr, len) in &batch {
+                unsafe { write_back(stm, ptr, len, t + 2) };
             }
             // Line 23: leave the odd phase.
             stm.timestamp.store(t + 2, Ordering::SeqCst);
@@ -604,6 +550,8 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                             answered = true;
                         }
                     } else {
+                        // Draining is an empty pass: nothing was answered.
+                        ServerCounters::add(&st.empty_passes, 1);
                         idle.snooze();
                         continue 'scan;
                     }
@@ -624,7 +572,6 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
             st,
             stm.registry.pending(),
             ScanKind::Admission,
-            stm.served_word_ranges(None),
             // Token-holder exclusivity, uncounted like every index-level
             // skip.
             |i| holder.is_none_or(|h| h == i),
@@ -638,10 +585,8 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // Algorithm 4, line 2: only take a request whose own
                 // invalidation-server has processed every prior commit —
                 // otherwise the tx_status check below would not be
-                // authoritative. Under domain sharding `inval_server_of`
-                // maps the slot to the server covering its *domain*, so
-                // this is a per-domain lag check: a lagging domain only
-                // defers its own requests, never strands another domain's.
+                // authoritative. A lagging invalidator thus only defers
+                // its own partition's requests, never strands another's.
                 // (In V2 the global wait below implies this; checking first
                 // lets V3 skip past a stalled partition.) The request stays
                 // pending and is *not* counted as progress: treating a
@@ -722,10 +667,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 stm.timestamp.store(t + 1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
                 // Line 14: write-back runs in parallel with invalidation.
-                unsafe {
-                    write_back(stm, ptr, len, t + 2);
-                    tally_commit_domains(stm, i, ptr, len);
-                }
+                unsafe { write_back(stm, ptr, len, t + 2) };
                 stm.timestamp.store(t + 2, Ordering::SeqCst);
                 slot.request_state.store(REQ_COMMITTED, Ordering::SeqCst);
                 ControlFlow::Continue(())
@@ -745,9 +687,8 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
 
 /// Invalidation-server `k` of `stm.inval_ts.len()` (paper Algorithm 3,
 /// lines 18–25). Owns the registry slots `i` with
-/// `stm.inval_server_of(i) == k` — the seed's `i % num_servers == k`
-/// round-robin with one domain, a domain-aligned partition otherwise, so
-/// the scan below only ever touches its served domains' bitmap words.
+/// `stm.inval_server_of(i) == k` — the paper's `i % num_servers == k`
+/// round-robin.
 pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
     let hb = &stm.health[1 + k];
     let _alive = hb.alive_guard();
@@ -774,13 +715,10 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
             fence(Ordering::SeqCst);
             // Lines 21–23: scan my partition of the live map.
             skip_mask.iter_mut().for_each(|w| *w = 0);
-            let committer = if requester < stm.registry.len() {
+            if requester < stm.registry.len() {
                 mask_set(&mut skip_mask, requester);
-                Some(requester)
-            } else {
-                None
-            };
-            invalidate_conflicting(stm, &wbf, &skip_mask, Some(k), committer);
+            }
+            invalidate_conflicting(stm, &wbf, &skip_mask, Some(k));
             // Line 24: catch up by one commit.
             me.store(my + 2, Ordering::SeqCst);
             idle.reset();
@@ -858,7 +796,6 @@ pub(crate) fn drain_requests_abort(stm: &StmInner) {
         &stm.server_stats,
         stm.registry.pending(),
         ScanKind::Quiet,
-        stm.served_word_ranges(None),
         |_| true,
         |i, slot| {
             // Token requests are drained too (direct `IRREVOCABLE →
@@ -923,7 +860,7 @@ pub(crate) fn recover_inflight(stm: &StmInner) {
             mask_set(&mut mask, i);
         }
         fence(Ordering::SeqCst);
-        invalidate_conflicting(stm, &merged, &mask, None, None);
+        invalidate_conflicting(stm, &merged, &mask, None);
         for &i in &claimed {
             let slot = stm.registry.slot(i);
             let ptr = slot.req_ws_ptr.load(Ordering::Relaxed);
@@ -991,43 +928,8 @@ pub(crate) enum ServerRole {
     Inval(usize),
 }
 
-/// Best-effort pin of the calling thread to `cpus`. Only does anything on
-/// Linux with the `affinity` feature enabled; elsewhere (and for an empty
-/// CPU list — e.g. [`crate::Topology::logical`] domains, which carry no
-/// CPU ids) it is a no-op. Failure is ignored: affinity is advisory, the
-/// protocol never depends on placement.
-#[cfg(all(feature = "affinity", target_os = "linux"))]
-fn pin_to_cpus(cpus: &[usize]) {
-    if cpus.is_empty() {
-        return;
-    }
-    // glibc's cpu_set_t is 1024 bits; build the mask directly and call the
-    // already-linked libc symbol rather than pulling in a binding crate.
-    let mut set = [0u64; 16];
-    for &c in cpus {
-        if c < 1024 {
-            set[c / 64] |= 1 << (c % 64);
-        }
-    }
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    // pid 0 targets the calling thread.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of_val(&set), set.as_ptr());
-    }
-}
-
-#[cfg(not(all(feature = "affinity", target_os = "linux")))]
-fn pin_to_cpus(_cpus: &[usize]) {}
-
 /// Spawns the server thread for `role`, returning its join handle (or the
 /// spawn error, which the watchdog treats as grounds for degradation).
-///
-/// Seats are placed near the domain they serve: the commit-server on
-/// domain 0, invalidation-server `k` on domain `k % num_domains` — the
-/// first domain `served_domains(k)` yields. Watchdog respawns come back
-/// through here, so a respawned seat lands in the same domain.
 pub(crate) fn spawn_server(
     stm: &Arc<StmInner>,
     role: ServerRole,
@@ -1037,7 +939,6 @@ pub(crate) fn spawn_server(
         ServerRole::Commit => std::thread::Builder::new()
             .name("rinval-commit".into())
             .spawn(move || {
-                pin_to_cpus(i.topology.cpus(0));
                 if i.algo == AlgorithmKind::RInvalV1 {
                     commit_server_v1(&i)
                 } else {
@@ -1046,10 +947,7 @@ pub(crate) fn spawn_server(
             }),
         ServerRole::Inval(k) => std::thread::Builder::new()
             .name(format!("rinval-inval-{k}"))
-            .spawn(move || {
-                pin_to_cpus(i.topology.cpus(k % i.topology.num_domains()));
-                invalidation_server(&i, k)
-            }),
+            .spawn(move || invalidation_server(&i, k)),
     }
 }
 

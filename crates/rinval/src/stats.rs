@@ -130,16 +130,10 @@ pub struct ServerCounters {
     /// `live` bits).
     pub inval_slots_visited: AtomicU64,
     /// Commit-admission census walks over the `live` summary map
-    /// (DESIGN.md §13). Counted apart from `inval_scans` so
-    /// `inval_words_scanned / inval_scans` stays an exact per-scan word
-    /// footprint — a census walk dooms nothing, its word traffic lands in
-    /// `census_words_scanned`, and how often aging arms it depends on
-    /// contention timing.
+    /// (DESIGN.md §13). Counted apart from `inval_scans`: a census walk
+    /// dooms nothing, and how often aging arms it depends on contention
+    /// timing.
     pub census_scans: AtomicU64,
-    /// Summary-bitmap words examined by census walks — the census-side
-    /// twin of `inval_words_scanned`, recorded by the shared scan kernel
-    /// (`scan.rs`) so all scan sites account word traffic identically.
-    pub census_words_scanned: AtomicU64,
     /// V1 commit batches processed (each batch = one timestamp bump).
     pub batches: AtomicU64,
     /// Commit requests answered through batches (`batched_requests /
@@ -187,20 +181,6 @@ pub struct ServerCounters {
     /// Snapshot transactions promoted to the full write protocol on their
     /// first write.
     pub ro_promotions: AtomicU64,
-    /// Write commits whose write/free set stayed inside the committer's
-    /// home topology domain (always every commit with a single domain).
-    pub local_commits: AtomicU64,
-    /// Write commits that touched words outside the committer's home
-    /// domain (0 with a single domain).
-    pub cross_domain_commits: AtomicU64,
-    /// Live transactions doomed by a committer homed in a *different*
-    /// domain — the interconnect traffic domain sharding exists to shrink.
-    pub cross_domain_invalidations: AtomicU64,
-    /// Summary-bitmap words examined by invalidation scans. Under domain
-    /// sharding each server walks only its served domains' words, so
-    /// `inval_words_scanned / inval_scans` drops with the domain count
-    /// (the `bench/benches/topology.rs` gate).
-    pub inval_words_scanned: AtomicU64,
     /// log₂ commit-latency histogram: bucket `i` counts commits whose
     /// attempt latency fell in `[2^i, 2^(i+1))` nanoseconds. Recording is
     /// opt-in ([`crate::StmBuilder::latency_histogram`]) — it costs two
@@ -236,7 +216,6 @@ impl ServerCounters {
             inval_scans: self.inval_scans.load(Ordering::Relaxed),
             inval_slots_visited: self.inval_slots_visited.load(Ordering::Relaxed),
             census_scans: self.census_scans.load(Ordering::Relaxed),
-            census_words_scanned: self.census_words_scanned.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched_requests: self.batched_requests.load(Ordering::Relaxed),
             heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
@@ -253,10 +232,6 @@ impl ServerCounters {
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
             ring_misses: self.ring_misses.load(Ordering::Relaxed),
             ro_promotions: self.ro_promotions.load(Ordering::Relaxed),
-            local_commits: self.local_commits.load(Ordering::Relaxed),
-            cross_domain_commits: self.cross_domain_commits.load(Ordering::Relaxed),
-            cross_domain_invalidations: self.cross_domain_invalidations.load(Ordering::Relaxed),
-            inval_words_scanned: self.inval_words_scanned.load(Ordering::Relaxed),
             commit_latency: std::array::from_fn(|i| self.commit_latency[i].load(Ordering::Relaxed)),
         }
     }
@@ -276,11 +251,8 @@ pub struct ServerStats {
     pub inval_scans: u64,
     /// Slots examined by invalidation and census scans.
     pub inval_slots_visited: u64,
-    /// Commit-admission census walks (doom nothing; their word traffic is
-    /// `census_words_scanned`).
+    /// Commit-admission census walks (doom nothing).
     pub census_scans: u64,
-    /// Summary-bitmap words examined by census walks.
-    pub census_words_scanned: u64,
     /// V1 commit batches processed.
     pub batches: u64,
     /// Commit requests answered through batches.
@@ -314,14 +286,6 @@ pub struct ServerStats {
     pub ring_misses: u64,
     /// Snapshot transactions promoted to the write protocol.
     pub ro_promotions: u64,
-    /// Write commits confined to the committer's home domain.
-    pub local_commits: u64,
-    /// Write commits that touched other domains' words.
-    pub cross_domain_commits: u64,
-    /// Transactions doomed by a committer from another domain.
-    pub cross_domain_invalidations: u64,
-    /// Summary-bitmap words examined by invalidation scans.
-    pub inval_words_scanned: u64,
     /// log₂ commit-latency histogram (bucket `i` = `[2^i, 2^(i+1))` ns);
     /// all-zero unless the instance was built with
     /// [`crate::StmBuilder::latency_histogram`].
@@ -349,27 +313,6 @@ impl ServerStats {
         }
     }
 
-    /// Mean summary-bitmap words examined per invalidation scan — the
-    /// per-pass scan footprint the domain-sharded registry shrinks.
-    pub fn words_per_inval_scan(&self) -> f64 {
-        if self.inval_scans == 0 {
-            0.0
-        } else {
-            self.inval_words_scanned as f64 / self.inval_scans as f64
-        }
-    }
-
-    /// Mean summary-bitmap words examined per census walk — same footprint
-    /// metric as [`ServerStats::words_per_inval_scan`], for the census
-    /// flavour of the kernel scan.
-    pub fn words_per_census_scan(&self) -> f64 {
-        if self.census_scans == 0 {
-            0.0
-        } else {
-            self.census_words_scanned as f64 / self.census_scans as f64
-        }
-    }
-
     /// Mean V1 batch size (1.0 when every bump served a single request).
     pub fn mean_batch_size(&self) -> f64 {
         if self.batches == 0 {
@@ -389,7 +332,6 @@ impl ServerStats {
             inval_scans: self.inval_scans - earlier.inval_scans,
             inval_slots_visited: self.inval_slots_visited - earlier.inval_slots_visited,
             census_scans: self.census_scans - earlier.census_scans,
-            census_words_scanned: self.census_words_scanned - earlier.census_words_scanned,
             batches: self.batches - earlier.batches,
             batched_requests: self.batched_requests - earlier.batched_requests,
             heartbeat_misses: self.heartbeat_misses - earlier.heartbeat_misses,
@@ -408,11 +350,6 @@ impl ServerStats {
             ro_snapshot_commits: self.ro_snapshot_commits - earlier.ro_snapshot_commits,
             ring_misses: self.ring_misses - earlier.ring_misses,
             ro_promotions: self.ro_promotions - earlier.ro_promotions,
-            local_commits: self.local_commits - earlier.local_commits,
-            cross_domain_commits: self.cross_domain_commits - earlier.cross_domain_commits,
-            cross_domain_invalidations: self.cross_domain_invalidations
-                - earlier.cross_domain_invalidations,
-            inval_words_scanned: self.inval_words_scanned - earlier.inval_words_scanned,
             commit_latency: std::array::from_fn(|i| {
                 self.commit_latency[i] - earlier.commit_latency[i]
             }),
@@ -635,47 +572,6 @@ mod tests {
         assert_eq!(d.ro_snapshot_commits, 3);
         assert_eq!(d.ring_misses, 0);
         assert_eq!(d.ro_promotions, 0);
-    }
-
-    #[test]
-    fn topology_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.local_commits, 7);
-        ServerCounters::add(&c.cross_domain_commits, 3);
-        ServerCounters::add(&c.cross_domain_invalidations, 2);
-        ServerCounters::add(&c.inval_scans, 4);
-        ServerCounters::add(&c.inval_words_scanned, 8);
-        let s = c.snapshot();
-        assert_eq!(s.local_commits, 7);
-        assert_eq!(s.cross_domain_commits, 3);
-        assert_eq!(s.cross_domain_invalidations, 2);
-        assert_eq!(s.inval_words_scanned, 8);
-        assert!((s.words_per_inval_scan() - 2.0).abs() < 1e-12);
-        assert_eq!(ServerStats::default().words_per_inval_scan(), 0.0);
-
-        ServerCounters::add(&c.cross_domain_commits, 1);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.cross_domain_commits, 1);
-        assert_eq!(d.local_commits, 0);
-        assert_eq!(d.cross_domain_invalidations, 0);
-        assert_eq!(d.inval_words_scanned, 0);
-    }
-
-    #[test]
-    fn census_word_counters_snapshot_and_since() {
-        let c = ServerCounters::default();
-        ServerCounters::add(&c.census_scans, 4);
-        ServerCounters::add(&c.census_words_scanned, 10);
-        let s = c.snapshot();
-        assert_eq!(s.census_scans, 4);
-        assert_eq!(s.census_words_scanned, 10);
-        assert!((s.words_per_census_scan() - 2.5).abs() < 1e-12);
-        assert_eq!(ServerStats::default().words_per_census_scan(), 0.0);
-
-        ServerCounters::add(&c.census_words_scanned, 6);
-        let d = c.snapshot().since(&s);
-        assert_eq!(d.census_scans, 0);
-        assert_eq!(d.census_words_scanned, 6);
     }
 
     #[test]

@@ -84,10 +84,12 @@ impl<T> From<T> for CachePadded<T> {
 /// `trailing_zeros`, so a scan over an almost-empty 128-slot registry
 /// touches two words instead of 128 cache-line-pairs.
 ///
-/// All accesses are `SeqCst`: the maps take part in the same
-/// total-order arguments as `request_state`/`tx_status` (see
-/// `registry.rs` for the publication protocol that makes a set bit imply
-/// an observable slot state).
+/// Every access that takes part in the protocol is `SeqCst`: the maps
+/// join the same total-order arguments as `request_state`/`tx_status`
+/// (see `registry.rs` for the publication protocol that makes a set bit
+/// imply an observable slot state). The one exception is
+/// [`AtomicBitmap::count_set`], a `Relaxed` occupancy estimate nothing
+/// synchronizes on.
 #[derive(Debug)]
 pub struct AtomicBitmap {
     words: Box<[CachePadded<AtomicU64>]>,
@@ -155,33 +157,17 @@ impl AtomicBitmap {
     /// loaded are picked up by the caller's next pass, never lost (the bit
     /// stays set until its owner clears it).
     pub fn iter_set_bits(&self) -> SetBits<'_> {
-        self.iter_set_bits_in(0..self.words.len())
-    }
-
-    /// Iterates the indices of set bits within the word range
-    /// `words.start * 64 .. words.end * 64`, ascending. Same per-word
-    /// snapshot semantics as [`AtomicBitmap::iter_set_bits`].
-    ///
-    /// This is the domain-sharded scan primitive: a registry that groups
-    /// each domain's slots into whole bitmap words lets a server visit
-    /// only its domain's words, so per-pass scan cost follows the served
-    /// domain's size rather than the registry capacity.
-    pub fn iter_set_bits_in(&self, words: std::ops::Range<usize>) -> SetBits<'_> {
-        let start = words.start.min(self.words.len());
-        let end = words.end.min(self.words.len());
         SetBits {
-            words: &self.words[..end],
-            word_idx: start,
-            current: self.words[..end]
-                .get(start)
-                .map_or(0, |w| w.load(Ordering::SeqCst)),
+            words: &self.words,
+            word_idx: 0,
+            current: self.words[0].load(Ordering::SeqCst),
         }
     }
 
     /// Loads word `w` (64 bits) of the bitmap, `SeqCst`.
     ///
     /// This is the scan kernel's primitive (`scan.rs`): walking words
-    /// directly — rather than through [`AtomicBitmap::iter_set_bits_in`] —
+    /// directly — rather than through [`AtomicBitmap::iter_set_bits`] —
     /// lets the kernel look one word ahead of its cursor and prefetch the
     /// registry slots it is about to visit. Same per-word snapshot
     /// semantics as the iterators.
@@ -410,30 +396,6 @@ mod tests {
         }
         let got: Vec<usize> = bm.iter_set_bits().collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn bitmap_iter_set_bits_in_word_range() {
-        let bm = AtomicBitmap::new(256);
-        for i in [0usize, 63, 64, 127, 128, 200, 255] {
-            bm.set(i);
-        }
-        assert_eq!(bm.iter_set_bits_in(0..1).collect::<Vec<_>>(), vec![0, 63]);
-        assert_eq!(
-            bm.iter_set_bits_in(1..3).collect::<Vec<_>>(),
-            vec![64, 127, 128]
-        );
-        assert_eq!(
-            bm.iter_set_bits_in(3..4).collect::<Vec<_>>(),
-            vec![200, 255]
-        );
-        // Whole range matches the plain iterator; out-of-range clamps.
-        assert_eq!(
-            bm.iter_set_bits_in(0..99).collect::<Vec<_>>(),
-            bm.iter_set_bits().collect::<Vec<_>>()
-        );
-        assert_eq!(bm.iter_set_bits_in(2..2).count(), 0);
-        assert_eq!(bm.words_len(), 4);
     }
 
     #[test]

@@ -66,11 +66,8 @@ impl<'a> ThreadHandle<'a> {
             alog: AllocLog::new(),
             // Seed the era cache from the live clock so the thread's first
             // transactions don't pin the horizon at 0 and block their own
-            // recycling (one shared read per thread lifetime). The slot's
-            // registry domain doubles as the allocation home domain, so a
-            // thread first-touches memory in the region its invalidation
-            // server already scans.
-            cache: HeapCache::new_at_in(stm.heap.current_era(), stm.registry.domain_of(slot_idx)),
+            // recycling (one shared read per thread lifetime).
+            cache: HeapCache::new_at(stm.heap.current_era()),
             stats: PhaseStats::default(),
         }
     }

@@ -298,6 +298,56 @@ mod injected {
         assert!(stm.server_stats().respawns >= 1);
     }
 
+    /// Algorithm 4, line 2: a lagging invalidation-server only defers its
+    /// own partition's requests. Two clients whose slots fall in different
+    /// `i % 2` partitions both finish under injected lag, and lag (not a
+    /// stall) never degrades the instance.
+    #[test]
+    fn lagging_invalidator_never_strands_requests() {
+        const INCS: u64 = 30;
+        let stm = Stm::builder("rinval-v3:2:4".parse().unwrap())
+            .heap_words(1 << 10)
+            .max_threads(8)
+            .build();
+        let counters = stm.alloc(2);
+        stm.faults().arm(
+            site::SERVER_INVAL_LAG,
+            FaultAction::Delay(Duration::from_millis(2)),
+            Some(60),
+        );
+        // Both register before either runs, so neither recycles the
+        // other's slot.
+        let registered = std::sync::Barrier::new(2);
+        let slots: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2u32)
+                .map(|t| {
+                    let (stm, registered) = (&stm, &registered);
+                    s.spawn(move || {
+                        let mut th = stm.register_thread();
+                        registered.wait();
+                        for _ in 0..INCS {
+                            th.run(|tx| {
+                                let v = tx.read(counters.field(t))?;
+                                tx.write(counters.field(t), v + 1)
+                            });
+                        }
+                        th.slot()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_ne!(slots[0] % 2, slots[1] % 2, "clients share a partition");
+        for t in 0..2 {
+            assert_eq!(
+                stm.peek(counters.field(t)),
+                INCS,
+                "client {t}'s commits were stranded behind a lagging invalidator"
+            );
+        }
+        assert!(!stm.is_degraded(), "lag (not a stall) must not degrade");
+    }
+
     /// The ISSUE's acceptance scenario: kill the commit-server *every time
     /// it comes up*. After `max_respawns` futile respawns the instance
     /// degrades to InvalSTM and the workload still completes — all inside

@@ -11,9 +11,10 @@
 //!   both finish.
 //! * The commit-latency histogram is observable through `ServerStats`.
 //!
-//! The failpoint half additionally proves the token cannot leak: a panic
+//! The failpoint half additionally proves the token cannot leak (a panic
 //! in the token holder's body must release it and leave the instance
-//! committing.
+//! committing) and that every V2 commit-server pass is accounted as empty
+//! or answering, token-request drains included.
 
 use rinval::{Aborted, AlgorithmKind, Stm, ThreadHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -267,6 +268,81 @@ mod injected {
     use super::*;
     use rinval::faults::{site, FaultAction};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Parks the commit-server at the top of a pass — the one point where
+    /// every pass it ever started is fully counted — and snapshots its
+    /// stats there. The journaled fire is the signal that it is parked; the
+    /// park outlasts any plausible descheduling of this thread.
+    fn stats_at_pass_boundary(stm: &Stm) -> rinval::ServerStats {
+        let parks = || {
+            stm.faults()
+                .journal()
+                .iter()
+                .filter(|h| h.site == site::SERVER_COMMIT_STALL)
+                .count()
+        };
+        let before = parks();
+        stm.faults().arm(
+            site::SERVER_COMMIT_STALL,
+            FaultAction::Delay(Duration::from_millis(200)),
+            Some(1),
+        );
+        while parks() == before {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        stm.server_stats()
+    }
+
+    /// Pass accounting on the V2 commit-server: every pass is either empty
+    /// or answered something, *including* the passes spent draining while
+    /// a token request waits on lagging invalidators (they used to count
+    /// as neither, so `empty_passes / scan_passes` undercounted). One
+    /// client has one request outstanding, so a non-empty pass answers one
+    /// request — or two, when a grant and the granted attempt's commit
+    /// land in the same pass.
+    #[test]
+    fn v2_passes_are_empty_or_answering_while_token_requests_drain() {
+        const TXS: u64 = 20;
+        let stm = Stm::builder(AlgorithmKind::RInvalV2 { invalidators: 1 })
+            .heap_words(256)
+            .irrevocable_after(0)
+            .build();
+        let c = stm.alloc_init(&[0]);
+        let mut th = stm.register_thread();
+        let mut increment = || {
+            th.run(|tx| {
+                let v = tx.read(c)?;
+                tx.write(c, v + 1)
+            })
+        };
+        let before = stats_at_pass_boundary(&stm);
+        // Waits out the park, so the lag budget below is spent on the run.
+        increment();
+        // Every attempt asks for the token right behind the previous
+        // commit, while the lagging invalidator has yet to consume it: the
+        // server drains for the length of the lag.
+        stm.faults().arm(
+            site::SERVER_INVAL_LAG,
+            FaultAction::Delay(Duration::from_millis(2)),
+            None,
+        );
+        for _ in 0..TXS {
+            increment();
+        }
+        stm.faults().disarm(site::SERVER_INVAL_LAG);
+        let d = stats_at_pass_boundary(&stm).since(&before);
+        assert_eq!(stm.peek(c), TXS + 1);
+        assert_eq!(d.irrevocable_grants, TXS + 1, "attempts not all granted");
+        let answers = d.irrevocable_grants + TXS + 1;
+        let busy = d.scan_passes - d.empty_passes;
+        assert!(
+            busy <= answers && 2 * busy >= answers,
+            "scan_passes {} != empty_passes {} + busy: {answers} answers cannot \
+             account for {busy} non-empty passes",
+            d.scan_passes,
+            d.empty_passes,
+        );
+    }
 
     /// A panic in the body of the irrevocable-token *holder* must release
     /// the token on the unwind path: a leaked token would gate every

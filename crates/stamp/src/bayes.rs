@@ -152,7 +152,6 @@ fn run_on(
         checksum: adj.popcount(stm),
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     }
 }
 

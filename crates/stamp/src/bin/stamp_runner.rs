@@ -1,7 +1,7 @@
 //! Command-line runner for the STAMP-like applications.
 //!
 //! ```sh
-//! cargo run --release -p stamp --bin stamp_runner -- <app> [algorithm] [threads] [--latency] [--topology] [--phases]
+//! cargo run --release -p stamp --bin stamp_runner -- <app> [algorithm] [threads] [--latency] [--phases]
 //! cargo run --release -p stamp --bin stamp_runner -- all rinval-v2 4
 //! ```
 //!
@@ -10,10 +10,6 @@
 //! throughput and abort rate — the same columns the paper's Figure 8
 //! discussion cares about. `--latency` additionally enables the opt-in
 //! commit-latency histogram and prints the p50/p99 commit latency.
-//! `--topology` prints the domain-sharding telemetry: local vs
-//! cross-domain commits, cross-domain invalidations and per-domain heap
-//! occupancy (geometry comes from `RINVAL_TOPOLOGY`; without it the
-//! instance is single-domain and everything is local by construction).
 //! `--phases` enables the opt-in phase profiler and prints where the
 //! transactions' time went — the validation/commit/other split of the
 //! paper's Figure 2, with the commit share being the critical-path
@@ -26,7 +22,7 @@ fn parse_app(name: &str) -> Option<App> {
     App::ALL.into_iter().find(|a| a.name() == name)
 }
 
-fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, topology: bool, phases: bool) {
+fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases: bool) {
     let stm = Stm::builder(algo)
         .heap_words(app.default_heap_words())
         .latency_histogram(latency)
@@ -77,25 +73,6 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, topolog
             report.server.ro_promotions,
         );
     }
-    if topology {
-        let occupancy: Vec<String> = report
-            .domains
-            .iter()
-            .map(|d| format!("d{}={}w/{}w", d.domain, d.allocated_words, d.capacity_words))
-            .collect();
-        println!(
-            "{:>10} {:>10} topo[domains={} commits local={} cross={} cross-inval={} \
-             words/scan={:.1}] heap[{}]",
-            app.name(),
-            algo.name(),
-            report.domains.len(),
-            report.server.local_commits,
-            report.server.cross_domain_commits,
-            report.server.cross_domain_invalidations,
-            report.server.words_per_inval_scan(),
-            occupancy.join(" "),
-        );
-    }
     if phases {
         // Per-thread shares: the wall clock ran once for each of the
         // `threads` workers, so the phase durations are normalized
@@ -133,8 +110,6 @@ fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let latency = args.iter().any(|a| a == "--latency");
     args.retain(|a| a != "--latency");
-    let topology = args.iter().any(|a| a == "--topology");
-    args.retain(|a| a != "--topology");
     let phases = args.iter().any(|a| a == "--phases");
     args.retain(|a| a != "--phases");
     let app_arg = args.get(1).map(String::as_str).unwrap_or("all");
@@ -151,10 +126,10 @@ fn main() {
 
     if app_arg == "all" {
         for app in App::ALL {
-            run_one(app, algo, threads, latency, topology, phases);
+            run_one(app, algo, threads, latency, phases);
         }
     } else if let Some(app) = parse_app(app_arg) {
-        run_one(app, algo, threads, latency, topology, phases);
+        run_one(app, algo, threads, latency, phases);
     } else {
         eprintln!(
             "unknown app '{app_arg}'; choose from all, {}",

@@ -191,7 +191,6 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
         checksum: unique.snapshot(stm).len() as u64,
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     }
 }
 

@@ -182,7 +182,6 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
         checksum: attacks.load(Ordering::Relaxed),
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     }
 }
 

@@ -194,7 +194,6 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
         checksum: correct,
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     }
 }
 

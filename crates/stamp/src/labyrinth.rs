@@ -168,7 +168,6 @@ fn route_all(
         checksum: paths.len() as u64,
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     };
     (report, paths)
 }

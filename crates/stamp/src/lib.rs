@@ -52,12 +52,6 @@ pub struct RunReport {
     /// executed on its nominal algorithm with no fault-handling activity —
     /// see [`RunReport::degraded`].
     pub server: ServerStats,
-    /// Per-domain heap occupancy ([`rinval::Stm::domain_heap_stats`]); one
-    /// entry on single-domain instances. Together with the topology
-    /// counters in `server` (`local_commits`, `cross_domain_commits`,
-    /// `cross_domain_invalidations`) this is what `stamp_runner
-    /// --topology` prints.
-    pub domains: Vec<rinval::DomainHeapStats>,
 }
 
 impl RunReport {
@@ -72,8 +66,7 @@ impl RunReport {
             checksum: 0,
             heap: stm.heap_stats(),
             server: stm.server_stats(),
-            domains: stm.domain_heap_stats(),
-        }
+            }
     }
 
     /// Committed transactions per second over the parallel phase.
@@ -384,7 +377,6 @@ mod tests {
             checksum: 0,
             heap: Default::default(),
             server: Default::default(),
-            domains: Vec::new(),
         };
         assert!((r.throughput() - 50.0).abs() < 1e-9);
     }

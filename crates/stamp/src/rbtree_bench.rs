@@ -111,7 +111,6 @@ pub fn run_on(stm: &Stm, tree: RbTree, threads: usize, cfg: &Config) -> RunRepor
         checksum,
         heap: stm.heap_stats(),
         server: stm.server_stats(),
-        domains: stm.domain_heap_stats(),
     }
 }
 

@@ -5,7 +5,7 @@
 //! An [`Episode`] pins *everything* a chaos run depends on — engine,
 //! workload, episode seed, client/op counts, and the structured fault
 //! [`PlanSpec`] — so the run is a pure function of the episode (up to
-//! thread interleaving; see DESIGN.md §18 for the exact determinism
+//! thread interleaving; see DESIGN.md §17 for the exact determinism
 //! contract). Episodes serialize to one-line repro tokens:
 //!
 //! ```text

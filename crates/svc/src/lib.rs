@@ -3,7 +3,7 @@
 //! The layer where the paper's claim gets operational: remote invalidation
 //! shortens the critical path *clients observe*, so this crate fronts the
 //! transactional workloads as a thread-per-core service with the request
-//! lifecycle a real deployment needs (DESIGN.md §17):
+//! lifecycle a real deployment needs (DESIGN.md §16):
 //!
 //! * **Bounded mailboxes** — one per worker, routed by client id. A full
 //!   mailbox answers [`SvcError::RetryAfter`] at the door; queue depth
@@ -553,7 +553,7 @@ fn worker(sh: &Shared<'_>, w: usize) {
 }
 
 /// The request state machine past admission: expire → (read | shed →
-/// execute) → reply. See DESIGN.md §17 for the full lifecycle diagram.
+/// execute) → reply. See DESIGN.md §16 for the full lifecycle diagram.
 fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
     let ep = sh.endpoints[env.req.endpoint as usize];
     let now = Instant::now();

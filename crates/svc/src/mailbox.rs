@@ -13,7 +13,7 @@
 //! abandoned slot, which drops the value (counted as a late reply) instead
 //! of blocking or leaking. This is what makes a lost reply safe: the
 //! operation may well have committed, and the client's retry of the same
-//! idempotency key is answered from the dedup window (DESIGN.md §17).
+//! idempotency key is answered from the dedup window (DESIGN.md §16).
 
 use crate::{Request, SvcError};
 use std::collections::VecDeque;

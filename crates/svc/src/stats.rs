@@ -9,7 +9,7 @@
 //! load instead of walking 32 buckets per request. A cached breach goes
 //! *stale* after a TTL — once shedding stops the flow of fresh write
 //! latencies, the stale signal must not shed forever, so probe writes are
-//! re-admitted to re-measure (DESIGN.md §17).
+//! re-admitted to re-measure (DESIGN.md §16).
 
 use rinval::stats::{log2_bucket, log2_quantile_ns};
 use std::sync::atomic::{AtomicU64, Ordering};

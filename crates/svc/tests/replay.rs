@@ -7,7 +7,7 @@
 //! is an order-insensitive fold, so determinism holds even with concurrent
 //! clients and workers as long as the run is ops-bounded. Probabilistic
 //! sites additionally need stable per-site hit *counts*, which the
-//! single-client/single-worker case pins down (DESIGN.md §18).
+//! single-client/single-worker case pins down (DESIGN.md §17).
 
 #![cfg(feature = "failpoints")]
 
