@@ -1,27 +1,21 @@
-//! micro — per-operation costs of the real implementation underlying the
-//! paper's §III critical-path analysis (read with validation, buffered
-//! write, commit), plus the dispatch regression gate for the
-//! monomorphized engine layer.
+//! micro — the dispatch regression gate for the monomorphized engine
+//! layer. (Per-operation costs in ns are the ledger's rows —
+//! `txn.{read,write,commit1}_ns.E`, `txds.rbtree_lookup_ns` — and are not
+//! timed a second time here; this gate is a machine-independent *ratio*.)
 //!
-//! Hand-rolled timing (median of repeated rounds over fixed operation
-//! counts — no external benchmark harness, so the workspace builds
-//! hermetically). Two parts:
-//!
-//! 1. **Per-algorithm micro tables**: ns/op for an 8-word RMW
-//!    transaction, a 32-word read-only transaction, and a 4K-element
-//!    red-black-tree lookup.
-//! 2. **Dispatch gate**: the facade read hot path (one per-attempt
-//!    `AlgorithmKind` resolution, then op-table calls) must be no slower
-//!    than the seed's per-read enum dispatch, which is re-created here as
-//!    a `match` over eight `#[inline(never)]` arms around the same reads.
-//!    The bench exits non-zero if the monomorphized path regresses past
-//!    the tolerance, so the CI smoke step (`cargo bench --bench micro --
-//!    --test`) enforces it on every run; `--test` only shrinks the
-//!    operation counts.
+//! The facade read hot path (one per-attempt `AlgorithmKind` resolution,
+//! then op-table calls) must be no slower than the seed's per-read enum
+//! dispatch, which is re-created here as a `match` over six
+//! `#[inline(never)]` arms around the same reads. Hand-rolled timing
+//! (best of repeated rounds over fixed operation counts — no external
+//! benchmark harness, so the workspace builds hermetically). The bench
+//! exits non-zero if the monomorphized path regresses past the
+//! tolerance, so the CI smoke step (`cargo bench --bench micro --
+//! --test`) enforces it on every run; `--test` only shrinks the
+//! operation count.
 
 use rinval::{AlgorithmKind, Handle, Stm, TxResult, Txn};
 use std::time::Instant;
-use txds::RbTree;
 
 /// Best-of-`rounds` time for `ops` repetitions of `op`, in ns/op.
 /// Minimum (not mean) so background scheduling noise on shared CI hosts
@@ -38,90 +32,11 @@ fn best_ns_per_op(rounds: usize, ops: u64, mut op: impl FnMut()) -> f64 {
     best
 }
 
-fn table(title: &str, ops: u64, rows: Vec<(&'static str, f64)>) {
-    println!("\n{title} ({ops} ops/round, best of 5) [ns/op]");
-    for (name, ns) in rows {
-        println!("{name:>14} {ns:>10.1}");
-    }
-}
-
-fn rmw_tx(ops: u64) {
-    let mut rows = Vec::new();
-    for algo in AlgorithmKind::all(2, 2) {
-        let stm = Stm::builder(algo).heap_words(1 << 10).build();
-        let arr = stm.alloc(8);
-        let mut th = stm.register_thread();
-        rows.push((
-            algo.name(),
-            best_ns_per_op(5, ops, || {
-                th.run(|tx| {
-                    for i in 0..8u32 {
-                        let v = tx.read(arr.field(i))?;
-                        tx.write(arr.field(i), v + 1)?;
-                    }
-                    Ok(())
-                })
-            }),
-        ));
-    }
-    table("rmw_tx_8words", ops, rows);
-}
-
-fn read_only_tx(ops: u64) {
-    let mut rows = Vec::new();
-    for algo in AlgorithmKind::all(2, 2) {
-        let stm = Stm::builder(algo).heap_words(1 << 10).build();
-        let arr = stm.alloc(32);
-        let mut th = stm.register_thread();
-        rows.push((
-            algo.name(),
-            best_ns_per_op(5, ops, || {
-                th.run(|tx| {
-                    let mut acc = 0u64;
-                    for i in 0..32u32 {
-                        acc = acc.wrapping_add(tx.read(arr.field(i))?);
-                    }
-                    Ok(acc)
-                });
-            }),
-        ));
-    }
-    table("read_only_tx_32words", ops, rows);
-}
-
-fn rbtree_lookup(ops: u64) {
-    let mut rows = Vec::new();
-    for algo in [
-        AlgorithmKind::NOrec,
-        AlgorithmKind::InvalStm,
-        AlgorithmKind::RInvalV2 { invalidators: 2 },
-    ] {
-        let stm = Stm::builder(algo).heap_words(1 << 18).build();
-        let tree = RbTree::new(&stm);
-        {
-            let mut th = stm.register_thread();
-            for k in 0..4096u64 {
-                th.run(|tx| tree.insert(tx, k * 2, k));
-            }
-        }
-        let mut th = stm.register_thread();
-        let mut key = 0u64;
-        rows.push((
-            algo.name(),
-            best_ns_per_op(5, ops, || {
-                key = (key + 37) % 8192;
-                th.run(|tx| tree.contains(tx, key));
-            }),
-        ));
-    }
-    table("rbtree_lookup_4k", ops, rows);
-}
-
 // ---------------------------------------------------------------------
 // Dispatch gate: monomorphized facade reads vs. re-created enum dispatch.
 //
 // The seed resolved `AlgorithmKind` inside `Txn::read` on every access.
-// To keep that cost measurable after the refactor removed it, the eight
+// To keep that cost measurable after the refactor removed it, the six
 // arms are reconstructed as distinct `#[inline(never)]` functions (so the
 // optimizer cannot collapse the match back into a single call) selected
 // by the same `match` the seed executed per read.
@@ -134,8 +49,6 @@ macro_rules! dispatch_arm {
         }
     };
 }
-dispatch_arm!(arm_coarse);
-dispatch_arm!(arm_tml);
 dispatch_arm!(arm_norec);
 dispatch_arm!(arm_invalstm);
 dispatch_arm!(arm_rinval_v1);
@@ -147,8 +60,6 @@ dispatch_arm!(arm_rinval_mv);
 #[inline(always)]
 fn enum_dispatch_read(kind: AlgorithmKind, tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     match kind {
-        AlgorithmKind::CoarseLock => arm_coarse(tx, h),
-        AlgorithmKind::Tml => arm_tml(tx, h),
         AlgorithmKind::NOrec => arm_norec(tx, h),
         AlgorithmKind::InvalStm => arm_invalstm(tx, h),
         AlgorithmKind::RInvalV1 => arm_rinval_v1(tx, h),
@@ -221,15 +132,7 @@ fn dispatch_gate(ops: u64) -> bool {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let (tx_ops, lookup_ops, gate_ops) = if smoke {
-        (2_000, 2_000, 6_000)
-    } else {
-        (20_000, 20_000, 60_000)
-    };
-    rmw_tx(tx_ops);
-    read_only_tx(tx_ops);
-    rbtree_lookup(lookup_ops);
-    if !dispatch_gate(gate_ops) {
+    if !dispatch_gate(if smoke { 6_000 } else { 60_000 }) {
         std::process::exit(1);
     }
 }

@@ -31,32 +31,13 @@ pub fn sim_lineup() -> [SimAlgorithm; 4] {
 /// The same line-up as real-implementation kinds, plus the multi-version
 /// engine (`rinval-mv`), which has no simulator counterpart but anchors
 /// the read-mostly story in the figure 7/8 cross-check tables.
-///
-/// Overridable via the `RINVAL_LINEUP` environment variable — a
-/// comma-separated list of [`AlgorithmKind::NAMES`] entries (with the
-/// optional `rinval-v2:<n>` / `rinval-v3:<n>:<k>` / `rinval-mv:<n>:<k>`
-/// parameters), e.g. `RINVAL_LINEUP=tml,norec,rinval-mv:8:4` — so the
-/// real cross-check layers can be pointed at any engine set without
-/// editing the harnesses.
 pub fn real_lineup() -> Vec<AlgorithmKind> {
-    match std::env::var("RINVAL_LINEUP") {
-        Ok(spec) if !spec.trim().is_empty() => spec
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .unwrap_or_else(|e| panic!("RINVAL_LINEUP: {e}"))
-            })
-            .collect(),
-        _ => {
-            let mut v = AlgorithmKind::paper_lineup().to_vec();
-            v.push(AlgorithmKind::RInvalMV {
-                invalidators: 4,
-                steps_ahead: 4,
-            });
-            v
-        }
-    }
+    let mut v = AlgorithmKind::paper_lineup().to_vec();
+    v.push(AlgorithmKind::RInvalMV {
+        invalidators: 4,
+        steps_ahead: 4,
+    });
+    v
 }
 
 /// The display names of a line-up, for [`header`].
@@ -122,8 +103,6 @@ mod tests {
 
     #[test]
     fn lineups_align() {
-        // Compare against the paper default directly: real_lineup() honours
-        // RINVAL_LINEUP, which a caller's environment may set.
         let sim = sim_lineup();
         let real = AlgorithmKind::paper_lineup();
         assert_eq!(sim.len(), real.len());

@@ -51,20 +51,8 @@ impl Algorithm for InvalStm {
     }
 
     #[inline]
-    fn cleanup_commit(tx: &mut Txn<'_>) {
+    fn cleanup(tx: &mut Txn<'_>) {
         registry_end(tx);
-    }
-
-    #[inline]
-    fn cleanup_panic(tx: &mut Txn<'_>) {
-        // Same seqlock repair as NOrec (see its `cleanup_panic`): a panic
-        // inside the commit critical section must not strand the
-        // timestamp odd.
-        if tx.lock_held {
-            tx.stm.timestamp.store(tx.snapshot + 2, Ordering::SeqCst);
-            tx.lock_held = false;
-        }
-        Self::cleanup_abort(tx);
     }
 }
 
@@ -168,7 +156,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // anything between here and a release store unwinds.
     tx.snapshot = t;
     tx.lock_held = true;
-    faults::maybe_panic(&tx.stm.faults, faults::site::TXN_COMMIT_PANIC);
+    tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
     // Algorithm 1, lines 15–16: the flag may have been set between our
     // pre-check and the CAS; recheck under the lock.
     fence(Ordering::SeqCst);

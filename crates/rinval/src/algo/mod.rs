@@ -24,16 +24,15 @@
 //! lifecycle hooks have correct defaults), and listing it in
 //! [`with_algorithm!`] — one impl, not a match arm in every dispatcher.
 
-pub(crate) mod coarse;
 pub(crate) mod invalstm;
 pub(crate) mod mv;
 pub(crate) mod norec;
 pub(crate) mod rinval;
-pub(crate) mod tml;
 
 use crate::heap::Handle;
 use crate::txn::Txn;
 use crate::TxResult;
+use std::sync::atomic::Ordering;
 
 pub(crate) mod sealed {
     /// Private supertrait restricting [`super::Algorithm`] impls to this
@@ -44,16 +43,22 @@ pub(crate) mod sealed {
 /// One concurrency-control algorithm, monomorphized: every method takes
 /// the shared [`Txn`] state and dispatches statically.
 ///
-/// The default methods encode the behaviour shared by the lazy
-/// write-buffering algorithms (NOrec and the invalidation family) and the
-/// common era-pinning lifecycle (DESIGN.md §9); each engine overrides
-/// only what differs. Call order per attempt:
+/// Every engine is deferred-update (redo-log): **no engine stores to a
+/// published heap word before its commit is admitted; the only
+/// in-transaction heap writers are `server::write_back`,
+/// `invalstm::commit`, `norec::commit` and `Txn::init` on unpublished
+/// records.** An abort therefore has nothing to undo, and one
+/// [`Algorithm::cleanup`] serves commit and abort alike.
+///
+/// The default methods encode that shared write buffering and the common
+/// era-pinning lifecycle (DESIGN.md §9); each engine overrides only what
+/// differs. Call order per attempt:
 ///
 /// 1. [`Algorithm::pin`] — pin the reclamation horizon;
-/// 2. [`Algorithm::begin`] — snapshot / lock acquisition;
+/// 2. [`Algorithm::begin`] — snapshot acquisition;
 /// 3. body: [`Algorithm::read`] / [`Algorithm::write`] (via [`OpTable`]);
 /// 4. [`Algorithm::commit`];
-/// 5. [`Algorithm::cleanup_commit`] or [`Algorithm::cleanup_abort`].
+/// 5. [`Algorithm::cleanup`], whether the attempt committed or aborted.
 pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// Pins the reclamation horizon for this attempt.
     ///
@@ -76,17 +81,14 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
         tx.stm.registry.pin_era(tx.slot_idx, tx.cache.era_cache);
     }
 
-    /// Starts a transaction attempt (snapshot acquisition / lock
-    /// acquisition). Runs after [`Algorithm::pin`]. Default: nothing —
-    /// the invalidation family's begin is entirely the registry work its
-    /// `pin` override performs.
+    /// Starts a transaction attempt (snapshot acquisition). Runs after
+    /// [`Algorithm::pin`]. Default: nothing — the invalidation family's
+    /// begin is entirely the registry work its `pin` override performs.
     ///
-    /// Fallible because a begin that *waits* (coarse lock acquisition,
-    /// even-timestamp spins) must be able to give up when the attempt's
-    /// deadline expires ([`crate::ThreadHandle::try_run_for`]); `Err`
-    /// routes through [`Algorithm::cleanup_abort`], so engines whose
-    /// abort path assumes an acquired lock must guard it (they track
-    /// acquisition in `Txn::lock_held` / `Txn::tml_writer`).
+    /// Fallible because a begin that *waits* (even-timestamp spins) must
+    /// be able to give up when the attempt's deadline expires
+    /// ([`crate::ThreadHandle::try_run_for`]); `Err` routes through
+    /// [`Algorithm::cleanup`].
     #[inline]
     fn begin(_tx: &mut Txn<'_>) -> TxResult<()> {
         Ok(())
@@ -99,8 +101,7 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     ///
     /// Default: lazy buffering — the write-set holds the value and the
     /// private Bloom signature gets one insertion per distinct address.
-    /// The eager algorithms (coarse lock, TML) override this with
-    /// write-in-place plus undo logging.
+    /// No override stores to the heap (see the trait docs).
     #[inline]
     fn write(tx: &mut Txn<'_>, h: Handle, v: u64) -> TxResult<()> {
         if tx.ws.insert(h, v) {
@@ -109,28 +110,18 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
         Ok(())
     }
 
-    /// Attempts to commit; on `Err` the caller must run
-    /// [`Algorithm::cleanup_abort`].
+    /// Attempts to commit; `Ok` or `Err`, the caller then runs
+    /// [`Algorithm::cleanup`].
     fn commit(tx: &mut Txn<'_>) -> TxResult<()>;
 
-    /// Post-commit bookkeeping. Default: unpin the reclamation horizon;
-    /// the invalidation family overrides with [`registry_end`], which
-    /// additionally deregisters from the in-flight registry and withdraws
-    /// the slot from the `live` summary map.
+    /// End-of-attempt bookkeeping, after a commit and after an abort
+    /// alike. Default: unpin the reclamation horizon; the invalidation
+    /// family overrides with [`registry_end`], which additionally
+    /// deregisters from the in-flight registry and withdraws the slot
+    /// from the `live` summary map.
     #[inline]
-    fn cleanup_commit(tx: &mut Txn<'_>) {
+    fn cleanup(tx: &mut Txn<'_>) {
         tx.stm.registry.unpin_era(tx.slot_idx);
-    }
-
-    /// Post-abort bookkeeping: release any held lock, roll back in-place
-    /// writes, then unpin / deregister. Default: same as
-    /// [`Algorithm::cleanup_commit`] (the lazy algorithms publish nothing
-    /// before commit succeeds, so there is nothing to roll back —
-    /// resolved through `Self`, so a family's `cleanup_commit` override
-    /// covers its aborts too).
-    #[inline]
-    fn cleanup_abort(tx: &mut Txn<'_>) {
-        Self::cleanup_commit(tx);
     }
 
     /// Repairs shared protocol state after a panic unwound out of the
@@ -138,17 +129,23 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// path (inside `catch_unwind`, before the panic resumes) so a
     /// panicking transaction cannot poison the STM for other threads.
     ///
-    /// Default: [`Algorithm::cleanup_abort`] — correct for engines whose
-    /// abort path already releases everything they can hold at any panic
-    /// point (coarse lock and TML roll back their undo logs and release
-    /// the seqlock they track via `lock_held`/`tml_writer`). Engines that
-    /// can panic *between* seqlock acquisition and release (NOrec,
-    /// InvalSTM) or with a commit request posted to a server (RInval
-    /// family) override this to release the lock / withdraw the request
-    /// first.
+    /// Default: the seqlock engines' repair (NOrec, InvalSTM), then
+    /// [`Algorithm::cleanup`]. A panic between the commit CAS and the
+    /// release store would strand the seqlock odd, wedging every other
+    /// thread, so if `Txn::lock_held` says this thread owns it, release it
+    /// with a version bump (exactly the aborted-commit release). Nothing
+    /// was written back before the only panic window (the commit
+    /// failpoint fires before write-back), so the bump publishes no
+    /// partial state. The RInval family, which can instead panic with a
+    /// commit request posted to a server, overrides this to withdraw the
+    /// request first.
     #[inline]
     fn cleanup_panic(tx: &mut Txn<'_>) {
-        Self::cleanup_abort(tx);
+        if tx.lock_held {
+            tx.stm.timestamp.store(tx.snapshot + 2, Ordering::SeqCst);
+            tx.lock_held = false;
+        }
+        Self::cleanup(tx);
     }
 
     /// Acquires the global irrevocable token for this thread's next
@@ -170,9 +167,9 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
 /// [`Algorithm::try_acquire_irrevocable`]. Drains in-flight commits by
 /// taking the odd phase of the global seqlock itself, then claims the
 /// token word under it: while the timestamp is odd no other commit can be
-/// mid-write-back, and every commit (or, for TML/coarse, begin) that
-/// starts after the release observes the token and waits — so once
-/// granted, nothing already admitted can doom the holder.
+/// mid-write-back, and every commit that starts after the release
+/// observes the token and waits — so once granted, nothing already
+/// admitted can doom the holder.
 ///
 /// The odd-phase window here contains two plain stores and a CAS — no
 /// user code — so it cannot deadlock readers spinning on parity.
@@ -181,7 +178,6 @@ pub(crate) fn seqlock_grant_token(tx: &mut Txn<'_>) -> bool {
     use crate::registry::NO_IRREVOCABLE_HOLDER;
     use crate::stats::ServerCounters;
     use crate::sync::Backoff;
-    use std::sync::atomic::Ordering;
 
     let stm = tx.stm;
     let me = tx.slot_idx;
@@ -259,7 +255,7 @@ pub(crate) fn registry_begin(tx: &mut Txn<'_>) {
 }
 
 /// Registry deregistration: the invalidation family's
-/// [`Algorithm::cleanup_commit`].
+/// [`Algorithm::cleanup`].
 #[inline]
 pub(crate) fn registry_end(tx: &mut Txn<'_>) {
     tx.stm.registry.end(tx.slot_idx);
@@ -278,14 +274,6 @@ pub(crate) fn registry_end(tx: &mut Txn<'_>) {
 macro_rules! with_algorithm {
     ($kind:expr, $A:ident => $e:expr) => {
         match $kind {
-            $crate::AlgorithmKind::CoarseLock => {
-                type $A = $crate::algo::coarse::CoarseLock;
-                $e
-            }
-            $crate::AlgorithmKind::Tml => {
-                type $A = $crate::algo::tml::Tml;
-                $e
-            }
             $crate::AlgorithmKind::NOrec => {
                 type $A = $crate::algo::norec::NOrec;
                 $e

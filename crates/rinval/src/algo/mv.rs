@@ -148,7 +148,7 @@ impl Algorithm for RInvalMV {
     }
 
     #[inline]
-    fn cleanup_commit(tx: &mut Txn<'_>) {
+    fn cleanup(tx: &mut Txn<'_>) {
         if tx.promoted {
             registry_end(tx);
         } else {
@@ -163,10 +163,8 @@ impl Algorithm for RInvalMV {
             // commit request posted must not leave the server a dangling
             // write-set pointer.
             let _ = withdraw_request(tx.stm, tx.slot_idx);
-            registry_end(tx);
-        } else {
-            tx.stm.registry.unpin_era(tx.slot_idx);
         }
+        Self::cleanup(tx);
     }
 
     #[inline]
@@ -259,7 +257,7 @@ fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
             Ok(())
         }
         Err(Aborted) => {
-            // The attempt aborts while registered; `cleanup_abort` must
+            // The attempt aborts while registered; `cleanup` must
             // deregister, so flip the mode before unwinding the attempt.
             tx.promoted = true;
             Err(Aborted)

@@ -22,8 +22,8 @@ use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::{fence, Ordering};
 
-/// Engine for [`crate::AlgorithmKind::NOrec`]. Lazy write buffering and
-/// the unpin-only cleanups are the trait defaults.
+/// Engine for [`crate::AlgorithmKind::NOrec`]. Lazy write buffering, the
+/// unpin-only cleanup and the seqlock panic repair are the trait defaults.
 pub(crate) struct NOrec;
 
 impl sealed::Sealed for NOrec {}
@@ -42,21 +42,6 @@ impl Algorithm for NOrec {
     #[inline]
     fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         commit(tx)
-    }
-
-    #[inline]
-    fn cleanup_panic(tx: &mut Txn<'_>) {
-        // A panic between the commit CAS and the release store would
-        // strand the seqlock odd, wedging every other thread. Release it
-        // with a version bump (exactly the aborted-commit release) so the
-        // system stays live; nothing was written back before the only
-        // panic window (the commit failpoint fires before write-back), so
-        // the bump publishes no partial state.
-        if tx.lock_held {
-            tx.stm.timestamp.store(tx.snapshot + 2, Ordering::SeqCst);
-            tx.lock_held = false;
-        }
-        Self::cleanup_abort(tx);
     }
 }
 
@@ -167,7 +152,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Critical section: the seqlock is odd and this thread owns it. The
     // flag lets `cleanup_panic` release it if anything below unwinds.
     tx.lock_held = true;
-    faults::maybe_panic(&tx.stm.faults, faults::site::TXN_COMMIT_PANIC);
+    tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
     for e in tx.ws.entries() {
         tx.stm.heap.store(Handle::from_addr(e.addr), e.val);
     }

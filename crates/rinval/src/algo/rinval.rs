@@ -54,7 +54,7 @@ macro_rules! rinval_engine {
             }
 
             #[inline]
-            fn cleanup_commit(tx: &mut Txn<'_>) {
+            fn cleanup(tx: &mut Txn<'_>) {
                 registry_end(tx);
             }
 
@@ -128,14 +128,14 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // transaction's `Txn::init` stores into fresh records) happens-before
     // the server's acquire load of PENDING.
     slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
-    faults::maybe_panic(&tx.stm.faults, faults::site::CLIENT_PUBLISH_DELAY);
+    tx.stm.faults.fire(faults::site::CLIENT_PUBLISH_DELAY);
     // Summary-map publish, strictly *after* the PENDING store: a server
     // that observes the set bit is guaranteed (SeqCst total order) to also
     // observe REQ_PENDING, so it may clear the bit at pickup without ever
     // losing a request. Only the server — or a withdrawal this client
     // performs itself — clears the bit.
     tx.stm.registry.pending().set(tx.slot_idx);
-    faults::maybe_panic(&tx.stm.faults, faults::site::TXN_COMMIT_PANIC);
+    tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
 
     // Algorithm 2, line 8: spin on our own cache line. The wait is
     // *bounded*: once the spinner degrades to yields, every pass re-checks

@@ -637,16 +637,25 @@ mod imp {
 
 pub use imp::FaultPlan;
 
-/// Panics if `plan` has `site_idx` armed with [`FaultAction::Panic`];
-/// sleeps through a [`FaultAction::Delay`]. Other actions are ignored —
-/// the helper serves the sites whose only meaningful faults are
-/// panic/delay, keeping call sites to one line.
-#[inline]
-pub(crate) fn maybe_panic(plan: &FaultPlan, site_idx: usize) {
-    match plan.hit(site_idx) {
-        Some(FaultAction::Panic) => panic!("failpoint {}", SITE_NAMES[site_idx]),
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        _ => {}
+impl FaultPlan {
+    /// [`FaultPlan::hit`] plus the one interpreter for the actions that
+    /// mean the same at every site: a [`FaultAction::Panic`] panics here
+    /// (`failpoint <site name>`), a [`FaultAction::Delay`] sleeps here.
+    /// What comes back is only what the site itself must decide —
+    /// [`FaultAction::Exit`], [`FaultAction::Fail`] or
+    /// [`FaultAction::Stall`] — so a site with nothing to decide ignores
+    /// the result. Exactly one `hit` (one journal entry) per call; a
+    /// constant `None` without the `failpoints` feature.
+    #[inline]
+    pub fn fire(&self, site_idx: usize) -> Option<FaultAction> {
+        match self.hit(site_idx)? {
+            FaultAction::Panic => panic!("failpoint {}", SITE_NAMES[site_idx]),
+            FaultAction::Delay(d) => {
+                std::thread::sleep(d);
+                None
+            }
+            decide => Some(decide),
+        }
     }
 }
 

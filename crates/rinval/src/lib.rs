@@ -13,8 +13,10 @@
 //! | [`AlgorithmKind::RInvalV2`] | + invalidation parallelized over invalidation-servers (Algorithm 3) |
 //! | [`AlgorithmKind::RInvalV3`] | + commit-server may run ahead of lagging invalidators (Algorithm 4) |
 //! | [`AlgorithmKind::RInvalMV`] | V3 + per-word version ring: read-only transactions run wait-free on a begin snapshot (§V read-mostly extension) |
-//! | [`AlgorithmKind::Tml`] | transactional mutex lock (extra reference point, paper §II) |
-//! | [`AlgorithmKind::CoarseLock`] | single global lock, no speculation (Fig. 1b) |
+//!
+//! All six are deferred-update: writes are buffered in a redo log and
+//! reach the heap only once the commit is admitted, so an abort has
+//! nothing to undo.
 //!
 //! ## Quick start
 //!
@@ -156,12 +158,6 @@ impl Default for WatchdogConfig {
 /// Which concurrency-control algorithm an [`Stm`] instance runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlgorithmKind {
-    /// One global lock held for the whole transaction body; no speculation,
-    /// no metadata. The paper's Fig. 1(b) reference point.
-    CoarseLock,
-    /// Transactional Mutex Lock: speculative readers validated against a
-    /// global sequence lock; the first write upgrades to exclusive.
-    Tml,
     /// NOrec: lazy versioning, value-based incremental validation, single
     /// global sequence lock acquired at commit.
     NOrec,
@@ -208,9 +204,7 @@ pub enum AlgorithmKind {
 impl AlgorithmKind {
     /// The canonical names accepted by the [`std::str::FromStr`] impl, in
     /// declaration order — the single source for CLI help strings.
-    pub const NAMES: [&'static str; 8] = [
-        "coarse-lock",
-        "tml",
+    pub const NAMES: [&'static str; 6] = [
         "norec",
         "invalstm",
         "rinval-v1",
@@ -223,8 +217,6 @@ impl AlgorithmKind {
     /// legends where applicable).
     pub fn name(&self) -> &'static str {
         match self {
-            AlgorithmKind::CoarseLock => "coarse-lock",
-            AlgorithmKind::Tml => "tml",
             AlgorithmKind::NOrec => "norec",
             AlgorithmKind::InvalStm => "invalstm",
             AlgorithmKind::RInvalV1 => "rinval-v1",
@@ -286,10 +278,8 @@ impl AlgorithmKind {
     /// every "all engines" test, bench and chaos lineup draws from (and
     /// filters, where an engine legitimately differs), so a new engine
     /// enters all of them at once.
-    pub fn all(invalidators: usize, steps_ahead: usize) -> [AlgorithmKind; 8] {
+    pub fn all(invalidators: usize, steps_ahead: usize) -> [AlgorithmKind; 6] {
         [
-            AlgorithmKind::CoarseLock,
-            AlgorithmKind::Tml,
             AlgorithmKind::NOrec,
             AlgorithmKind::InvalStm,
             AlgorithmKind::RInvalV1,
@@ -332,7 +322,7 @@ impl std::error::Error for ParseAlgorithmKindError {}
 /// paper's configuration (`rinval-v2` → 4 invalidators, `rinval-v3` and
 /// `rinval-mv` → 4 invalidators running 4 steps ahead) and accept explicit
 /// parameters as colon-separated suffixes: `rinval-v2:8`, `rinval-v3:8:2`,
-/// `rinval-mv:8:2`.
+/// `rinval-mv:8:2` (at least one invalidator).
 impl std::str::FromStr for AlgorithmKind {
     type Err = ParseAlgorithmKindError;
 
@@ -348,7 +338,9 @@ impl std::str::FromStr for AlgorithmKind {
                 Some(p) => *slot = Some(p.parse().map_err(|_| err())?),
             }
         }
-        if parts.next().is_some() {
+        // `params[0]` is only ever the invalidator count, and a V2 with no
+        // invalidation-server is V1: reject 0 rather than silently run one.
+        if parts.next().is_some() || params[0] == Some(0) {
             return Err(err());
         }
         let bare = |kind: AlgorithmKind| {
@@ -359,8 +351,6 @@ impl std::str::FromStr for AlgorithmKind {
             }
         };
         match base {
-            "coarse-lock" => bare(AlgorithmKind::CoarseLock),
-            "tml" => bare(AlgorithmKind::Tml),
             "norec" => bare(AlgorithmKind::NOrec),
             "invalstm" => bare(AlgorithmKind::InvalStm),
             "rinval-v1" => bare(AlgorithmKind::RInvalV1),

@@ -19,7 +19,8 @@ pub struct WriteEntry {
     pub val: u64,
 }
 
-/// The redo-log write-set of a lazy transaction.
+/// The redo-log write-set of a transaction — every engine's one write
+/// discipline.
 ///
 /// Writes are buffered here and published at commit (by the transaction
 /// itself under NOrec/InvalSTM, by the commit-server under RInval). Lookups

@@ -265,22 +265,22 @@ impl Registry {
         self.slots[idx].begin();
     }
 
-    /// Reclamation-horizon pin for algorithms outside the invalidation
-    /// family. They never appear in the `live` map (nobody scans their
-    /// signatures), but any transaction holding handles must still pin the
+    /// Reclamation-horizon pin for an engine outside the invalidation
+    /// family. It never appears in the `live` map (nobody scans its
+    /// signature), but any transaction holding handles must still pin the
     /// horizon — one plain `Release` store to the thread's own
-    /// cache-padded slot, issued before the algorithm's first snapshot
-    /// read, so the fast algorithms' begin stays fence-free.
+    /// cache-padded slot, issued before the engine's first snapshot
+    /// read, so its begin stays fence-free.
     ///
     /// A `Release` pin leaves a window where a horizon scan misses a
     /// just-begun transaction (the store is not yet visible). That is safe
-    /// for the algorithms that use this entry point (coarse / TML /
-    /// NOrec): recycling a block implies its freeing transaction committed
-    /// — bumping the global timestamp — after the missed transaction's
-    /// snapshot, and those protocols revalidate against the timestamp
-    /// *before returning any read value*, so a read that could observe
-    /// recycled contents aborts instead (DESIGN.md §9). MV snapshot
-    /// readers cannot make that argument (they never revalidate) and use
+    /// for NOrec, the one engine that uses this entry point: recycling a
+    /// block implies its freeing transaction committed — bumping the
+    /// global timestamp — after the missed transaction's snapshot, and
+    /// NOrec revalidates against the timestamp *before returning any read
+    /// value*, so a read that could observe recycled contents aborts
+    /// instead (DESIGN.md §9). MV snapshot readers cannot make that
+    /// argument (they never revalidate) and use
     /// [`Registry::pin_era_fenced`].
     #[inline]
     pub fn pin_era(&self, idx: usize, era: u64) {

@@ -312,31 +312,26 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
 
 /// Polls a server's failpoints at the top of a pass. Returns `false` when
 /// the server should exit its loop (an injected death via
-/// [`FaultAction::Exit`]); a [`FaultAction::Panic`] unwinds right here
-/// (the seat's [`crate::sync::AliveGuard`] turns either into a dead
-/// beacon). [`FaultAction::Stall`] blocks — without beating — until the
-/// site is disarmed, the STM shuts down or the instance degrades, which is
-/// exactly the "alive but silent" signature the watchdog's stall detector
-/// looks for. With the `failpoints` feature off both `hit` calls are
-/// constant `None` and the whole function folds to `true`.
+/// [`FaultAction::Exit`]); a [`FaultAction::Panic`] unwinds inside
+/// [`faults::FaultPlan::fire`] (the seat's [`crate::sync::AliveGuard`]
+/// turns either into a dead beacon). [`FaultAction::Stall`] blocks —
+/// without beating — until the site is disarmed, the STM shuts down or
+/// the instance degrades, which is exactly the "alive but silent"
+/// signature the watchdog's stall detector looks for. With the
+/// `failpoints` feature off both `fire` calls are constant `None` and the
+/// whole function folds to `true`.
 #[inline]
 fn pass_failpoints(stm: &StmInner, death_site: usize, stall_site: usize) -> bool {
-    match stm.faults.hit(death_site) {
-        Some(FaultAction::Exit) => return false,
-        Some(FaultAction::Panic) => panic!("failpoint {}", faults::SITE_NAMES[death_site]),
-        _ => {}
+    if let Some(FaultAction::Exit) = stm.faults.fire(death_site) {
+        return false;
     }
-    match stm.faults.hit(stall_site) {
-        Some(FaultAction::Stall) => {
-            while stm.faults.armed(stall_site)
-                && !stm.shutdown.load(Ordering::SeqCst)
-                && !stm.degraded.load(Ordering::SeqCst)
-            {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+    if let Some(FaultAction::Stall) = stm.faults.fire(stall_site) {
+        while stm.faults.armed(stall_site)
+            && !stm.shutdown.load(Ordering::SeqCst)
+            && !stm.degraded.load(Ordering::SeqCst)
+        {
+            std::thread::sleep(Duration::from_micros(200));
         }
-        Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-        _ => {}
     }
     true
 }
@@ -1006,13 +1001,8 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
         // blind watchdog — deaths in the window go unnoticed until the
         // next round), Delay models a descheduled watchdog, Panic kills
         // supervision outright.
-        match stm.faults.hit(faults::site::SERVER_WATCHDOG_SKIP) {
-            Some(FaultAction::Fail) => continue 'supervise,
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(FaultAction::Panic) => {
-                panic!("failpoint {}", faults::SITE_NAMES[faults::site::SERVER_WATCHDOG_SKIP])
-            }
-            _ => {}
+        if let Some(FaultAction::Fail) = stm.faults.fire(faults::site::SERVER_WATCHDOG_SKIP) {
+            continue 'supervise;
         }
         for seat in 0..seats {
             if done(&stm) {

@@ -19,15 +19,15 @@ pub struct PhaseStats {
     /// Time spent validating reads (seqlock retries, NOrec read-set
     /// revalidation, invalidation-flag checks).
     pub validation: Duration,
-    /// Time spent in the write path (write-set buffering, or TML/coarse
-    /// lock upgrade + undo logging + in-place store). Part of the paper's
-    /// "other" bucket in Fig. 2/3; broken out here so eager engines'
-    /// write-side work is observable per phase like the read side.
+    /// Time spent in the write path (write-set buffering; MV's
+    /// first-write promotion). Part of the paper's "other" bucket in
+    /// Fig. 2/3; broken out here so write-side work is observable per
+    /// phase like the read side.
     pub write: Duration,
     /// Time spent in the commit routine (including spinning on the global
     /// lock or on the request slot).
     pub commit: Duration,
-    /// Time spent rolling back and backing off after aborts.
+    /// Time spent cleaning up and backing off after aborts.
     pub abort: Duration,
     /// Wall time spent inside `run` (transactional + retries).
     pub total_tx: Duration,

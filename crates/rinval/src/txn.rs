@@ -223,7 +223,6 @@ impl<'a> ThreadHandle<'a> {
             stm: self.stm,
             slot_idx: self.slot_idx,
             snapshot: 0,
-            tml_writer: false,
             lock_held: false,
             promoted: false,
             declared_ro,
@@ -258,7 +257,7 @@ impl<'a> ThreadHandle<'a> {
         // discards the attempt's logs and re-raises the panic.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             A::begin(&mut tx)?;
-            faults::maybe_panic(&tx.stm.faults, faults::site::TXN_BODY_PANIC);
+            tx.stm.faults.fire(faults::site::TXN_BODY_PANIC);
             body(&mut tx).and_then(|v| {
                 // Commit-phase time includes spinning on the global lock
                 // (NOrec / InvalSTM) or on the request slot (RInval) —
@@ -277,7 +276,7 @@ impl<'a> ThreadHandle<'a> {
         }));
         match outcome {
             Ok(Ok(v)) => {
-                A::cleanup_commit(&mut tx);
+                A::cleanup(&mut tx);
                 // The era stamp for this attempt's frees is taken here,
                 // strictly after the commit is fully visible (under RInval
                 // the server has already answered COMMITTED, so its
@@ -306,7 +305,7 @@ impl<'a> ThreadHandle<'a> {
             }
             Ok(Err(Aborted)) => {
                 let p_abort = Probe::start(profile);
-                A::cleanup_abort(&mut tx);
+                A::cleanup(&mut tx);
                 let timed_out = tx.timed_out;
                 // A token holder can still reach this arm (user abort or
                 // deadline — never a conflict); the token is tenured for
@@ -396,14 +395,11 @@ impl std::fmt::Debug for ThreadHandle<'_> {
 pub struct Txn<'t> {
     pub(crate) stm: &'t StmInner,
     pub(crate) slot_idx: usize,
-    /// Sequence-lock snapshot (NOrec / TML) or commit acquisition time.
+    /// Sequence-lock snapshot (NOrec) or commit acquisition time.
     pub(crate) snapshot: u64,
-    /// TML: whether this transaction has upgraded to the exclusive lock.
-    pub(crate) tml_writer: bool,
-    /// Whether this transaction currently owns the global seqlock
-    /// (CoarseLock body; NOrec / InvalSTM commit critical section). Gates
-    /// both the abort path after a failed `begin` and the `cleanup_panic`
-    /// seqlock repair.
+    /// Whether this transaction currently owns the global seqlock (the
+    /// NOrec / InvalSTM commit critical section). Gates the
+    /// `cleanup_panic` seqlock repair.
     pub(crate) lock_held: bool,
     /// RInvalMV: whether the transaction has promoted in place from the
     /// snapshot-reader path to the full V3 protocol (first write). Gates
@@ -577,7 +573,7 @@ impl Txn<'_> {
     /// True if the transaction has not written anything yet — always true
     /// under [`ThreadHandle::run_ro`], whose declaration forbids writes.
     pub fn is_read_only(&self) -> bool {
-        self.declared_ro || (self.ws.is_empty() && !self.tml_writer)
+        self.declared_ro || self.ws.is_empty()
     }
 }
 

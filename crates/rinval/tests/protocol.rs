@@ -5,19 +5,11 @@
 
 use rinval::{Aborted, AlgorithmKind, Stm, TxResult};
 
-/// Algorithms where a second transaction may run while the first is open
-/// (i.e. everything except the begin-time global lock).
-fn overlapping_algorithms() -> impl Iterator<Item = AlgorithmKind> {
-    AlgorithmKind::all(2, 2)
-        .into_iter()
-        .filter(|a| *a != AlgorithmKind::CoarseLock)
-}
-
 /// Read x; a concurrent transaction overwrites x; then try to commit a
 /// write based on the stale read. Must abort under every algorithm.
 #[test]
 fn conflicting_commit_aborts() {
-    for algo in overlapping_algorithms() {
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let x = stm.alloc_init(&[10]);
         let y = stm.alloc_init(&[0]);
@@ -45,7 +37,7 @@ fn conflicting_commit_aborts() {
 /// (invalidation flag / failed revalidation), not just commit.
 #[test]
 fn doomed_reader_aborts_at_next_read() {
-    for algo in overlapping_algorithms() {
+    for algo in AlgorithmKind::all(2, 2) {
         // MV reads `z` at its begin snapshot, where it is consistent with
         // `x`; the conflict surfaces at the first write (covered by
         // conflicting_commit_aborts).
@@ -78,11 +70,7 @@ fn doomed_reader_aborts_at_next_read() {
 /// (snapshot extension / non-intersecting signatures).
 #[test]
 fn disjoint_commit_does_not_abort() {
-    for algo in overlapping_algorithms() {
-        // TML aborts readers on *any* commit by design; skip it here.
-        if algo == AlgorithmKind::Tml {
-            continue;
-        }
+    for algo in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(algo).heap_words(256).build();
         let x = stm.alloc_init(&[10]);
         let unrelated = stm.alloc_init(&[0]);
@@ -107,20 +95,23 @@ fn disjoint_commit_does_not_abort() {
     }
 }
 
-/// TML's design point: any concurrent commit aborts an open reader.
+/// The one write discipline: a transactional write reaches the heap only
+/// once its commit is admitted, so an open or aborted transaction leaves
+/// every published word as it found it.
 #[test]
-fn tml_aborts_readers_on_any_commit() {
-    let stm = Stm::builder(AlgorithmKind::Tml).heap_words(256).build();
-    let x = stm.alloc_init(&[1]);
-    let unrelated = stm.alloc_init(&[0]);
-    let mut th1 = stm.register_thread();
-    let mut th2 = stm.register_thread();
-    let r: TxResult<u64> = th1.try_run(1, |tx| {
-        let _ = tx.read(x)?;
-        th2.run(|tx2| tx2.write(unrelated, 9));
-        tx.read(x)
-    });
-    assert_eq!(r, Err(Aborted));
+fn no_engine_writes_the_heap_before_commit() {
+    for algo in AlgorithmKind::all(2, 2) {
+        let stm = Stm::builder(algo).heap_words(256).build();
+        let x = stm.alloc_init(&[1]);
+        let mut th = stm.register_thread();
+        let r: TxResult<()> = th.try_run(1, |tx| {
+            tx.write(x, 9)?;
+            assert_eq!(stm.peek(x), 1, "{algo:?} wrote the heap before commit");
+            tx.user_abort()
+        });
+        assert_eq!(r, Err(Aborted));
+        assert_eq!(stm.peek(x), 1, "aborted write left a trace under {algo:?}");
+    }
 }
 
 /// Large write-sets exercise the raw-pointer hand-off to the commit
@@ -179,10 +170,6 @@ fn server_serves_many_clients() {
 #[test]
 fn timestamp_discipline() {
     for algo in AlgorithmKind::all(1, 1) {
-        // The coarse lock *is* the timestamp: every transaction bumps it.
-        if algo == AlgorithmKind::CoarseLock {
-            continue;
-        }
         let stm = Stm::builder(algo).heap_words(256).build();
         let x = stm.alloc_init(&[0]);
         let mut th = stm.register_thread();

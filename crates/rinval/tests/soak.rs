@@ -1,7 +1,7 @@
 //! Long-running mixed-workload soak (the CI `soak` job; `#[ignore]`d in
 //! ordinary runs so `cargo test` stays fast).
 //!
-//! `RINVAL_SOAK_SECS` (default 2) is split evenly across all eight
+//! `RINVAL_SOAK_SECS` (default 2) is split evenly across all six
 //! engines. Each slice runs an oversubscribed mix — short writers plus
 //! wide readers under an irrevocable-heavy starvation profile
 //! (`irrevocable_after(4)`) — and must end with:

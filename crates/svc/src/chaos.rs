@@ -612,8 +612,8 @@ mod tests {
     #[test]
     fn parse_token_rejects_garbage() {
         assert!(Episode::parse_token("").is_err());
-        assert!(Episode::parse_token("NOPE,algo=tml").is_err());
-        assert!(Episode::parse_token("CHAOS1,algo=tml").is_err()); // no plan
+        assert!(Episode::parse_token("NOPE,algo=norec").is_err());
+        assert!(Episode::parse_token("CHAOS1,algo=norec").is_err()); // no plan
         assert!(Episode::parse_token("CHAOS1,plan=zz").is_err()); // bad hex
         assert!(Episode::parse_token("CHAOS1,bogus=1,plan=").is_err());
     }

@@ -267,13 +267,7 @@ impl Dedup {
         // back together), a delay stretches the window where a concurrent
         // commit can doom this transaction. Fires once per attempt, so
         // conflict retries draw fresh hits.
-        match faults.hit(site::SVC_DEDUP_ROTATE) {
-            Some(FaultAction::Panic) => {
-                panic!("svc: injected crash inside dedup rotation")
-            }
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
-        }
+        faults.fire(site::SVC_DEDUP_ROTATE);
         let cursor = tx.read(row.field(OFF_CURSOR))?;
         let slot = (cursor % self.window as u64) as u32;
         tx.write(row.field(OFF_ENTRIES + 2 * slot), req.key)?;
@@ -342,7 +336,7 @@ impl Frontend<'_, '_> {
             "svc: write idempotency keys start at 1"
         );
         let deadline = Instant::now() + timeout;
-        match sh.stm.faults().hit(site::SVC_ENQUEUE) {
+        match sh.stm.faults().fire(site::SVC_ENQUEUE) {
             Some(FaultAction::Fail) => {
                 // Injected admission failure: looks exactly like load shed.
                 bump(&sh.counters.enqueue_faults);
@@ -356,7 +350,6 @@ impl Frontend<'_, '_> {
                 bump(&sh.counters.client_timeouts);
                 return Err(SvcError::Timeout);
             }
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
             _ => {}
         }
         let reply = Arc::new(ReplySlot::new());
@@ -529,11 +522,8 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
 fn worker(sh: &Shared<'_>, w: usize) {
     let mut th = sh.stm.register_thread();
     loop {
-        match sh.stm.faults().hit(site::SVC_WORKER_DEATH) {
-            Some(FaultAction::Exit) => return,
-            Some(FaultAction::Panic) => panic!("svc: injected worker death"),
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
+        if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_WORKER_DEATH) {
+            return;
         }
         let Some(env) = sh.mailboxes[w].pop(&sh.shutdown) else {
             return;
@@ -542,11 +532,8 @@ fn worker(sh: &Shared<'_>, w: usize) {
         // processed — Exit kills the worker *with the envelope in hand*
         // (the client's only recovery is timeout + retry through dedup),
         // unlike `svc.worker.death`, which dies empty-handed.
-        match sh.stm.faults().hit(site::SVC_MAILBOX_POP) {
-            Some(FaultAction::Exit) => return,
-            Some(FaultAction::Panic) => panic!("svc: injected death after dequeue"),
-            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-            _ => {}
+        if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_MAILBOX_POP) {
+            return;
         }
         process(sh, &mut th, env);
     }
@@ -601,16 +588,9 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
                 // the client's retry hitting the dedup window above, which
                 // is why the failpoint only fires on *fresh* applies
                 // (dedup-hit replies are already the recovery path).
-                match sh.stm.faults().hit(site::SVC_REPLY_PRE) {
-                    Some(FaultAction::Panic) => {
-                        panic!("svc: injected crash between commit and reply")
-                    }
-                    Some(FaultAction::Exit) => {
-                        bump(&sh.counters.dropped_replies);
-                        return;
-                    }
-                    Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                    _ => {}
+                if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_REPLY_PRE) {
+                    bump(&sh.counters.dropped_replies);
+                    return;
                 }
             }
             deliver(sh, &env, Ok(val));

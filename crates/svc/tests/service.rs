@@ -370,7 +370,7 @@ mod drills {
 
     // The property: a client retrying *every* request with the same
     // idempotency key under a kill-every-reply fault plan observes
-    // exactly-once effects — on all 8 engines.
+    // exactly-once effects — on all six engines.
     proptest! {
         #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
         #[test]

@@ -5,9 +5,8 @@
 
 use rinval::{AlgorithmKind, Stm};
 
-fn algorithms() -> [AlgorithmKind; 5] {
+fn algorithms() -> [AlgorithmKind; 4] {
     [
-        AlgorithmKind::Tml,
         AlgorithmKind::NOrec,
         AlgorithmKind::InvalStm,
         AlgorithmKind::RInvalV1,
