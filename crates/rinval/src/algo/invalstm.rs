@@ -23,7 +23,7 @@ use crate::heap::Handle;
 use crate::registry::{refusal, TX_ALIVE, TX_INVALIDATED};
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
-use crate::sync::Backoff;
+use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::ops::ControlFlow;
@@ -77,14 +77,14 @@ pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
     } else {
         None
     };
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     loop {
         if bk.is_yielding() && tx.deadline_expired() {
             return Err(Aborted);
         }
         let x1 = ts.load(Ordering::SeqCst);
         if x1 & 1 == 1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         let v = tx.stm.heap.load(h);
@@ -93,7 +93,7 @@ pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
         slot.read_bf.owner_insert(h.addr());
         fence(Ordering::SeqCst);
         if ts.load(Ordering::SeqCst) != x1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         if let Some(iv) = my_inval {
@@ -106,7 +106,7 @@ pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
                 if tx.stm.degraded.load(Ordering::SeqCst) {
                     return Err(Aborted);
                 }
-                bk.snooze();
+                bk.pause();
                 continue;
             }
         }
@@ -125,7 +125,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         return Ok(());
     }
     let ts = &tx.stm.timestamp;
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     // Algorithm 1, line 13: spin until the timestamp is even and we win the
     // CAS that makes it odd. An irrevocable-token holder other than us
     // gates entry (§13): its attempt must see no commit until it is done.
@@ -134,12 +134,12 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
             return Err(Aborted);
         }
         if tx.stm.token_held_by_other(tx.slot_idx) {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         let cur = ts.load(Ordering::SeqCst);
         if cur & 1 == 1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         // Cheap pre-check outside the lock (avoids bumping the shared
@@ -149,7 +149,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         }
         match ts.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
             Ok(_) => break cur,
-            Err(_) => bk.snooze(),
+            Err(_) => bk.pause(),
         }
     };
     // Critical section: `cleanup_panic` releases at snapshot+2 if

@@ -177,7 +177,7 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
 pub(crate) fn seqlock_grant_token(tx: &mut Txn<'_>) -> bool {
     use crate::registry::NO_IRREVOCABLE_HOLDER;
     use crate::stats::ServerCounters;
-    use crate::sync::Backoff;
+    use crate::sync::SpinYield;
 
     let stm = tx.stm;
     let me = tx.slot_idx;
@@ -186,14 +186,14 @@ pub(crate) fn seqlock_grant_token(tx: &mut Txn<'_>) -> bool {
         Some(_) => return false,
         None => {}
     }
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     loop {
         if tx.deadline_expired() || stm.shutdown.load(Ordering::SeqCst) {
             return false;
         }
         let t = stm.timestamp.load(Ordering::SeqCst);
         if t & 1 == 1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         if stm
@@ -201,7 +201,7 @@ pub(crate) fn seqlock_grant_token(tx: &mut Txn<'_>) -> bool {
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         let got = stm

@@ -37,7 +37,7 @@ use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
 use crate::server::withdraw_request;
 use crate::stats::ServerCounters;
-use crate::sync::Backoff;
+use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::{fence, Ordering};
@@ -183,14 +183,14 @@ impl Algorithm for RInvalMV {
 fn stable_revalidate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
     let stm = tx.stm;
     let ts = &stm.timestamp;
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     loop {
         if bk.is_yielding() && tx.deadline_expired() {
             return Err(Aborted);
         }
         let t = ts.load(Ordering::SeqCst);
         if t & 1 == 1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         let extra_v = extra.map_or(0, |h| stm.heap.load(h));
@@ -203,7 +203,7 @@ fn stable_revalidate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, 
         }
         fence(Ordering::SeqCst);
         if ts.load(Ordering::SeqCst) != t {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         if !ok {

@@ -17,7 +17,7 @@
 use super::{sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
-use crate::sync::Backoff;
+use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::{fence, Ordering};
@@ -47,7 +47,7 @@ impl Algorithm for NOrec {
 
 pub(crate) fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
     let ts = &tx.stm.timestamp;
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     loop {
         let t = ts.load(Ordering::SeqCst);
         if t & 1 == 0 {
@@ -57,7 +57,7 @@ pub(crate) fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
         if bk.is_yielding() && tx.deadline_expired() {
             return Err(Aborted);
         }
-        bk.snooze();
+        bk.pause();
     }
 }
 
@@ -65,14 +65,14 @@ pub(crate) fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
 /// set is now known to be consistent at, extending the snapshot.
 fn validate(tx: &mut Txn<'_>) -> TxResult<u64> {
     let ts = &tx.stm.timestamp;
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     loop {
         if bk.is_yielding() && tx.deadline_expired() {
             return Err(Aborted);
         }
         let t = ts.load(Ordering::SeqCst);
         if t & 1 == 1 {
-            bk.snooze();
+            bk.pause();
             continue;
         }
         let mut ok = true;
@@ -86,7 +86,7 @@ fn validate(tx: &mut Txn<'_>) -> TxResult<u64> {
         if ts.load(Ordering::SeqCst) != t {
             // A commit raced the scan; its write-back may have been
             // partially observed. Rescan at the new timestamp.
-            bk.snooze();
+            bk.pause();
             continue;
         }
         if !ok {
@@ -119,7 +119,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         return Ok(());
     }
     let ts = &tx.stm.timestamp;
-    let mut bk = Backoff::new();
+    let mut bk = SpinYield::new();
     // Acquire the sequence lock at our snapshot; any interleaved commit
     // forces revalidation first, so the CAS success certifies the read-set.
     // The token gate must be explicit here (§13): `validate` happily
@@ -130,7 +130,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
             if bk.is_yielding() && tx.deadline_expired() {
                 return Err(Aborted);
             }
-            bk.snooze();
+            bk.pause();
             continue;
         }
         match ts.compare_exchange(
@@ -144,7 +144,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
                 if bk.is_yielding() && tx.deadline_expired() {
                     return Err(Aborted);
                 }
-                bk.snooze();
+                bk.pause();
                 tx.snapshot = validate(tx)?;
             }
         }

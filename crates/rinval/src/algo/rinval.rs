@@ -9,21 +9,20 @@
 //!    request slot;
 //! 3. flips `request_state` to `PENDING` (the release edge that hands the
 //!    write-set to the commit-server);
-//! 4. spins **on its own slot** — not on any shared lock — until the server
-//!    answers `COMMITTED` or `ABORTED` (Algorithm 2, line 8).
+//! 4. waits **on its own slot** — not on any shared lock — until the server
+//!    answers `COMMITTED` or `ABORTED` (Algorithm 2, line 8): spin, yield,
+//!    then park behind the slot's sleeper flag ([`crate::sync::Waiter`]).
 //!
 //! No CAS is executed anywhere on this path, which is the paper's headline
-//! mechanism for removing coherence traffic from the critical path.
+//! mechanism for removing coherence traffic from the critical path; the
+//! wake it owes a parked commit-server is one load of the seat's flag.
 
 use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
-use crate::registry::{
-    REQ_ABORTED, REQ_COMMITTED, REQ_IDLE, REQ_IRREVOCABLE, REQ_PENDING, TX_INVALIDATED,
-};
-use crate::server::withdraw_request;
+use crate::registry::{REQ_ABORTED, REQ_COMMITTED, REQ_IRREVOCABLE, REQ_PENDING, TX_INVALIDATED};
+use crate::server::{slot_waiter, wake_seat, withdraw_request};
 use crate::stats::ServerCounters;
-use crate::sync::Backoff;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::Ordering;
@@ -135,82 +134,67 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // losing a request. Only the server — or a withdrawal this client
     // performs itself — clears the bit.
     tx.stm.registry.pending().set(tx.slot_idx);
+    wake_seat(tx.stm, 0);
     tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
 
-    // Algorithm 2, line 8: spin on our own cache line. The wait is
-    // *bounded*: once the spinner degrades to yields, every pass re-checks
-    // the escape conditions (shutdown, degradation, the attempt deadline)
-    // and resolves the request through `withdraw_request` — which either
-    // takes a verdict the server already produced or retracts the request
-    // so no server can ever see it.
-    let mut bk = Backoff::new();
-    let outcome = loop {
-        match slot.request_state.load(Ordering::SeqCst) {
-            REQ_COMMITTED => break Ok(()),
-            REQ_ABORTED => break Err(Aborted),
-            _ => {
-                if bk.is_yielding() {
-                    if tx.stm.shutdown.load(Ordering::SeqCst) {
-                        match withdraw_request(tx.stm, tx.slot_idx) {
-                            Some(committed) => {
-                                return if committed { Ok(()) } else { Err(Aborted) }
-                            }
-                            // Unreachable through the public API
-                            // (ThreadHandle borrows the Stm, which shuts
-                            // down only after all handles drop), but fail
-                            // loudly rather than hang if that invariant
-                            // is ever broken. The withdrawal above
-                            // already retracted the payload, so the panic
-                            // is contained like any other body panic.
-                            None => panic!(
-                                "rinval: STM shut down with a commit request outstanding"
-                            ),
-                        }
-                    }
-                    if tx.stm.degraded.load(Ordering::SeqCst) {
-                        match withdraw_request(tx.stm, tx.slot_idx) {
-                            Some(true) => return Ok(()),
-                            _ => return Err(Aborted),
-                        }
-                    }
-                    if tx.deadline_expired() {
-                        match withdraw_request(tx.stm, tx.slot_idx) {
-                            Some(true) => return Ok(()),
-                            verdict => {
-                                if verdict.is_none() {
-                                    // The request was genuinely retracted
-                                    // at the deadline (no server verdict
-                                    // raced in): a timeout withdrawal.
-                                    ServerCounters::add(
-                                        &tx.stm.server_stats.timed_out_requests,
-                                        1,
-                                    );
-                                    ServerCounters::add(
-                                        &tx.stm.server_stats.timeout_withdrawals,
-                                        1,
-                                    );
-                                }
-                                return Err(Aborted);
-                            }
-                        }
-                    }
-                }
-                bk.snooze();
+    match await_verdict(tx) {
+        Some(true) => Ok(()),
+        Some(false) => Err(Aborted),
+        // Retracted before any server claimed it.
+        None => {
+            // Unreachable through the public API (ThreadHandle borrows the
+            // Stm, which shuts down only after all handles drop), but fail
+            // loudly rather than hang if that invariant is ever broken.
+            // The payload is already retracted, so the panic is contained
+            // like any other body panic.
+            assert!(
+                !tx.stm.shutdown.load(Ordering::SeqCst),
+                "rinval: STM shut down with a commit request outstanding"
+            );
+            if tx.timed_out {
+                // A timeout withdrawal: no server verdict raced in.
+                ServerCounters::add(&tx.stm.server_stats.timed_out_requests, 1);
+                ServerCounters::add(&tx.stm.server_stats.timeout_withdrawals, 1);
             }
+            Err(Aborted)
         }
-    };
-    // Retract the payload before the slot is reused.
-    slot.req_ws_ptr
-        .store(std::ptr::null_mut(), Ordering::Relaxed);
-    slot.req_ws_len.store(0, Ordering::Relaxed);
-    slot.request_state.store(REQ_IDLE, Ordering::SeqCst);
-    outcome
+    }
+}
+
+/// Algorithm 2, line 8: waits on this client's own cache line for the
+/// verdict on the request it just posted — spin, yield, then park behind
+/// the slot's sleeper flag, never past the attempt's deadline. The wait is
+/// *bounded*: once the spin phase is over, every pass re-checks the escape
+/// conditions (shutdown, degradation, the deadline). Either way the request
+/// is resolved through [`withdraw_request`], which takes the verdict a
+/// server produced (`Some(committed)`) or retracts the request so that no
+/// server can ever see it (`None`), and leaves the slot idle.
+fn await_verdict(tx: &mut Txn<'_>) -> Option<bool> {
+    let (stm, me) = (tx.stm, tx.slot_idx);
+    let slot = stm.registry.slot(me);
+    let mut w = slot_waiter(stm, me, tx.deadline);
+    loop {
+        let answered = matches!(
+            slot.request_state.load(Ordering::SeqCst),
+            REQ_COMMITTED | REQ_ABORTED
+        );
+        if answered
+            || (w.is_yielding()
+                && (stm.shutdown.load(Ordering::SeqCst)
+                    || stm.degraded.load(Ordering::SeqCst)
+                    || tx.deadline_expired()))
+        {
+            drop(w);
+            return withdraw_request(stm, me);
+        }
+        w.pause();
+    }
 }
 
 /// RInval irrevocable-token acquisition (DESIGN.md §13): the request is
 /// posted over the same cache-aligned slot as a commit — payload-free, in
 /// the distinct [`REQ_IRREVOCABLE`] state so a server never mistakes it
-/// for a commit — and the client spins on its own line for the verdict,
+/// for a commit — and the client waits on its own line for the verdict,
 /// exactly like [`client_commit`]. No CAS anywhere on the client path.
 ///
 /// The commit-server grants (`COMMITTED`) only between commits and, under
@@ -235,36 +219,13 @@ pub(crate) fn remote_grant_token(tx: &mut Txn<'_>) -> bool {
     let slot = stm.registry.slot(me);
     slot.request_state.store(REQ_IRREVOCABLE, Ordering::SeqCst);
     stm.registry.pending().set(me);
+    wake_seat(stm, 0);
 
-    let took_token = |granted: bool| -> bool {
-        if granted && stm.irrevocable_holder() == Some(me) {
-            true
-        } else {
-            stm.release_irrevocable(me);
-            false
-        }
-    };
-    let mut bk = Backoff::new();
-    loop {
-        match slot.request_state.load(Ordering::SeqCst) {
-            REQ_COMMITTED => {
-                slot.request_state.store(REQ_IDLE, Ordering::SeqCst);
-                return took_token(true);
-            }
-            REQ_ABORTED => {
-                slot.request_state.store(REQ_IDLE, Ordering::SeqCst);
-                return took_token(false);
-            }
-            _ => {
-                if bk.is_yielding()
-                    && (stm.shutdown.load(Ordering::SeqCst)
-                        || stm.degraded.load(Ordering::SeqCst)
-                        || tx.deadline_expired())
-                {
-                    return took_token(withdraw_request(stm, me) == Some(true));
-                }
-                bk.snooze();
-            }
-        }
+    // Every give-up path releases a grant that landed regardless.
+    if await_verdict(tx) == Some(true) && stm.irrevocable_holder() == Some(me) {
+        true
+    } else {
+        stm.release_irrevocable(me);
+        false
     }
 }

@@ -487,6 +487,9 @@ impl StmInner {
         if self.irrevocable.load(Ordering::SeqCst) == idx {
             self.irrevocable
                 .store(registry::NO_IRREVOCABLE_HOLDER, Ordering::SeqCst);
+            // Requests the commit-server held back for the holder's sake
+            // are serviceable from here on.
+            server::wake_seat(self, 0);
         }
     }
 
@@ -838,6 +841,7 @@ impl Stm {
 impl Drop for Stm {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        server::wake_all(&self.inner);
         for s in self.servers.drain(..) {
             let _ = s.join();
         }

@@ -32,7 +32,7 @@
 
 use crate::bloom::AtomicBloom;
 use crate::logs::WriteEntry;
-use crate::sync::{AtomicBitmap, CachePadded};
+use crate::sync::{AtomicBitmap, CachePadded, Sleeper};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -94,8 +94,11 @@ pub struct TxSlot {
     /// scanned by committers (InvalSTM) or invalidation-servers (RInval).
     pub read_bf: AtomicBloom,
     /// [`REQ_IDLE`] / [`REQ_PENDING`] / [`REQ_COMMITTED`] / [`REQ_ABORTED`].
-    /// The only word a committing RInval client spins on.
+    /// The only word a committing RInval client waits on.
     pub request_state: AtomicU32,
+    /// Raised by the owner before it parks on `request_state`; whoever
+    /// stores a verdict checks it (`server::answer`).
+    pub(crate) sleeper: Sleeper,
     /// The heap's reclamation era observed when the slot's current
     /// transaction began, or `u64::MAX` while no transaction runs. Every
     /// algorithm pins this at begin (before its first shared read) and
@@ -127,6 +130,7 @@ impl Default for TxSlot {
             read_bf: AtomicBloom::new(),
             start_era: AtomicU64::new(u64::MAX),
             request_state: AtomicU32::new(REQ_IDLE),
+            sleeper: Sleeper::default(),
             req_write_bf: AtomicBloom::new(),
             req_ws_ptr: AtomicPtr::new(std::ptr::null_mut()),
             req_ws_len: AtomicUsize::new(0),
@@ -240,6 +244,7 @@ impl Registry {
         debug_assert!(idx < self.slots.len());
         self.slots[idx].tx_status.store(TX_IDLE, Ordering::SeqCst);
         self.slots[idx].request_state.store(REQ_IDLE, Ordering::SeqCst);
+        self.slots[idx].sleeper.retract();
         self.slots[idx].start_era.store(u64::MAX, Ordering::SeqCst);
         self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();

@@ -25,10 +25,35 @@
 //!   the instance to the serverless InvalSTM engine (see "Fault
 //!   containment" below).
 //!
-//! Servers spin with [`Backoff`] (bounded spin, then yield) instead of the
-//! paper's pinned-core busy loop so the protocol stays live on
-//! oversubscribed hosts; the logic is otherwise a transcription of
-//! Algorithms 2–4 with the deviations documented here.
+//! The logic is a transcription of Algorithms 2–4 with the deviations
+//! documented here. The first is how everyone waits.
+//!
+//! ## Waiting
+//!
+//! The paper pins every server to its own core and busy-loops. Here client,
+//! commit-server and invalidation-server routinely share two cores, so each
+//! of the three protocol waits goes through the one primitive,
+//! [`Waiter`]: a sub-microsecond spin, a bounded run of yields (the
+//! hand-off when the awaited thread is off-core), then a bounded park
+//! behind a sleeper flag in a line the waiter owns. Whoever publishes what
+//! a waiter waits for owes it a wake — one `SeqCst` load of that flag
+//! after the publishing store — and every such store goes through one of
+//! two helpers so that the wake cannot be forgotten:
+//!
+//! | waiter | waits on | publishing store | wake |
+//! |---|---|---|---|
+//! | client (its `TxSlot`) | a verdict in `request_state` | every verdict store | [`answer`] |
+//! | commit-server (seat 0) | the `pending` summary | client's `pending().set` | [`wake_seat`]`(0)` |
+//! | commit-server (seat 0) | lagging `inval_ts`, incl. the mid-scan ring wait and the token drain | invalidator's `inval_ts` store | [`wake_seat`]`(0)` |
+//! | commit-server (seat 0) | requests held back for the token holder | holder's `release_irrevocable` | [`wake_seat`]`(0)` |
+//! | invalidation-server (seat `1 + k`) | `timestamp` | commit-server's odd-timestamp store | [`wake_seat`]`(1 + k)` |
+//! | all of them | `shutdown`, `degraded`, a respawn | `Stm::drop`, [`degrade`], [`watchdog`] | [`wake_all`] |
+//!
+//! A seat parks for at most one watchdog interval, a client for at most
+//! that and never past its attempt deadline (`sync.rs` has the lost-wake
+//! argument; DESIGN.md §12 the bound table), so a wake this table does not
+//! list costs one bound of latency, never a hang — and a client parked on
+//! its slot is still withdrawn on time by `try_run_for`.
 //!
 //! ## Summary-bitmap scans
 //!
@@ -104,7 +129,7 @@ use crate::registry::{
 };
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
-use crate::sync::Backoff;
+use crate::sync::{Sleeper, Waiter};
 use crate::{AlgorithmKind, StmInner};
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
@@ -148,6 +173,72 @@ fn mask_set(mask: &mut [u64], i: usize) {
 #[inline]
 fn mask_get(mask: &[u64], i: usize) -> bool {
     mask[i / 64] & (1u64 << (i % 64)) != 0
+}
+
+/// The wake a poster owes after the `SeqCst` store that publishes what
+/// `sleeper`'s owner waits for: one load of the flag, and a syscall only
+/// if the owner announced that it is parking.
+#[inline]
+fn wake(stm: &StmInner, sleeper: &Sleeper) {
+    if sleeper.wake() {
+        ServerCounters::add(&stm.server_stats.wakes_sent, 1);
+    }
+}
+
+/// The one place a verdict reaches a client: store it, then wake the
+/// client if it parked on its slot — so a verdict without a wake cannot
+/// be written. (The token grant's answer is a CAS, not a store; it calls
+/// [`wake`] itself.)
+#[inline]
+fn answer(stm: &StmInner, i: usize, verdict: u32) {
+    let slot = stm.registry.slot(i);
+    slot.request_state.store(verdict, Ordering::SeqCst);
+    wake(stm, &slot.sleeper);
+}
+
+/// Wakes server seat `seat` if it parked (serverless kinds have no seats).
+/// Owed after every store a seat waits on: a client's `pending().set`, an
+/// invalidator's `inval_ts` store and the irrevocable token's release
+/// (seat 0); the commit-server's odd-timestamp store (seats `1..`).
+#[inline]
+pub(crate) fn wake_seat(stm: &StmInner, seat: usize) {
+    if let Some(hb) = stm.health.get(seat) {
+        wake(stm, &hb.sleeper);
+    }
+}
+
+/// Wakes every parked seat and client. Owed after the stores every wait
+/// loop treats as an escape — `shutdown`, `degraded` — and after a respawn.
+pub(crate) fn wake_all(stm: &StmInner) {
+    for hb in stm.health.iter() {
+        wake(stm, &hb.sleeper);
+    }
+    for (_, slot) in stm.registry.iter() {
+        wake(stm, &slot.sleeper);
+    }
+}
+
+/// The waiter of server seat `seat`. A park lasts at most one watchdog
+/// interval, so a seat that is parked with work outstanding (a wake nobody
+/// owed it) still beats between two polls and is never taken for stalled.
+fn seat_waiter(stm: &StmInner, seat: usize) -> Waiter<'_> {
+    Waiter::new(
+        &stm.health[seat].sleeper,
+        stm.watchdog.interval,
+        None,
+        &stm.server_stats.server_parks,
+    )
+}
+
+/// The waiter of the client owning slot `idx`, woken by [`answer`]. Parks
+/// are bounded like a seat's and never outlast the attempt's `deadline`.
+pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>) -> Waiter<'_> {
+    Waiter::new(
+        &stm.registry.slot(idx).sleeper,
+        stm.watchdog.interval,
+        deadline,
+        &stm.server_stats.client_parks,
+    )
 }
 
 /// Invalidates every live transaction (except those in `skip_mask`) whose
@@ -240,7 +331,7 @@ fn refuse_request(stm: &StmInner, i: usize, inherit: u32) {
     let slot = stm.registry.slot(i);
     slot.priority.fetch_max(inherit, Ordering::SeqCst);
     stm.note_priority(inherit);
-    slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+    answer(stm, i, REQ_ABORTED);
     ServerCounters::add(&stm.server_stats.priority_refusals, 1);
 }
 
@@ -287,7 +378,8 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
         _ => return false,
     }
     stm.registry.pending().clear(i);
-    if stm.registry.slot(i)
+    let slot = stm.registry.slot(i);
+    if slot
         .request_state
         .compare_exchange(
             REQ_IRREVOCABLE,
@@ -297,6 +389,7 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
         )
         .is_ok()
     {
+        wake(stm, &slot.sleeper);
         ServerCounters::add(&stm.server_stats.irrevocable_grants, 1);
         true
     } else {
@@ -347,7 +440,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
     let mut batch_rbf = Bloom::new();
     let mut batch: Vec<(usize, *const WriteEntry, usize)> = Vec::new();
     let mut batch_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
-    let mut idle = Backoff::new();
+    let mut idle = seat_waiter(stm, 0);
     while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
         hb.beat();
         if !pass_failpoints(
@@ -424,7 +517,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                 // still CLAIMED at an odd timestamp has passed this check.
                 if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
                     stm.registry.pending().clear(i);
-                    slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+                    answer(stm, i, REQ_ABORTED);
                     answered = true;
                     return ControlFlow::Continue(());
                 }
@@ -490,10 +583,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
             stm.timestamp.store(t + 2, Ordering::SeqCst);
             // Line 24: answer every member.
             for &(i, _, _) in &batch {
-                stm.registry
-                    .slot(i)
-                    .request_state
-                    .store(REQ_COMMITTED, Ordering::SeqCst);
+                answer(stm, i, REQ_COMMITTED);
             }
             ServerCounters::add(&st.batches, 1);
             ServerCounters::add(&st.batched_requests, batch.len() as u64);
@@ -503,7 +593,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
             idle.reset();
         } else {
             ServerCounters::add(&st.empty_passes, 1);
-            idle.snooze();
+            idle.pause();
         }
     }
 }
@@ -514,7 +604,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
     let _alive = hb.alive_guard();
     let st = &stm.server_stats;
     let mut wbf = Bloom::new();
-    let mut idle = Backoff::new();
+    let mut idle = seat_waiter(stm, 0);
     let ring = stm.commit_ring.len() as u64;
     let nk = stm.inval_ts.len();
     'scan: while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
@@ -547,7 +637,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                     } else {
                         // Draining is an empty pass: nothing was answered.
                         ServerCounters::add(&st.empty_passes, 1);
-                        idle.snooze();
+                        idle.pause();
                         continue 'scan;
                     }
                 }
@@ -597,8 +687,8 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // consumed. The request is still PENDING here
                 // (withdrawable); we keep beating so a lagging
                 // *invalidator* — not this seat — is what the watchdog sees
-                // as stalled.
-                let mut bk = Backoff::new();
+                // as stalled. The wait continues the seat's own budget: the
+                // pass may already be running with the sleeper announced.
                 for k in 0..nk {
                     while t.saturating_sub(stm.inval_ts[k].load(Ordering::SeqCst))
                         > stm.steps_ahead_ts
@@ -609,7 +699,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                             return ControlFlow::Break(());
                         }
                         hb.beat();
-                        bk.snooze();
+                        idle.pause();
                     }
                 }
                 // Pickup (see the module docs): the CAS makes us the
@@ -631,7 +721,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 answered = true;
                 // Algorithm 3, lines 9–10: authoritative invalidation check.
                 if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
-                    slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+                    answer(stm, i, REQ_ABORTED);
                     return ControlFlow::Continue(());
                 }
                 // Algorithm 3 line 12 / Algorithm 4 line 8: hand the write
@@ -661,10 +751,11 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // commit.
                 stm.timestamp.store(t + 1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
+                (1..=nk).for_each(|seat| wake_seat(stm, seat));
                 // Line 14: write-back runs in parallel with invalidation.
                 unsafe { write_back(stm, ptr, len, t + 2) };
                 stm.timestamp.store(t + 2, Ordering::SeqCst);
-                slot.request_state.store(REQ_COMMITTED, Ordering::SeqCst);
+                answer(stm, i, REQ_COMMITTED);
                 ControlFlow::Continue(())
             },
         );
@@ -675,7 +766,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
             idle.reset();
         } else {
             ServerCounters::add(&st.empty_passes, 1);
-            idle.snooze();
+            idle.pause();
         }
     }
 }
@@ -688,7 +779,7 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
     let hb = &stm.health[1 + k];
     let _alive = hb.alive_guard();
     let mut wbf = Bloom::new();
-    let mut idle = Backoff::new();
+    let mut idle = seat_waiter(stm, 1 + k);
     let me = &stm.inval_ts[k];
     let ring = stm.commit_ring.len() as u64;
     let mut skip_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
@@ -714,11 +805,13 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
                 mask_set(&mut skip_mask, requester);
             }
             invalidate_conflicting(stm, &wbf, &skip_mask, Some(k));
-            // Line 24: catch up by one commit.
+            // Line 24: catch up by one commit — which is what the
+            // commit-server waits for before it claims the next request.
             me.store(my + 2, Ordering::SeqCst);
+            wake_seat(stm, 0);
             idle.reset();
         } else {
-            idle.snooze();
+            idle.pause();
         }
     }
 }
@@ -738,7 +831,7 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
 /// arm just waits the verdict out.
 pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
     let slot = stm.registry.slot(idx);
-    let mut bk = Backoff::new();
+    let mut claimed = slot_waiter(stm, idx, None);
     loop {
         match slot.request_state.load(Ordering::SeqCst) {
             REQ_IDLE => return None,
@@ -767,7 +860,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
                 }
                 // Lost to a concurrent claim; loop to read the new state.
             }
-            REQ_CLAIMED => bk.snooze(),
+            REQ_CLAIMED => claimed.pause(),
             verdict => {
                 debug_assert!(verdict == REQ_COMMITTED || verdict == REQ_ABORTED);
                 slot.req_ws_ptr
@@ -813,7 +906,7 @@ pub(crate) fn drain_requests_abort(stm: &StmInner) {
                     .is_ok()
             {
                 stm.registry.pending().clear(i);
-                slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+                answer(stm, i, REQ_ABORTED);
                 ServerCounters::add(&stm.server_stats.drained_requests, 1);
             }
             ControlFlow::Continue(())
@@ -871,18 +964,12 @@ pub(crate) fn recover_inflight(stm: &StmInner) {
         stm.timestamp.store(t + 1, Ordering::SeqCst);
         for &i in &claimed {
             stm.registry.pending().clear(i);
-            stm.registry
-                .slot(i)
-                .request_state
-                .store(REQ_COMMITTED, Ordering::SeqCst);
+            answer(stm, i, REQ_COMMITTED);
         }
     } else {
         for &i in &claimed {
             stm.registry.pending().clear(i);
-            stm.registry
-                .slot(i)
-                .request_state
-                .store(REQ_ABORTED, Ordering::SeqCst);
+            answer(stm, i, REQ_ABORTED);
             ServerCounters::add(&stm.server_stats.drained_requests, 1);
         }
     }
@@ -899,12 +986,13 @@ pub(crate) fn degrade(stm: &StmInner) {
     }
     ServerCounters::add(&stm.server_stats.degradations, 1);
     drain_requests_abort(stm);
+    wake_all(stm);
 }
 
 /// Whether `seat` has work outstanding — the gate that distinguishes a
 /// *stalled* server (silent with work to do) from an *idle* one (silent
-/// because there is nothing to do; servers back off to OS yields between
-/// passes, so an idle seat beats rarely).
+/// because there is nothing to do; an idle seat parks between passes and
+/// beats once per park bound).
 fn seat_busy(stm: &StmInner, seat: usize) -> bool {
     if seat == 0 {
         stm.registry.pending().any_set() || stm.timestamp.load(Ordering::SeqCst) & 1 == 1
@@ -1035,6 +1123,10 @@ pub(crate) fn watchdog(stm: Arc<StmInner>) {
                 let up = match spawn_server(&stm, role) {
                     Ok(h) => {
                         children.push(h);
+                        // Whatever wake the dead thread still owed (it may
+                        // have died between a store and its wake) is paid
+                        // here, so nobody sleeps out a park bound on it.
+                        wake_all(&stm);
                         let t0 = Instant::now();
                         // Same check-in rule as the startup phase: beats
                         // progress counts even if the replacement has

@@ -181,6 +181,12 @@ pub struct ServerCounters {
     /// Snapshot transactions promoted to the full write protocol on their
     /// first write.
     pub ro_promotions: AtomicU64,
+    /// Times a server seat parked (an idle seat parks once per park bound).
+    pub server_parks: AtomicU64,
+    /// Times a client parked on its request slot waiting for a verdict.
+    pub client_parks: AtomicU64,
+    /// Unparks sent by posters that found a sleeper flag raised.
+    pub wakes_sent: AtomicU64,
     /// log₂ commit-latency histogram: bucket `i` counts commits whose
     /// attempt latency fell in `[2^i, 2^(i+1))` nanoseconds. Recording is
     /// opt-in ([`crate::StmBuilder::latency_histogram`]) — it costs two
@@ -232,6 +238,9 @@ impl ServerCounters {
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
             ring_misses: self.ring_misses.load(Ordering::Relaxed),
             ro_promotions: self.ro_promotions.load(Ordering::Relaxed),
+            server_parks: self.server_parks.load(Ordering::Relaxed),
+            client_parks: self.client_parks.load(Ordering::Relaxed),
+            wakes_sent: self.wakes_sent.load(Ordering::Relaxed),
             commit_latency: std::array::from_fn(|i| self.commit_latency[i].load(Ordering::Relaxed)),
         }
     }
@@ -286,6 +295,12 @@ pub struct ServerStats {
     pub ring_misses: u64,
     /// Snapshot transactions promoted to the write protocol.
     pub ro_promotions: u64,
+    /// Times a server seat parked.
+    pub server_parks: u64,
+    /// Times a client parked on its request slot.
+    pub client_parks: u64,
+    /// Unparks sent by posters that found a sleeper flag raised.
+    pub wakes_sent: u64,
     /// log₂ commit-latency histogram (bucket `i` = `[2^i, 2^(i+1))` ns);
     /// all-zero unless the instance was built with
     /// [`crate::StmBuilder::latency_histogram`].
@@ -350,6 +365,9 @@ impl ServerStats {
             ro_snapshot_commits: self.ro_snapshot_commits - earlier.ro_snapshot_commits,
             ring_misses: self.ring_misses - earlier.ring_misses,
             ro_promotions: self.ro_promotions - earlier.ro_promotions,
+            server_parks: self.server_parks - earlier.server_parks,
+            client_parks: self.client_parks - earlier.client_parks,
+            wakes_sent: self.wakes_sent - earlier.wakes_sent,
             commit_latency: std::array::from_fn(|i| {
                 self.commit_latency[i] - earlier.commit_latency[i]
             }),

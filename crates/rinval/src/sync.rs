@@ -2,23 +2,39 @@
 //!
 //! The paper's whole point is that *how* you wait matters: spinning on a
 //! shared lock generates cache-coherence traffic, while spinning on a
-//! core-private, cache-aligned word does not. This module provides the two
-//! building blocks for that:
+//! core-private, cache-aligned word does not. The paper can also assume
+//! that every server owns a core. This host cannot — client, commit-server
+//! and invalidation-server routinely share two cores, and the OS decides
+//! which of them share one — so the second half of waiting well is getting
+//! *off* the core when the thread being waited for needs it. This module
+//! holds the building blocks for both:
 //!
 //! * [`CachePadded`] — aligns a value to its own cache-line pair so that two
 //!   logically unrelated hot words never share a line (false sharing).
-//! * [`Backoff`] — bounded spinning that degrades to `thread::yield_now`.
-//!   The paper's testbed dedicates a physical core to each server thread;
-//!   this host may be heavily oversubscribed, so unbounded pure spinning
-//!   would deadlock the scheduler. Yielding after a short spin keeps the
-//!   protocol live at any core count without changing its logic.
+//! * [`Waiter`] — the one waiting discipline, used at every wait in the
+//!   crate: a sub-microsecond spin, a bounded run of `yield_now` (which on
+//!   an oversubscribed host *is* the hand-off), then `park_timeout` behind
+//!   a [`Sleeper`] flag. The three protocol waits — client on its
+//!   `request_state`, commit-server on the pending summary and on lagging
+//!   invalidators, invalidation-server on the timestamp — have a designated
+//!   poster and park; the seqlock waits have none and use the front half
+//!   alone, [`SpinYield`] (one word, so the per-read wait loops pay nothing
+//!   for a park they never reach). No other file under `crates/rinval/src`
+//!   calls `yield_now` or `park` (bar `cm.rs`'s abort backoff, which waits
+//!   for nobody), and CI's lint job keeps it so.
+//! * [`Sleeper`] — the flag a parked waiter raises in a line it already
+//!   owns (a client's `TxSlot`, a server seat's [`Heartbeat`]); posters
+//!   pay one load of it after their publishing store.
 //! * [`AtomicBitmap`] — a summary bitmap (one `AtomicU64` per 64 slots,
 //!   each word cache-padded) that lets server threads visit only the
 //!   registry slots that are actually pending/live instead of walking the
 //!   whole `max_threads` array on every pass.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// SplitMix64 output mix (Steele et al.): the workspace's one
 /// allocation- and state-free 64-bit avalanche — bloom probe bits, hash
@@ -229,14 +245,18 @@ impl Iterator for SetBits<'_> {
 #[derive(Debug)]
 pub struct Heartbeat {
     beats: CachePadded<AtomicU64>,
-    alive: CachePadded<std::sync::atomic::AtomicBool>,
+    alive: CachePadded<AtomicBool>,
+    /// Raised while the seat's server is (about to be) parked; whoever
+    /// publishes work for the seat checks it ([`Sleeper::wake`]).
+    pub(crate) sleeper: Sleeper,
 }
 
 impl Default for Heartbeat {
     fn default() -> Heartbeat {
         Heartbeat {
             beats: CachePadded::new(AtomicU64::new(0)),
-            alive: CachePadded::new(std::sync::atomic::AtomicBool::new(false)),
+            alive: CachePadded::new(AtomicBool::new(false)),
+            sleeper: Sleeper::default(),
         }
     }
 }
@@ -280,46 +300,211 @@ impl Drop for AliveGuard<'_> {
     }
 }
 
-/// Number of busy spins before a [`Backoff`] starts yielding to the OS.
-const SPIN_LIMIT: u32 = 64;
+/// Exponential spin rounds of a [`Waiter`] before its first `yield_now`:
+/// rounds of 1, 2, 4 and 8 `spin_loop`s — 15 pauses, under a microsecond —
+/// cover a reply that is already on its way between two cores.
+const SPIN_ROUNDS: u32 = 4;
 
-/// Bounded exponential spinner.
+/// `yield_now` rounds of a [`Waiter`] before it may park (≈ 2.7 ms alone on
+/// a core, longer when the core is shared). On an oversubscribed host the
+/// yield *is* the hand-off to the thread being waited for; it must outlast
+/// every gap inside the protocol so that only a genuinely idle thread
+/// parks — and the longest such gap is not a transaction body or a
+/// write-back but the peer being *off its core*: preempted for a scheduler
+/// slice, or itself parked and being woken. A budget shorter than that
+/// (256 rounds ≈ 85 µs was tried) lets one preemption park the waiter, the
+/// waiter's wake-up outlast the peer's budget in turn, and the two keep
+/// parking on each other: measured on `rinval-v1`, up to 22 000 hot-path
+/// parks in 30 s, quarter-second windows anywhere between 3 k and 690 k
+/// tx/s, against under 300 parks and an 8 % quartile distance with this
+/// value (DESIGN.md §12).
+const YIELD_ROUNDS: u32 = 8192;
+
+/// The park half of the waiting discipline: a *sleeper flag* in a cache
+/// line the waiter already owns, plus the `Thread` to unpark.
 ///
-/// The first `SPIN_LIMIT` waits use `core::hint::spin_loop` with an
-/// exponentially growing repeat count; afterwards every wait is an OS yield.
-/// Call [`Backoff::snooze`] in any loop that waits on another thread.
+/// Lost wakes are excluded by a store→load (Dekker) pair on each side, all
+/// `SeqCst`. The waiter stores the flag, *then* re-loads its condition and
+/// parks only if it still does not hold; a poster stores the condition,
+/// *then* loads the flag ([`Sleeper::wake`]). In the total order either the
+/// flag store precedes the poster's flag load — the poster unparks, and an
+/// unpark that beats the park leaves a token that makes the park return at
+/// once — or the poster's condition store precedes the waiter's re-load and
+/// the waiter never parks. The poster's fast path is therefore its own
+/// publishing store plus one load of this flag: no CAS, and no syscall
+/// unless a waiter announced itself.
 #[derive(Debug, Default)]
-pub struct Backoff {
+pub struct Sleeper {
+    asleep: AtomicBool,
+    /// Republished on every [`Sleeper::announce`], so a respawned server or
+    /// a handle that moved to another OS thread is never woken through a
+    /// stale `Thread`.
+    thread: Mutex<Option<Thread>>,
+}
+
+impl Sleeper {
+    /// Waiter side, step one: publish the calling thread and raise the
+    /// flag. The caller must re-check its condition before parking.
+    fn announce(&self) {
+        let me = std::thread::current();
+        let mut t = self.thread.lock().unwrap_or_else(PoisonError::into_inner);
+        if t.as_ref().map(Thread::id) != Some(me.id()) {
+            *t = Some(me);
+        }
+        drop(t);
+        self.asleep.store(true, Ordering::SeqCst);
+    }
+
+    /// Lowers the flag (waiter side; also slot recycling).
+    pub(crate) fn retract(&self) {
+        self.asleep.store(false, Ordering::SeqCst);
+    }
+
+    /// Poster side, called *after* the store that publishes what the waiter
+    /// waits for: unparks the waiter if it announced itself. Returns
+    /// whether a wake was sent.
+    #[inline]
+    pub fn wake(&self) -> bool {
+        if !self.asleep.load(Ordering::SeqCst) || !self.asleep.swap(false, Ordering::SeqCst) {
+            return false;
+        }
+        if let Some(t) = &*self.thread.lock().unwrap_or_else(PoisonError::into_inner) {
+            t.unpark();
+        }
+        true
+    }
+}
+
+/// The front half of the waiting discipline — spin, then yield — and all
+/// of it for the waits that have no designated poster (the seqlock waits:
+/// whoever releases the timestamp owes nobody a wake). One word of state,
+/// so a wait loop that never has to wait pays nothing for it.
+#[derive(Debug, Default)]
+pub struct SpinYield {
     step: u32,
 }
 
-impl Backoff {
-    /// A fresh backoff with zero accumulated steps.
+impl SpinYield {
+    /// A fresh budget.
     pub const fn new() -> Self {
-        Backoff { step: 0 }
+        SpinYield { step: 0 }
     }
 
-    /// Resets the spinner (e.g. after the awaited condition made progress).
+    /// Restarts the budget after the awaited condition made progress.
     pub fn reset(&mut self) {
         self.step = 0;
     }
 
-    /// Returns `true` once the spinner has degraded to OS yields, which is a
-    /// good moment for callers to re-check cancellation flags.
+    /// True once the spin phase is over — each further pause costs a
+    /// syscall, so this is where callers re-check their escape conditions
+    /// (deadline, shutdown, degradation) without taxing the fast path.
     pub fn is_yielding(&self) -> bool {
-        self.step > SPIN_LIMIT
+        self.step >= SPIN_ROUNDS
     }
 
-    /// Waits a little. Starts as a busy spin, degrades to `yield_now`.
-    pub fn snooze(&mut self) {
-        if self.step <= SPIN_LIMIT {
-            for _ in 0..(1u32 << (self.step.min(6))) {
+    /// True once the yield budget is spent too: a [`Waiter`] parks from
+    /// here on.
+    fn exhausted(&self) -> bool {
+        self.step >= SPIN_ROUNDS + YIELD_ROUNDS
+    }
+
+    /// Waits a little: the first `SPIN_ROUNDS` calls spin, every later one
+    /// yields to the OS.
+    #[inline]
+    pub fn pause(&mut self) {
+        if self.step < SPIN_ROUNDS {
+            for _ in 0..(1u32 << self.step) {
                 core::hint::spin_loop();
             }
-            self.step += 1;
         } else {
             std::thread::yield_now();
         }
+        self.step = self.step.saturating_add(1);
+    }
+}
+
+/// The one wait primitive of the three protocol waits: spin → yield → park.
+///
+/// Call [`Waiter::pause`] in any loop that waits on another thread, and
+/// re-check the awaited condition on every iteration. The spin and yield
+/// phases are [`SpinYield`]'s; once that budget is spent the waiter
+/// alternates between *announcing* itself on its [`Sleeper`] — returning so
+/// the caller's loop performs the re-check the Dekker argument needs — and
+/// `park_timeout`. Every park is bounded, so a wake the argument does not
+/// cover (a condition with no poster) costs latency, never a hang.
+#[derive(Debug)]
+pub struct Waiter<'a> {
+    front: SpinYield,
+    announced: bool,
+    sleeper: &'a Sleeper,
+    /// Longest single park.
+    bound: Duration,
+    /// Parks never extend past this instant (a client's attempt deadline).
+    deadline: Option<Instant>,
+    /// Counts parks (relaxed statistic).
+    parks: &'a AtomicU64,
+}
+
+impl<'a> Waiter<'a> {
+    /// A waiter whose posters call [`Sleeper::wake`] on `sleeper`. Each
+    /// park lasts at most `bound` and never past `deadline`; `parks` is
+    /// bumped once per park.
+    pub fn new(
+        sleeper: &'a Sleeper,
+        bound: Duration,
+        deadline: Option<Instant>,
+        parks: &'a AtomicU64,
+    ) -> Self {
+        Waiter {
+            front: SpinYield::new(),
+            announced: false,
+            sleeper,
+            bound,
+            deadline,
+            parks,
+        }
+    }
+
+    /// Restarts the budget after the awaited condition made progress.
+    pub fn reset(&mut self) {
+        self.front.reset();
+        self.retract();
+    }
+
+    /// See [`SpinYield::is_yielding`].
+    pub fn is_yielding(&self) -> bool {
+        self.front.is_yielding()
+    }
+
+    /// Waits a little: spin, then yield, then announce / park on alternate
+    /// calls.
+    pub fn pause(&mut self) {
+        if !self.front.exhausted() {
+            self.front.pause();
+        } else if !self.announced {
+            self.sleeper.announce();
+            self.announced = true;
+        } else {
+            let bound = match self.deadline {
+                Some(d) => self.bound.min(d.saturating_duration_since(Instant::now())),
+                None => self.bound,
+            };
+            self.parks.fetch_add(1, Ordering::Relaxed);
+            std::thread::park_timeout(bound);
+            self.retract();
+        }
+    }
+
+    fn retract(&mut self) {
+        if std::mem::take(&mut self.announced) {
+            self.sleeper.retract();
+        }
+    }
+}
+
+impl Drop for Waiter<'_> {
+    fn drop(&mut self) {
+        self.retract();
     }
 }
 
@@ -474,14 +659,70 @@ mod tests {
     }
 
     #[test]
-    fn backoff_eventually_yields() {
-        let mut b = Backoff::new();
-        assert!(!b.is_yielding());
-        for _ in 0..=SPIN_LIMIT + 1 {
-            b.snooze();
+    fn spin_yield_spins_then_yields_forever() {
+        let mut w = SpinYield::new();
+        assert!(!w.is_yielding());
+        for _ in 0..SPIN_ROUNDS {
+            w.pause();
         }
-        assert!(b.is_yielding());
-        b.reset();
-        assert!(!b.is_yielding());
+        assert!(w.is_yielding());
+        for _ in 0..2 * YIELD_ROUNDS {
+            w.pause();
+        }
+        w.reset();
+        assert!(!w.is_yielding());
+    }
+
+    #[test]
+    fn waiter_announces_before_it_parks_and_retracts_on_exit() {
+        let sleeper = Sleeper::default();
+        let parks = AtomicU64::new(0);
+        let mut w = Waiter::new(&sleeper, Duration::from_micros(50), None, &parks);
+        for _ in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+            w.pause();
+        }
+        assert!(!sleeper.asleep.load(Ordering::SeqCst));
+        // Announce and return, so the caller's loop re-checks its condition.
+        w.pause();
+        assert!(sleeper.asleep.load(Ordering::SeqCst));
+        assert_eq!(parks.load(Ordering::Relaxed), 0);
+        // Still waiting: park (bounded), then start the cycle over.
+        w.pause();
+        assert_eq!(parks.load(Ordering::Relaxed), 1);
+        assert!(!sleeper.asleep.load(Ordering::SeqCst));
+        w.pause();
+        assert!(sleeper.asleep.load(Ordering::SeqCst));
+        // The condition held on the re-check: leaving the loop lowers the flag.
+        drop(w);
+        assert!(!sleeper.asleep.load(Ordering::SeqCst));
+        assert!(!sleeper.wake(), "nobody announced: no wake is sent");
+    }
+
+    #[test]
+    fn wake_ends_a_park_early_and_a_park_never_outlasts_the_deadline() {
+        const BOUND: Duration = Duration::from_secs(30);
+        let sleeper = Sleeper::default();
+        let parks = AtomicU64::new(0);
+        let go = AtomicBool::new(false);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut w = Waiter::new(&sleeper, BOUND, None, &parks);
+                while !go.load(Ordering::SeqCst) {
+                    w.pause();
+                }
+            });
+            while parks.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            go.store(true, Ordering::SeqCst);
+            assert!(sleeper.wake());
+        });
+        let mut w = Waiter::new(&sleeper, BOUND, Some(Instant::now()), &parks);
+        for _ in 0..SPIN_ROUNDS + YIELD_ROUNDS + 2 {
+            w.pause();
+        }
+        assert_eq!(parks.load(Ordering::Relaxed), 2);
+        assert!(t0.elapsed() < BOUND / 2);
     }
 }

@@ -166,7 +166,7 @@ impl<'a> ThreadHandle<'a> {
     /// posted request (or takes the verdict if one raced in; a `COMMITTED`
     /// verdict at the deadline is returned as success, never dropped).
     /// Deadline checks ride the existing backoff escalation
-    /// ([`crate::sync::Backoff::is_yielding`]), so the contention-free
+    /// ([`crate::sync::SpinYield::is_yielding`]), so the contention-free
     /// fast path never reads the clock.
     pub fn try_run_for<T>(
         &mut self,
@@ -435,7 +435,7 @@ impl Txn<'_> {
     /// True once the attempt's deadline (if any) has passed; records the
     /// expiry so the retry loop reports [`crate::TxError::Timeout`].
     /// Callers check this only from already-yielding wait loops
-    /// ([`crate::sync::Backoff::is_yielding`]), keeping clock reads off
+    /// ([`crate::sync::SpinYield::is_yielding`]), keeping clock reads off
     /// the fast path.
     #[inline]
     pub(crate) fn deadline_expired(&mut self) -> bool {

@@ -60,6 +60,12 @@ fn ro_commits_in_one_attempt_under_hostile_writers() {
 
         let reader = s.spawn(|| {
             let mut th = stm.register_thread();
+            // 400 snapshot reads can finish before a writer's first commit
+            // has woken a parked server; the stream is hostile only once
+            // it has started.
+            while stm.timestamp() == 0 {
+                std::thread::yield_now();
+            }
             for _ in 0..RO_TXS {
                 let sum = th.run_ro(|tx| {
                     attempts.fetch_add(1, Ordering::Relaxed);

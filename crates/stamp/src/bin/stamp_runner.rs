@@ -94,11 +94,14 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
                 .map_or_else(|| "-".to_string(), |ns| format!("{:.1}us", ns as f64 / 1e3))
         };
         println!(
-            "{:>10} {:>10} commit-latency p50={} p99={}",
+            "{:>10} {:>10} commit-latency p50={} p99={} server_parks={} client_parks={} wakes_sent={}",
             app.name(),
             algo.name(),
             fmt(0.5),
             fmt(0.99),
+            st.server_parks,
+            st.client_parks,
+            st.wakes_sent,
         );
     }
     if verdict.is_err() {
