@@ -16,9 +16,10 @@
 //!
 //! * at a 128-slot registry with ≤ 4 live transactions the scan-work
 //!   reduction must be ≥ 2×;
-//! * the shared scan kernel ([`rinval::scan::scan`] + lane-unrolled bloom
-//!   cores + slot prefetch) must beat a faithful replica of the previous
-//!   open-coded scalar scan by ≥ 1.3× wall-clock at 128 live slots.
+//! * the shared scan kernel ([`rinval::scan::scan`] + the summary-walking
+//!   conflict test + slot prefetch) must beat a faithful replica of the
+//!   previous open-coded dense scan by ≥ 1.3× wall-clock at 128 live
+//!   slots.
 //!
 //! The bench exits non-zero if either bar is missed, so the CI smoke step
 //! (`cargo bench --bench server_scan -- --test`) enforces both on every
@@ -120,14 +121,14 @@ fn report(m: &Measurement) {
 ///
 /// The reference replicates the scan every site open-coded before the
 /// kernel layer — `iter_set_bits` over the `live` map, an `is_live`
-/// check, and a *scalar* full-width `intersects_plain` per slot, with no
-/// prefetch. The kernel side is the real [`scan`] call with the
-/// scan-amortized sparse intersection (`nonzero_words` indexed once per
-/// scan, as `invalidate_conflicting` does) dispatching to the default
-/// lane-unrolled cores. Read signatures are populated and (address-wise)
-/// disjoint from the committer's write signature, so the reference pays
-/// the full 256-word sweep per visit — the scan-dominated case the gate
-/// targets.
+/// check, and the *dense* 256-word oracle
+/// `cores::intersects_plain_scalar` per slot, with no prefetch. The
+/// kernel side is the real [`scan`] call with the product conflict test,
+/// `AtomicBloom::intersects_plain`, which loads only the reader words the
+/// write signature's summary names, as `invalidate_conflicting` does.
+/// Read signatures are populated and (address-wise) disjoint from the
+/// committer's write signature, so the reference pays the full 256-word
+/// sweep per visit — the scan-dominated case the gate targets.
 fn kernel_speedup(slots: usize, iters: u32, reps: usize) -> f64 {
     let reg = Registry::new(slots);
     for i in 0..slots {
@@ -173,9 +174,6 @@ fn kernel_speedup(slots: usize, iters: u32, reps: usize) -> f64 {
     };
     let mut kernel_scan = || {
         let mut hits = 0u64;
-        // Index the committer signature once per scan, exactly as
-        // `invalidate_conflicting` does.
-        let nz = wbf.nonzero_words();
         let _ = scan(
             &reg,
             &counters,
@@ -183,7 +181,7 @@ fn kernel_speedup(slots: usize, iters: u32, reps: usize) -> f64 {
             ScanKind::Inval,
             |_| true,
             |_, s| {
-                if s.is_live() && s.read_bf.intersects_plain_sparse(&wbf, &nz) {
+                if s.is_live() && s.read_bf.intersects_plain(&wbf) {
                     hits += 1;
                 }
                 std::ops::ControlFlow::Continue(())
@@ -251,13 +249,13 @@ fn main() {
         m.stats.batched_requests - m.stats.batches,
     );
 
-    // Kernel-vs-replica wall clock: the vectorized kernel must hold a
-    // ≥ 1.3× win over the previous open-coded scalar scan at 128 live
-    // slots (the scan-dominated geometry the kernel layer targets).
+    // Kernel-vs-replica wall clock: the kernel must hold a ≥ 1.3× win
+    // over the previous open-coded dense scan at 128 live slots (the
+    // scan-dominated geometry the kernel layer targets).
     let (iters, reps) = if smoke { (200, 3) } else { (2_000, 7) };
     for slots in REGISTRY_SIZES {
         let speedup = kernel_speedup(slots, iters, reps);
-        println!("kernel speedup vs open-coded scalar scan at {slots:>3} live slots: {speedup:.2}x");
+        println!("kernel speedup vs open-coded dense scan at {slots:>3} live slots: {speedup:.2}x");
         if slots == 128 && speedup < 1.3 {
             eprintln!("FAIL: kernel speedup {speedup:.2} < 1.3 at 128 live slots");
             gate = false;
@@ -267,5 +265,8 @@ fn main() {
     if !gate {
         std::process::exit(1);
     }
-    println!("ok: >=2x scan-work reduction at 128-slot registry, >=1.3x kernel speedup");
+    println!(
+        "ok: >=2x scan-work reduction at 128-slot registry, \
+         >=1.3x summary-walk kernel over the dense replica"
+    );
 }

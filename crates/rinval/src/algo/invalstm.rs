@@ -190,9 +190,6 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     };
     let mut max_pv = 0u32;
     let mut doomed: Vec<usize> = Vec::new();
-    // Index our write signature once; every live reader below is tested
-    // with the sparse intersection against just its non-zero words.
-    let nz = tx.wbf.nonzero_words();
     let _ = scan(
         &tx.stm.registry,
         st,
@@ -204,7 +201,9 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         },
         |i| i != tx.slot_idx,
         |i, other| {
-            if other.is_live() && other.read_bf.intersects_plain_sparse(tx.wbf, &nz) {
+            // Loads the reader's words our write signature's summary
+            // names — never the live reader's own summary (`bloom.rs`).
+            if other.is_live() && other.read_bf.intersects_plain(tx.wbf) {
                 if check_census {
                     max_pv = max_pv.max(other.priority.load(Ordering::SeqCst));
                 }

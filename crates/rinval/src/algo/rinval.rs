@@ -114,10 +114,9 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Publish the request payload. The write-set buffer lives in this
     // thread's ThreadHandle and is not touched again until the server
     // responds, so handing out a raw pointer is sound. The signature
-    // store is the producer half of the scan-kernel pipeline: the server
-    // re-reads `req_write_bf` through the lane-unrolled snapshot ops in
-    // `bloom::cores` (see [`crate::scan`]), so the publish and the scan
-    // stay a matched word-granular pair.
+    // store writes the occupied words and the summary (zeroing what the
+    // slot's previous request left set); once the server has claimed the
+    // request it is frozen, and the server's snapshot walks that summary.
     slot.req_write_bf.store_from(tx.wbf);
     let entries = tx.ws.entries();
     slot.req_ws_ptr

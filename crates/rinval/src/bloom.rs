@@ -15,30 +15,33 @@
 //!   servers. Only the owner mutates it, so no read-modify-write is needed —
 //!   one of the "no CAS anywhere" properties the paper is after.
 //!
-//! ## The one intersection, two memory flavours
+//! ## The occupancy summary
 //!
-//! Every conflict test in the system is the same predicate — "do these two
-//! 16384-bit signatures share a set bit?" — asked of two storage flavours:
+//! A signature is 256 words (2 KiB, 32 cache lines) and a transaction sets
+//! a few dozen bits in it, so both flavours carry a 4-word *summary*: bit
+//! `w` set iff word `w` may be non-zero (exact for [`Bloom`]; a superset
+//! for [`AtomicBloom`], whose owner maintains it with the same plain
+//! load/OR/store as the word itself). Every whole-filter operation — clear,
+//! copy, union, intersection, snapshot — walks a summary instead of the
+//! 256 words, so clearing, publishing and testing a signature touch the
+//! lines that hold something, not all 32. There is one representation and
+//! no dense fallback; results are bit-for-bit those of the dense walk,
+//! which survives only as the word-at-a-time `_scalar` oracles in
+//! [`cores`] that `tests/scan_equiv.rs` and the `server_scan` bench's
+//! replica compare against.
 //!
-//! * [`Bloom::intersects`] — **plain × plain**: both operands are
-//!   thread-private (the V1 server's batch signatures against a request
-//!   snapshot).
-//! * [`AtomicBloom::intersects_plain`] — **atomic-snapshot × plain**: the
-//!   left operand is a concurrently-written shared signature (a live
-//!   reader's `read_bf`), read word-by-word with `Relaxed` loads; the
-//!   per-word snapshot is made sound by the `SeqCst` fences the algorithms
-//!   place around the timestamp protocol (see `algo/invalstm.rs`).
-//!
-//! Both are thin wrappers over one shared lane-based core (module
-//! [`cores`]): the words are processed in blocks of [`cores::LANES`]
-//! accumulator lanes OR-combined into a single conflict mask, which LLVM
-//! autovectorizes to SIMD for the plain flavour and turns into a 4-way
-//! unrolled load/AND/OR chain (one branch per block instead of one per
-//! word) for the atomic flavour. Each lane core has a word-at-a-time
-//! `_scalar` twin that the public ops never call: it is the reference the
-//! equivalence suite in `tests/scan_equiv.rs` and the unit tests below
-//! compare against bit for bit, and the baseline the `server_scan` bench
-//! times the lanes against.
+//! **Whose summary a scan may trust.** Words are skipped only on the
+//! summary of a *private or frozen* operand: a `Bloom`, a `req_write_bf`
+//! whose request was claimed, a `commit_ring` entry after the odd-timestamp
+//! store, a batch member's `read_bf` while its request is `CLAIMED`. The
+//! conflict test against a live reader's concurrently written `read_bf`
+//! ([`AtomicBloom::intersects_plain`]) never reads that filter's summary:
+//! it loads `read_bf.words[w]` for every `w` the *writer's* summary names
+//! — exactly the words a dense walk could find a shared bit in — with
+//! `Relaxed` loads made sound by the `SeqCst` fences around the timestamp
+//! protocol (see `algo/invalstm.rs`). For the same reason the owner's
+//! summary store needs no ordering against its word store: nobody else
+//! reads it while the owner is live.
 
 use crate::sync::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,6 +60,11 @@ pub const BLOOM_WORDS: usize = 256;
 pub const BLOOM_BITS: usize = BLOOM_WORDS * 64;
 /// Independent probe positions per inserted key.
 pub const NUM_HASHES: usize = 1;
+/// Words per occupancy summary: one bit per filter word.
+const SUMMARY_WORDS: usize = BLOOM_WORDS / 64;
+
+/// An occupancy summary (see the module docs), or a mask over one.
+type Summary = [u64; SUMMARY_WORDS];
 
 /// Derives `NUM_HASHES` bit positions from a word address.
 ///
@@ -69,67 +77,85 @@ fn probe_bits(addr: u32) -> [u32; NUM_HASHES] {
     [(z as u32) % BLOOM_BITS as u32]
 }
 
-/// `(word index, single-bit mask)` for a probe bit — the one place the
-/// bit-mix arithmetic lives; both filter flavours' insert/membership paths
-/// go through it.
+/// `(index, single-bit mask)` of bit `bit` in an array of 64-bit words —
+/// the one place the bit-mix arithmetic lives: probe bits address filter
+/// words through it, word indices address summary words.
 #[inline]
 fn bit_ref(bit: u32) -> (usize, u64) {
     ((bit / 64) as usize, 1u64 << (bit % 64))
 }
 
-/// The signature-op cores: a lane-based (autovectorization-friendly)
-/// implementation and a word-at-a-time scalar reference for every hot
-/// whole-filter operation.
+/// The indices of the filter words that `mask` — word `s` of a summary,
+/// or part of it — names, ascending. Every whole-filter op is a loop over
+/// the summary words around this, so the mask being walked and whatever
+/// the op accumulates per summary word stay in registers.
+#[inline]
+fn named(s: usize, mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| s * 64 + mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        bit
+    })
+}
+
+/// Summary bit of filter word `w` if its value `x` is non-zero, else 0.
+#[inline]
+fn occupied(w: usize, x: u64) -> u64 {
+    if x != 0 {
+        bit_ref(w as u32).1
+    } else {
+        0
+    }
+}
+
+/// The dense oracles: word-at-a-time walks of all [`BLOOM_WORDS`] words
+/// that never consult a summary.
 ///
-/// The public [`Bloom`] / [`AtomicBloom`] methods always call the lane
-/// cores. The `_scalar` twins are the reference: `tests/scan_equiv.rs`
-/// asserts bit-identical results pairwise, and the `server_scan` bench
-/// times one core against the other directly.
+/// No product path calls them. `tests/scan_equiv.rs` and the unit tests
+/// below hold every summary-walking op on [`Bloom`] / [`AtomicBloom`] to
+/// bit-identical results against them, and the `server_scan` bench's
+/// replica of the pre-kernel scan is built on
+/// [`intersects_plain_scalar`](cores::intersects_plain_scalar).
 ///
-/// Hidden from docs: these are implementation probes, not API. Call the
-/// methods on the filter types instead.
+/// Hidden from docs: these are test probes, not API.
 #[doc(hidden)]
 pub mod cores {
-    use super::{AtomicBloom, Bloom, BLOOM_WORDS};
+    use super::{bit_ref, AtomicBloom, Bloom, Summary, BLOOM_WORDS, SUMMARY_WORDS};
     use std::sync::atomic::Ordering;
 
-    /// Accumulator lanes per step: 4 × u64 matches one AVX2 register (and
-    /// two SSE2 registers), which is what LLVM reliably vectorizes the
-    /// plain loops to on stable Rust without `std::simd`.
-    pub const LANES: usize = 4;
-    /// Words per early-exit block of the intersection kernels: long enough
-    /// to amortize the branch (8 × `LANES` lanes), short enough that a hit
-    /// in the first cache lines still exits early.
-    pub const BLOCK: usize = 32;
-    const _: () = assert!(BLOOM_WORDS.is_multiple_of(BLOCK) && BLOCK.is_multiple_of(LANES));
-
-    /// Lane core of plain × plain intersection: per block, `LANES`
-    /// accumulators gather `a & b` and a single OR-combine decides the
-    /// early exit.
-    #[inline]
-    pub fn intersects_lanes(a: &Bloom, b: &Bloom) -> bool {
-        let (a, b) = (&a.words, &b.words);
-        let mut base = 0;
-        while base < BLOOM_WORDS {
-            let mut acc = [0u64; LANES];
-            let mut i = base;
-            while i < base + BLOCK {
-                for l in 0..LANES {
-                    acc[l] |= a[i + l] & b[i + l];
-                }
-                i += LANES;
+    /// The exact summary of a word array.
+    fn summarize(words: &[u64; BLOOM_WORDS]) -> Summary {
+        let mut summary = [0; SUMMARY_WORDS];
+        for (w, &x) in words.iter().enumerate() {
+            if x != 0 {
+                let (s, b) = bit_ref(w as u32);
+                summary[s] |= b;
             }
-            if acc.iter().fold(0, |m, &x| m | x) != 0 {
-                return true;
-            }
-            base += BLOCK;
         }
-        false
+        summary
     }
 
-    /// Scalar reference of [`intersects_lanes`]: first intersecting word
-    /// wins.
-    #[inline]
+    /// Dense snapshot of every word of `src`, summarized from the words.
+    pub fn load_scalar(src: &AtomicBloom) -> Bloom {
+        let words = std::array::from_fn(|w| src.words[w].load(Ordering::Relaxed));
+        Bloom {
+            words,
+            summary: summarize(&words),
+        }
+    }
+
+    /// The [`Bloom`] invariant: summary bit set ⇔ word non-zero.
+    pub fn summary_is_exact(b: &Bloom) -> bool {
+        b.summary == summarize(&b.words)
+    }
+
+    /// The [`AtomicBloom`] invariant: summary bit set ⇐ word non-zero.
+    pub fn summary_covers(a: &AtomicBloom) -> bool {
+        let exact = load_scalar(a).summary;
+        (0..SUMMARY_WORDS).all(|s| exact[s] & !a.summary[s].load(Ordering::Relaxed) == 0)
+    }
+
+    /// Oracle of [`Bloom::intersects`]: first intersecting word wins.
     pub fn intersects_scalar(a: &Bloom, b: &Bloom) -> bool {
         a.words
             .iter()
@@ -137,34 +163,8 @@ pub mod cores {
             .any(|(&x, &y)| x & y != 0)
     }
 
-    /// Lane core of atomic-snapshot × plain intersection. Atomic loads
-    /// never autovectorize, so the win here is the 4-way unrolled
-    /// load/AND/OR chain: one conflict-mask branch per [`BLOCK`] words
-    /// instead of one per word, and four independent loads in flight.
-    #[inline]
-    pub fn intersects_plain_lanes(a: &AtomicBloom, b: &Bloom) -> bool {
-        let (a, b) = (&a.words, &b.words);
-        let mut base = 0;
-        while base < BLOOM_WORDS {
-            let mut acc = 0u64;
-            let mut i = base;
-            while i < base + BLOCK {
-                acc |= (a[i].load(Ordering::Relaxed) & b[i])
-                    | (a[i + 1].load(Ordering::Relaxed) & b[i + 1])
-                    | (a[i + 2].load(Ordering::Relaxed) & b[i + 2])
-                    | (a[i + 3].load(Ordering::Relaxed) & b[i + 3]);
-                i += LANES;
-            }
-            if acc != 0 {
-                return true;
-            }
-            base += BLOCK;
-        }
-        false
-    }
-
-    /// Scalar reference of [`intersects_plain_lanes`].
-    #[inline]
+    /// Oracle of [`AtomicBloom::intersects_plain`] (and of its `_sparse`
+    /// wrapper).
     pub fn intersects_plain_scalar(a: &AtomicBloom, b: &Bloom) -> bool {
         a.words
             .iter()
@@ -172,156 +172,45 @@ pub mod cores {
             .any(|(x, &y)| x.load(Ordering::Relaxed) & y != 0)
     }
 
-    /// Lane core of the sparse atomic × plain intersection: only the
-    /// words listed in `nz` (the non-zero words of `b`, see
-    /// [`Bloom::nonzero_words`]) can contribute to `a & b`, so only those
-    /// are loaded — 4 independent loads in flight per step. This is the
-    /// scan-amortized form: one committer write signature is indexed once
-    /// and then tested against every live reader's signature, turning a
-    /// 256-word sweep per slot into `nz.len()` loads.
-    #[inline]
-    pub fn intersects_plain_sparse_lanes(a: &AtomicBloom, b: &Bloom, nz: &[u16]) -> bool {
-        let mut chunks = nz.chunks_exact(LANES);
-        for c in &mut chunks {
-            let mut acc = 0u64;
-            for &i in c {
-                let i = i as usize;
-                acc |= a.words[i].load(Ordering::Relaxed) & b.words[i];
-            }
-            if acc != 0 {
-                return true;
-            }
-        }
-        chunks
-            .remainder()
-            .iter()
-            .any(|&i| a.words[i as usize].load(Ordering::Relaxed) & b.words[i as usize] != 0)
-    }
-
-    /// Scalar reference of [`intersects_plain_sparse_lanes`].
-    #[inline]
-    pub fn intersects_plain_sparse_scalar(a: &AtomicBloom, b: &Bloom, nz: &[u16]) -> bool {
-        nz.iter()
-            .any(|&i| a.words[i as usize].load(Ordering::Relaxed) & b.words[i as usize] != 0)
-    }
-
-    /// Lane core of set union (`dst |= src`); a straight-line chunked loop
-    /// LLVM turns into full-width vector ORs.
-    #[inline]
-    pub fn union_lanes(dst: &mut Bloom, src: &Bloom) {
-        for (d, s) in dst
-            .words
-            .chunks_exact_mut(LANES)
-            .zip(src.words.chunks_exact(LANES))
-        {
-            for l in 0..LANES {
-                d[l] |= s[l];
-            }
-        }
-    }
-
-    /// Scalar reference of [`union_lanes`].
-    #[inline]
+    /// Oracle of [`Bloom::union_with`].
     pub fn union_scalar(dst: &mut Bloom, src: &Bloom) {
         for (d, &s) in dst.words.iter_mut().zip(src.words.iter()) {
             *d |= s;
         }
+        dst.summary = summarize(&dst.words);
     }
 
-    /// Lane core of the fused snapshot-and-test pass (see
-    /// [`AtomicBloom::snapshot_intersect2`]): one sweep loads the shared
-    /// filter into `dst` while accumulating its intersection masks against
-    /// two plain filters. No early exit — the snapshot must complete — so
-    /// the whole body is a branch-free unrolled chain.
-    #[inline]
-    pub fn snapshot_intersect2_lanes(
-        src: &AtomicBloom,
-        dst: &mut Bloom,
-        a: &Bloom,
-        b: &Bloom,
-    ) -> (bool, bool) {
-        let mut hit_a = [0u64; LANES];
-        let mut hit_b = [0u64; LANES];
-        let mut i = 0;
-        while i < BLOOM_WORDS {
-            for l in 0..LANES {
-                let w = src.words[i + l].load(Ordering::Relaxed);
-                dst.words[i + l] = w;
-                hit_a[l] |= w & a.words[i + l];
-                hit_b[l] |= w & b.words[i + l];
-            }
-            i += LANES;
-        }
-        (
-            hit_a.iter().fold(0, |m, &x| m | x) != 0,
-            hit_b.iter().fold(0, |m, &x| m | x) != 0,
-        )
-    }
-
-    /// Scalar reference of [`snapshot_intersect2_lanes`].
-    #[inline]
+    /// Oracle of [`AtomicBloom::snapshot_intersect2`] (and, ignoring the
+    /// hits, of [`AtomicBloom::load_into`]).
     pub fn snapshot_intersect2_scalar(
         src: &AtomicBloom,
         dst: &mut Bloom,
         a: &Bloom,
         b: &Bloom,
     ) -> (bool, bool) {
-        let mut hit_a = 0u64;
-        let mut hit_b = 0u64;
-        for i in 0..BLOOM_WORDS {
-            let w = src.words[i].load(Ordering::Relaxed);
-            dst.words[i] = w;
-            hit_a |= w & a.words[i];
-            hit_b |= w & b.words[i];
-        }
-        (hit_a != 0, hit_b != 0)
+        *dst = load_scalar(src);
+        (intersects_scalar(dst, a), intersects_scalar(dst, b))
     }
 
-    /// Lane core of `dst |= atomic src` (4-way unrolled loads).
-    #[inline]
-    pub fn or_into_lanes(src: &AtomicBloom, dst: &mut Bloom) {
-        let mut i = 0;
-        while i < BLOOM_WORDS {
-            for l in 0..LANES {
-                dst.words[i + l] |= src.words[i + l].load(Ordering::Relaxed);
-            }
-            i += LANES;
-        }
-    }
-
-    /// Scalar reference of [`or_into_lanes`].
-    #[inline]
+    /// Oracle of [`AtomicBloom::or_into`].
     pub fn or_into_scalar(src: &AtomicBloom, dst: &mut Bloom) {
-        for (d, s) in dst.words.iter_mut().zip(src.words.iter()) {
-            *d |= s.load(Ordering::Relaxed);
-        }
+        union_scalar(dst, &load_scalar(src));
     }
 }
 
-/// The indices of a signature's non-zero words, captured by
-/// [`Bloom::nonzero_words`]. An invalidation scan indexes the committer's
-/// write signature once and then runs the sparse intersection
-/// ([`AtomicBloom::intersects_plain_sparse`]) against every live reader —
-/// for a typical transactional write-set (tens of addresses across a
-/// 256-word signature) that replaces the full per-slot word sweep with a
-/// handful of targeted loads.
-pub struct NonZeroWords {
-    idx: [u16; BLOOM_WORDS],
-    len: usize,
-}
-
-impl NonZeroWords {
-    /// The captured word indices, ascending.
-    #[inline]
-    pub fn as_slice(&self) -> &[u16] {
-        &self.idx[..self.len]
-    }
-}
+/// A signature's summary as [`Bloom::nonzero_words`] captures it, for
+/// callers (the benchmark ledger's probes) written against the two-step
+/// conflict test [`AtomicBloom::intersects_plain_sparse`]. Every
+/// intersection walks the summary; product code calls
+/// [`AtomicBloom::intersects_plain`].
+pub struct NonZeroWords(Summary);
 
 /// A thread-private Bloom filter over heap word addresses.
 #[derive(Clone, Debug)]
 pub struct Bloom {
     words: [u64; BLOOM_WORDS],
+    /// Bit `w` set ⇔ `words[w] != 0`.
+    summary: Summary,
 }
 
 impl Default for Bloom {
@@ -333,7 +222,10 @@ impl Default for Bloom {
 impl Bloom {
     /// An empty filter.
     pub const fn new() -> Self {
-        Bloom { words: [0; BLOOM_WORDS] }
+        Bloom {
+            words: [0; BLOOM_WORDS],
+            summary: [0; SUMMARY_WORDS],
+        }
     }
 
     /// Inserts a word address.
@@ -342,6 +234,8 @@ impl Bloom {
         for bit in probe_bits(addr) {
             let (w, m) = bit_ref(bit);
             self.words[w] |= m;
+            let (s, b) = bit_ref(w as u32);
+            self.summary[s] |= b;
         }
     }
 
@@ -356,28 +250,36 @@ impl Bloom {
 
     /// True if no bit is set.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.summary == [0; SUMMARY_WORDS]
     }
 
-    /// Removes every element.
+    /// Removes every element (zeroes the words that hold one).
     pub fn clear(&mut self) {
-        self.words = [0; BLOOM_WORDS];
+        for (s, mark) in self.summary.iter_mut().enumerate() {
+            named(s, *mark).for_each(|w| self.words[w] = 0);
+            *mark = 0;
+        }
     }
 
     /// True if the two filters share at least one set bit — the conflict
     /// test used by commit-time invalidation (`write_bf intersects read_bf`),
-    /// in its plain × plain flavour (see the module docs; the
-    /// atomic-snapshot flavour is [`AtomicBloom::intersects_plain`]).
+    /// plain × plain; only words both summaries name can hold a shared bit.
     #[inline]
     pub fn intersects(&self, other: &Bloom) -> bool {
-        cores::intersects_lanes(self, other)
+        (0..SUMMARY_WORDS).any(|s| {
+            named(s, self.summary[s] & other.summary[s])
+                .any(|w| self.words[w] & other.words[w] != 0)
+        })
     }
 
     /// Merges every bit of `other` into `self` (set union) — used by the
     /// V1 commit-server to build a batch's combined write signature.
     #[inline]
     pub fn union_with(&mut self, other: &Bloom) {
-        cores::union_lanes(self, other);
+        for (s, mark) in self.summary.iter_mut().enumerate() {
+            named(s, other.summary[s]).for_each(|w| self.words[w] |= other.words[w]);
+            *mark |= other.summary[s];
+        }
     }
 
     /// Raw words, used when publishing into an [`AtomicBloom`].
@@ -385,27 +287,34 @@ impl Bloom {
         &self.words
     }
 
-    /// Index the non-zero words for the scan-amortized sparse
-    /// intersection (see [`NonZeroWords`]). O(`BLOOM_WORDS`) once, after
-    /// which every [`AtomicBloom::intersects_plain_sparse`] against this
-    /// signature touches only the listed words.
+    /// The summary, as [`AtomicBloom::intersects_plain_sparse`] takes it
+    /// (see [`NonZeroWords`]).
     pub fn nonzero_words(&self) -> NonZeroWords {
-        let mut nz = NonZeroWords {
-            idx: [0; BLOOM_WORDS],
-            len: 0,
-        };
-        for (i, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                nz.idx[nz.len] = i as u16;
-                nz.len += 1;
-            }
-        }
-        nz
+        NonZeroWords(self.summary)
     }
 
     /// Number of set bits (diagnostics only).
     pub fn popcount(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        (0..SUMMARY_WORDS)
+            .flat_map(|s| named(s, self.summary[s]))
+            .map(|w| self.words[w].count_ones())
+            .sum()
+    }
+
+    /// Overwrites `self` with a filter whose summary is `src` and whose
+    /// word `w` is `load(w)`: zeroes the words only the old contents
+    /// named, stores the ones `src` names and re-derives the exact summary
+    /// from what was loaded (`src` may over-approximate).
+    #[inline]
+    fn assign(&mut self, src: Summary, mut load: impl FnMut(usize) -> u64) {
+        for (s, mark) in self.summary.iter_mut().enumerate() {
+            named(s, *mark & !src[s]).for_each(|w| self.words[w] = 0);
+            *mark = 0;
+            named(s, src[s]).for_each(|w| {
+                self.words[w] = load(w);
+                *mark |= occupied(w, self.words[w]);
+            });
+        }
     }
 }
 
@@ -418,9 +327,19 @@ impl Bloom {
 /// Cross-thread visibility of individual bits is *not* synchronized here —
 /// the algorithms order bloom accesses with `SeqCst` fences around the
 /// global-timestamp protocol (see `algo/invalstm.rs` for the argument).
+///
+/// Of the read-side methods, [`AtomicBloom::intersects_plain`] and
+/// [`AtomicBloom::may_contain`] are safe against a live owner; the
+/// snapshot ops ([`AtomicBloom::load_into`], [`AtomicBloom::or_into`],
+/// [`AtomicBloom::snapshot_intersect2`]) walk this filter's own summary
+/// and are for *frozen* filters only — ones whose owner published them and
+/// is waiting (module docs).
 #[derive(Debug)]
 pub struct AtomicBloom {
     words: [AtomicU64; BLOOM_WORDS],
+    /// Bit `w` set ⇐ `words[w] != 0`, as the owner (or a reader of a
+    /// frozen filter) sees it.
+    summary: [AtomicU64; SUMMARY_WORDS],
 }
 
 impl Default for AtomicBloom {
@@ -434,82 +353,111 @@ impl AtomicBloom {
     pub fn new() -> Self {
         AtomicBloom {
             words: [const { AtomicU64::new(0) }; BLOOM_WORDS],
+            summary: [const { AtomicU64::new(0) }; SUMMARY_WORDS],
         }
     }
 
-    /// Owner-only: insert an address (plain load + store, no RMW).
+    #[inline]
+    fn summary(&self) -> Summary {
+        std::array::from_fn(|s| self.summary[s].load(Ordering::Relaxed))
+    }
+
+    /// Owner-only: insert an address (plain load + store, no RMW), word
+    /// and summary alike.
     #[inline]
     pub fn owner_insert(&self, addr: u32) {
         for bit in probe_bits(addr) {
             let (w, m) = bit_ref(bit);
             let word = &self.words[w];
-            let cur = word.load(Ordering::Relaxed);
-            word.store(cur | m, Ordering::Relaxed);
+            word.store(word.load(Ordering::Relaxed) | m, Ordering::Relaxed);
+            let (s, b) = bit_ref(w as u32);
+            let mark = &self.summary[s];
+            mark.store(mark.load(Ordering::Relaxed) | b, Ordering::Relaxed);
         }
     }
 
-    /// Owner-only: reset to empty.
+    /// Owner-only: reset to empty (zeroes the words the summary names).
     pub fn owner_clear(&self) {
-        for w in &self.words {
-            w.store(0, Ordering::Relaxed);
+        for (s, mark) in self.summary.iter().enumerate() {
+            named(s, mark.load(Ordering::Relaxed))
+                .for_each(|w| self.words[w].store(0, Ordering::Relaxed));
+            mark.store(0, Ordering::Relaxed);
         }
     }
 
     /// Owner-only: overwrite with the contents of a private filter
-    /// (publishing a write signature into a request slot).
+    /// (publishing a write signature into a request or ring slot). Slots
+    /// are reused, so the words only the *old* summary names are zeroed.
     pub fn store_from(&self, src: &Bloom) {
-        for (dst, &s) in self.words.iter().zip(src.words().iter()) {
-            dst.store(s, Ordering::Relaxed);
+        for (s, mark) in self.summary.iter().enumerate() {
+            let new = src.summary[s];
+            named(s, mark.load(Ordering::Relaxed) & !new)
+                .for_each(|w| self.words[w].store(0, Ordering::Relaxed));
+            named(s, new).for_each(|w| self.words[w].store(src.words[w], Ordering::Relaxed));
+            mark.store(new, Ordering::Relaxed);
         }
     }
 
-    /// Snapshot into a private filter (commit-server copying a request's
-    /// write signature into the shared `commit_bf`).
+    /// Frozen filters only: snapshot into a private filter, replacing
+    /// whatever `dst` held (commit-server copying a request's write
+    /// signature; invalidation-server copying a ring entry).
     pub fn load_into(&self, dst: &mut Bloom) {
-        for (d, s) in dst.words.iter_mut().zip(self.words.iter()) {
-            *d = s.load(Ordering::Relaxed);
+        dst.assign(self.summary(), |w| self.words[w].load(Ordering::Relaxed));
+    }
+
+    /// Frozen filters only: ORs the current contents into a private filter
+    /// (one pass; used to accumulate a commit batch's combined *read*
+    /// signature without an intermediate snapshot).
+    pub fn or_into(&self, dst: &mut Bloom) {
+        for (s, mark) in dst.summary.iter_mut().enumerate() {
+            named(s, self.summary[s].load(Ordering::Relaxed)).for_each(|w| {
+                let x = self.words[w].load(Ordering::Relaxed);
+                dst.words[w] |= x;
+                *mark |= occupied(w, x);
+            });
         }
     }
 
-    /// ORs the current contents into a private filter (one pass; used to
-    /// accumulate a commit batch's combined *read* signature without an
-    /// intermediate snapshot).
-    pub fn or_into(&self, dst: &mut Bloom) {
-        cores::or_into_lanes(self, dst);
-    }
-
-    /// Fused snapshot-and-test: loads the current contents into `dst` and,
-    /// in the same pass over the words, reports whether that snapshot
+    /// Frozen filters only: fused snapshot-and-test. Loads the current
+    /// contents into `dst` (as [`AtomicBloom::load_into`]) and, in the same
+    /// pass over the occupied words, reports whether that snapshot
     /// intersects `a` and whether it intersects `b`.
     ///
-    /// This is the V1 commit-server's admission primitive: one sweep both
+    /// This is the V1 commit-server's admission primitive: one walk both
     /// *builds* the candidate's write-signature snapshot and answers the
     /// write-write (`∩ batch writes`) and write-read (`∩ batch reads`)
-    /// independence tests that previously each re-walked the 256 words
-    /// (`load_into` + two `intersects`). The returned pair is
-    /// `(dst ∩ a, dst ∩ b)` for exactly the snapshot left in `dst`.
+    /// independence tests. The returned pair is `(dst ∩ a, dst ∩ b)` for
+    /// exactly the snapshot left in `dst`.
     #[inline]
     pub fn snapshot_intersect2(&self, dst: &mut Bloom, a: &Bloom, b: &Bloom) -> (bool, bool) {
-        cores::snapshot_intersect2_lanes(self, dst, a, b)
+        let (mut hit_a, mut hit_b) = (0, 0);
+        dst.assign(self.summary(), |w| {
+            let x = self.words[w].load(Ordering::Relaxed);
+            hit_a |= x & a.words[w];
+            hit_b |= x & b.words[w];
+            x
+        });
+        (hit_a != 0, hit_b != 0)
     }
 
     /// True if `write_sig` shares a bit with this (read) signature — the
-    /// atomic-snapshot flavour of the conflict test (see the module docs;
-    /// the plain × plain flavour is [`Bloom::intersects`]).
+    /// conflict test against a possibly *live* reader. Loads this filter's
+    /// word for every word `write_sig`'s summary names and never looks at
+    /// this filter's own summary (module docs).
     #[inline]
     pub fn intersects_plain(&self, write_sig: &Bloom) -> bool {
-        cores::intersects_plain_lanes(self, write_sig)
+        (0..SUMMARY_WORDS).any(|s| {
+            named(s, write_sig.summary[s])
+                .any(|w| self.words[w].load(Ordering::Relaxed) & write_sig.words[w] != 0)
+        })
     }
 
-    /// Sparse form of [`AtomicBloom::intersects_plain`]: `nz` must be
-    /// [`Bloom::nonzero_words`] of `write_sig`, and only those words are
-    /// loaded. Exact, not approximate — words absent from `nz` are zero
-    /// in `write_sig` and cannot contribute to the intersection. This is
-    /// the per-slot test of the invalidation scans, where one committer
-    /// signature is indexed once and checked against every live reader.
+    /// The two-step spelling of [`AtomicBloom::intersects_plain`]: `nz`
+    /// must be [`Bloom::nonzero_words`] of `write_sig`.
     #[inline]
     pub fn intersects_plain_sparse(&self, write_sig: &Bloom, nz: &NonZeroWords) -> bool {
-        cores::intersects_plain_sparse_lanes(self, write_sig, nz.as_slice())
+        debug_assert_eq!(nz.0, write_sig.summary);
+        self.intersects_plain(write_sig)
     }
 
     /// Membership test against the current contents.
@@ -675,10 +623,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_and_scalar_cores_agree() {
+    fn summary_walks_agree_with_dense_oracles() {
         // Spot-check (the exhaustive version is the proptest suite in
-        // tests/scan_equiv.rs): every core pair agrees on a filter whose
-        // set bits straddle several lane blocks.
+        // tests/scan_equiv.rs): every op agrees with its dense oracle on
+        // filters whose set bits straddle all four summary words, with
+        // destinations that already hold another signature.
         let mut a = Bloom::new();
         let mut b = Bloom::new();
         let shared_a = AtomicBloom::new();
@@ -687,26 +636,77 @@ mod tests {
             shared_a.owner_insert(i * 7919);
             b.insert(i * 104_729 + 13);
         }
-        assert_eq!(cores::intersects_lanes(&a, &b), cores::intersects_scalar(&a, &b));
+        assert!(cores::summary_is_exact(&a) && cores::summary_covers(&shared_a));
+        assert_eq!(cores::load_scalar(&shared_a).words(), a.words());
+        assert_eq!(a.intersects(&b), cores::intersects_scalar(&a, &b));
         assert_eq!(
-            cores::intersects_plain_lanes(&shared_a, &b),
+            shared_a.intersects_plain(&b),
             cores::intersects_plain_scalar(&shared_a, &b)
         );
         let (mut u1, mut u2) = (a.clone(), a.clone());
-        cores::union_lanes(&mut u1, &b);
+        u1.union_with(&b);
         cores::union_scalar(&mut u2, &b);
         assert_eq!(u1.words(), u2.words());
+        assert!(cores::summary_is_exact(&u1));
 
-        let (mut s1, mut s2) = (Bloom::new(), Bloom::new());
-        let h1 = cores::snapshot_intersect2_lanes(&shared_a, &mut s1, &a, &b);
+        let (mut s1, mut s2) = (b.clone(), b.clone());
+        let h1 = shared_a.snapshot_intersect2(&mut s1, &a, &b);
         let h2 = cores::snapshot_intersect2_scalar(&shared_a, &mut s2, &a, &b);
         assert_eq!(h1, h2);
         assert_eq!(s1.words(), s2.words());
+        assert!(cores::summary_is_exact(&s1));
 
         let (mut o1, mut o2) = (b.clone(), b.clone());
-        cores::or_into_lanes(&shared_a, &mut o1);
+        shared_a.or_into(&mut o1);
         cores::or_into_scalar(&shared_a, &mut o2);
         assert_eq!(o1.words(), o2.words());
+        assert!(cores::summary_is_exact(&o1));
+    }
+
+    #[test]
+    fn reused_slots_keep_no_stale_word() {
+        // Request and ring slots are overwritten, never cleared first: a
+        // small signature stored over a large one must leave exactly the
+        // small one behind, checked densely.
+        let (mut large, mut small) = (Bloom::new(), Bloom::new());
+        for i in 0..500u32 {
+            large.insert(i * 31 + 7);
+        }
+        small.insert(1234);
+        let slot = AtomicBloom::new();
+        slot.store_from(&large);
+        slot.store_from(&small);
+        assert_eq!(cores::load_scalar(&slot).words(), small.words());
+        assert!(cores::summary_covers(&slot));
+
+        let mut snap = large.clone();
+        slot.load_into(&mut snap);
+        assert_eq!(snap.words(), small.words());
+        assert!(cores::summary_is_exact(&snap));
+
+        slot.store_from(&large);
+        slot.owner_clear();
+        assert!(cores::load_scalar(&slot).is_empty());
+        large.clear();
+        assert!(large.is_empty() && large.words().iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn conflict_test_never_trusts_the_readers_summary() {
+        // The owner's word store and summary store are two relaxed stores;
+        // a scanner may see the word without the summary bit. The conflict
+        // test walks the *writer's* summary, so it still reports the hit.
+        let reader = AtomicBloom::new();
+        reader.owner_insert(1234);
+        reader
+            .summary
+            .iter()
+            .for_each(|mark| mark.store(0, Ordering::Relaxed));
+        assert!(!cores::summary_covers(&reader));
+        let mut w = Bloom::new();
+        w.insert(1234);
+        assert!(reader.intersects_plain(&w));
+        assert!(reader.intersects_plain_sparse(&w, &w.nonzero_words()));
     }
 
     #[test]

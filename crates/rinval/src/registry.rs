@@ -239,7 +239,8 @@ impl Registry {
     /// signature: a recycled slot must not inherit the previous owner's
     /// read Bloom filter, or a committer's census/invalidation scan could
     /// spuriously count (or doom) the new owner between `claim()` and its
-    /// first `begin()`.
+    /// first `begin()`. The request payload goes too — after an answered
+    /// commit `req_ws_ptr` points into the departing handle's buffer.
     pub fn release(&self, idx: usize) {
         debug_assert!(idx < self.slots.len());
         self.slots[idx].tx_status.store(TX_IDLE, Ordering::SeqCst);
@@ -248,6 +249,11 @@ impl Registry {
         self.slots[idx].start_era.store(u64::MAX, Ordering::SeqCst);
         self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();
+        self.slots[idx].req_write_bf.owner_clear();
+        self.slots[idx]
+            .req_ws_ptr
+            .store(std::ptr::null_mut(), Ordering::Relaxed);
+        self.slots[idx].req_ws_len.store(0, Ordering::Relaxed);
         self.pending.clear(idx);
         self.live.clear(idx);
         self.free
@@ -372,6 +378,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bloom::{cores, Bloom};
 
     #[test]
     fn slot_is_cache_aligned() {
@@ -434,12 +441,28 @@ mod tests {
         let idx = reg.claim().unwrap();
         reg.begin(idx, 0);
         reg.slot(idx).read_bf.owner_insert(42);
+        let mut wbf = Bloom::new();
+        wbf.insert(42);
+        reg.slot(idx).req_write_bf.store_from(&wbf);
+        let mut ws = [WriteEntry { addr: 42, val: 1 }];
+        reg.slot(idx)
+            .req_ws_ptr
+            .store(ws.as_mut_ptr(), Ordering::Relaxed);
+        reg.slot(idx).req_ws_len.store(ws.len(), Ordering::Relaxed);
         reg.pending().set(idx);
         reg.release(idx);
-        assert!(
-            !reg.slot(idx).read_bf.may_contain(42),
-            "recycled slot inherited the previous owner's read signature"
-        );
+        // Dense checks: every word, whatever the summaries claim.
+        for (name, bf) in [
+            ("read", &reg.slot(idx).read_bf),
+            ("request write", &reg.slot(idx).req_write_bf),
+        ] {
+            assert!(
+                cores::load_scalar(bf).words().iter().all(|&w| w == 0),
+                "recycled slot inherited the previous owner's {name} signature"
+            );
+        }
+        assert!(reg.slot(idx).req_ws_ptr.load(Ordering::Relaxed).is_null());
+        assert_eq!(reg.slot(idx).req_ws_len.load(Ordering::Relaxed), 0);
         assert!(!reg.pending().get(idx));
         assert!(!reg.live().get(idx));
     }

@@ -12,10 +12,12 @@
 //!   words via [`AtomicBitmap::load_word`] and, while processing word
 //!   `w`, loads word `w + 1` and issues [`Registry::prefetch_slot`] hints
 //!   for its set bits — so by the time the cursor reaches those slots
-//!   their cache-line pair (status, priority, the head of the read
-//!   signature) is already in flight. The signature intersection each
-//!   visit performs is long enough (256 words) to cover the prefetch
-//!   distance.
+//!   their first cache-line pair (status, priority) is already in
+//!   flight. The signature test each visit performs loads only the
+//!   reader's words the writer's summary names (`bloom.rs`) — a handful
+//!   of scattered lines no hint could name in advance — so the prefetch
+//!   distance is covered by the previous word's visits, not by one long
+//!   sweep.
 //! * **Caller-supplied predicate split.** `filter` handles *uncounted*
 //!   index-level skips (a skip mask, a server partition, the scanner's
 //!   own slot); everything it admits is delivered to `visit` and counted

@@ -91,7 +91,10 @@
 //! aborts them if they had read what the batch wrote). Full independence —
 //! not just the pairwise-disjoint *write* sets — is required: two requests
 //! with disjoint writes but crossing read/write dependencies have no
-//! equivalent serial order and must not land in one batch.
+//! equivalent serial order and must not land in one batch. The merged
+//! read signature is built lazily — a member's `read_bf` joins it only
+//! when another candidate is examined in the same pass — so a one-member
+//! batch never touches its client's read-signature lines.
 //!
 //! ## Fault containment
 //!
@@ -250,10 +253,6 @@ pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>)
 fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server: Option<usize>) {
     let st = &stm.server_stats;
     let mut doomed = 0u64;
-    // Index the committer's write signature once for the whole scan; each
-    // live reader is then tested with the sparse intersection, loading
-    // only `wbf`'s non-zero words instead of sweeping all 256.
-    let nz = wbf.nonzero_words();
     let _ = scan(
         &stm.registry,
         st,
@@ -263,7 +262,10 @@ fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server
         // everything delivered below is an examined slot.
         |i| !mask_get(skip_mask, i) && server.is_none_or(|k| stm.inval_server_of(i) == k),
         |_, slot| {
-            if slot.is_live() && slot.read_bf.intersects_plain_sparse(wbf, &nz) {
+            // `wbf` is private to this scan, so the words to load from each
+            // live reader come from *its* summary; a live reader's own
+            // summary is never consulted (`bloom.rs`).
+            if slot.is_live() && slot.read_bf.intersects_plain(wbf) {
                 // CAS (not store) so an already-idle slot is never marked:
                 // the server must not leak an INVALIDATED flag into a slot
                 // that has since been recycled to a different thread.
@@ -315,6 +317,7 @@ fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize, pc: u32) -> Option<
         ScanKind::Census,
         |i| i != c_idx,
         |_, slot| {
+            // As in `invalidate_conflicting`: the words to load are `wbf`'s.
             if slot.is_live() && slot.read_bf.intersects_plain(wbf) {
                 max_pv = max_pv.max(slot.priority.load(Ordering::SeqCst));
             }
@@ -482,6 +485,9 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
         batch.clear();
         batch_wbf.clear();
         batch_rbf.clear();
+        // The member admitted last, whose read signature is not in
+        // `batch_rbf` yet (see the admission pass below).
+        let mut unmerged: Option<usize> = None;
         batch_mask.iter_mut().for_each(|w| *w = 0);
         let _ = scan(
             &stm.registry,
@@ -521,11 +527,20 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                     answered = true;
                     return ControlFlow::Continue(());
                 }
-                // Fused admission pass: one sweep of the request's write
-                // signature snapshots it into `wbf` *and* answers both
-                // batch-independence intersections (write-write against the
-                // merged writes, write-read against the merged reads) —
-                // previously three separate 256-word walks.
+                // A member's read signature joins `batch_rbf` only here,
+                // when another candidate is examined in the same pass: a
+                // one-member batch — every batch of a lone client — never
+                // pulls the client's `read_bf` lines over to this core, and
+                // the client's next `begin` finds them still exclusive. The
+                // member is `CLAIMED` (frozen) until the pass answers it.
+                if let Some(m) = unmerged.take() {
+                    stm.registry.slot(m).read_bf.or_into(&mut batch_rbf);
+                }
+                // Fused admission pass: one walk of the words the claimed
+                // (frozen) request's summary names snapshots its write
+                // signature into `wbf` *and* answers both batch-independence
+                // intersections (write-write against the merged writes,
+                // write-read against the merged reads).
                 let (hits_w, hits_r) =
                     slot.req_write_bf
                         .snapshot_intersect2(&mut wbf, &batch_wbf, &batch_rbf);
@@ -554,7 +569,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                 }
                 stm.registry.pending().clear(i);
                 batch_wbf.union_with(&wbf);
-                slot.read_bf.or_into(&mut batch_rbf);
+                unmerged = Some(i);
                 mask_set(&mut batch_mask, i);
                 batch.push((
                     i,
@@ -729,7 +744,9 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // can skip it — a read-modify-write transaction always
                 // intersects its own read signature) to the
                 // invalidation-servers via the ring slot for commit number
-                // t/2.
+                // t/2. Both copies move the occupied words only: the
+                // claimed request is frozen, and so is the ring entry once
+                // the odd-timestamp store below publishes it.
                 slot.req_write_bf.load_into(&mut wbf);
                 // Admission census (§13): the commit-server applies the
                 // priority refusal itself before involving the
@@ -944,6 +961,7 @@ pub(crate) fn recover_inflight(stm: &StmInner) {
         let mut merged = Bloom::new();
         let mut mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
         for &i in &claimed {
+            // Claimed, hence frozen: walked by its own summary.
             stm.registry.slot(i).req_write_bf.or_into(&mut merged);
             mask_set(&mut mask, i);
         }

@@ -3,7 +3,8 @@
 //! closure, exact conflict interleavings are constructed without any
 //! scheduler dependence.
 
-use rinval::{Aborted, AlgorithmKind, Stm, TxResult};
+use rinval::bloom::{cores, Bloom};
+use rinval::{Aborted, AlgorithmKind, Handle, Stm, TxResult};
 
 /// Read x; a concurrent transaction overwrites x; then try to commit a
 /// write based on the stale read. Must abort under every algorithm.
@@ -92,6 +93,123 @@ fn disjoint_commit_does_not_abort() {
             "disjoint commit spuriously aborted us under {algo:?}"
         );
         assert_eq!(stm.peek(y), 10);
+    }
+}
+
+/// Signatures are cleared, published and snapshotted by their occupancy
+/// summary, and every filter involved is reused: the slot's `read_bf` and
+/// `req_write_bf`, the servers' working copies, the V2/V3 commit ring. A
+/// handle that alternates a large and a small read/write set 10⁵ times
+/// must leave no stale bit anywhere a later conflict test could find it.
+#[test]
+fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
+    const TXS: u32 = 100_000;
+    const LARGE: u32 = 64;
+    let sig = |hs: &[Handle]| {
+        let mut b = Bloom::new();
+        hs.iter().for_each(|h| b.insert(h.to_word() as u32));
+        b
+    };
+    let kinds = AlgorithmKind::all(2, 2).into_iter().chain([
+        // A two-entry ring, wrapped 5·10⁴ times.
+        AlgorithmKind::RInvalV3 {
+            invalidators: 1,
+            steps_ahead: 1,
+        },
+    ]);
+    for algo in kinds {
+        let stm = Stm::builder(algo).heap_words(1 << 10).build();
+        let arr = stm.alloc(LARGE as usize);
+        let scratch = stm.alloc_init(&[0]);
+        let mut th1 = stm.register_thread();
+        let mut th2 = stm.register_thread();
+        let bump = |tx: &mut rinval::Txn<'_>, n: u32| {
+            for i in 0..n {
+                let v = tx.read(arr.field(i))?;
+                tx.write(arr.field(i), v + 1)?;
+            }
+            Ok(())
+        };
+        // An invalidation-server may still be scanning for a commit its
+        // client already saw answered, and would doom a reader that begins
+        // meanwhile — legitimately. A read waits for the reader's own
+        // invalidation-server to catch up (for MV: once promoted), so this
+        // leaves nothing older in flight that could doom `th`'s next
+        // transaction.
+        let settle = |th: &mut rinval::ThreadHandle<'_>| {
+            th.run(|tx| {
+                let v = tx.read(scratch)?;
+                tx.write(scratch, v + 1)
+            })
+        };
+        // Small first, so the last transaction of the run is a large one.
+        for k in 0..TXS {
+            th1.run(|tx| bump(tx, if k % 2 == 0 { 1 } else { LARGE }));
+        }
+        assert_eq!(stm.peek(arr.field(0)), TXS as u64);
+        assert_eq!(stm.peek(arr.field(LARGE - 1)), TXS as u64 / 2);
+
+        // `begin` (for MV: the promotion at the first write) leaves the
+        // read signature empty — all 256 words, whatever its summary says.
+        let slot1 = stm.registry().slot(th1.slot());
+        th1.run(|tx| {
+            tx.write(scratch, 1)?;
+            assert!(
+                cores::load_scalar(&slot1.read_bf)
+                    .words()
+                    .iter()
+                    .all(|&w| w == 0),
+                "{algo:?}: read signature not empty after begin"
+            );
+            Ok(())
+        });
+
+        // Words of the large set whose signature bit differs from the
+        // small set's: a conflict test between the two can only hit a bit
+        // some earlier transaction left behind.
+        let small = sig(&[arr.field(0)]);
+        let others: Vec<Handle> = (1..LARGE)
+            .map(|i| arr.field(i))
+            .filter(|&h| !sig(&[h]).intersects(&small))
+            .take(8)
+            .collect();
+        assert_eq!(others.len(), 8);
+        assert!(!sig(&others).intersects(&small));
+
+        // (a) th1's small commit, published over its large one (request
+        // slot, server copies, ring entry), against a live reader of
+        // `others`.
+        th1.run(|tx| bump(tx, LARGE));
+        settle(&mut th2);
+        let r = th2.try_run(1, |tx2| {
+            for &h in &others {
+                tx2.read(h)?;
+            }
+            tx2.write(others[0], 0)?;
+            th1.run(|tx| bump(tx, 1));
+            Ok(())
+        });
+        assert_eq!(
+            r,
+            Ok(()),
+            "{algo:?}: reader doomed by a stale write-signature bit"
+        );
+
+        // (b) th1 live on the small set right after a large transaction,
+        // against a commit that writes `others`.
+        th1.run(|tx| bump(tx, LARGE));
+        settle(&mut th1);
+        let r = th1.try_run(1, |tx| {
+            bump(tx, 1)?;
+            th2.run(|tx2| others.iter().try_for_each(|&h| tx2.write(h, 0)));
+            Ok(())
+        });
+        assert_eq!(
+            r,
+            Ok(()),
+            "{algo:?}: reader doomed by a stale read-signature bit"
+        );
+        assert_eq!(stm.server_stats().txs_doomed, 0, "{algo:?}");
     }
 }
 

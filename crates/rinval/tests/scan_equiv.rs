@@ -1,11 +1,14 @@
 //! Equivalence suite for the scan-kernel layer.
 //!
-//! The bloom ops behind every signature intersection have two cores in
-//! `bloom::cores` — the 4-lane unrolled one the public methods call and a
-//! scalar reference. These properties pin down that the two cores are
-//! bit-identical on arbitrary signatures, that the kernel walk delivers
-//! exactly what the reference bit iterator yields, and that a
-//! deterministic workload commits identical state on every engine.
+//! Every whole-filter signature op walks an occupancy summary instead of
+//! the 256 words (`bloom.rs`). These properties hold each public op to its
+//! dense word-at-a-time oracle in `bloom::cores`, bit for bit, on random
+//! address sets — destinations that already hold another signature
+//! included, since request slots, ring entries and the servers' working
+//! copies are overwritten, never cleared first — and hold the summary
+//! invariants after any op sequence. They also pin down that the kernel
+//! walk delivers exactly what the reference bit iterator yields, and that
+//! a deterministic workload commits identical state on every engine.
 
 use proptest::prelude::*;
 use rinval::bloom::{cores, AtomicBloom, Bloom};
@@ -26,92 +29,127 @@ fn sig_pair(addrs: &[u32]) -> (Bloom, AtomicBloom) {
     (plain, atomic)
 }
 
+/// Address sets from empty through sparse (a transaction's) to dense
+/// (most words occupied), so summaries range over all shapes.
+fn addrs(max: usize) -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(any::<u32>(), 0..max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Both `intersects` cores agree on arbitrary plain-signature pairs,
-    /// and both agree with the membership-level ground truth when the
-    /// pair is known to share an address.
+    /// `Bloom::intersects` agrees with the dense oracle.
     #[test]
-    fn intersect_cores_agree(left in prop::collection::vec(any::<u32>(), 0..400),
-                             right in prop::collection::vec(any::<u32>(), 0..400)) {
+    fn intersects_matches_dense(left in addrs(400), right in addrs(400)) {
         let (a, _) = sig_pair(&left);
         let (b, _) = sig_pair(&right);
-        prop_assert_eq!(cores::intersects_lanes(&a, &b), cores::intersects_scalar(&a, &b));
         prop_assert_eq!(a.intersects(&b), cores::intersects_scalar(&a, &b));
     }
 
-    /// Both `intersects_plain` cores agree on an atomic/plain pair.
+    /// `AtomicBloom::intersects_plain` and its two-step spelling agree
+    /// with the dense oracle.
     #[test]
-    fn intersect_plain_cores_agree(left in prop::collection::vec(any::<u32>(), 0..400),
-                                   right in prop::collection::vec(any::<u32>(), 0..400)) {
+    fn intersects_plain_matches_dense(left in addrs(400), right in addrs(100)) {
         let (_, a) = sig_pair(&left);
         let (b, _) = sig_pair(&right);
-        prop_assert_eq!(
-            cores::intersects_plain_lanes(&a, &b),
-            cores::intersects_plain_scalar(&a, &b)
-        );
-        prop_assert_eq!(a.intersects_plain(&b), cores::intersects_plain_scalar(&a, &b));
-    }
-
-    /// Both sparse-intersection cores agree with each other and with the
-    /// full-width intersection they replace.
-    #[test]
-    fn intersect_plain_sparse_cores_agree(left in prop::collection::vec(any::<u32>(), 0..400),
-                                          right in prop::collection::vec(any::<u32>(), 0..100)) {
-        let (_, a) = sig_pair(&left);
-        let (b, _) = sig_pair(&right);
-        let nz = b.nonzero_words();
         let want = cores::intersects_plain_scalar(&a, &b);
-        prop_assert_eq!(cores::intersects_plain_sparse_lanes(&a, &b, nz.as_slice()), want);
-        prop_assert_eq!(cores::intersects_plain_sparse_scalar(&a, &b, nz.as_slice()), want);
-        prop_assert_eq!(a.intersects_plain_sparse(&b, &nz), want);
+        prop_assert_eq!(a.intersects_plain(&b), want);
+        prop_assert_eq!(a.intersects_plain_sparse(&b, &b.nonzero_words()), want);
     }
 
-    /// Both `union` cores produce bit-identical results.
+    /// `Bloom::union_with` agrees with the dense oracle and keeps the
+    /// summary exact.
     #[test]
-    fn union_cores_agree(left in prop::collection::vec(any::<u32>(), 0..300),
-                         right in prop::collection::vec(any::<u32>(), 0..300)) {
+    fn union_matches_dense(left in addrs(300), right in addrs(300)) {
         let (src, _) = sig_pair(&right);
-        let (mut via_lanes, _) = sig_pair(&left);
-        let (mut via_scalar, _) = sig_pair(&left);
-        cores::union_lanes(&mut via_lanes, &src);
-        cores::union_scalar(&mut via_scalar, &src);
-        prop_assert_eq!(via_lanes.words(), via_scalar.words());
+        let (mut got, _) = sig_pair(&left);
+        let (mut want, _) = sig_pair(&left);
+        got.union_with(&src);
+        cores::union_scalar(&mut want, &src);
+        prop_assert_eq!(got.words(), want.words());
+        prop_assert!(cores::summary_is_exact(&got));
     }
 
-    /// Both `or_into` cores produce bit-identical accumulators.
+    /// `AtomicBloom::or_into` agrees with the dense oracle on a non-empty
+    /// accumulator.
     #[test]
-    fn or_into_cores_agree(acc in prop::collection::vec(any::<u32>(), 0..300),
-                           src in prop::collection::vec(any::<u32>(), 0..300)) {
+    fn or_into_matches_dense(acc in addrs(300), src in addrs(300)) {
         let (_, atomic) = sig_pair(&src);
-        let (mut via_lanes, _) = sig_pair(&acc);
-        let (mut via_scalar, _) = sig_pair(&acc);
-        cores::or_into_lanes(&atomic, &mut via_lanes);
-        cores::or_into_scalar(&atomic, &mut via_scalar);
-        prop_assert_eq!(via_lanes.words(), via_scalar.words());
+        let (mut got, _) = sig_pair(&acc);
+        let (mut want, _) = sig_pair(&acc);
+        atomic.or_into(&mut got);
+        cores::or_into_scalar(&atomic, &mut want);
+        prop_assert_eq!(got.words(), want.words());
+        prop_assert!(cores::summary_is_exact(&got));
     }
 
-    /// The fused snapshot+double-intersect cores agree with each other
-    /// and with the unfused load-then-intersect sequence.
+    /// `store_from` over a destination that holds another signature
+    /// leaves exactly the source behind; `load_into` likewise.
     #[test]
-    fn snapshot_intersect2_cores_agree(src in prop::collection::vec(any::<u32>(), 0..400),
-                                       left in prop::collection::vec(any::<u32>(), 0..200),
-                                       right in prop::collection::vec(any::<u32>(), 0..200)) {
+    fn store_and_load_replace_stale_words(old in addrs(400), new in addrs(400)) {
+        let (src, _) = sig_pair(&new);
+        let (mut snap, slot) = sig_pair(&old);
+        slot.store_from(&src);
+        let dense = cores::load_scalar(&slot);
+        prop_assert_eq!(dense.words(), src.words());
+        prop_assert!(cores::summary_covers(&slot));
+        let (_, other) = sig_pair(&new);
+        other.load_into(&mut snap);
+        prop_assert_eq!(snap.words(), src.words());
+        prop_assert!(cores::summary_is_exact(&snap));
+    }
+
+    /// The fused snapshot+double-intersect agrees with the dense oracle
+    /// and with the unfused load-then-intersect sequence, on a
+    /// destination that holds another signature.
+    #[test]
+    fn snapshot_intersect2_matches_dense(src in addrs(400), stale in addrs(400),
+                                         left in addrs(200), right in addrs(200)) {
         let (_, atomic) = sig_pair(&src);
         let (a, _) = sig_pair(&left);
         let (b, _) = sig_pair(&right);
-        let mut dst_lanes = Bloom::new();
-        let mut dst_scalar = Bloom::new();
-        let hits_lanes = cores::snapshot_intersect2_lanes(&atomic, &mut dst_lanes, &a, &b);
-        let hits_scalar = cores::snapshot_intersect2_scalar(&atomic, &mut dst_scalar, &a, &b);
-        prop_assert_eq!(hits_lanes, hits_scalar);
-        prop_assert_eq!(dst_lanes.words(), dst_scalar.words());
+        let (mut got, _) = sig_pair(&stale);
+        let (mut want, _) = sig_pair(&stale);
+        let hits = atomic.snapshot_intersect2(&mut got, &a, &b);
+        prop_assert_eq!(hits, cores::snapshot_intersect2_scalar(&atomic, &mut want, &a, &b));
+        prop_assert_eq!(got.words(), want.words());
+        prop_assert!(cores::summary_is_exact(&got));
         // Ground truth: snapshot then two separate intersections.
-        let mut plain = Bloom::new();
+        let (mut plain, _) = sig_pair(&stale);
         atomic.load_into(&mut plain);
-        prop_assert_eq!(dst_lanes.words(), plain.words());
-        prop_assert_eq!(hits_lanes, (plain.intersects(&a), plain.intersects(&b)));
+        prop_assert_eq!(got.words(), plain.words());
+        prop_assert_eq!(hits, (plain.intersects(&a), plain.intersects(&b)));
+    }
+
+    /// Summary invariants after an arbitrary op sequence over one plain
+    /// and one shared filter: `Bloom` bit set ⇔ word non-zero,
+    /// `AtomicBloom` bit set ⇐ word non-zero; `clear` / `owner_clear`
+    /// leave every word zero and `is_empty` says what the words say.
+    #[test]
+    fn summary_invariants_hold_after_any_op_sequence(
+        ops in prop::collection::vec((0u8..7, addrs(60)), 1..24),
+    ) {
+        let mut plain = Bloom::new();
+        let shared = AtomicBloom::new();
+        for (op, set) in &ops {
+            let (other, other_shared) = sig_pair(set);
+            match op {
+                0 => set.iter().for_each(|&a| plain.insert(a)),
+                1 => set.iter().for_each(|&a| shared.owner_insert(a)),
+                2 => plain.union_with(&other),
+                3 => shared.store_from(&other),
+                4 => other_shared.load_into(&mut plain),
+                5 => shared.or_into(&mut plain),
+                _ => {
+                    plain.clear();
+                    shared.owner_clear();
+                    prop_assert!(cores::load_scalar(&shared).words().iter().all(|&w| w == 0));
+                }
+            }
+            prop_assert!(cores::summary_is_exact(&plain));
+            prop_assert!(cores::summary_covers(&shared));
+            prop_assert_eq!(plain.is_empty(), plain.words().iter().all(|&w| w == 0));
+        }
     }
 
     /// The kernel walk delivers exactly the reference iterator's bits —
@@ -152,7 +190,7 @@ proptest! {
 }
 
 /// A deterministic workload must commit the same final state on every
-/// engine: the scan kernel and the lane cores sit under all of them.
+/// engine: the scan kernel and the summary walks sit under all of them.
 #[test]
 fn all_engines_commit_identical_state() {
     const WORDS: u32 = 12;
