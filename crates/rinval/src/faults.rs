@@ -43,10 +43,10 @@
 //! | `txn.body.panic` | start of every transaction attempt's body | `panic` |
 //! | `txn.commit.panic` | inside commit, after the engine acquired the seqlock (NOrec/InvalSTM) or posted its request (RInval) | `panic` |
 //! | `heap.alloc.fail` | [`crate::Txn::alloc`], before touching the heap | `fail` |
-//! | `svc.enqueue` | service front-end, in the client submit path before the mailbox push | `fail` (reject), `exit` (accept-then-drop), `delay(ms)` |
+//! | `svc.enqueue` | service front-end, in the client submit path before the slot post | `fail` (reject), `exit` (accept-then-drop), `delay(ms)` |
 //! | `svc.reply.pre` | service worker, after a fresh write applied (committed) but before the reply is delivered | `panic` (worker dies), `exit` (reply dropped), `delay(ms)` |
-//! | `svc.worker.death` | service worker, top of its mailbox loop | `exit`, `panic` |
-//! | `svc.mailbox.pop` | service worker, after dequeuing an envelope and before processing it | `exit` (envelope dropped with the worker), `panic`, `delay(ms)` |
+//! | `svc.worker.death` | service worker, top of its loop, before it claims the next posted slot | `exit`, `panic` |
+//! | `svc.mailbox.pop` | service worker, after claiming a posted slot and before processing the request (the site keeps its pre-slot name: repro tokens spell it) | `exit` (request lost with the worker), `panic`, `delay(ms)` |
 //! | `svc.dedup.rotate` | inside the dedup transaction, at the window-rotation write of a fresh apply | `panic` (mid-transaction crash), `delay(ms)` |
 //! | `server.watchdog.skip` | watchdog, top of each supervision round | `fail` (skip the round), `delay(ms)`, `panic` |
 //!
@@ -90,13 +90,13 @@ pub mod site {
     pub const TXN_COMMIT_PANIC: usize = 6;
     /// Transactional allocation reports heap exhaustion.
     pub const HEAP_ALLOC_FAIL: usize = 7;
-    /// Service front-end: client submit path, before the mailbox push.
+    /// Service front-end: client submit path, before the slot post.
     pub const SVC_ENQUEUE: usize = 8;
     /// Service worker: fresh write applied, reply not yet delivered.
     pub const SVC_REPLY_PRE: usize = 9;
-    /// Service worker: top of its mailbox loop.
+    /// Service worker: top of its loop, before the next claim.
     pub const SVC_WORKER_DEATH: usize = 10;
-    /// Service worker: envelope dequeued, not yet processed.
+    /// Service worker: request claimed, not yet processed.
     pub const SVC_MAILBOX_POP: usize = 11;
     /// Dedup window rotation write, inside the apply transaction.
     pub const SVC_DEDUP_ROTATE: usize = 12;

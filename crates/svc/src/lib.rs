@@ -5,11 +5,17 @@
 //! transactional workloads as a thread-per-core service with the request
 //! lifecycle a real deployment needs (DESIGN.md §16):
 //!
-//! * **Bounded mailboxes** — one per worker, routed by client id. A full
-//!   mailbox answers [`SvcError::RetryAfter`] at the door; queue depth
-//!   never grows without bound.
-//! * **Deadlines** — every request carries one; it fast-fails expired work
-//!   at dequeue and bounds the transaction itself through
+//! * **Call slots** — one cache-aligned request slot per client id, the
+//!   registry's hand-off (paper §IV, Fig. 5) again: the caller posts into
+//!   its slot and waits on its own line, worker `client % workers` walks a
+//!   bitmap of the slots posted to it, both wait through
+//!   [`rinval::sync::Waiter`]. A client id has one call outstanding, so a
+//!   worker's backlog is at most ⌈clients / workers⌉ by construction and
+//!   nothing is allocated or queued per call.
+//! * **Deadlines** — every request carries one; at the deadline the caller
+//!   withdraws a request no worker has claimed and abandons one that is
+//!   in a worker's hands, a worker fast-fails expired work when it claims
+//!   it, and the transaction itself is bounded through
 //!   [`rinval::ThreadHandle::try_run_for`].
 //! * **Idempotent retries** — every write carries a per-client idempotency
 //!   key (strictly increasing, starting at 1) checked against a
@@ -25,18 +31,20 @@
 //!   [`rinval::ThreadHandle::run_ro`], so the service degrades to
 //!   read-only instead of failing outright.
 //! * **Supervision** — a worker killed by a panic (injected or real) is
-//!   respawned; its mailbox survives, and in-flight committed-but-unacked
-//!   operations are recovered by client retry through the dedup window.
+//!   respawned; the slots survive (a request that died in the worker's
+//!   hands is marked lost and freed by its caller), and in-flight
+//!   committed-but-unacked operations are recovered by client retry
+//!   through the dedup window.
 //!
 //! The failure drills run through the same deterministic failpoint table
-//! as the engine (`rinval::faults`, sites `svc.enqueue`, `svc.reply.pre`,
-//! `svc.worker.death`), and [`loadgen`] closes the loop: keyed clients,
-//! zipfian hot keys, bursty phases, a chaos controller, and a ledger that
-//! proves zero lost and zero duplicated operations afterwards.
+//! as the engine (`rinval::faults`, sites `svc.enqueue`, `svc.worker.death`,
+//! `svc.mailbox.pop`, `svc.reply.pre`), and [`loadgen`] closes the loop:
+//! keyed clients, zipfian hot keys, bursty phases, a chaos controller, and
+//! a ledger that proves zero lost and zero duplicated operations afterwards.
 
 #![warn(missing_docs)]
 
-mod mailbox;
+mod slot;
 mod stats;
 
 pub mod bank;
@@ -47,13 +55,12 @@ pub mod travel;
 
 pub use stats::SvcStats;
 
-use mailbox::{Envelope, Mailbox, ReplySlot};
 use rinval::faults::site;
 use rinval::stats::log2_quantile_ns;
 use rinval::{FaultAction, Stm, TxError, TxResult, Txn};
+use slot::{Claim, Slots};
 use stats::{bump, Counters, WindowHist};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
@@ -82,8 +89,8 @@ pub struct Request {
 /// Why a request did not produce a value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SvcError {
-    /// Load was shed (full mailbox, SLO breach, or backpressure): back
-    /// off and retry the same key.
+    /// Load was shed (SLO breach or commit-queue backpressure, decided by
+    /// the worker at the write gate): back off and retry the same key.
     RetryAfter,
     /// The deadline expired. The operation may or may not have committed —
     /// retrying the same key resolves which, exactly once.
@@ -136,11 +143,11 @@ pub trait Workload: Sync {
 /// Service deployment parameters.
 #[derive(Clone, Debug)]
 pub struct SvcConfig {
-    /// Worker threads (one mailbox each).
+    /// Worker threads; client `c` is served by worker `c % workers`.
     pub workers: usize,
-    /// Mailbox capacity; a full mailbox rejects with `RetryAfter`.
-    pub mailbox_cap: usize,
-    /// Client-id space (sizes the dedup table).
+    /// Client-id space: one call slot and one dedup row per id. Each id
+    /// has one call outstanding at a time (a second thread calling on the
+    /// same id waits its turn).
     pub clients: u64,
     /// Dedup entries retained per client. Must cover the deepest retry a
     /// client can issue; closed-loop clients need only 1, the default
@@ -172,7 +179,6 @@ impl Default for SvcConfig {
     fn default() -> SvcConfig {
         SvcConfig {
             workers: 4,
-            mailbox_cap: 64,
             clients: 64,
             dedup_window: 8,
             slo_p99: Duration::from_millis(5),
@@ -200,19 +206,20 @@ struct Dedup {
 
 impl Dedup {
     fn new(stm: &Stm, clients: u64, window: usize) -> Dedup {
-        let window = window.max(1) as u32;
-        let row_words = OFF_ENTRIES + 2 * window;
         // Handles index heap words with a u32, so the whole table must fit
         // one; checking here keeps `row` a plain multiply.
-        let words = clients
-            .checked_mul(row_words as u64)
-            .filter(|&w| w <= u32::MAX as u64)
-            .unwrap_or_else(|| {
-                panic!(
-                    "svc: dedup table of {clients} clients x {row_words} words \
-                     exceeds the u32 handle index space"
-                )
-            });
+        let checked = || {
+            let window = u32::try_from(window.max(1)).ok()?;
+            let row_words = window.checked_mul(2)?.checked_add(OFF_ENTRIES)?;
+            let words = u32::try_from(clients.checked_mul(row_words as u64)?).ok()?;
+            Some((window, row_words, words))
+        };
+        let Some((window, row_words, words)) = checked() else {
+            panic!(
+                "svc: dedup table of {clients} clients x {window}-entry windows \
+                 exceeds the u32 handle index space"
+            )
+        };
         Dedup {
             // `Stm::alloc` zeroes, which is exactly the empty-table
             // encoding (last_key 0 < every real key).
@@ -251,8 +258,7 @@ impl Dedup {
         let last = tx.read(row.field(OFF_LAST_KEY))?;
         if req.key <= last {
             // Keys are strictly increasing, so `key <= last` can only be a
-            // retry (or a duplicate copy an earlier dead worker left in a
-            // mailbox). Never re-apply — find the recorded result.
+            // retry. Never re-apply — find the recorded result.
             for i in 0..self.window {
                 if tx.read(row.field(OFF_ENTRIES + 2 * i))? == req.key {
                     return Ok((tx.read(row.field(OFF_ENTRIES + 2 * i + 1))?, false));
@@ -286,17 +292,15 @@ struct Shared<'a> {
     workload: &'a dyn Workload,
     cfg: SvcConfig,
     endpoints: &'static [EndpointDesc],
-    mailboxes: Vec<Mailbox>,
+    slots: Slots,
     hists: Vec<WindowHist>,
     counters: Counters,
-    shutdown: AtomicBool,
     dedup: Dedup,
-    epoch: Instant,
 }
 
 impl Shared<'_> {
     fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.slots.epoch.elapsed().as_nanos() as u64
     }
 
     /// The shed decision (writes only), the one overload gate: recent
@@ -324,6 +328,11 @@ pub struct Frontend<'s, 'a> {
 impl Frontend<'_, '_> {
     /// Submits one request and waits for its reply or `timeout`.
     ///
+    /// Calls on one client id are served one at a time: a call that finds
+    /// the id's slot busy (this client's previous, timed-out call still in
+    /// a worker's hands, or another thread calling on the same id) waits
+    /// its turn inside the same `timeout`.
+    ///
     /// # Panics
     /// On an out-of-range endpoint or client id, or a zero idempotency
     /// key on a write endpoint (keys start at 1).
@@ -336,7 +345,7 @@ impl Frontend<'_, '_> {
             "svc: write idempotency keys start at 1"
         );
         let deadline = Instant::now() + timeout;
-        match sh.stm.faults().fire(site::SVC_ENQUEUE) {
+        let out = match sh.stm.faults().fire(site::SVC_ENQUEUE) {
             Some(FaultAction::Fail) => {
                 // Injected admission failure: looks exactly like load shed.
                 bump(&sh.counters.enqueue_faults);
@@ -347,24 +356,10 @@ impl Frontend<'_, '_> {
                 // believes it was submitted, so it can only time out.
                 bump(&sh.counters.enqueue_drops);
                 std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                bump(&sh.counters.client_timeouts);
-                return Err(SvcError::Timeout);
+                Err(SvcError::Timeout)
             }
-            _ => {}
-        }
-        let reply = Arc::new(ReplySlot::new());
-        let env = Envelope {
-            req,
-            deadline,
-            reply: reply.clone(),
+            _ => sh.slots.call(&req, deadline, &sh.counters),
         };
-        let w = (req.client as usize) % sh.cfg.workers;
-        if sh.mailboxes[w].try_push(env).is_err() {
-            bump(&sh.counters.rejected_full);
-            return Err(SvcError::RetryAfter);
-        }
-        bump(&sh.counters.accepted);
-        let out = reply.wait(deadline);
         if out == Err(SvcError::Timeout) {
             bump(&sh.counters.client_timeouts);
         }
@@ -434,12 +429,12 @@ pub fn serve<R>(
         stm,
         workload,
         endpoints,
-        mailboxes: (0..cfg.workers).map(|_| Mailbox::new(cfg.mailbox_cap)).collect(),
+        // Before the slots: an oversized client space must be refused, not
+        // allocated for.
+        dedup: Dedup::new(stm, cfg.clients, cfg.dedup_window),
+        slots: Slots::new(cfg.clients, cfg.workers),
         hists: endpoints.iter().map(|_| WindowHist::new(cfg.hist_window)).collect(),
         counters: Counters::default(),
-        shutdown: AtomicBool::new(false),
-        dedup: Dedup::new(stm, cfg.clients, cfg.dedup_window),
-        epoch: Instant::now(),
         cfg,
     };
     std::thread::scope(|s| {
@@ -465,10 +460,7 @@ struct ShutdownGuard<'s, 'a>(&'s Shared<'a>);
 
 impl Drop for ShutdownGuard<'_, '_> {
     fn drop(&mut self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
-        for mb in &self.0.mailboxes {
-            mb.notify();
-        }
+        self.0.slots.shut_down(&self.0.counters);
     }
 }
 
@@ -481,7 +473,7 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
     let mut slots: Vec<Option<ScopedJoinHandle<'scope, ()>>> =
         (0..sh.cfg.workers).map(|w| Some(spawn(w))).collect();
     loop {
-        let shutting_down = sh.shutdown.load(Ordering::SeqCst);
+        let shutting_down = sh.slots.shutdown.load(Ordering::SeqCst);
         for (w, slot) in slots.iter_mut().enumerate() {
             let finished = slot.as_ref().is_some_and(|h| h.is_finished());
             if finished {
@@ -507,69 +499,63 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
             let _ = h.join();
         }
     }
-    // Workers are gone; anything still queued gets an honest Shutdown.
-    for mb in &sh.mailboxes {
-        for env in mb.drain() {
-            if env.reply.deliver(Err(SvcError::Shutdown)) {
-                bump(&sh.counters.shutdown_replies);
-            }
-        }
+    // Workers are gone; anything still posted gets an honest Shutdown.
+    for claim in sh.slots.claim_posted(&sh.counters) {
+        claim.answer(Err(SvcError::Shutdown));
+        bump(&sh.counters.shutdown_replies);
     }
 }
 
-/// One worker: owns a registered STM thread and serves its mailbox until
-/// shutdown (or injected death).
+/// One worker: owns a registered STM thread and serves the slots posted
+/// to its seat until shutdown (or injected death).
 fn worker(sh: &Shared<'_>, w: usize) {
     let mut th = sh.stm.register_thread();
     loop {
         if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_WORKER_DEATH) {
             return;
         }
-        let Some(env) = sh.mailboxes[w].pop(&sh.shutdown) else {
+        let Some(claim) = sh.slots.claim_next(w, &sh.counters) else {
             return;
         };
-        // `svc.mailbox.pop`: the envelope is out of the queue but not yet
-        // processed — Exit kills the worker *with the envelope in hand*
-        // (the client's only recovery is timeout + retry through dedup),
-        // unlike `svc.worker.death`, which dies empty-handed.
+        // `svc.mailbox.pop`: the request is claimed but not yet processed
+        // — Exit kills the worker *with the request in hand* (the dropped
+        // claim marks the slot lost; the client's only recovery is timeout
+        // + retry through dedup), unlike `svc.worker.death`, which dies
+        // empty-handed.
         if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_MAILBOX_POP) {
             return;
         }
-        process(sh, &mut th, env);
+        process(sh, &mut th, claim);
     }
 }
 
 /// The request state machine past admission: expire → (read | shed →
 /// execute) → reply. See DESIGN.md §16 for the full lifecycle diagram.
-fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
-    let ep = sh.endpoints[env.req.endpoint as usize];
+fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, claim: Claim<'_>) {
+    let req = claim.req;
+    let ep = sh.endpoints[req.endpoint as usize];
     let now = Instant::now();
-    if now >= env.deadline {
-        // The client is already gone (its wait and this check share one
+    if now >= claim.deadline {
+        // The client is leaving (its wait and this check share one
         // clock); answer Timeout without burning a transaction on it.
         bump(&sh.counters.expired_on_dequeue);
-        deliver(sh, &env, Err(SvcError::Timeout));
-        return;
+        return claim.answer(Err(SvcError::Timeout));
     }
     if !ep.writes {
         // Reads bypass the admission gate entirely: `run_ro` is the
         // degraded-mode path and must keep working under write shed.
         let started = Instant::now();
-        let req = env.req;
         let v = th.run_ro(|tx| sh.workload.query(tx, &req));
         sh.hists[req.endpoint as usize].record(started.elapsed(), sh.now_ns());
         bump(&sh.counters.executed_reads);
-        deliver(sh, &env, Ok(v));
-        return;
+        return claim.answer(Ok(v));
     }
     if sh.should_shed_write() {
         bump(&sh.counters.shed_writes);
-        deliver(sh, &env, Err(SvcError::RetryAfter));
-        return;
+        return claim.answer(Err(SvcError::RetryAfter));
     }
     let started = Instant::now();
-    let req = env.req;
-    let res = th.try_run_for(env.deadline.saturating_duration_since(started), |tx| {
+    let res = th.try_run_for(claim.deadline.saturating_duration_since(started), |tx| {
         sh.dedup
             .apply(sh.workload, tx, &req, sh.stm.faults(), sh.cfg.disable_dedup)
     });
@@ -590,24 +576,18 @@ fn process(sh: &Shared<'_>, th: &mut rinval::ThreadHandle<'_>, env: Envelope) {
                 // (dedup-hit replies are already the recovery path).
                 if let Some(FaultAction::Exit) = sh.stm.faults().fire(site::SVC_REPLY_PRE) {
                     bump(&sh.counters.dropped_replies);
-                    return;
+                    return; // the dropped claim marks the slot lost
                 }
             }
-            deliver(sh, &env, Ok(val));
+            claim.answer(Ok(val));
         }
         Err(TxError::Timeout) => {
             bump(&sh.counters.exec_timeouts);
-            deliver(sh, &env, Err(SvcError::Timeout));
+            claim.answer(Err(SvcError::Timeout));
         }
         // `try_run_for` retries aborts internally; an Aborted verdict can
         // only mean the instance is shutting down around us. Let the
         // client retry against whatever comes next.
-        Err(TxError::Aborted) => deliver(sh, &env, Err(SvcError::RetryAfter)),
-    }
-}
-
-fn deliver(sh: &Shared<'_>, env: &Envelope, outcome: Result<u64, SvcError>) {
-    if !env.reply.deliver(outcome) {
-        bump(&sh.counters.late_replies);
+        Err(TxError::Aborted) => claim.answer(Err(SvcError::RetryAfter)),
     }
 }

@@ -186,14 +186,17 @@ impl LoadReport {
             self.acked_writes, self.applied_writes, self.lost, self.duplicated, self.undrained
         );
         println!(
-            "svc accepted={} rejected_full={} shed={} dedup_hits={} timeouts={} worker_deaths={} respawns={}",
+            "svc accepted={} shed={} dedup_hits={} timeouts={} worker_deaths={} respawns={} \
+             caller_parks={} worker_parks={} wakes_sent={}",
             self.svc.accepted,
-            self.svc.rejected_full,
             self.svc.shed_writes,
             self.svc.dedup_hits,
             self.svc.client_timeouts,
             self.svc.worker_deaths,
-            self.svc.worker_respawns
+            self.svc.worker_respawns,
+            self.svc.caller_parks,
+            self.svc.worker_parks,
+            self.svc.wakes_sent
         );
         match (self.chaos_ran, self.recovered_after) {
             (true, Some(d)) => println!("chaos recovered_after={}ms", d.as_millis()),

@@ -129,7 +129,6 @@ pub fn check_accounting(report: &LoadReport, allow: &Allowances, out: &mut Vec<S
         return; // injected faults legitimately produce all of the below
     }
     let client_pressure = report.svc.client_timeouts > 0
-        || report.svc.rejected_full > 0
         || report.svc.shed_writes > 0
         || report.undrained > 0
         || report.degraded;

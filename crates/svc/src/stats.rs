@@ -24,11 +24,11 @@ pub(crate) fn bump(c: &AtomicU64) {
 }
 
 /// Lifecycle counters for one service instance. Field order follows a
-/// request's path: admission, execution, reply.
+/// request's path — admission, execution, reply — then supervision and the
+/// waiting discipline's own counters.
 #[derive(Default)]
 pub(crate) struct Counters {
     pub accepted: AtomicU64,
-    pub rejected_full: AtomicU64,
     pub enqueue_faults: AtomicU64,
     pub enqueue_drops: AtomicU64,
     pub shed_writes: AtomicU64,
@@ -44,13 +44,15 @@ pub(crate) struct Counters {
     pub worker_deaths: AtomicU64,
     pub worker_respawns: AtomicU64,
     pub shutdown_replies: AtomicU64,
+    pub caller_parks: AtomicU64,
+    pub worker_parks: AtomicU64,
+    pub wakes_sent: AtomicU64,
 }
 
 impl Counters {
     pub(crate) fn snapshot(&self) -> SvcStats {
         SvcStats {
             accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
             enqueue_faults: self.enqueue_faults.load(Ordering::Relaxed),
             enqueue_drops: self.enqueue_drops.load(Ordering::Relaxed),
             shed_writes: self.shed_writes.load(Ordering::Relaxed),
@@ -66,6 +68,9 @@ impl Counters {
             worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             shutdown_replies: self.shutdown_replies.load(Ordering::Relaxed),
+            caller_parks: self.caller_parks.load(Ordering::Relaxed),
+            worker_parks: self.worker_parks.load(Ordering::Relaxed),
+            wakes_sent: self.wakes_sent.load(Ordering::Relaxed),
         }
     }
 }
@@ -74,10 +79,8 @@ impl Counters {
 /// ([`crate::Frontend::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SvcStats {
-    /// Requests admitted into a mailbox.
+    /// Requests posted into their client's call slot.
     pub accepted: u64,
-    /// Requests rejected at the door because the target mailbox was full.
-    pub rejected_full: u64,
     /// Requests rejected by an armed `svc.enqueue` `fail` failpoint.
     pub enqueue_faults: u64,
     /// Requests accepted-then-lost by an armed `svc.enqueue` `exit`
@@ -86,8 +89,8 @@ pub struct SvcStats {
     /// Write requests shed by the admission gate (SLO breach or
     /// backpressure) — answered `RetryAfter` without entering the STM.
     pub shed_writes: u64,
-    /// Requests whose deadline had already passed at dequeue — answered
-    /// `Timeout` without entering the STM.
+    /// Requests whose deadline had already passed when a worker claimed
+    /// them — answered `Timeout` without entering the STM.
     pub expired_on_dequeue: u64,
     /// Write requests that ran a transaction (fresh applies + dedup hits).
     pub executed_writes: u64,
@@ -104,8 +107,8 @@ pub struct SvcStats {
     pub exec_timeouts: u64,
     /// Client-side waits that hit the deadline before any reply.
     pub client_timeouts: u64,
-    /// Worker replies delivered after the client abandoned the slot
-    /// (value dropped; the committed effect is recoverable via retry).
+    /// Worker answers that found the slot abandoned by its caller (value
+    /// dropped, slot freed; the committed effect is recoverable via retry).
     pub late_replies: u64,
     /// Replies deliberately dropped by an armed `svc.reply.pre` `exit`
     /// failpoint.
@@ -114,8 +117,16 @@ pub struct SvcStats {
     pub worker_deaths: u64,
     /// Workers respawned by the supervisor.
     pub worker_respawns: u64,
-    /// Envelopes answered `Shutdown` while draining at service stop.
+    /// Requests still posted at service stop, answered `Shutdown` by the
+    /// supervisor after it joined the workers.
     pub shutdown_replies: u64,
+    /// Parks of callers waiting on their slot (for the answer, or for a
+    /// busy slot to come free). The hot path stays in spin/yield.
+    pub caller_parks: u64,
+    /// Parks of idle workers waiting on their posted map.
+    pub worker_parks: u64,
+    /// Unparks sent by a poster that found the sleeper flag raised.
+    pub wakes_sent: u64,
 }
 
 /// log₂ latency histogram with a rotating window and cached quantiles.

@@ -140,8 +140,24 @@ fn oversized_dedup_table_panics_up_front() {
     serve(&stm, &bank, &cfg, |_front| {});
 }
 
+/// So is a dedup *window* too large for it: `dedup_window >= 2^31` used to
+/// truncate to a u32 and wrap `row_words` in release builds (to 3 words a
+/// row, with the lookup loop then walking other clients' rows).
+#[test]
+#[should_panic(expected = "u32 handle index space")]
+fn oversized_dedup_window_panics_up_front() {
+    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let bank = bank::BankService::setup(&stm, 4, 100);
+    let cfg = SvcConfig {
+        clients: 1,
+        dedup_window: 1 << 31,
+        ..SvcConfig::default()
+    };
+    serve(&stm, &bank, &cfg, |_front| {});
+}
+
 /// A read endpoint that sleeps: wedges a worker for a controlled time so
-/// mailbox overflow is deterministic.
+/// a busy call slot is deterministic.
 struct Sleepy;
 
 impl svc::Workload for Sleepy {
@@ -162,15 +178,16 @@ impl svc::Workload for Sleepy {
     }
 }
 
-/// A full mailbox rejects with `RetryAfter` at the door: one worker
-/// wedged behind a slow request, `mailbox_cap` envelopes queued behind
-/// it, and the overflow is told to come back.
+/// A client id's call slot that is still in a worker's hands (the previous
+/// call on it timed out) is waited for at the door, not refused: the retry
+/// is served once the worker lets go — what the FIFO mailbox did by queueing
+/// the retry behind the abandoned copy — and a call whose own deadline
+/// falls first times out without ever posting.
 #[test]
-fn full_mailbox_rejects_retry_after() {
+fn busy_client_slot_is_waited_for_not_refused() {
     let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
     let cfg = SvcConfig {
         workers: 1,
-        mailbox_cap: 2,
         ..SvcConfig::default()
     };
     serve(&stm, &Sleepy, &cfg, |front| {
@@ -180,26 +197,28 @@ fn full_mailbox_rejects_retry_after() {
             endpoint: 0,
             args: [ms, 0, 0, 0],
         };
-        std::thread::scope(|s| {
-            // The worker dequeues this immediately and naps on it…
-            s.spawn(move || {
-                let _ = front.call(nap(600), Duration::from_secs(5));
-            });
-            std::thread::sleep(Duration::from_millis(100));
-            // …so these two fill the (empty) mailbox behind it…
-            for _ in 0..2 {
-                s.spawn(move || {
-                    let _ = front.call(nap(0), Duration::from_secs(5));
-                });
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            // …and the overflow is rejected at the door.
-            assert_eq!(
-                front.call(nap(0), Duration::from_secs(5)),
-                Err(SvcError::RetryAfter)
-            );
-            assert!(front.stats().rejected_full >= 1);
-        });
+        // A: the worker claims it and naps past A's deadline; A abandons.
+        let t0 = std::time::Instant::now();
+        assert_eq!(
+            front.call(nap(600), Duration::from_millis(100)),
+            Err(SvcError::Timeout)
+        );
+        let after_a = front.stats();
+        assert_eq!((after_a.accepted, after_a.client_timeouts), (1, 1));
+        // C: the slot is still the napping worker's; a short deadline runs
+        // out at the door, and nothing is posted.
+        assert_eq!(
+            front.call(nap(0), Duration::from_millis(50)),
+            Err(SvcError::Timeout)
+        );
+        assert_eq!(front.stats().accepted, 1, "C must not have posted");
+        // B: a long deadline outlasts the nap, gets the slot and is served.
+        assert_eq!(front.call(nap(0), Duration::from_secs(30)), Ok(0));
+        assert!(t0.elapsed() >= Duration::from_millis(600), "B overtook the nap");
+        let done = front.stats();
+        assert_eq!(done.accepted, 2);
+        assert_eq!(done.late_replies, 1, "A's answer found the slot abandoned");
+        assert_eq!(done.client_timeouts, 2);
     });
 }
 
@@ -328,7 +347,7 @@ mod drills {
         bank.verify(&stm).unwrap();
     }
 
-    /// Injected worker exits at the top of the loop: mailboxes survive the
+    /// Injected worker exits at the top of the loop: the slots survive the
     /// deaths and service continues on respawned workers.
     #[test]
     fn injected_worker_exits_are_respawned() {
