@@ -7,7 +7,7 @@
 //! 1. checks its own invalidation flag (Algorithm 2, line 5);
 //! 2. publishes its write signature and write-set into its cache-aligned
 //!    request slot;
-//! 3. flips `request_state` to `PENDING` (the release edge that hands the
+//! 3. posts `PENDING` on its request cell (the release edge that hands the
 //!    write-set to the commit-server);
 //! 4. waits **on its own slot** — not on any shared lock — until the server
 //!    answers `COMMITTED` or `ABORTED` (Algorithm 2, line 8): spin, yield,
@@ -125,7 +125,7 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Algorithm 2, line 7 — the release edge: everything above (and the
     // transaction's `Txn::init` stores into fresh records) happens-before
     // the server's acquire load of PENDING.
-    slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+    slot.req.post(REQ_PENDING);
     tx.stm.faults.fire(faults::site::CLIENT_PUBLISH_DELAY);
     // Summary-map publish, strictly *after* the PENDING store: a server
     // that observes the set bit is guaranteed (SeqCst total order) to also
@@ -173,10 +173,7 @@ fn await_verdict(tx: &mut Txn<'_>) -> Option<bool> {
     let slot = stm.registry.slot(me);
     let mut w = slot_waiter(stm, me, tx.deadline);
     loop {
-        let answered = matches!(
-            slot.request_state.load(Ordering::SeqCst),
-            REQ_COMMITTED | REQ_ABORTED
-        );
+        let answered = matches!(slot.req.state(), REQ_COMMITTED | REQ_ABORTED);
         if answered
             || (w.is_yielding()
                 && (stm.shutdown.load(Ordering::SeqCst)
@@ -216,7 +213,7 @@ pub(crate) fn remote_grant_token(tx: &mut Txn<'_>) -> bool {
         return false;
     }
     let slot = stm.registry.slot(me);
-    slot.request_state.store(REQ_IRREVOCABLE, Ordering::SeqCst);
+    slot.req.post(REQ_IRREVOCABLE);
     stm.registry.pending().set(me);
     wake_seat(stm, 0);
 

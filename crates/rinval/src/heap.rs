@@ -661,10 +661,17 @@ impl Heap {
     /// read from the timestamp at or after `t`, so the reader cannot miss
     /// it unless it was later overwritten. The ring holds the newest
     /// `VERSION_RING` versions (overwrite-oldest, stamps strictly monotone
-    /// per word), so the largest stable stamp ≤ `snap` *is* the word's
-    /// value at `snap`. An entry mid-overwrite is by construction the
-    /// oldest, so it can only matter when no stable candidate exists — and
-    /// then the conservative answer is [`SnapshotRead::Miss`].
+    /// per word), so the largest stamp ≤ `snap` in the ring *at one
+    /// instant* is the word's value at `snap`. The scan is not one
+    /// instant: it visits the positions once, in index order, and several
+    /// appends may land under it — replacing both the candidate it already
+    /// read and the true newest-≤-`snap` entry it has not reached yet,
+    /// after which every later position reads `> snap`. So the candidate's
+    /// stamp is re-loaded after the scan. Unchanged ⇒ nothing newer than
+    /// the candidate was overwritten under the scan (oldest goes first),
+    /// every stamp ≤ `snap` was appended before `snap` was taken, hence
+    /// the scan saw them all and the answer stands. Changed, or no stable
+    /// candidate at all ⇒ the conservative [`SnapshotRead::Miss`].
     ///
     /// A fully empty ring means the word was never written by a versioned
     /// commit: the main value has been constant since the word became
@@ -682,7 +689,7 @@ impl Heap {
         let Some(ring) = self.version_ring(va, h.0 as usize) else {
             return SnapshotRead::Current(main);
         };
-        let mut best: Option<u64> = None;
+        let mut best: Option<(&VersionEntry, u64)> = None;
         let mut best_ts = 0u64;
         let mut nonempty = false;
         let mut newer = false;
@@ -709,12 +716,13 @@ impl Heap {
             }
             if t1 >= best_ts {
                 best_ts = t1;
-                best = Some(v);
+                best = Some((e, v));
             }
         }
         match best {
-            Some(v) if newer => SnapshotRead::Old(v),
-            Some(v) => SnapshotRead::Current(v),
+            Some((e, _)) if e.ts.load(Ordering::SeqCst) != best_ts => SnapshotRead::Miss,
+            Some((_, v)) if newer => SnapshotRead::Old(v),
+            Some((_, v)) => SnapshotRead::Current(v),
             None if nonempty => SnapshotRead::Miss,
             None => SnapshotRead::Current(main),
         }
@@ -1252,6 +1260,59 @@ mod tests {
         let st = heap.stats();
         assert_eq!(st.version_entries, VERSION_RING as u64, "ring stays full");
         assert_eq!(st.version_appends, writes);
+    }
+
+    /// Several appends landing under one ring scan must not surface a
+    /// version the snapshot had already seen superseded. The writer stores
+    /// `ts` as the value at every even `ts` and then publishes `ts`;
+    /// readers (more than the host has cores, so that one is regularly
+    /// preempted mid-scan) snapshot at the last published stamp, whose
+    /// version is `ts` itself — anything less is a stale read.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn snapshot_read_never_returns_a_superseded_version() {
+        use std::sync::atomic::AtomicBool;
+        let mut heap = Heap::new(64);
+        heap.enable_versions();
+        let h = heap.alloc(1).unwrap();
+        let (heap, published, stop) = (&heap, &AtomicU64::new(0), &AtomicBool::new(false));
+        let (reads, stale) = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut ts = 2;
+                while !stop.load(Ordering::Relaxed) {
+                    heap.store_versioned(h, ts, ts);
+                    published.store(ts, Ordering::SeqCst);
+                    ts += 2;
+                }
+            });
+            let reader = move || {
+                let (mut reads, mut stale) = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = published.load(Ordering::SeqCst);
+                    match heap.snapshot_read(h, snap) {
+                        SnapshotRead::Current(v) | SnapshotRead::Old(v) => {
+                            stale += (v < snap) as u64
+                        }
+                        SnapshotRead::Miss => {}
+                    }
+                    reads += 1;
+                }
+                (reads, stale)
+            };
+            let readers: Vec<_> = (0..6).map(|_| s.spawn(reader)).collect();
+            std::thread::sleep(std::time::Duration::from_secs(2));
+            stop.store(true, Ordering::Relaxed);
+            let sum = |(r, s), (r1, s1)| (r + r1, s + s1);
+            readers
+                .into_iter()
+                .map(|r| r.join().unwrap())
+                .fold((0, 0), sum)
+        });
+        assert!(reads > 0);
+        assert_eq!(
+            stale, 0,
+            "{stale} of {reads} snapshot reads returned a superseded version"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The in-flight transaction registry and the cache-aligned request array.
 //!
 //! The paper's Fig. 5 shows one cache-aligned record per client thread
-//! holding `request_state`, `tx_status` and the write-set reference; the
+//! holding the request state, `tx_status` and the write-set reference; the
 //! invalidation side additionally needs each transaction's read Bloom
 //! filter. We fuse both into a single [`TxSlot`] per registered thread —
 //! this *is* the "cache-aligned requests array": every client spins only on
@@ -9,6 +9,40 @@
 //!
 //! Slot indices are claimed when a thread registers with the STM and
 //! recycled when its [`crate::ThreadHandle`] drops.
+//!
+//! ## The request word
+//!
+//! The request state and the flag its owner parks behind are one type,
+//! [`ReqCell`], and every transition is one of its methods — the engine's
+//! [`TxSlot::req`] and `svc`'s call slots both embed it, so the protocol
+//! below is written once. All accesses are `SeqCst`.
+//!
+//! | edge | who | from → to | publishes / acquires | owed a wake |
+//! |---|---|---|---|---|
+//! | post ([`ReqCell::post`]) | owner | `IDLE → PENDING` \| `IRREVOCABLE` | the store publishes the payload written before it | the server, through the summary bit the owner sets *after* the store |
+//! | claim ([`ReqCell::step`]) | server, drain | `PENDING → CLAIMED` | a won CAS acquires the payload and freezes it: the owner can no longer withdraw | — |
+//! | revert ([`ReqCell::post`]) | V1 server | `CLAIMED → PENDING` | nothing new; re-opens the withdrawal window | — |
+//! | withdraw ([`ReqCell::step`]) | owner | `PENDING` \| `IRREVOCABLE → IDLE` | a won CAS proves no server ever owned the request | — |
+//! | answer ([`ReqCell::answer`]) | whoever holds the claim | `CLAIMED → COMMITTED` \| `ABORTED` | the store publishes the write-back done before it | the owner, by the same call |
+//! | answer-from ([`ReqCell::answer_from`]) | server | `IRREVOCABLE → COMMITTED` | as answer, for a request that was never claimed and so races the withdraw edge | the owner, if the CAS won |
+//! | return ([`ReqCell::post`]) | owner | verdict `→ IDLE` | nothing; the owner read the verdict with [`ReqCell::state`] | — |
+//!
+//! Exactly one of {claim, withdraw} (and of {answer-from, withdraw}) wins a
+//! posted request, so every request has one owner at a time — the pivot of
+//! the recovery design (`server.rs`, "Fault containment").
+//!
+//! **No lost wake.** The owner waits on the cell with
+//! [`ReqCell::waiter`]: before it parks it raises the cell's sleeper flag,
+//! *then* re-loads the state (its wait loop going round once); an answer
+//! stores the verdict, *then* loads the flag. Both pairs are store→load in
+//! the `SeqCst` total order (Dekker), so either the flag store precedes the
+//! answerer's flag load — the answerer unparks, and an unpark that beats
+//! the park makes it return at once — or the verdict store precedes the
+//! owner's re-load and the owner never parks. Because [`ReqCell::answer`]
+//! and [`ReqCell::answer_from`] are the only ways to write a verdict, a
+//! verdict without its wake cannot be written. Every park is bounded all
+//! the same (`sync.rs`), so an escape condition nobody posts for —
+//! shutdown, degradation, a deadline — costs one bound, never a hang.
 //!
 //! ## Summary bitmaps
 //!
@@ -32,9 +66,10 @@
 
 use crate::bloom::AtomicBloom;
 use crate::logs::WriteEntry;
-use crate::sync::{AtomicBitmap, CachePadded, Sleeper};
+use crate::sync::{AtomicBitmap, CachePadded, Sleeper, Waiter};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// `tx_status`: no transaction running in this slot.
 pub const TX_IDLE: u32 = 0;
@@ -44,15 +79,15 @@ pub const TX_ALIVE: u32 = 1;
 /// transaction's read signature; it must abort at its next status check.
 pub const TX_INVALIDATED: u32 = 2;
 
-/// `request_state`: no commit request outstanding.
+/// [`ReqCell`] state: no commit request outstanding.
 pub const REQ_IDLE: u32 = 0;
-/// `request_state`: client published a commit request; server will pick it up.
+/// [`ReqCell`] state: client published a commit request; server will pick it up.
 pub const REQ_PENDING: u32 = 1;
-/// `request_state`: server committed the request's write-set.
+/// [`ReqCell`] state: server committed the request's write-set.
 pub const REQ_COMMITTED: u32 = 2;
-/// `request_state`: server refused the request (client was invalidated).
+/// [`ReqCell`] state: server refused the request (client was invalidated).
 pub const REQ_ABORTED: u32 = 3;
-/// `request_state`: a server CASed the request `PENDING → CLAIMED` at
+/// [`ReqCell`] state: a server CASed the request `PENDING → CLAIMED` at
 /// pickup and is processing it. The state exists for fault containment:
 /// a client that wants to *withdraw* a posted request (deadline expiry,
 /// engine degradation, handle teardown) CASes `PENDING → IDLE`; success
@@ -62,7 +97,7 @@ pub const REQ_ABORTED: u32 = 3;
 /// recovery uses the same marker: requests a dead server left `CLAIMED`
 /// are exactly the ones whose processing may have started.
 pub const REQ_CLAIMED: u32 = 4;
-/// `request_state`: client posted a request for the global irrevocable
+/// [`ReqCell`] state: client posted a request for the global irrevocable
 /// token over the same slot protocol as a commit (DESIGN.md §13). The
 /// server (or the seqlock holder on serverless engines) answers it with
 /// `REQ_COMMITTED` once the token is granted; withdrawal CASes it back to
@@ -75,9 +110,86 @@ pub const REQ_IRREVOCABLE: u32 = 5;
 /// holds the token.
 pub const NO_IRREVOCABLE_HOLDER: usize = usize::MAX;
 
+/// One request word and the flag its owner parks behind: the whole
+/// post / claim / answer / withdraw protocol (module docs, "The request
+/// word"). The values are the `REQ_*` constants, plus whatever private
+/// ones an embedder passes to [`ReqCell::step`]; the default is
+/// [`REQ_IDLE`].
+#[derive(Debug, Default)]
+pub struct ReqCell {
+    state: AtomicU32,
+    sleeper: Sleeper,
+}
+
+impl ReqCell {
+    /// The current state.
+    #[inline]
+    pub fn state(&self) -> u32 {
+        self.state.load(Ordering::SeqCst)
+    }
+
+    /// The owner's publishing store: everything written before it is
+    /// visible to whoever claims `kind`. Also the owner's return to
+    /// [`REQ_IDLE`] after reading a verdict, and V1's claim revert. A bare
+    /// store — the poster sets its summary bit and wakes the server itself.
+    #[inline]
+    pub fn post(&self, kind: u32) {
+        self.state.store(kind, Ordering::SeqCst);
+    }
+
+    /// The one CAS: claim (`kind → CLAIMED`), withdraw (`kind → IDLE`), and
+    /// an embedder's own edges (`svc`'s door and abandon). True if this
+    /// caller moved the cell.
+    #[inline]
+    pub fn step(&self, from: u32, to: u32) -> bool {
+        self.state
+            .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// Stores `verdict`, *then* wakes the owner if it parked. Returns
+    /// whether a wake was sent.
+    #[inline]
+    pub fn answer(&self, verdict: u32) -> bool {
+        self.post(verdict);
+        self.wake()
+    }
+
+    /// [`ReqCell::answer`] as a CAS, for an answer that races the owner
+    /// leaving `from`. `None` if the owner left first.
+    #[inline]
+    pub fn answer_from(&self, from: u32, verdict: u32) -> Option<bool> {
+        self.step(from, verdict).then(|| self.wake())
+    }
+
+    /// The owner's waiter on this cell, woken by [`ReqCell::answer`]: each
+    /// park lasts at most `bound` and never past `deadline`.
+    pub fn waiter<'a>(
+        &'a self,
+        bound: Duration,
+        deadline: Option<Instant>,
+        parks: &'a AtomicU64,
+    ) -> Waiter<'a> {
+        Waiter::new(&self.sleeper, bound, deadline, parks)
+    }
+
+    /// Wakes a parked owner without a verdict, for the stores every wait
+    /// loop treats as an escape (shutdown, degradation, a respawn).
+    #[inline]
+    pub(crate) fn wake(&self) -> bool {
+        self.sleeper.wake()
+    }
+
+    /// Slot recycling: back to [`REQ_IDLE`] with the flag lowered.
+    pub(crate) fn reset(&self) {
+        self.post(REQ_IDLE);
+        self.sleeper.retract();
+    }
+}
+
 /// Per-thread descriptor: transaction metadata + commit-request mailbox.
 ///
-/// Cache-line alignment keeps a client's spin variable (`request_state`)
+/// Cache-line alignment keeps a client's spin variable ([`TxSlot::req`])
 /// off every other client's lines, which is the mechanism behind the
 /// paper's claim that RInval "removes all CAS operations and replaces them
 /// with cache-aligned requests".
@@ -93,12 +205,9 @@ pub struct TxSlot {
     /// Read signature, maintained by the owner on every transactional read,
     /// scanned by committers (InvalSTM) or invalidation-servers (RInval).
     pub read_bf: AtomicBloom,
-    /// [`REQ_IDLE`] / [`REQ_PENDING`] / [`REQ_COMMITTED`] / [`REQ_ABORTED`].
-    /// The only word a committing RInval client waits on.
-    pub request_state: AtomicU32,
-    /// Raised by the owner before it parks on `request_state`; whoever
-    /// stores a verdict checks it (`server::answer`).
-    pub(crate) sleeper: Sleeper,
+    /// The commit-request word — the only one a committing RInval client
+    /// waits on — and the flag it parks behind.
+    pub req: ReqCell,
     /// The heap's reclamation era observed when the slot's current
     /// transaction began, or `u64::MAX` while no transaction runs. Every
     /// algorithm pins this at begin (before its first shared read) and
@@ -129,8 +238,7 @@ impl Default for TxSlot {
             epoch: AtomicU64::new(0),
             read_bf: AtomicBloom::new(),
             start_era: AtomicU64::new(u64::MAX),
-            request_state: AtomicU32::new(REQ_IDLE),
-            sleeper: Sleeper::default(),
+            req: ReqCell::default(),
             req_write_bf: AtomicBloom::new(),
             req_ws_ptr: AtomicPtr::new(std::ptr::null_mut()),
             req_ws_len: AtomicUsize::new(0),
@@ -244,8 +352,7 @@ impl Registry {
     pub fn release(&self, idx: usize) {
         debug_assert!(idx < self.slots.len());
         self.slots[idx].tx_status.store(TX_IDLE, Ordering::SeqCst);
-        self.slots[idx].request_state.store(REQ_IDLE, Ordering::SeqCst);
-        self.slots[idx].sleeper.retract();
+        self.slots[idx].req.reset();
         self.slots[idx].start_era.store(u64::MAX, Ordering::SeqCst);
         self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();
@@ -427,12 +534,128 @@ mod tests {
     }
 
     #[test]
-    fn release_resets_request_state() {
+    fn release_resets_the_request_cell() {
         let reg = Registry::new(1);
         let idx = reg.claim().unwrap();
-        reg.slot(idx).request_state.store(REQ_PENDING, Ordering::SeqCst);
+        reg.slot(idx).req.post(REQ_PENDING);
         reg.release(idx);
-        assert_eq!(reg.slot(idx).request_state.load(Ordering::SeqCst), REQ_IDLE);
+        assert_eq!(reg.slot(idx).req.state(), REQ_IDLE);
+    }
+
+    /// Every edge of the request word, in the order a commit takes them.
+    #[test]
+    fn cell_edges_in_sequence() {
+        let cell = ReqCell::default();
+        assert_eq!(cell.state(), REQ_IDLE);
+        // post → claim → answer → the owner reads and returns to idle.
+        cell.post(REQ_PENDING);
+        assert!(cell.step(REQ_PENDING, REQ_CLAIMED), "claim");
+        assert!(
+            !cell.step(REQ_PENDING, REQ_IDLE),
+            "a claimed request cannot be withdrawn"
+        );
+        assert!(!cell.answer(REQ_COMMITTED), "nobody parked, no wake");
+        assert_eq!(cell.state(), REQ_COMMITTED);
+        cell.post(REQ_IDLE);
+        // post → withdraw, then the claim fails.
+        cell.post(REQ_PENDING);
+        assert!(cell.step(REQ_PENDING, REQ_IDLE), "withdraw");
+        assert!(
+            !cell.step(REQ_PENDING, REQ_CLAIMED),
+            "a withdrawn request cannot be claimed"
+        );
+        assert_eq!(cell.state(), REQ_IDLE);
+        // An unclaimed request answered by CAS: the answer wins…
+        cell.post(REQ_IRREVOCABLE);
+        assert_eq!(
+            cell.answer_from(REQ_IRREVOCABLE, REQ_COMMITTED),
+            Some(false)
+        );
+        assert!(!cell.step(REQ_IRREVOCABLE, REQ_IDLE), "answered first");
+        cell.post(REQ_IDLE);
+        // …or loses to an owner that stepped away first, and writes nothing.
+        cell.post(REQ_IRREVOCABLE);
+        assert!(cell.step(REQ_IRREVOCABLE, REQ_IDLE));
+        assert_eq!(cell.answer_from(REQ_IRREVOCABLE, REQ_COMMITTED), None);
+        assert_eq!(cell.state(), REQ_IDLE);
+    }
+
+    #[test]
+    fn cell_answer_reports_the_wake_and_reset_lowers_the_flag() {
+        let cell = ReqCell::default();
+        cell.post(REQ_PENDING);
+        cell.sleeper.announce();
+        assert!(cell.answer(REQ_ABORTED), "the owner announced a park");
+        assert!(!cell.wake(), "one wake per announce");
+        cell.sleeper.announce();
+        cell.reset();
+        assert_eq!(cell.state(), REQ_IDLE);
+        assert!(!cell.wake(), "a recycled cell inherited a raised flag");
+    }
+
+    /// The pivot of the recovery design: a server's claim and the owner's
+    /// withdrawal race for every posted request, and exactly one wins.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn claim_and_withdraw_race_has_exactly_one_winner() {
+        use crate::sync::SpinYield;
+        const ROUNDS: u32 = 100_000;
+        let cell = ReqCell::default();
+        // The round the owner has posted; `2 * round + won` of the server.
+        let (posted, claimed) = (AtomicU32::new(0), AtomicU32::new(0));
+        let await_round = |word: &AtomicU32, shift: u32, r: u32| {
+            let mut w = SpinYield::new();
+            while word.load(Ordering::SeqCst) >> shift != r {
+                w.pause();
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for r in 1..=ROUNDS {
+                    await_round(&posted, 0, r);
+                    let won = cell.step(REQ_PENDING, REQ_CLAIMED);
+                    claimed.store(2 * r + won as u32, Ordering::SeqCst);
+                }
+            });
+            for r in 1..=ROUNDS {
+                cell.post(REQ_PENDING);
+                posted.store(r, Ordering::SeqCst);
+                // Vary who gets there first.
+                (0..r % 256).for_each(|_| std::hint::spin_loop());
+                let withdrew = cell.step(REQ_PENDING, REQ_IDLE);
+                await_round(&claimed, 1, r);
+                let claim_won = claimed.load(Ordering::SeqCst) & 1 == 1;
+                assert_ne!(withdrew, claim_won, "round {r}: both or neither won");
+                assert_eq!(cell.state(), if withdrew { REQ_IDLE } else { REQ_CLAIMED });
+                cell.post(REQ_IDLE);
+            }
+        });
+    }
+
+    /// The owner really parks — the `parks` counter says so — and the
+    /// answer brings it back long before its park bound.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn answer_wakes_a_parked_owner() {
+        const BOUND: Duration = Duration::from_secs(60);
+        let (cell, parks) = (ReqCell::default(), AtomicU64::new(0));
+        cell.post(REQ_PENDING);
+        std::thread::scope(|s| {
+            let owner = s.spawn(|| {
+                let mut w = cell.waiter(BOUND, None, &parks);
+                while cell.state() == REQ_PENDING {
+                    w.pause();
+                }
+                cell.state()
+            });
+            while parks.load(Ordering::Relaxed) == 0 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let t0 = Instant::now();
+            assert!(cell.answer(REQ_COMMITTED), "a parked owner is owed a wake");
+            assert_eq!(owner.join().unwrap(), REQ_COMMITTED);
+            assert!(t0.elapsed() < BOUND / 4, "the park was sat out");
+        });
     }
 
     #[test]

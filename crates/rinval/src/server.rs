@@ -37,23 +37,25 @@
 //! hand-off when the awaited thread is off-core), then a bounded park
 //! behind a sleeper flag in a line the waiter owns. Whoever publishes what
 //! a waiter waits for owes it a wake — one `SeqCst` load of that flag
-//! after the publishing store — and every such store goes through one of
-//! two helpers so that the wake cannot be forgotten:
+//! after the publishing store. A client waits on its slot's request cell,
+//! where the verdict store and its wake are one call ([`answer`]; the
+//! `registry` module docs, "The request word", have the edges and the
+//! lost-wake argument). The seats' publishing stores go through
+//! [`wake_seat`] so that the wake cannot be forgotten:
 //!
 //! | waiter | waits on | publishing store | wake |
 //! |---|---|---|---|
-//! | client (its `TxSlot`) | a verdict in `request_state` | every verdict store | [`answer`] |
 //! | commit-server (seat 0) | the `pending` summary | client's `pending().set` | [`wake_seat`]`(0)` |
 //! | commit-server (seat 0) | lagging `inval_ts`, incl. the mid-scan ring wait and the token drain | invalidator's `inval_ts` store | [`wake_seat`]`(0)` |
 //! | commit-server (seat 0) | requests held back for the token holder | holder's `release_irrevocable` | [`wake_seat`]`(0)` |
 //! | invalidation-server (seat `1 + k`) | `timestamp` | commit-server's odd-timestamp store | [`wake_seat`]`(1 + k)` |
-//! | all of them | `shutdown`, `degraded`, a respawn | `Stm::drop`, [`degrade`], [`watchdog`] | [`wake_all`] |
+//! | all of them, and every client | `shutdown`, `degraded`, a respawn | `Stm::drop`, [`degrade`], [`watchdog`] | [`wake_all`] |
 //!
 //! A seat parks for at most one watchdog interval, a client for at most
-//! that and never past its attempt deadline (`sync.rs` has the lost-wake
-//! argument; DESIGN.md §12 the bound table), so a wake this table does not
-//! list costs one bound of latency, never a hang — and a client parked on
-//! its slot is still withdrawn on time by `try_run_for`.
+//! that and never past its attempt deadline (DESIGN.md §12 has the bound
+//! table), so a wake this table does not list costs one bound of latency,
+//! never a hang — and a client parked on its slot is still withdrawn on
+//! time by `try_run_for`.
 //!
 //! ## Summary-bitmap scans
 //!
@@ -132,7 +134,7 @@ use crate::registry::{
 };
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
-use crate::sync::{Sleeper, Waiter};
+use crate::sync::Waiter;
 use crate::{AlgorithmKind, StmInner};
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
@@ -143,8 +145,8 @@ use std::time::{Duration, Instant};
 /// Applies a published write-set to the heap.
 ///
 /// # Safety contract (checked dynamically where possible)
-/// `ptr/len` were published by a client that is spinning on its
-/// `request_state` and will not free or mutate the buffer until we respond;
+/// `ptr/len` were published by a client that is waiting on its request
+/// cell and will not free or mutate the buffer until we respond;
 /// the `Acquire`-ordered observation of `REQ_PENDING` made the buffer's
 /// contents visible. Addresses are bounds-checked so a corrupt request
 /// cannot fault the server.
@@ -178,25 +180,21 @@ fn mask_get(mask: &[u64], i: usize) -> bool {
     mask[i / 64] & (1u64 << (i % 64)) != 0
 }
 
-/// The wake a poster owes after the `SeqCst` store that publishes what
-/// `sleeper`'s owner waits for: one load of the flag, and a syscall only
-/// if the owner announced that it is parking.
+/// Counts a wake that was sent. A wake is what a poster owes after the
+/// `SeqCst` store that publishes what a waiter waits for: one load of the
+/// waiter's flag, and a syscall only if it announced that it is parking.
 #[inline]
-fn wake(stm: &StmInner, sleeper: &Sleeper) {
-    if sleeper.wake() {
+fn count_wake(stm: &StmInner, woke: bool) {
+    if woke {
         ServerCounters::add(&stm.server_stats.wakes_sent, 1);
     }
 }
 
-/// The one place a verdict reaches a client: store it, then wake the
-/// client if it parked on its slot — so a verdict without a wake cannot
-/// be written. (The token grant's answer is a CAS, not a store; it calls
-/// [`wake`] itself.)
+/// Answers slot `i`'s claimed request: verdict, then wake
+/// ([`ReqCell::answer`](crate::registry::ReqCell::answer)).
 #[inline]
 fn answer(stm: &StmInner, i: usize, verdict: u32) {
-    let slot = stm.registry.slot(i);
-    slot.request_state.store(verdict, Ordering::SeqCst);
-    wake(stm, &slot.sleeper);
+    count_wake(stm, stm.registry.slot(i).req.answer(verdict));
 }
 
 /// Wakes server seat `seat` if it parked (serverless kinds have no seats).
@@ -206,7 +204,7 @@ fn answer(stm: &StmInner, i: usize, verdict: u32) {
 #[inline]
 pub(crate) fn wake_seat(stm: &StmInner, seat: usize) {
     if let Some(hb) = stm.health.get(seat) {
-        wake(stm, &hb.sleeper);
+        count_wake(stm, hb.sleeper.wake());
     }
 }
 
@@ -214,10 +212,10 @@ pub(crate) fn wake_seat(stm: &StmInner, seat: usize) {
 /// loop treats as an escape — `shutdown`, `degraded` — and after a respawn.
 pub(crate) fn wake_all(stm: &StmInner) {
     for hb in stm.health.iter() {
-        wake(stm, &hb.sleeper);
+        count_wake(stm, hb.sleeper.wake());
     }
     for (_, slot) in stm.registry.iter() {
-        wake(stm, &slot.sleeper);
+        count_wake(stm, slot.req.wake());
     }
 }
 
@@ -236,12 +234,8 @@ fn seat_waiter(stm: &StmInner, seat: usize) -> Waiter<'_> {
 /// The waiter of the client owning slot `idx`, woken by [`answer`]. Parks
 /// are bounded like a seat's and never outlast the attempt's `deadline`.
 pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>) -> Waiter<'_> {
-    Waiter::new(
-        &stm.registry.slot(idx).sleeper,
-        stm.watchdog.interval,
-        deadline,
-        &stm.server_stats.client_parks,
-    )
+    let (slot, parks) = (stm.registry.slot(idx), &stm.server_stats.client_parks);
+    slot.req.waiter(stm.watchdog.interval, deadline, parks)
 }
 
 /// Invalidates every live transaction (except those in `skip_mask`) whose
@@ -349,7 +343,7 @@ fn token_request(stm: &StmInner) -> Option<usize> {
         ScanKind::Quiet,
         |_| true,
         |i, slot| {
-            if slot.request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE {
+            if slot.req.state() == REQ_IRREVOCABLE {
                 let pv = slot.priority.load(Ordering::SeqCst);
                 best = match best {
                     Some((bp, bi)) if !precedes(pv, i, bp, bi) => Some((bp, bi)),
@@ -382,19 +376,10 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
     }
     stm.registry.pending().clear(i);
     let slot = stm.registry.slot(i);
-    if slot
-        .request_state
-        .compare_exchange(
-            REQ_IRREVOCABLE,
-            REQ_COMMITTED,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_ok()
-    {
-        wake(stm, &slot.sleeper);
+    let granted = slot.req.answer_from(REQ_IRREVOCABLE, REQ_COMMITTED);
+    if let Some(woke) = granted {
+        count_wake(stm, woke);
         ServerCounters::add(&stm.server_stats.irrevocable_grants, 1);
-        true
     } else {
         let _ = stm.irrevocable.compare_exchange(
             i,
@@ -402,7 +387,55 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        false
+    }
+    granted.is_some()
+}
+
+/// The irrevocable-token grant point at the top of every commit-server
+/// pass (DESIGN.md §13), where no commit is in flight. Returns the pass's
+/// token holder — while one exists only its own requests are served;
+/// everyone else's pending bits stay set until the holder commits (client
+/// waits have bounded deadline/shutdown escapes) — or `None` when the pass
+/// must *drain*: admit no commit and count as empty.
+///
+/// A posted token request is granted only once every invalidation-server
+/// has consumed every published commit: a lagging ring scan could otherwise
+/// doom the holder's fresh snapshot after the grant. Until then the server
+/// drains, so the precondition converges. V1 has no invalidation-servers
+/// and the condition is vacuous: it grants at once and never drains.
+fn token_grant_point(stm: &StmInner, answered: &mut bool) -> Option<Option<usize>> {
+    let holder = stm.irrevocable_holder();
+    let candidate = match holder {
+        // A server that died between its token store and its answer leaves
+        // the holder waiting on an unanswered request; re-answering is
+        // idempotent across respawns.
+        Some(h) => (stm.registry.slot(h).req.state() == REQ_IRREVOCABLE).then_some(h),
+        None => token_request(stm),
+    };
+    let Some(r) = candidate else {
+        return Some(holder);
+    };
+    if holder.is_none() {
+        let t = stm.timestamp.load(Ordering::SeqCst);
+        if stm.inval_ts.iter().any(|ts| ts.load(Ordering::SeqCst) < t) {
+            return None;
+        }
+    }
+    if try_grant_token(stm, r) {
+        *answered = true;
+        return Some(Some(r));
+    }
+    Some(holder)
+}
+
+/// Closes a commit-server pass: progress restarts the seat's wait budget,
+/// an empty pass is counted and waits.
+fn end_pass(stm: &StmInner, idle: &mut Waiter<'_>, answered: bool) {
+    if answered {
+        idle.reset();
+    } else {
+        ServerCounters::add(&stm.server_stats.empty_passes, 1);
+        idle.pause();
     }
 }
 
@@ -455,33 +488,10 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
         }
         ServerCounters::add(&st.scan_passes, 1);
         let mut answered = false;
-        // Irrevocable-token grant point (DESIGN.md §13). V1 has no commit
-        // in flight between passes, so a posted token request can be
-        // granted right at the top of a pass. While a holder exists only
-        // its own requests are served; everyone else's pending bits stay
-        // set until the holder commits (client spins have bounded
-        // deadline/shutdown escapes).
-        let mut holder = stm.irrevocable_holder();
-        match holder {
-            None => {
-                if let Some(r) = token_request(stm) {
-                    if try_grant_token(stm, r) {
-                        holder = Some(r);
-                        answered = true;
-                    }
-                }
-            }
-            Some(h) => {
-                // A server that died between its token store and its
-                // answer leaves the holder waiting on an unanswered
-                // request; re-answering here is idempotent.
-                if stm.registry.slot(h).request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE
-                    && try_grant_token(stm, h)
-                {
-                    answered = true;
-                }
-            }
-        }
+        let Some(holder) = token_grant_point(stm, &mut answered) else {
+            end_pass(stm, &mut idle, false);
+            continue;
+        };
         batch.clear();
         batch_wbf.clear();
         batch_rbf.clear();
@@ -504,16 +514,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                 // CAS doubles as the acquire of the request payload — and
                 // from here until we answer (or revert), no concurrent
                 // withdrawal can retract the payload out from under us.
-                if slot
-                    .request_state
-                    .compare_exchange(
-                        REQ_PENDING,
-                        REQ_CLAIMED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_err()
-                {
+                if !slot.req.step(REQ_PENDING, REQ_CLAIMED) {
                     return ControlFlow::Continue(());
                 }
                 // Line 15: the client may have been invalidated by a commit
@@ -564,7 +565,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
                 if !batch.is_empty()
                     && (hits_w || hits_r || slot.read_bf.intersects_plain(&batch_wbf))
                 {
-                    slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+                    slot.req.post(REQ_PENDING);
                     return ControlFlow::Continue(());
                 }
                 stm.registry.pending().clear(i);
@@ -604,12 +605,7 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
             ServerCounters::add(&st.batched_requests, batch.len() as u64);
             answered = true;
         }
-        if answered {
-            idle.reset();
-        } else {
-            ServerCounters::add(&st.empty_passes, 1);
-            idle.pause();
-        }
+        end_pass(stm, &mut idle, answered);
     }
 }
 
@@ -633,40 +629,10 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
         }
         ServerCounters::add(&st.scan_passes, 1);
         let mut answered = false;
-        // Irrevocable-token grant point (DESIGN.md §13). Unlike V1, a
-        // grant here must wait for every invalidation-server to have
-        // consumed every published commit: a lagging ring scan could
-        // otherwise doom the holder's fresh snapshot after the grant.
-        // Until the invalidators catch up the server *drains* — admits no
-        // further commits this pass — so the precondition converges.
-        let mut holder = stm.irrevocable_holder();
-        match holder {
-            None => {
-                if let Some(r) = token_request(stm) {
-                    let t = stm.timestamp.load(Ordering::SeqCst);
-                    if (0..nk).all(|k| stm.inval_ts[k].load(Ordering::SeqCst) >= t) {
-                        if try_grant_token(stm, r) {
-                            holder = Some(r);
-                            answered = true;
-                        }
-                    } else {
-                        // Draining is an empty pass: nothing was answered.
-                        ServerCounters::add(&st.empty_passes, 1);
-                        idle.pause();
-                        continue 'scan;
-                    }
-                }
-            }
-            Some(h) => {
-                // Re-answer a grant a dead server stored but never
-                // answered (idempotent across respawns).
-                if stm.registry.slot(h).request_state.load(Ordering::SeqCst) == REQ_IRREVOCABLE
-                    && try_grant_token(stm, h)
-                {
-                    answered = true;
-                }
-            }
-        }
+        let Some(holder) = token_grant_point(stm, &mut answered) else {
+            end_pass(stm, &mut idle, false);
+            continue 'scan;
+        };
         let flow = scan(
             &stm.registry,
             st,
@@ -678,7 +644,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
             |i, slot| {
                 // Cheap pre-filter; the authoritative pickup is the CAS
                 // below.
-                if slot.request_state.load(Ordering::SeqCst) != REQ_PENDING {
+                if slot.req.state() != REQ_PENDING {
                     return ControlFlow::Continue(());
                 }
                 let t = stm.timestamp.load(Ordering::Relaxed);
@@ -720,16 +686,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 // Pickup (see the module docs): the CAS makes us the
                 // request's sole owner; a failure means the client withdrew
                 // it.
-                if slot
-                    .request_state
-                    .compare_exchange(
-                        REQ_PENDING,
-                        REQ_CLAIMED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_err()
-                {
+                if !slot.req.step(REQ_PENDING, REQ_CLAIMED) {
                     return ControlFlow::Continue(());
                 }
                 stm.registry.pending().clear(i);
@@ -779,12 +736,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
         if flow.is_break() {
             break 'scan;
         }
-        if answered {
-            idle.reset();
-        } else {
-            ServerCounters::add(&st.empty_passes, 1);
-            idle.pause();
-        }
+        end_pass(stm, &mut idle, answered);
     }
 }
 
@@ -850,7 +802,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
     let slot = stm.registry.slot(idx);
     let mut claimed = slot_waiter(stm, idx, None);
     loop {
-        match slot.request_state.load(Ordering::SeqCst) {
+        match slot.req.state() {
             REQ_IDLE => return None,
             // An irrevocable-token request withdraws exactly like a commit
             // request: the `→ IDLE` CAS races the server's grant answer
@@ -860,11 +812,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
             // hold (`StmInner::release_irrevocable` is a no-op for
             // non-holders).
             state @ (REQ_PENDING | REQ_IRREVOCABLE) => {
-                if slot
-                    .request_state
-                    .compare_exchange(state, REQ_IDLE, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
+                if slot.req.step(state, REQ_IDLE) {
                     // Won the race: no server ever owned this request.
                     // Clearing the summary bit is normally the server's
                     // job at pickup; here the withdrawal is the pickup.
@@ -883,7 +831,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
                 slot.req_ws_ptr
                     .store(std::ptr::null_mut(), Ordering::Relaxed);
                 slot.req_ws_len.store(0, Ordering::Relaxed);
-                slot.request_state.store(REQ_IDLE, Ordering::SeqCst);
+                slot.req.post(REQ_IDLE);
                 return Some(verdict == REQ_COMMITTED);
             }
         }
@@ -908,19 +856,8 @@ pub(crate) fn drain_requests_abort(stm: &StmInner) {
             // is needed) — a client spinning for a grant no server will
             // ever issue must be woken just like one spinning for a commit
             // verdict.
-            if slot
-                .request_state
-                .compare_exchange(REQ_PENDING, REQ_CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-                || slot
-                    .request_state
-                    .compare_exchange(
-                        REQ_IRREVOCABLE,
-                        REQ_CLAIMED,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    )
-                    .is_ok()
+            if slot.req.step(REQ_PENDING, REQ_CLAIMED)
+                || slot.req.step(REQ_IRREVOCABLE, REQ_CLAIMED)
             {
                 stm.registry.pending().clear(i);
                 answer(stm, i, REQ_ABORTED);
@@ -954,7 +891,7 @@ pub(crate) fn recover_inflight(stm: &StmInner) {
     let claimed: Vec<usize> = stm
         .registry
         .iter()
-        .filter(|(_, s)| s.request_state.load(Ordering::SeqCst) == REQ_CLAIMED)
+        .filter(|(_, s)| s.req.state() == REQ_CLAIMED)
         .map(|(i, _)| i)
         .collect();
     if t & 1 == 1 {
@@ -1205,12 +1142,12 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+        slot.req.post(REQ_PENDING);
         inner.registry.pending().set(idx);
 
         drain_requests_abort(&inner);
 
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_ABORTED);
+        assert_eq!(slot.req.state(), REQ_ABORTED);
         assert!(!inner.registry.pending().get(idx));
         assert_eq!(inner.server_stats.snapshot().drained_requests, 1);
         inner.registry.release(idx);
@@ -1226,18 +1163,18 @@ mod tests {
         assert_eq!(withdraw_request(&inner, idx), None);
 
         // Posted, unclaimed: retracted.
-        slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+        slot.req.post(REQ_PENDING);
         inner.registry.pending().set(idx);
         assert_eq!(withdraw_request(&inner, idx), None);
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_IDLE);
+        assert_eq!(slot.req.state(), REQ_IDLE);
         assert!(!inner.registry.pending().get(idx));
         assert_eq!(inner.server_stats.snapshot().withdrawn_requests, 1);
 
         // Verdict already produced: taken, not discarded.
-        slot.request_state.store(REQ_COMMITTED, Ordering::SeqCst);
+        slot.req.post(REQ_COMMITTED);
         assert_eq!(withdraw_request(&inner, idx), Some(true));
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_IDLE);
-        slot.request_state.store(REQ_ABORTED, Ordering::SeqCst);
+        assert_eq!(slot.req.state(), REQ_IDLE);
+        slot.req.post(REQ_ABORTED);
         assert_eq!(withdraw_request(&inner, idx), Some(false));
         inner.registry.release(idx);
     }
@@ -1247,11 +1184,11 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_CLAIMED, Ordering::SeqCst);
+        slot.req.post(REQ_CLAIMED);
 
         recover_inflight(&inner);
 
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_ABORTED);
+        assert_eq!(slot.req.state(), REQ_ABORTED);
         assert_eq!(inner.timestamp.load(Ordering::SeqCst), 0);
         inner.registry.release(idx);
     }
@@ -1274,7 +1211,7 @@ mod tests {
         slot.req_ws_ptr
             .store(entries.as_ptr() as *mut _, Ordering::Relaxed);
         slot.req_ws_len.store(entries.len(), Ordering::Relaxed);
-        slot.request_state.store(REQ_CLAIMED, Ordering::SeqCst);
+        slot.req.post(REQ_CLAIMED);
 
         // …a live reader of the written word…
         let rd = inner.registry.claim().unwrap();
@@ -1286,14 +1223,14 @@ mod tests {
         recover_inflight(&inner);
 
         assert_eq!(inner.timestamp.load(Ordering::SeqCst), 2);
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_COMMITTED);
+        assert_eq!(slot.req.state(), REQ_COMMITTED);
         assert_eq!(inner.heap.load(h), 42);
         assert_eq!(
             inner.registry.slot(rd).tx_status.load(Ordering::SeqCst),
             TX_INVALIDATED
         );
 
-        slot.request_state.store(REQ_IDLE, Ordering::SeqCst);
+        slot.req.post(REQ_IDLE);
         slot.req_ws_ptr
             .store(std::ptr::null_mut(), Ordering::Relaxed);
         inner.registry.end(rd);
@@ -1306,14 +1243,14 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_PENDING, Ordering::SeqCst);
+        slot.req.post(REQ_PENDING);
         inner.registry.pending().set(idx);
 
         degrade(&inner);
         degrade(&inner); // second call is a no-op
 
         assert!(inner.degraded.load(Ordering::SeqCst));
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_ABORTED);
+        assert_eq!(slot.req.state(), REQ_ABORTED);
         let s = inner.server_stats.snapshot();
         assert_eq!(s.degradations, 1);
         assert_eq!(s.drained_requests, 1);
@@ -1325,13 +1262,13 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_IRREVOCABLE, Ordering::SeqCst);
+        slot.req.post(REQ_IRREVOCABLE);
         inner.registry.pending().set(idx);
 
         assert_eq!(token_request(&inner), Some(idx));
         assert!(try_grant_token(&inner, idx));
         assert_eq!(inner.irrevocable_holder(), Some(idx));
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_COMMITTED);
+        assert_eq!(slot.req.state(), REQ_COMMITTED);
         assert!(!inner.registry.pending().get(idx));
         assert_eq!(inner.server_stats.snapshot().irrevocable_grants, 1);
 
@@ -1347,7 +1284,7 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_IRREVOCABLE, Ordering::SeqCst);
+        slot.req.post(REQ_IRREVOCABLE);
         inner.registry.pending().set(idx);
 
         // Client hit its deadline and retracted before the server's
@@ -1365,11 +1302,7 @@ mod tests {
         let a = inner.registry.claim().unwrap();
         let b = inner.registry.claim().unwrap();
         for &i in &[a, b] {
-            inner
-                .registry
-                .slot(i)
-                .request_state
-                .store(REQ_IRREVOCABLE, Ordering::SeqCst);
+            inner.registry.slot(i).req.post(REQ_IRREVOCABLE);
             inner.registry.pending().set(i);
         }
         // Equal priority: the lower index precedes.
@@ -1380,11 +1313,7 @@ mod tests {
         assert_eq!(token_request(&inner), Some(hi));
 
         for &i in &[a, b] {
-            inner
-                .registry
-                .slot(i)
-                .request_state
-                .store(REQ_IDLE, Ordering::SeqCst);
+            inner.registry.slot(i).req.post(REQ_IDLE);
             inner.registry.pending().clear(i);
             inner.registry.release(i);
         }
@@ -1395,12 +1324,12 @@ mod tests {
         let inner = inner_v1();
         let idx = inner.registry.claim().unwrap();
         let slot = inner.registry.slot(idx);
-        slot.request_state.store(REQ_IRREVOCABLE, Ordering::SeqCst);
+        slot.req.post(REQ_IRREVOCABLE);
         inner.registry.pending().set(idx);
 
         drain_requests_abort(&inner);
 
-        assert_eq!(slot.request_state.load(Ordering::SeqCst), REQ_ABORTED);
+        assert_eq!(slot.req.state(), REQ_ABORTED);
         assert!(!inner.registry.pending().get(idx));
         assert_eq!(inner.irrevocable_holder(), None);
         inner.registry.release(idx);

@@ -15,7 +15,7 @@
 //!   crate: a sub-microsecond spin, a bounded run of `yield_now` (which on
 //!   an oversubscribed host *is* the hand-off), then `park_timeout` behind
 //!   a [`Sleeper`] flag. The three protocol waits — client on its
-//!   `request_state`, commit-server on the pending summary and on lagging
+//!   request cell, commit-server on the pending summary and on lagging
 //!   invalidators, invalidation-server on the timestamp — have a designated
 //!   poster and park; the seqlock waits have none and use the front half
 //!   alone, [`SpinYield`] (one word, so the per-read wait loops pay nothing
@@ -101,7 +101,7 @@ impl<T> From<T> for CachePadded<T> {
 /// touches two words instead of 128 cache-line-pairs.
 ///
 /// Every access that takes part in the protocol is `SeqCst`: the maps
-/// join the same total-order arguments as `request_state`/`tx_status`
+/// join the same total-order arguments as the request word and `tx_status`
 /// (see `registry.rs` for the publication protocol that makes a set bit
 /// imply an observable slot state). The one exception is
 /// [`AtomicBitmap::count_set`], a `Relaxed` occupancy estimate nothing
@@ -345,7 +345,7 @@ pub struct Sleeper {
 impl Sleeper {
     /// Waiter side, step one: publish the calling thread and raise the
     /// flag. The caller must re-check its condition before parking.
-    fn announce(&self) {
+    pub(crate) fn announce(&self) {
         let me = std::thread::current();
         let mut t = self.thread.lock().unwrap_or_else(PoisonError::into_inner);
         if t.as_ref().map(Thread::id) != Some(me.id()) {

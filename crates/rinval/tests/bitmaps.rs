@@ -9,7 +9,7 @@
 //!   `tx_status != TX_IDLE` implies the slot's live bit is set
 //!   (set-before-alive / clear-after-idle).
 //! * **pending**: a set pending bit implies the slot carries a posted
-//!   request — `request_state` is `REQ_PENDING`, `REQ_CLAIMED` or
+//!   request — its `req` cell reads `REQ_PENDING`, `REQ_CLAIMED` or
 //!   `REQ_IRREVOCABLE` (an irrevocable-token request travels the same
 //!   summary map; set-after-post; only the server clears, after claiming
 //!   and before answering).
@@ -37,7 +37,7 @@ fn stress_algos() -> [AlgorithmKind; 4] {
 }
 
 /// N clients hammer begin/commit/abort while a checker cross-validates the
-/// summary maps against per-slot `request_state`/`tx_status`.
+/// summary maps against per-slot request state and `tx_status`.
 #[test]
 fn summary_maps_agree_with_slot_state_under_stress() {
     const CLIENTS: usize = 4;
@@ -102,14 +102,14 @@ fn summary_maps_agree_with_slot_state_under_stress() {
                         // pending: epoch-bracketed "bit set implies PENDING".
                         let e1 = slot.epoch.load(Ordering::SeqCst);
                         let b1 = reg.pending().get(i);
-                        let st = slot.request_state.load(Ordering::SeqCst);
+                        let st = slot.req.state();
                         let b2 = reg.pending().get(i);
                         let e2 = slot.epoch.load(Ordering::SeqCst);
                         if e1 == e2 && b1 && b2 {
                             assert!(
                                 st == REQ_PENDING || st == REQ_CLAIMED || st == REQ_IRREVOCABLE,
                                 "slot {i} has its pending bit set but \
-                                 request_state {st} under {algo:?}"
+                                 request state {st} under {algo:?}"
                             );
                         }
                         probes += 1;

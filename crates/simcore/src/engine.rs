@@ -356,7 +356,7 @@ impl<'a> Engine<'a> {
         }
         if self.is_remote() {
             // Pre-check own status, publish signature + write-set pointer,
-            // flip request_state — all on the client's own cache lines.
+            // post the request — all on the client's own cache lines.
             if self.clients[tid].doomed_at <= self.now {
                 let cost = self.scaled(costs.hit);
                 self.accs[tid].commit += cost;

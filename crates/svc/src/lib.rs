@@ -56,7 +56,6 @@ pub mod travel;
 pub use stats::SvcStats;
 
 use rinval::faults::site;
-use rinval::stats::log2_quantile_ns;
 use rinval::{FaultAction, Stm, TxError, TxResult, Txn};
 use slot::{Claim, Slots};
 use stats::{bump, Counters, WindowHist};
@@ -382,19 +381,6 @@ impl Frontend<'_, '_> {
     pub fn endpoint_latency(&self, endpoint: u8) -> ([u64; 32], u64) {
         let h = &self.shared.hists[endpoint as usize];
         (h.lifetime(), h.count())
-    }
-
-    /// Lifetime latency quantile for one endpoint (upper bucket edge, ns).
-    pub fn endpoint_quantile_ns(&self, endpoint: u8, q: f64) -> Option<u64> {
-        log2_quantile_ns(&self.shared.hists[endpoint as usize].lifetime(), q)
-    }
-
-    /// The cached p50/p99 of the endpoint's most recent full latency
-    /// window, in ns (0 until a window has filled). The p99 is the signal
-    /// the write admission gate compares against the SLO.
-    pub fn endpoint_recent_ns(&self, endpoint: u8) -> (u64, u64) {
-        let h = &self.shared.hists[endpoint as usize];
-        (h.cached_p50_ns(), h.cached_p99_ns())
     }
 
     /// The endpoint table being served.

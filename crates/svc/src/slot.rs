@@ -1,14 +1,16 @@
 //! Per-client call slots: the service's one client↔worker hand-off.
 //!
 //! This is the registry's request-slot substrate (paper §IV, Fig. 5;
-//! `rinval::registry`) built a second time from the same parts: one
-//! cache-aligned slot per client id, the caller waits on its own line, and
-//! each worker walks a summary bitmap of the slots posted to it. Nothing
-//! is allocated per call and nothing is queued — a client id has one call
-//! outstanding, so a worker's backlog is at most ⌈clients / workers⌉ by
-//! construction.
+//! `rinval::registry`): one cache-aligned slot per client id around one
+//! [`ReqCell`], the caller waits on its own line, and each worker walks a
+//! summary bitmap of the slots posted to it. Nothing is allocated per call
+//! and nothing is queued — a client id has one call outstanding, so a
+//! worker's backlog is at most ⌈clients / workers⌉ by construction.
 //!
-//! The state word follows `registry::REQ_*`:
+//! Post, claim, answer, withdraw and the owner's return to `FREE` are the
+//! cell's edges (tabulated in `rinval::registry`); the door (`FILLING`),
+//! *abandon* and *lost* are this module's own, three private values moved
+//! with the same [`ReqCell::step`] / [`ReqCell::answer_from`]:
 //!
 //! ```text
 //!            caller                     worker
@@ -34,17 +36,17 @@
 //!   slot itself.
 //!
 //! Payload and reply are plain atomics written `Relaxed` and published by
-//! the `SeqCst` store or CAS of the state word that follows them. Waiting
+//! the cell's `SeqCst` store or CAS that follows them. Waiting
 //! is `rinval::sync`'s one discipline (spin → yield → park behind a
 //! [`Sleeper`]); each poster pays its publishing store plus one load of
 //! the flag — the waiter/poster pairs are tabulated in DESIGN.md §12.
 
 use crate::stats::{bump, Counters};
 use crate::{Request, SvcError};
-use rinval::registry::{REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE, REQ_PENDING};
+use rinval::registry::{ReqCell, REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE, REQ_PENDING};
 use rinval::sync::{AtomicBitmap, CachePadded, Sleeper, Waiter};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::time::{Duration, Instant};
 
 const FREE: u32 = REQ_IDLE;
@@ -79,19 +81,11 @@ type Outcome = Result<u64, SvcError>;
 
 #[derive(Default)]
 struct CallSlot {
-    state: AtomicU32,
-    /// Raised by the caller about to park until `state` leaves
-    /// `POSTED`/`CLAIMED`.
-    sleeper: Sleeper,
-    /// Raised by a caller about to park until `state` is `FREE` again.
+    /// The caller parks on it until it leaves `POSTED`/`CLAIMED`.
+    req: ReqCell,
+    /// Raised by a caller about to park until `req` is `FREE` again.
     door: Sleeper,
     words: [AtomicU64; REPLY + 2],
-}
-
-impl CallSlot {
-    fn cas(&self, from: u32, to: u32) -> bool {
-        self.state.compare_exchange(from, to, SeqCst, SeqCst).is_ok()
-    }
 }
 
 /// One worker's view: which of its clients' slots are posted.
@@ -107,9 +101,10 @@ struct Seat {
     cursor: AtomicUsize,
 }
 
-/// The wake a poster owes after its publishing `SeqCst` store.
-fn wake(c: &Counters, sleeper: &Sleeper) {
-    if sleeper.wake() {
+/// Counts a wake that was sent — what a poster owes after its publishing
+/// `SeqCst` store.
+fn count_wake(c: &Counters, woke: bool) {
+    if woke {
         bump(&c.wakes_sent);
     }
 }
@@ -151,7 +146,7 @@ impl Slots {
         // timed-out call still in a worker's hands (or a second thread on
         // the same id): wait for it, as a FIFO would have queued behind it.
         let mut w = Waiter::new(&slot.door, DOOR_PARK_BOUND, Some(deadline), &c.caller_parks);
-        while !slot.cas(FREE, FILLING) {
+        while !slot.req.step(FREE, FILLING) {
             if w.is_yielding() && Instant::now() >= deadline {
                 return Err(SvcError::Timeout);
             }
@@ -164,19 +159,19 @@ impl Slots {
         for (word, v) in slot.words.iter().zip(payload) {
             word.store(v, Relaxed);
         }
-        slot.state.store(POSTED, SeqCst);
+        slot.req.post(POSTED);
         seat.posted.set(req.client as usize / workers);
-        wake(c, &seat.sleeper);
+        count_wake(c, seat.sleeper.wake());
         bump(&c.accepted);
-        let mut w = Waiter::new(&slot.sleeper, PARK_BOUND, Some(deadline), &c.caller_parks);
+        let mut w = slot.req.waiter(PARK_BOUND, Some(deadline), &c.caller_parks);
         let answered = loop {
-            let s = slot.state.load(SeqCst);
+            let s = slot.req.state();
             if s == ANSWERED {
                 break true;
             }
             if !w.is_yielding() || Instant::now() < deadline {
                 w.pause();
-            } else if slot.cas(s, if s == CLAIMED { ABANDONED } else { FREE }) {
+            } else if slot.req.step(s, if s == CLAIMED { ABANDONED } else { FREE }) {
                 // Abandoned, or withdrawn (`POSTED`) / freed (`LOST`). A
                 // failed CAS is the worker moving the slot: look again.
                 break false;
@@ -184,13 +179,13 @@ impl Slots {
         };
         let out = if answered {
             let [tag, val] = [REPLY, REPLY + 1].map(|i| slot.words[i].load(Relaxed));
-            slot.state.store(FREE, SeqCst);
+            slot.req.post(FREE);
             tag.checked_sub(1).map_or(Ok(val), |e| Err(ERRORS[e as usize]))
         } else {
             Err(SvcError::Timeout)
         };
         // A second thread on this id may be parked at the door.
-        wake(c, &slot.door);
+        count_wake(c, slot.door.wake());
         out
     }
 
@@ -228,7 +223,7 @@ impl Slots {
     pub(crate) fn shut_down(&self, c: &Counters) {
         self.shutdown.store(true, SeqCst);
         for seat in self.seats.iter() {
-            wake(c, &seat.sleeper);
+            count_wake(c, seat.sleeper.wake());
         }
     }
 
@@ -236,7 +231,7 @@ impl Slots {
         self.seats[w].posted.clear(bit);
         let client = bit * self.seats.len() + w;
         let slot = &*self.calls[client];
-        slot.cas(POSTED, CLAIMED).then(|| {
+        slot.req.step(POSTED, CLAIMED).then(|| {
             let [key, endpoint, a0, a1, a2, a3, ns] =
                 std::array::from_fn(|i| slot.words[i].load(Relaxed));
             let (client, endpoint, args) = (client as u64, endpoint as u8, [a0, a1, a2, a3]);
@@ -274,16 +269,16 @@ impl Claim<'_> {
 
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        if self.slot.cas(CLAIMED, self.next) {
-            return wake(self.counters, &self.slot.sleeper);
+        if let Some(woke) = self.slot.req.answer_from(CLAIMED, self.next) {
+            return count_wake(self.counters, woke);
         }
         // ABANDONED: the caller left at its deadline, the slot is ours to
         // free — and this client's retry may be waiting at the door.
         if self.next == ANSWERED {
             bump(&self.counters.late_replies);
         }
-        self.slot.state.store(FREE, SeqCst);
-        wake(self.counters, &self.slot.door);
+        self.slot.req.post(FREE);
+        count_wake(self.counters, self.slot.door.wake());
     }
 }
 
@@ -339,9 +334,9 @@ mod tests {
                 s.spawn(|| slots.call(&req(1), Instant::now() + Duration::from_millis(50), &c));
             let claim = slots.claim_next(0, &c).unwrap();
             assert_eq!(caller.join().unwrap(), Err(SvcError::Timeout));
-            assert_eq!(slots.calls[0].state.load(Ordering::SeqCst), ABANDONED);
+            assert_eq!(slots.calls[0].req.state(), ABANDONED);
             claim.answer(Ok(7));
-            assert_eq!(slots.calls[0].state.load(Ordering::SeqCst), FREE);
+            assert_eq!(slots.calls[0].req.state(), FREE);
             assert_eq!(c.snapshot().late_replies, 1);
 
             let caller = s.spawn(|| slots.call(&req(2), in_secs(30), &c));
@@ -427,7 +422,7 @@ mod tests {
     #[test]
     fn withdrawn_lost_and_shut_down_slots_come_back_free() {
         let (slots, c) = (&Slots::new(1, 1), &Counters::default());
-        let state = || slots.calls[0].state.load(Ordering::SeqCst);
+        let state = || slots.calls[0].req.state();
         let soon = || Instant::now() + Duration::from_millis(50);
         assert_eq!(slots.call(&req(1), soon(), c), Err(SvcError::Timeout));
         assert_eq!(state(), FREE, "withdrawn");

@@ -4,7 +4,7 @@
 //! The histogram shares the bucket and quantile math of
 //! [`rinval::ServerStats::commit_latency`] ([`rinval::stats::log2_bucket`],
 //! [`rinval::stats::log2_quantile_ns`]) and adds a *rotating window*: every
-//! `window` observations the current buckets are drained and their p50/p99
+//! `window` observations the current buckets are drained and their p99
 //! cached, so the admission gate reads a recent signal with one relaxed
 //! load instead of walking 32 buckets per request. A cached breach goes
 //! *stale* after a TTL — once shedding stops the flow of fresh write
@@ -129,14 +129,13 @@ pub struct SvcStats {
     pub wakes_sent: u64,
 }
 
-/// log₂ latency histogram with a rotating window and cached quantiles.
+/// log₂ latency histogram with a rotating window and its cached p99.
 pub(crate) struct WindowHist {
     window: u64,
     cur: [AtomicU64; 32],
     cur_count: AtomicU64,
     life: [AtomicU64; 32],
     life_count: AtomicU64,
-    cached_p50_ns: AtomicU64,
     cached_p99_ns: AtomicU64,
     /// Nanoseconds since service start at the last rotation.
     rotated_at_ns: AtomicU64,
@@ -151,7 +150,6 @@ impl WindowHist {
             cur_count: AtomicU64::new(0),
             life: std::array::from_fn(|_| AtomicU64::new(0)),
             life_count: AtomicU64::new(0),
-            cached_p50_ns: AtomicU64::new(0),
             cached_p99_ns: AtomicU64::new(0),
             rotated_at_ns: AtomicU64::new(0),
             rotating: Mutex::new(()),
@@ -170,7 +168,7 @@ impl WindowHist {
         }
     }
 
-    /// Drains the current window and refreshes the cached quantiles. The
+    /// Drains the current window and refreshes the cached p99. The
     /// try-lock makes rotation single-writer without ever blocking the
     /// recording fast path.
     fn rotate(&self, now_ns: u64) {
@@ -179,9 +177,6 @@ impl WindowHist {
         };
         let drained: [u64; 32] = std::array::from_fn(|i| self.cur[i].swap(0, Ordering::Relaxed));
         self.cur_count.store(0, Ordering::Relaxed);
-        if let Some(p50) = log2_quantile_ns(&drained, 0.50) {
-            self.cached_p50_ns.store(p50, Ordering::Relaxed);
-        }
         if let Some(p99) = log2_quantile_ns(&drained, 0.99) {
             self.cached_p99_ns.store(p99, Ordering::Relaxed);
         }
@@ -208,14 +203,6 @@ impl WindowHist {
     pub(crate) fn count(&self) -> u64 {
         self.life_count.load(Ordering::Relaxed)
     }
-
-    pub(crate) fn cached_p50_ns(&self) -> u64 {
-        self.cached_p50_ns.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn cached_p99_ns(&self) -> u64 {
-        self.cached_p99_ns.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -228,11 +215,11 @@ mod tests {
         for _ in 0..3 {
             h.record(Duration::from_nanos(100), 10);
         }
-        assert_eq!(h.cached_p99_ns(), 0, "rotated before the window filled");
+        let p99 = || h.cached_p99_ns.load(Ordering::Relaxed);
+        assert_eq!(p99(), 0, "rotated before the window filled");
         h.record(Duration::from_micros(100), 10);
-        // 100ns → bucket 6 (upper edge 128); 100µs → bucket 16 (131072).
-        assert_eq!(h.cached_p50_ns(), 128);
-        assert_eq!(h.cached_p99_ns(), 131_072);
+        // 100µs → bucket 16 (upper edge 131072).
+        assert_eq!(p99(), 131_072);
         assert_eq!(h.count(), 4);
         assert_eq!(h.lifetime().iter().sum::<u64>(), 4);
     }
