@@ -782,6 +782,17 @@ impl Stm {
         self.inner.timestamp.load(Ordering::SeqCst)
     }
 
+    /// Current cursor of each invalidation-server (diagnostics; empty for
+    /// kinds without them): every commit below `inval_timestamps()[k]` has
+    /// been scanned by server `k` or retired on its behalf.
+    pub fn inval_timestamps(&self) -> Vec<u64> {
+        self.inner
+            .inval_ts
+            .iter()
+            .map(|ts| ts.load(Ordering::SeqCst))
+            .collect()
+    }
+
     /// Words allocated from the heap's bump frontier so far (the arena's
     /// peak footprint; recycled allocations do not advance it).
     pub fn heap_allocated(&self) -> usize {

@@ -11,7 +11,8 @@
 //!   (see "Batched commits" below).
 //! * [`commit_server_v2`] — Algorithm 3/4: write-back only; invalidation is
 //!   delegated to [`invalidation_server`]s through a ring of commit write
-//!   signatures. With `steps_ahead = 0` this is exactly V2 (the server
+//!   signatures — and skipped for partitions with nothing to doom (see
+//!   "Waiting" below). With `steps_ahead = 0` this is exactly V2 (the server
 //!   waits for every invalidator before each request); with `steps_ahead =
 //!   n > 0` it is V3 (only the *requester's* invalidator must be caught up,
 //!   and others may lag up to `n` commits).
@@ -46,9 +47,9 @@
 //! | waiter | waits on | publishing store | wake |
 //! |---|---|---|---|
 //! | commit-server (seat 0) | the `pending` summary | client's `pending().set` | [`wake_seat`]`(0)` |
-//! | commit-server (seat 0) | lagging `inval_ts`, incl. the mid-scan ring wait and the token drain | invalidator's `inval_ts` store | [`wake_seat`]`(0)` |
+//! | commit-server (seat 0) | lagging `inval_ts`, incl. the mid-scan ring wait and the token drain | invalidator's `inval_ts` `fetch_max` | [`wake_seat`]`(0)` |
 //! | commit-server (seat 0) | requests held back for the token holder | holder's `release_irrevocable` | [`wake_seat`]`(0)` |
-//! | invalidation-server (seat `1 + k`) | `timestamp` | commit-server's odd-timestamp store | [`wake_seat`]`(1 + k)` |
+//! | invalidation-server (seat `1 + k`) | `timestamp` | commit-server's odd-timestamp store, for a commit with work in `k`'s partition | [`wake_seat`]`(1 + k)` |
 //! | all of them, and every client | `shutdown`, `degraded`, a respawn | `Stm::drop`, [`degrade`], [`watchdog`] | [`wake_all`] |
 //!
 //! A seat parks for at most one watchdog interval, a client for at most
@@ -56,6 +57,18 @@
 //! table), so a wake this table does not list costs one bound of latency,
 //! never a hang — and a client parked on its slot is still withdrawn on
 //! time by `try_run_for`.
+//!
+//! An invalidation-server is woken only for commits with work in its
+//! partition. When a commit's partition `k` holds no live transaction but
+//! the requester's, the commit-server *retires* the commit on `k`'s behalf
+//! instead ([`hand_off_invalidation`]), so a lone client's commits never
+//! leave the client ↔ commit-server pair. `inval_ts[k]` thus has two
+//! writers, and both only move it forward: the invalidator with
+//! `fetch_max` after its scan, the commit-server with a CAS `t → t + 2`
+//! that succeeds only when `k` is fully caught up. Nothing stores it
+//! plainly (CI's `lint` job checks), so a scan a retirement overtook cannot
+//! move it back, and every cursor value `c` still means "every commit
+//! below `c` was scanned or proven to have nothing to doom".
 //!
 //! ## Summary-bitmap scans
 //!
@@ -199,8 +212,9 @@ fn answer(stm: &StmInner, i: usize, verdict: u32) {
 
 /// Wakes server seat `seat` if it parked (serverless kinds have no seats).
 /// Owed after every store a seat waits on: a client's `pending().set`, an
-/// invalidator's `inval_ts` store and the irrevocable token's release
-/// (seat 0); the commit-server's odd-timestamp store (seats `1..`).
+/// invalidator's `inval_ts` advance and the irrevocable token's release
+/// (seat 0); the commit-server's odd-timestamp store (seats `1..` whose
+/// partition has work — [`hand_off_invalidation`]).
 #[inline]
 pub(crate) fn wake_seat(stm: &StmInner, seat: usize) {
     if let Some(hb) = stm.health.get(seat) {
@@ -244,9 +258,15 @@ pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>)
 ///
 /// `server`: `Some(k)` restricts the walk to invalidation-server `k`'s
 /// partition, the slots with `i % nk == k` ([`StmInner::inval_server_of`]).
-fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server: Option<usize>) {
+/// Returns how many live slots the walk examined.
+fn invalidate_conflicting(
+    stm: &StmInner,
+    wbf: &Bloom,
+    skip_mask: &[u64],
+    server: Option<usize>,
+) -> usize {
     let st = &stm.server_stats;
-    let mut doomed = 0u64;
+    let (mut examined, mut doomed) = (0, 0u64);
     let _ = scan(
         &stm.registry,
         st,
@@ -256,6 +276,7 @@ fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server
         // everything delivered below is an examined slot.
         |i| !mask_get(skip_mask, i) && server.is_none_or(|k| stm.inval_server_of(i) == k),
         |_, slot| {
+            examined += 1;
             // `wbf` is private to this scan, so the words to load from each
             // live reader come from *its* summary; a live reader's own
             // summary is never consulted (`bloom.rs`).
@@ -282,6 +303,7 @@ fn invalidate_conflicting(stm: &StmInner, wbf: &Bloom, skip_mask: &[u64], server
     if doomed != 0 {
         ServerCounters::add(&st.txs_doomed, doomed);
     }
+    examined
 }
 
 /// Commit admission census (DESIGN.md §13): walks the `live` summary map
@@ -399,10 +421,11 @@ fn try_grant_token(stm: &StmInner, i: usize) -> bool {
 /// must *drain*: admit no commit and count as empty.
 ///
 /// A posted token request is granted only once every invalidation-server
-/// has consumed every published commit: a lagging ring scan could otherwise
-/// doom the holder's fresh snapshot after the grant. Until then the server
-/// drains, so the precondition converges. V1 has no invalidation-servers
-/// and the condition is vacuous: it grants at once and never drains.
+/// has consumed every published commit (scanned it, or had it retired on
+/// its behalf): a lagging ring scan could otherwise doom the holder's fresh
+/// snapshot after the grant. Until then the server drains, so the
+/// precondition converges. V1 has no invalidation-servers and the
+/// condition is vacuous: it grants at once and never drains.
 fn token_grant_point(stm: &StmInner, answered: &mut bool) -> Option<Option<usize>> {
     let holder = stm.irrevocable_holder();
     let candidate = match holder {
@@ -609,6 +632,44 @@ pub(crate) fn commit_server_v1(stm: &StmInner) {
     }
 }
 
+/// Hands commit `t`, requested by slot `req`, to the invalidation-servers;
+/// runs right after the commit's odd-timestamp store and its `SeqCst`
+/// fence. A server whose partition holds no live transaction but the
+/// requester's (which every invalidator skips) has nothing to doom, so the
+/// commit is *retired* on its behalf — `inval_ts[k]: t → t + 2`, a CAS that
+/// succeeds only when `k` has consumed every earlier commit, so its
+/// progress stays contiguous — instead of waking it. Busy or lagging
+/// servers are woken as before. `busy` is scratch, one entry per server.
+///
+/// Sound because the live bit is set before `TX_ALIVE`, and `TX_ALIVE`
+/// before the first read: a transaction whose bit the `SeqCst` loads below
+/// miss set it after the odd store, so every read it makes waits out the
+/// odd phase and sees the write-back — the fence pairing the invalidators'
+/// own scans rely on (DESIGN.md §12).
+fn hand_off_invalidation(stm: &StmInner, t: u64, req: usize, busy: &mut [bool]) {
+    busy.fill(false);
+    for i in stm.registry.live().iter_set_bits() {
+        if i != req {
+            busy[stm.inval_server_of(i)] = true;
+        }
+    }
+    let mut retired = 0;
+    for (k, &b) in busy.iter().enumerate() {
+        if !b
+            && stm.inval_ts[k]
+                .compare_exchange(t, t + 2, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+        {
+            retired += 1;
+        } else {
+            wake_seat(stm, 1 + k);
+        }
+    }
+    if retired != 0 {
+        ServerCounters::add(&stm.server_stats.quiet_retirements, retired);
+    }
+}
+
 /// RInval-V2/V3 commit-server (paper Algorithms 3 and 4).
 pub(crate) fn commit_server_v2(stm: &StmInner) {
     let hb = &stm.health[0];
@@ -618,6 +679,7 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
     let mut idle = seat_waiter(stm, 0);
     let ring = stm.commit_ring.len() as u64;
     let nk = stm.inval_ts.len();
+    let mut busy = vec![false; nk];
     'scan: while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
         hb.beat();
         if !pass_failpoints(
@@ -722,10 +784,10 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 let len = slot.req_ws_len.load(Ordering::Relaxed);
                 // Algorithm 3, line 13: entering the odd phase *is* the
                 // signal that starts the invalidation-servers on this
-                // commit.
+                // commit — those with anything to doom.
                 stm.timestamp.store(t + 1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
-                (1..=nk).for_each(|seat| wake_seat(stm, seat));
+                hand_off_invalidation(stm, t, i, &mut busy);
                 // Line 14: write-back runs in parallel with invalidation.
                 unsafe { write_back(stm, ptr, len, t + 2) };
                 stm.timestamp.store(t + 2, Ordering::SeqCst);
@@ -744,12 +806,17 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
 /// lines 18–25). Owns the registry slots `i` with
 /// `stm.inval_server_of(i) == k` — the paper's `i % num_servers == k`
 /// round-robin.
+///
+/// Its cursor `inval_ts[k]` has a second writer: the commit-server retires
+/// commits whose partition is quiet ([`hand_off_invalidation`]). Both only
+/// move it forward — here with `fetch_max`, never a plain store — so a scan
+/// that a retirement overtook cannot move it back.
 pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
     let hb = &stm.health[1 + k];
     let _alive = hb.alive_guard();
     let mut wbf = Bloom::new();
     let mut idle = seat_waiter(stm, 1 + k);
-    let me = &stm.inval_ts[k];
+    let cursor = &stm.inval_ts[k];
     let ring = stm.commit_ring.len() as u64;
     let mut skip_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
     while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
@@ -761,24 +828,38 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
         ) {
             return;
         }
-        let my = me.load(Ordering::Relaxed);
+        let my = cursor.load(Ordering::SeqCst);
         // Line 20: a commit with number `my/2` is (or has been) in flight.
         if stm.timestamp.load(Ordering::SeqCst) > my {
             let ring_idx = ((my / 2) % ring) as usize;
             stm.commit_ring[ring_idx].load_into(&mut wbf);
             let requester = stm.commit_req[ring_idx].load(Ordering::Relaxed);
             fence(Ordering::SeqCst);
+            // Retired on our behalf meanwhile: the ring slot may already
+            // hold a later commit, so skip it. A retirement that lands after
+            // this check leaves a scan that can only doom, never miss.
+            if cursor.load(Ordering::SeqCst) != my {
+                continue;
+            }
             // Lines 21–23: scan my partition of the live map.
             skip_mask.iter_mut().for_each(|w| *w = 0);
             if requester < stm.registry.len() {
                 mask_set(&mut skip_mask, requester);
             }
-            invalidate_conflicting(stm, &wbf, &skip_mask, Some(k));
+            let examined = invalidate_conflicting(stm, &wbf, &skip_mask, Some(k));
             // Line 24: catch up by one commit — which is what the
             // commit-server waits for before it claims the next request.
-            me.store(my + 2, Ordering::SeqCst);
-            wake_seat(stm, 0);
-            idle.reset();
+            // Only a cursor this scan moved is progress anyone waits on,
+            // and only a partition with someone live in it promises more
+            // work: a scan that won the race against a quiet retirement
+            // must not keep this seat yielding on a core the client and
+            // the commit-server need.
+            if cursor.fetch_max(my + 2, Ordering::SeqCst) == my {
+                wake_seat(stm, 0);
+                if examined != 0 {
+                    idle.reset();
+                }
+            }
         } else {
             idle.pause();
         }

@@ -187,6 +187,10 @@ pub struct ServerCounters {
     pub client_parks: AtomicU64,
     /// Unparks sent by posters that found a sleeper flag raised.
     pub wakes_sent: AtomicU64,
+    /// Commits the V2/V3 commit-server retired on an invalidation-server's
+    /// behalf because its partition held nothing to doom — one per server
+    /// per commit, each a wake (and a scan) that never happened.
+    pub quiet_retirements: AtomicU64,
     /// log₂ commit-latency histogram: bucket `i` counts commits whose
     /// attempt latency fell in `[2^i, 2^(i+1))` nanoseconds. Recording is
     /// opt-in ([`crate::StmBuilder::latency_histogram`]) — it costs two
@@ -241,6 +245,7 @@ impl ServerCounters {
             server_parks: self.server_parks.load(Ordering::Relaxed),
             client_parks: self.client_parks.load(Ordering::Relaxed),
             wakes_sent: self.wakes_sent.load(Ordering::Relaxed),
+            quiet_retirements: self.quiet_retirements.load(Ordering::Relaxed),
             commit_latency: std::array::from_fn(|i| self.commit_latency[i].load(Ordering::Relaxed)),
         }
     }
@@ -301,6 +306,8 @@ pub struct ServerStats {
     pub client_parks: u64,
     /// Unparks sent by posters that found a sleeper flag raised.
     pub wakes_sent: u64,
+    /// Commits retired on an invalidation-server's behalf (quiet partition).
+    pub quiet_retirements: u64,
     /// log₂ commit-latency histogram (bucket `i` = `[2^i, 2^(i+1))` ns);
     /// all-zero unless the instance was built with
     /// [`crate::StmBuilder::latency_histogram`].
@@ -368,6 +375,7 @@ impl ServerStats {
             server_parks: self.server_parks - earlier.server_parks,
             client_parks: self.client_parks - earlier.client_parks,
             wakes_sent: self.wakes_sent - earlier.wakes_sent,
+            quiet_retirements: self.quiet_retirements - earlier.quiet_retirements,
             commit_latency: std::array::from_fn(|i| {
                 self.commit_latency[i] - earlier.commit_latency[i]
             }),
@@ -590,6 +598,16 @@ mod tests {
         assert_eq!(d.ro_snapshot_commits, 3);
         assert_eq!(d.ring_misses, 0);
         assert_eq!(d.ro_promotions, 0);
+    }
+
+    #[test]
+    fn quiet_retirements_snapshot_and_since() {
+        let c = ServerCounters::default();
+        ServerCounters::add(&c.quiet_retirements, 4);
+        let s = c.snapshot();
+        assert_eq!(s.quiet_retirements, 4);
+        ServerCounters::add(&c.quiet_retirements, 3);
+        assert_eq!(c.snapshot().since(&s).quiet_retirements, 3);
     }
 
     #[test]

@@ -281,17 +281,66 @@ mod injected {
 
     /// One injected invalidation-server death (V2): respawned, no
     /// degradation, workload completes.
+    ///
+    /// A lone client's commits find every partition quiet and never wait
+    /// for an invalidator, so readers parked mid-transaction in *both*
+    /// partitions give the dead one work: every commit is handed to it, and
+    /// the increments cannot finish before the watchdog respawns it.
     #[test]
     fn inval_server_death_is_respawned() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let stm = Stm::builder(AlgorithmKind::RInvalV2 { invalidators: 2 })
             .heap_words(1 << 10)
             .watchdog(tight_watchdog())
             .build();
         let c = stm.alloc_init(&[0]);
-        stm.faults()
-            .arm(site::SERVER_INVAL_DEATH, FaultAction::Exit, Some(1));
+        let d = stm.alloc_init(&[0]);
+        let (parked, release) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let slots = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            // Two readers of `d`, which nobody writes, take the two lowest
+            // slots — one per partition.
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut th = stm.register_thread();
+                    slots.lock().unwrap().push(th.slot());
+                    let mut counted = false;
+                    th.run(|tx| {
+                        tx.read(d)?;
+                        if !std::mem::replace(&mut counted, true) {
+                            parked.fetch_add(1, Ordering::SeqCst);
+                        }
+                        while !release.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        Ok(())
+                    });
+                });
+            }
+            while parked.load(Ordering::SeqCst) < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let parities = slots
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|i| i % 2)
+                .collect::<Vec<_>>();
+            assert!(
+                parities.contains(&0) && parities.contains(&1),
+                "{parities:?}"
+            );
+            stm.faults()
+                .arm(site::SERVER_INVAL_DEATH, FaultAction::Exit, Some(1));
 
-        increment(&stm, 200, c);
+            increment(&stm, 200, c);
+
+            let t0 = std::time::Instant::now();
+            while stm.server_stats().respawns == 0 && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            release.store(true, Ordering::SeqCst);
+        });
 
         assert_eq!(stm.peek(c), 200);
         assert!(!stm.is_degraded());

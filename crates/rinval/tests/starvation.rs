@@ -319,8 +319,10 @@ mod injected {
         // Waits out the park, so the lag budget below is spent on the run.
         increment();
         // Every attempt asks for the token right behind the previous
-        // commit, while the lagging invalidator has yet to consume it: the
-        // server drains for the length of the lag.
+        // commit. A lone client leaves its partition quiet, so the
+        // commit-server retires each commit on the lagging invalidator's
+        // behalf and a grant seldom has to drain; a pass that does drain
+        // is empty, and the books below must balance either way.
         stm.faults().arm(
             site::SERVER_INVAL_LAG,
             FaultAction::Delay(Duration::from_millis(2)),

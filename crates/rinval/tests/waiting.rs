@@ -391,8 +391,10 @@ mod injected {
             let respawned = stm.server_stats();
             assert_eq!(respawned.respawns, 1, "{kind:?}");
 
-            // Each invalidator re-parks once after that commit and then
-            // sleeps; the park that completes the count is the new seat 0's.
+            // Each invalidator re-parks once after the respawn's wake (the
+            // lone client's commits are retired on its behalf, never handed
+            // to it) and then sleeps; the park that completes the count is
+            // the new seat 0's.
             eventually("replacement parks", || {
                 stm.server_stats().server_parks >= respawned.server_parks + seats
             });

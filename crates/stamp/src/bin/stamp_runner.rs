@@ -94,7 +94,8 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
                 .map_or_else(|| "-".to_string(), |ns| format!("{:.1}us", ns as f64 / 1e3))
         };
         println!(
-            "{:>10} {:>10} commit-latency p50={} p99={} server_parks={} client_parks={} wakes_sent={}",
+            "{:>10} {:>10} commit-latency p50={} p99={} server_parks={} client_parks={} wakes_sent={} \
+             quiet_retirements={}",
             app.name(),
             algo.name(),
             fmt(0.5),
@@ -102,6 +103,7 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
             st.server_parks,
             st.client_parks,
             st.wakes_sent,
+            st.quiet_retirements,
         );
     }
     if verdict.is_err() {
