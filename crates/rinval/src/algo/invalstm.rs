@@ -1,9 +1,12 @@
 //! Commit-time invalidation (InvalSTM — Gottschlich et al., CGO 2010),
 //! transcribed from the paper's Algorithm 1. Also provides the *client
-//! read path* shared by the whole RInval family: under RInval the read
-//! protocol is identical (paper §IV-A: "The read procedure is the same in
-//! both InvalSTM and RInval"), with one extra check in V2/V3 that the
-//! reader's invalidation-server has caught up (Algorithm 3, line 28).
+//! read path* of every registered RInval attempt — all of `run`, and a
+//! `run_ro` attempt once it has promoted (`rinval::RInvalSnapshot`): under
+//! RInval the read protocol is identical (paper §IV-A: "The read procedure
+//! is the same in both InvalSTM and RInval"), with one extra check in
+//! V2/V3 that the reader's invalidation-server has caught up (Algorithm 3,
+//! line 28). This engine itself is the paper's baseline and keeps that
+//! path for every attempt, declared read-only or not.
 //!
 //! Per-read work is O(1): a seqlock-consistent heap load, a read-signature
 //! insertion, and a check of this transaction's own invalidation flag —

@@ -70,7 +70,9 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// fenced variant ([`crate::registry::Registry::pin_era_fenced`]); the
     /// invalidation family overrides it with the full [`registry_begin`]
     /// (which also publishes the slot in the `live` map and clears the
-    /// read signature that committers/servers scan).
+    /// read signature that committers/servers scan). The RInval declared
+    /// readers ([`rinval::RInvalSnapshot`]) keep the plain pin and run
+    /// `registry_begin` only if they promote.
     ///
     /// The pinned era is the thread's cached copy of the clock, not a
     /// fresh read — begins must not touch the era cache line, which every
@@ -266,13 +268,20 @@ pub(crate) fn registry_end(tx: &mut Txn<'_>) {
 ///
 /// ```ignore
 /// with_algorithm!(self.stm.algo, A => self.attempt::<A, T>(body))
+/// with_algorithm!(self.stm.algo, declared_ro = true, A => ...)
 /// ```
 ///
 /// This is the single place in the crate where the kind enum is matched
 /// on the transaction path; everything the expression calls is
-/// monomorphized for the bound engine.
+/// monomorphized for the bound engine. `declared_ro` (default `false`)
+/// picks the unregistered snapshot reader
+/// ([`crate::algo::rinval::RInvalSnapshot`]) for V1/V2/V3, so writing
+/// attempts run the registered engines with no per-read branch on it.
 macro_rules! with_algorithm {
     ($kind:expr, $A:ident => $e:expr) => {
+        $crate::algo::with_algorithm!($kind, declared_ro = false, $A => $e)
+    };
+    ($kind:expr, declared_ro = $ro:expr, $A:ident => $e:expr) => {
         match $kind {
             $crate::AlgorithmKind::NOrec => {
                 type $A = $crate::algo::norec::NOrec;
@@ -283,12 +292,22 @@ macro_rules! with_algorithm {
                 $e
             }
             $crate::AlgorithmKind::RInvalV1 => {
-                type $A = $crate::algo::rinval::RInvalV1;
-                $e
+                if $ro {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<false>;
+                    $e
+                } else {
+                    type $A = $crate::algo::rinval::RInvalV1;
+                    $e
+                }
             }
             $crate::AlgorithmKind::RInvalV2 { .. } | $crate::AlgorithmKind::RInvalV3 { .. } => {
-                type $A = $crate::algo::rinval::RInvalV2;
-                $e
+                if $ro {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<true>;
+                    $e
+                } else {
+                    type $A = $crate::algo::rinval::RInvalV2;
+                    $e
+                }
             }
             $crate::AlgorithmKind::RInvalMV { .. } => {
                 type $A = $crate::algo::mv::RInvalMV;

@@ -26,21 +26,22 @@
 //!   restarts. Only a genuinely changed value can abort a reader, and only
 //!   after a miss.
 //! * **Promotion** — the first [`Algorithm::write`] upgrades the
-//!   transaction in place to the full V3 protocol: it registers in the
-//!   `live` map, republishes its reads into the slot's signature, and
-//!   value-validates them once under a stable window. From then on reads
-//!   take the invalidation-checked path and commit goes through the
-//!   commit-server, exactly like the V2/V3 client
+//!   transaction in place to the full V3 protocol
+//!   ([`super::rinval::promote`], shared with the V1/V2/V3 declared
+//!   readers): it registers in the `live` map, republishes its reads into
+//!   the slot's signature, and value-validates them once under a stable
+//!   window. From then on reads take the invalidation-checked path and
+//!   commit goes through the commit-server, exactly like the V2/V3 client
 //!   ([`super::rinval::RInvalV2`]).
 
-use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
+use super::rinval::{cleanup_promotable, promote, stable_revalidate};
+use super::{invalstm, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
 use crate::server::withdraw_request;
 use crate::stats::ServerCounters;
-use crate::sync::SpinYield;
 use crate::txn::Txn;
-use crate::{Aborted, TxResult};
-use std::sync::atomic::{fence, Ordering};
+use crate::TxResult;
+use std::sync::atomic::Ordering;
 
 /// Engine for [`crate::AlgorithmKind::RInvalMV`].
 pub(crate) struct RInvalMV;
@@ -149,11 +150,7 @@ impl Algorithm for RInvalMV {
 
     #[inline]
     fn cleanup(tx: &mut Txn<'_>) {
-        if tx.promoted {
-            registry_end(tx);
-        } else {
-            tx.stm.registry.unpin_era(tx.slot_idx);
-        }
+        cleanup_promotable(tx);
     }
 
     #[inline]
@@ -170,46 +167,6 @@ impl Algorithm for RInvalMV {
     #[inline]
     fn try_acquire_irrevocable(tx: &mut Txn<'_>) -> bool {
         super::rinval::remote_grant_token(tx)
-    }
-}
-
-/// Re-reads the transaction's value read-set under a stable even-timestamp
-/// window (no commit's write-back can be in flight while the timestamp
-/// holds still at an even value), optionally reading `extra` inside the
-/// same window. Success returns `(window_ts, extra_value)`; a changed
-/// value aborts. The window spin is the only wait and retries purely on
-/// instability, so this performs exactly one validation pass over stable
-/// state — the "bounded single revalidation-or-restart" fallback.
-fn stable_revalidate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
-    let stm = tx.stm;
-    let ts = &stm.timestamp;
-    let mut bk = SpinYield::new();
-    loop {
-        if bk.is_yielding() && tx.deadline_expired() {
-            return Err(Aborted);
-        }
-        let t = ts.load(Ordering::SeqCst);
-        if t & 1 == 1 {
-            bk.pause();
-            continue;
-        }
-        let extra_v = extra.map_or(0, |h| stm.heap.load(h));
-        let mut ok = true;
-        for &(h, v) in tx.rs.entries() {
-            if stm.heap.load(h) != v {
-                ok = false;
-                break;
-            }
-        }
-        fence(Ordering::SeqCst);
-        if ts.load(Ordering::SeqCst) != t {
-            bk.pause();
-            continue;
-        }
-        if !ok {
-            return Err(Aborted);
-        }
-        return Ok((t, extra_v));
     }
 }
 
@@ -232,35 +189,4 @@ fn refresh_to_present(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     tx.snapshot = t;
     tx.rs.push(h, v);
     Ok(v)
-}
-
-/// First-write upgrade to the V3 protocol, in place: register in the
-/// `live` map, republish the reads into the slot's signature (before the
-/// fence, so a committer admitted after the fence either sees the
-/// signature and invalidates us or wrote before our validation window —
-/// the same two-sided race argument as the read path's bloom publish),
-/// then value-validate the read-set once. On success the transaction
-/// continues at the validated window under the ordinary RInval rules.
-fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
-    debug_assert!(!tx.promoted);
-    registry_begin(tx);
-    let slot = tx.stm.registry.slot(tx.slot_idx);
-    for &(h, _) in tx.rs.entries() {
-        slot.read_bf.owner_insert(h.addr());
-    }
-    fence(Ordering::SeqCst);
-    match stable_revalidate(tx, None) {
-        Ok((t, _)) => {
-            tx.snapshot = t;
-            tx.promoted = true;
-            ServerCounters::add(&tx.stm.server_stats.ro_promotions, 1);
-            Ok(())
-        }
-        Err(Aborted) => {
-            // The attempt aborts while registered; `cleanup` must
-            // deregister, so flip the mode before unwinding the attempt.
-            tx.promoted = true;
-            Err(Aborted)
-        }
-    }
 }

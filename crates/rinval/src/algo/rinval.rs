@@ -1,8 +1,8 @@
 //! RInval client side (paper Algorithm 2, `CLIENT COMMIT`).
 //!
-//! Identical for V1/V2/V3: the begin and read paths are shared with
-//! InvalSTM (module `invalstm`), and commit never touches the global
-//! timestamp. Instead the client:
+//! Identical for V1/V2/V3: a registered attempt's begin and read paths are
+//! shared with InvalSTM (module `invalstm`), and commit never touches the
+//! global timestamp. Instead the client:
 //!
 //! 1. checks its own invalidation flag (Algorithm 2, line 5);
 //! 2. publishes its write signature and write-set into its cache-aligned
@@ -16,16 +16,28 @@
 //! No CAS is executed anywhere on this path, which is the paper's headline
 //! mechanism for removing coherence traffic from the critical path; the
 //! wake it owes a parked commit-server is one load of the seat's flag.
+//!
+//! ## Declared readers start unregistered
+//!
+//! Registration — the `live` bit, `TX_ALIVE`, a read-signature store and
+//! a `SeqCst` fence per read — exists only so that a concurrent committer
+//! can find and doom the reader. The first attempt of a
+//! [`crate::ThreadHandle::run_ro`] transaction runs [`RInvalSnapshot`]
+//! instead: it reads NOrec-style against an even timestamp snapshot, off
+//! the registry, and [`promote`]s itself in place to the paper's read path
+//! the first time it sees the timestamp move (DESIGN.md §14). Its retries
+//! run the registered engines.
 
-use super::{invalstm, registry_begin, registry_end, sealed, Algorithm};
+use super::{invalstm, norec, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
 use crate::registry::{REQ_ABORTED, REQ_COMMITTED, REQ_IRREVOCABLE, REQ_PENDING, TX_INVALIDATED};
 use crate::server::{slot_waiter, wake_seat, withdraw_request};
 use crate::stats::ServerCounters;
+use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 
 /// The lifecycle shared by both RInval engines; only the read path's
 /// invalidation-server check distinguishes them at the client.
@@ -91,6 +103,162 @@ rinval_engine!(
     RInvalV2,
     check_inval_server = true
 );
+
+/// Engine for the first attempt of a [`crate::ThreadHandle::run_ro`]
+/// transaction on [`crate::AlgorithmKind::RInvalV1`]
+/// (`CHECK_INVAL_SERVER = false`) and on V2/V3 (`true`): an *unregistered
+/// snapshot reader* until the first commit it observes. Retries run the
+/// registered engines.
+///
+/// * **Pin** — the default plain `pin_era`: no `live` bit, no `TX_ALIVE`,
+///   no read-signature clear. Sound by NOrec's argument (DESIGN.md §9):
+///   every value is checked against the timestamp before it is returned,
+///   and a block is recycled only after its freeing commit bumped it.
+/// * **Read** — heap load, acquire fence, `timestamp == snapshot`, exactly
+///   `norec::read`'s check; a hit is logged in the value read-set.
+/// * **Promotion** — a mismatch means a commit landed since the snapshot:
+///   [`promote`] registers in place and revalidates the logged reads once,
+///   and from then on every read takes the paper's path
+///   (`invalstm::read_impl`), whose O(1) validation per read is what
+///   invalidation buys while commits interleave. Measured against
+///   revalidating NOrec-style on every timestamp move instead: no worse
+///   for readers, and more writer commits on V2/V3 (DESIGN.md §14).
+/// * **Commit** — nothing to publish or ask: unpromoted, the reads are
+///   consistent at the snapshot; promoted, every read checked the
+///   invalidation flag (Algorithm 2, lines 2–3).
+pub(crate) struct RInvalSnapshot<const CHECK_INVAL_SERVER: bool>;
+
+impl<const CHECK_INVAL_SERVER: bool> sealed::Sealed for RInvalSnapshot<CHECK_INVAL_SERVER> {}
+
+impl<const CHECK_INVAL_SERVER: bool> Algorithm for RInvalSnapshot<CHECK_INVAL_SERVER> {
+    #[inline]
+    fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
+        norec::begin(tx)
+    }
+
+    #[inline]
+    fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
+        if tx.promoted {
+            return invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h);
+        }
+        let v = tx.stm.heap.load(h);
+        fence(Ordering::Acquire);
+        if tx.stm.timestamp.load(Ordering::SeqCst) == tx.snapshot {
+            tx.rs.push(h, v);
+            return Ok(v);
+        }
+        promote_and_read::<CHECK_INVAL_SERVER>(tx, h)
+    }
+
+    #[inline]
+    fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
+        debug_assert!(tx.ws.is_empty(), "declared-RO attempt buffered a write");
+        Ok(())
+    }
+
+    #[inline]
+    fn cleanup(tx: &mut Txn<'_>) {
+        cleanup_promotable(tx);
+    }
+
+    #[inline]
+    fn try_acquire_irrevocable(tx: &mut Txn<'_>) -> bool {
+        remote_grant_token(tx)
+    }
+}
+
+/// The first commit an [`RInvalSnapshot`] reader observes: promote, then
+/// read `h` on the paper's path (the value loaded before the mismatch is
+/// discarded).
+#[cold]
+fn promote_and_read<const CHECK_INVAL_SERVER: bool>(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
+    promote(tx)?;
+    invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h)
+}
+
+/// Cleanup of an attempt that starts unregistered and may have promoted
+/// (MV and [`RInvalSnapshot`]): deregister if it promoted, else unpin.
+#[inline]
+pub(crate) fn cleanup_promotable(tx: &mut Txn<'_>) {
+    if tx.promoted {
+        registry_end(tx);
+    } else {
+        tx.stm.registry.unpin_era(tx.slot_idx);
+    }
+}
+
+/// Re-reads the transaction's value read-set under a stable even-timestamp
+/// window (no commit's write-back can be in flight while the timestamp
+/// holds still at an even value), optionally reading `extra` inside the
+/// same window. Success returns `(window_ts, extra_value)`; a changed
+/// value aborts. The window spin is the only wait and retries purely on
+/// instability, so this performs exactly one validation pass over stable
+/// state — the "bounded single revalidation-or-restart" fallback.
+pub(crate) fn stable_revalidate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
+    let stm = tx.stm;
+    let ts = &stm.timestamp;
+    let mut bk = SpinYield::new();
+    loop {
+        if bk.is_yielding() && tx.deadline_expired() {
+            return Err(Aborted);
+        }
+        let t = ts.load(Ordering::SeqCst);
+        if t & 1 == 1 {
+            bk.pause();
+            continue;
+        }
+        let extra_v = extra.map_or(0, |h| stm.heap.load(h));
+        let mut ok = true;
+        for &(h, v) in tx.rs.entries() {
+            if stm.heap.load(h) != v {
+                ok = false;
+                break;
+            }
+        }
+        fence(Ordering::SeqCst);
+        if ts.load(Ordering::SeqCst) != t {
+            bk.pause();
+            continue;
+        }
+        if !ok {
+            return Err(Aborted);
+        }
+        return Ok((t, extra_v));
+    }
+}
+
+/// In-place upgrade of a snapshot reader to the registered protocol — MV
+/// on its first write, [`RInvalSnapshot`] on the first commit it observes:
+/// register in the `live` map, republish the reads into the slot's
+/// signature (before the fence, so a committer admitted after the fence
+/// either sees the signature and invalidates us or wrote before our
+/// validation window — the same two-sided race argument as the read path's
+/// bloom publish), then value-validate the read-set once. On success the
+/// transaction continues at the validated window under the ordinary RInval
+/// rules. Counted in `ServerStats::ro_promotions`.
+pub(crate) fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
+    debug_assert!(!tx.promoted);
+    registry_begin(tx);
+    let slot = tx.stm.registry.slot(tx.slot_idx);
+    for &(h, _) in tx.rs.entries() {
+        slot.read_bf.owner_insert(h.addr());
+    }
+    fence(Ordering::SeqCst);
+    match stable_revalidate(tx, None) {
+        Ok((t, _)) => {
+            tx.snapshot = t;
+            tx.promoted = true;
+            ServerCounters::add(&tx.stm.server_stats.ro_promotions, 1);
+            Ok(())
+        }
+        Err(Aborted) => {
+            // The attempt aborts while registered; `cleanup` must
+            // deregister, so flip the mode before unwinding the attempt.
+            tx.promoted = true;
+            Err(Aborted)
+        }
+    }
+}
 
 pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     let slot = tx.stm.registry.slot(tx.slot_idx);

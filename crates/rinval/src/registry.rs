@@ -392,13 +392,19 @@ impl Registry {
     ///
     /// A `Release` pin leaves a window where a horizon scan misses a
     /// just-begun transaction (the store is not yet visible). That is safe
-    /// for NOrec, the one engine that uses this entry point: recycling a
+    /// for the two engines that use this entry point. NOrec: recycling a
     /// block implies its freeing transaction committed — bumping the
     /// global timestamp — after the missed transaction's snapshot, and
     /// NOrec revalidates against the timestamp *before returning any read
     /// value*, so a read that could observe recycled contents aborts
-    /// instead (DESIGN.md §9). MV snapshot readers cannot make that
-    /// argument (they never revalidate) and use
+    /// instead (DESIGN.md §9). The RInval declared readers
+    /// (`RInvalSnapshot`) make the same argument until they promote: every
+    /// value they return was checked against the snapshot timestamp, and a
+    /// mismatch promotes rather than returns — promotion re-pins with
+    /// `SeqCst` ([`Registry::begin`]) *before* it revalidates the logged
+    /// reads by value, so every handle the attempt keeps was reachable at
+    /// the validated window (DESIGN.md §9, §14). MV snapshot readers cannot
+    /// make that argument (they never revalidate) and use
     /// [`Registry::pin_era_fenced`].
     #[inline]
     pub fn pin_era(&self, idx: usize, era: u64) {

@@ -178,8 +178,10 @@ pub struct ServerCounters {
     /// Snapshot reads that found the version ring overwritten past the
     /// snapshot and fell back to revalidation.
     pub ring_misses: AtomicU64,
-    /// Snapshot transactions promoted to the full write protocol on their
-    /// first write.
+    /// Snapshot readers promoted in place to the invalidation protocol:
+    /// MV transactions on their first write, and declared read-only
+    /// (`run_ro`) attempts of every RInval kind on the first commit they
+    /// observe.
     pub ro_promotions: AtomicU64,
     /// Times a server seat parked (an idle seat parks once per park bound).
     pub server_parks: AtomicU64,
@@ -298,7 +300,9 @@ pub struct ServerStats {
     pub ro_snapshot_commits: u64,
     /// Snapshot reads that fell off the version ring into revalidation.
     pub ring_misses: u64,
-    /// Snapshot transactions promoted to the write protocol.
+    /// Snapshot readers promoted to the invalidation protocol (MV on first
+    /// write; every RInval kind's declared readers on the first observed
+    /// commit).
     pub ro_promotions: u64,
     /// Times a server seat parked.
     pub server_parks: u64,

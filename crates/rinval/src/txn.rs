@@ -114,11 +114,21 @@ impl<'a> ThreadHandle<'a> {
     /// write signature and allocation log are not re-armed per attempt,
     /// [`Txn::is_read_only`] is `true` throughout, and any call to
     /// [`Txn::write`], [`Txn::alloc`] or [`Txn::free`] inside the body
-    /// panics (API misuse, not an abort). Under
-    /// [`crate::AlgorithmKind::RInvalMV`] this routes straight to the
-    /// wait-free snapshot path — no registration, no validation and, ring
-    /// misses aside, no aborts. Under every other engine it behaves like
-    /// [`ThreadHandle::run`] with an empty write-set.
+    /// panics (API misuse, not an abort). The engines differ in what the
+    /// declaration buys (DESIGN.md §14):
+    ///
+    /// * [`crate::AlgorithmKind::RInvalMV`] routes straight to the
+    ///   wait-free snapshot path — no registration, no validation and,
+    ///   ring misses aside, no aborts.
+    /// * [`crate::AlgorithmKind::RInvalV1`], `RInvalV2` and `RInvalV3`
+    ///   start the first attempt *unregistered*: reads are checked against
+    ///   a timestamp snapshot, with no read-signature store and no fence,
+    ///   and the attempt registers in place (counted in
+    ///   [`crate::ServerStats::ro_promotions`]) only once it observes a
+    ///   commit, continuing on the paper's invalidation-checked read path.
+    ///   A retry runs registered from its begin.
+    /// * NOrec and InvalSTM — and degraded instances, which run InvalSTM —
+    ///   behave like [`ThreadHandle::run`] with an empty write-set.
     pub fn run_ro<T>(&mut self, mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>) -> T {
         // One defensive scrub, not one per attempt: a preceding writing
         // transaction's logs are only cleared at its *next* attempt, so
@@ -128,7 +138,11 @@ impl<'a> ThreadHandle<'a> {
         self.wbf.clear();
         self.alog.clear();
         loop {
-            let r = algo::with_algorithm!(self.stm.effective_algo(), A => {
+            // Only a first attempt reads unregistered: a retry binds the
+            // registered engine from its begin, so an aged reader's
+            // priority is visible to the commit census (DESIGN.md §13).
+            let first = self.cm.streak() == 0;
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = first, A => {
                 self.attempt::<A, T>(&mut body, None, true)
             });
             if let Ok(v) = r {
@@ -401,9 +415,10 @@ pub struct Txn<'t> {
     /// NOrec / InvalSTM commit critical section). Gates the
     /// `cleanup_panic` seqlock repair.
     pub(crate) lock_held: bool,
-    /// RInvalMV: whether the transaction has promoted in place from the
-    /// snapshot-reader path to the full V3 protocol (first write). Gates
-    /// the MV engine's read/commit/cleanup mode selection.
+    /// Whether a snapshot reader has promoted in place to the registered
+    /// protocol — MV on its first write, a V1/V2/V3 declared reader on the
+    /// first commit it observes. Gates those engines' read/commit/cleanup
+    /// mode selection.
     pub(crate) promoted: bool,
     /// Whether this attempt runs under [`ThreadHandle::run_ro`]: writes,
     /// allocs and frees panic, and [`Txn::is_read_only`] is `true` by

@@ -5,13 +5,14 @@
 //! 1. commit in **exactly one attempt** under a hostile writer stream
 //!    (they never validate and nothing can doom them),
 //! 2. observe **opaque snapshots** — no torn multi-word reads across a
-//!    concurrent commit,
+//!    concurrent commit (checked on the V1/V2/V3 declared readers too),
 //! 3. survive **ring misses** (a word overwritten more than the ring
 //!    depth since the snapshot) through the bounded
 //!    revalidate-and-advance fallback, which terminates.
 
 use rinval::{AlgorithmKind, Stm};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 fn mv() -> AlgorithmKind {
@@ -118,72 +119,113 @@ fn ro_commits_in_one_attempt_under_hostile_writers() {
 /// across four words; a torn read (some words before a commit's
 /// write-back, some after) would break it. Readers may abort here — a
 /// ring miss mid-stream revalidates words the writers *do* touch — but
-/// every value they return must be consistent.
+/// every value they return must be consistent, and no partial sum may
+/// exceed the total even inside an attempt that later aborts.
+///
+/// The same stream runs against the V1/V2/V3 declared readers, which read
+/// unregistered and promote in place once a commit lands inside their
+/// attempt (DESIGN.md §14): promotions must actually happen there.
 #[test]
 fn snapshots_are_opaque_no_torn_reads() {
     const TOTAL: u64 = 1_000;
     const TRANSFERS: u64 = 3_000;
-    let stm = Stm::builder(mv()).heap_words(1 << 12).max_threads(8).build();
-    let arr = stm.alloc(4);
-    stm.poke(arr.field(0), TOTAL);
-    let done = AtomicBool::new(false);
-    let stm = &stm;
-    let done = &done;
+    let kinds: [AlgorithmKind; 3] =
+        ["rinval-v1", "rinval-v2:2", "rinval-v3:2:1"].map(|s| s.parse().unwrap());
+    for kind in std::iter::once(mv()).chain(kinds) {
+        let stm = Stm::builder(kind)
+            .heap_words(1 << 12)
+            .max_threads(8)
+            .build();
+        let arr = stm.alloc(4);
+        stm.poke(arr.field(0), TOTAL);
+        let done = AtomicBool::new(false);
+        // Writers start only once both readers run, so that on one core the
+        // transfers cannot all finish before a reader's first attempt.
+        let start = Barrier::new(4);
+        let (stm, done, start) = (&stm, &done, &start);
 
-    std::thread::scope(|s| {
-        let writers: Vec<_> = (0..2)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut th = stm.register_thread();
-                    for i in 0..TRANSFERS {
-                        let from = arr.field(((i + w) % 4) as u32);
-                        let to = arr.field(((i + w + 1) % 4) as u32);
-                        th.run(|tx| {
-                            let a = tx.read(from)?;
-                            let b = tx.read(to)?;
-                            if a > 0 {
-                                tx.write(from, a - 1)?;
-                                tx.write(to, b + 1)?;
-                            }
-                            Ok(())
-                        });
-                    }
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut th = stm.register_thread();
+                        start.wait();
+                        for i in 0..TRANSFERS {
+                            let from = arr.field(((i + w) % 4) as u32);
+                            let to = arr.field(((i + w + 1) % 4) as u32);
+                            th.run(|tx| {
+                                let a = tx.read(from)?;
+                                let b = tx.read(to)?;
+                                if a > 0 {
+                                    tx.write(from, a - 1)?;
+                                    tx.write(to, b + 1)?;
+                                }
+                                Ok(())
+                            });
+                        }
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut th = stm.register_thread();
-                    let mut seen = 0u64;
-                    while !done.load(Ordering::Relaxed) || seen < 50 {
-                        let sum = th.run_ro(|tx| {
-                            let mut acc = 0u64;
-                            for k in 0..4 {
-                                acc += tx.read(arr.field(k))?;
-                            }
-                            Ok(acc)
-                        });
-                        assert_eq!(sum, TOTAL, "torn multi-word snapshot");
-                        seen += 1;
-                    }
-                    seen
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut th = stm.register_thread();
+                        start.wait();
+                        let mut seen = 0u64;
+                        while !done.load(Ordering::Relaxed) || seen < 50 {
+                            let mut attempts = 0;
+                            let sum = th.run_ro(|tx| {
+                                attempts += 1;
+                                let mut acc = 0u64;
+                                for k in 0..4 {
+                                    // Every other transaction waits for a
+                                    // commit before one of its reads — the
+                                    // first, with nothing to revalidate, or
+                                    // a later one — so commits land inside
+                                    // attempts even on one core. First
+                                    // attempts only: a retry may hold the
+                                    // irrevocable token, and no commit
+                                    // lands while it does.
+                                    if attempts == 1 && seen % 8 == u64::from(k) {
+                                        let t = stm.timestamp();
+                                        while stm.timestamp() == t && !done.load(Ordering::Relaxed)
+                                        {
+                                            std::thread::yield_now();
+                                        }
+                                    }
+                                    acc += tx.read(arr.field(k))?;
+                                    assert!(acc <= TOTAL, "{kind:?}: partial sum {acc}");
+                                }
+                                Ok(acc)
+                            });
+                            assert_eq!(sum, TOTAL, "{kind:?}: torn multi-word snapshot");
+                            seen += 1;
+                        }
+                        seen
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        for w in writers {
-            w.join().unwrap();
-        }
-        done.store(true, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().unwrap() >= 50);
-        }
-    });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            for r in readers {
+                assert!(r.join().unwrap() >= 50);
+            }
+        });
 
-    let sum: u64 = (0..4).map(|k| stm.peek(arr.field(k))).sum();
-    assert_eq!(sum, TOTAL);
+        let sum: u64 = (0..4).map(|k| stm.peek(arr.field(k))).sum();
+        assert_eq!(sum, TOTAL, "{kind:?}");
+        // MV counts its writers' first-write promotions here, V1/V2/V3
+        // their readers' first observed commit.
+        assert!(
+            stm.server_stats().ro_promotions > 0,
+            "{kind:?}: nothing ever promoted"
+        );
+        assert!(!stm.is_degraded(), "{kind:?}");
+    }
 }
 
 /// (iii) A forced ring miss takes the fallback exactly once and
@@ -245,8 +287,10 @@ fn ring_miss_fallback_terminates_and_advances() {
     assert_eq!(st.ro_snapshot_commits, 1);
 }
 
-/// `run_ro` works (as plain transactions with an empty write-set) on a
-/// non-MV engine too, and its write prohibition is engine-independent.
+/// `run_ro` works on every engine — they differ only in what the
+/// declaration buys (NOrec runs a plain transaction with an empty
+/// write-set, V3 an unregistered snapshot reader) — and the declared-RO
+/// state does not leak into the handle's next transaction.
 #[test]
 fn run_ro_is_engine_independent() {
     for kind in [
