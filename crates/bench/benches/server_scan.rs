@@ -8,9 +8,7 @@
 //! * slots actually visited per commit-server pass (bitmap scan) vs. the
 //!   slots a full-registry walk would have examined — the pre-rework cost
 //!   of *every* pass, reported as the `reduction` factor;
-//! * the same for invalidation/census scans over the `live` map;
-//! * V1 batch statistics under commit pressure (8 writers on one server:
-//!   requests per timestamp bump).
+//! * the same for invalidation/census scans over the `live` map.
 //!
 //! The repository's acceptance bars (EXPERIMENTS.md §server_scan):
 //!
@@ -103,7 +101,7 @@ fn run_workload(algo: AlgorithmKind, registry: usize, threads: usize, ops: u64) 
 
 fn report(m: &Measurement) {
     println!(
-        "{:>9}  {:>8}  {:>8}  {:>10}  {:>12}  {:>10.1}  {:>12}  {:>10.1}  {:>6.2}",
+        "{:>9}  {:>8}  {:>8}  {:>10}  {:>12}  {:>10.1}  {:>12}  {:>10.1}",
         m.algo,
         m.registry,
         m.commits,
@@ -112,7 +110,6 @@ fn report(m: &Measurement) {
         m.commit_scan_reduction(),
         m.stats.inval_slots_visited,
         m.inval_scan_reduction(),
-        m.stats.mean_batch_size(),
     );
 }
 
@@ -205,16 +202,8 @@ fn main() {
          ({LIVE_THREADS} live client threads, {ops} private commits each)"
     );
     println!(
-        "{:>9}  {:>8}  {:>8}  {:>10}  {:>12}  {:>10}  {:>12}  {:>10}  {:>6}",
-        "algo",
-        "registry",
-        "commits",
-        "passes",
-        "visited",
-        "reduction",
-        "inval-visit",
-        "inval-red",
-        "batch"
+        "{:>9}  {:>8}  {:>8}  {:>10}  {:>12}  {:>10}  {:>12}  {:>10}",
+        "algo", "registry", "commits", "passes", "visited", "reduction", "inval-visit", "inval-red"
     );
 
     let mut gate = true;
@@ -236,18 +225,6 @@ fn main() {
             }
         }
     }
-
-    // Batch amortization under commit pressure: 8 writers with disjoint
-    // write-sets against one V1 server — requests per timestamp bump.
-    let m = run_workload(AlgorithmKind::RInvalV1, 16, 8, ops);
-    println!(
-        "v1 batch pressure (8 writers): {} requests in {} batches \
-         (mean batch {:.2}, {} timestamp bumps saved)",
-        m.stats.batched_requests,
-        m.stats.batches,
-        m.stats.mean_batch_size(),
-        m.stats.batched_requests - m.stats.batches,
-    );
 
     // Kernel-vs-replica wall clock: the kernel must hold a ≥ 1.3× win
     // over the previous open-coded dense scan at 128 live slots (the

@@ -34,8 +34,8 @@
 //!   commit goes through the commit-server, exactly like the V2/V3 client
 //!   ([`super::rinval::RInvalV2`]).
 
-use super::rinval::{cleanup_promotable, promote, stable_revalidate};
-use super::{invalstm, sealed, Algorithm};
+use super::rinval::{cleanup_promotable, promote};
+use super::{invalstm, norec, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
 use crate::server::withdraw_request;
 use crate::stats::ServerCounters;
@@ -185,7 +185,7 @@ fn ring_miss_fallback(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
 /// permitting) and reads `h` inside it. Shared by the ring-miss fallback
 /// and the maybe-writer path out of an [`SnapshotRead::Old`] read.
 fn refresh_to_present(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
-    let (t, v) = stable_revalidate(tx, Some(h))?;
+    let (t, v) = norec::validate(tx, Some(h))?;
     tx.snapshot = t;
     tx.rs.push(h, v);
     Ok(v)

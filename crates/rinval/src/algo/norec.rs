@@ -61,10 +61,20 @@ pub(crate) fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
     }
 }
 
-/// Revalidates the read-set; on success returns the (even) timestamp the
-/// set is now known to be consistent at, extending the snapshot.
-fn validate(tx: &mut Txn<'_>) -> TxResult<u64> {
-    let ts = &tx.stm.timestamp;
+/// Revalidates the read-set by value under a stable even-timestamp window
+/// (no commit's write-back can be in flight while the timestamp holds still
+/// at an even value), optionally reading `extra` inside the same window.
+/// Success returns `(window_ts, extra_value)`: the read-set is consistent
+/// at `window_ts`, which extends the snapshot; a changed value aborts. The
+/// window spin is the only wait and retries purely on instability, so a
+/// call makes exactly one validation pass over stable state.
+///
+/// The one revalidation loop: NOrec's incremental validation, a snapshot
+/// reader's in-place promotion (`rinval::promote`) and MV's advance to the
+/// present all call it.
+pub(crate) fn validate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
+    let stm = tx.stm;
+    let ts = &stm.timestamp;
     let mut bk = SpinYield::new();
     loop {
         if bk.is_yielding() && tx.deadline_expired() {
@@ -75,14 +85,12 @@ fn validate(tx: &mut Txn<'_>) -> TxResult<u64> {
             bk.pause();
             continue;
         }
-        let mut ok = true;
-        for &(h, v) in tx.rs.entries() {
-            if tx.stm.heap.load(h) != v {
-                ok = false;
-                break;
-            }
-        }
-        fence(Ordering::Acquire);
+        let extra_v = extra.map_or(0, |h| stm.heap.load(h));
+        let ok = tx.rs.entries().iter().all(|&(h, v)| stm.heap.load(h) == v);
+        // NOrec alone needs only `Acquire` here. Promotion and MV's refresh
+        // have always run under `SeqCst`; weakening theirs is a relaxation
+        // that needs its own checked argument.
+        fence(Ordering::SeqCst);
         if ts.load(Ordering::SeqCst) != t {
             // A commit raced the scan; its write-back may have been
             // partially observed. Rescan at the new timestamp.
@@ -92,7 +100,7 @@ fn validate(tx: &mut Txn<'_>) -> TxResult<u64> {
         if !ok {
             return Err(Aborted);
         }
-        return Ok(t);
+        return Ok((t, extra_v));
     }
 }
 
@@ -109,7 +117,7 @@ pub(crate) fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
         }
         // Timestamp moved since our snapshot: extend it by revalidating the
         // prior reads, then retry this read at the new snapshot.
-        tx.snapshot = validate(tx)?;
+        tx.snapshot = validate(tx, None)?.0;
     }
 }
 
@@ -145,7 +153,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
                     return Err(Aborted);
                 }
                 bk.pause();
-                tx.snapshot = validate(tx)?;
+                tx.snapshot = validate(tx, None)?.0;
             }
         }
     }

@@ -34,7 +34,6 @@ use crate::heap::Handle;
 use crate::registry::{REQ_ABORTED, REQ_COMMITTED, REQ_IRREVOCABLE, REQ_PENDING, TX_INVALIDATED};
 use crate::server::{slot_waiter, wake_seat, withdraw_request};
 use crate::stats::ServerCounters;
-use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::{fence, Ordering};
@@ -187,46 +186,6 @@ pub(crate) fn cleanup_promotable(tx: &mut Txn<'_>) {
     }
 }
 
-/// Re-reads the transaction's value read-set under a stable even-timestamp
-/// window (no commit's write-back can be in flight while the timestamp
-/// holds still at an even value), optionally reading `extra` inside the
-/// same window. Success returns `(window_ts, extra_value)`; a changed
-/// value aborts. The window spin is the only wait and retries purely on
-/// instability, so this performs exactly one validation pass over stable
-/// state — the "bounded single revalidation-or-restart" fallback.
-pub(crate) fn stable_revalidate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
-    let stm = tx.stm;
-    let ts = &stm.timestamp;
-    let mut bk = SpinYield::new();
-    loop {
-        if bk.is_yielding() && tx.deadline_expired() {
-            return Err(Aborted);
-        }
-        let t = ts.load(Ordering::SeqCst);
-        if t & 1 == 1 {
-            bk.pause();
-            continue;
-        }
-        let extra_v = extra.map_or(0, |h| stm.heap.load(h));
-        let mut ok = true;
-        for &(h, v) in tx.rs.entries() {
-            if stm.heap.load(h) != v {
-                ok = false;
-                break;
-            }
-        }
-        fence(Ordering::SeqCst);
-        if ts.load(Ordering::SeqCst) != t {
-            bk.pause();
-            continue;
-        }
-        if !ok {
-            return Err(Aborted);
-        }
-        return Ok((t, extra_v));
-    }
-}
-
 /// In-place upgrade of a snapshot reader to the registered protocol — MV
 /// on its first write, [`RInvalSnapshot`] on the first commit it observes:
 /// register in the `live` map, republish the reads into the slot's
@@ -244,7 +203,7 @@ pub(crate) fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
         slot.read_bf.owner_insert(h.addr());
     }
     fence(Ordering::SeqCst);
-    match stable_revalidate(tx, None) {
+    match norec::validate(tx, None) {
         Ok((t, _)) => {
             tx.snapshot = t;
             tx.promoted = true;

@@ -33,15 +33,14 @@
 //! **Whose summary a scan may trust.** Words are skipped only on the
 //! summary of a *private or frozen* operand: a `Bloom`, a `req_write_bf`
 //! whose request was claimed, a `commit_ring` entry after the odd-timestamp
-//! store, a batch member's `read_bf` while its request is `CLAIMED`. The
-//! conflict test against a live reader's concurrently written `read_bf`
-//! ([`AtomicBloom::intersects_plain`]) never reads that filter's summary:
-//! it loads `read_bf.words[w]` for every `w` the *writer's* summary names
-//! — exactly the words a dense walk could find a shared bit in — with
-//! `Relaxed` loads made sound by the `SeqCst` fences around the timestamp
-//! protocol (see `algo/invalstm.rs`). For the same reason the owner's
-//! summary store needs no ordering against its word store: nobody else
-//! reads it while the owner is live.
+//! store. The conflict test against a live reader's concurrently written
+//! `read_bf` ([`AtomicBloom::intersects_plain`]) never reads that filter's
+//! summary: it loads `read_bf.words[w]` for every `w` the *writer's*
+//! summary names — exactly the words a dense walk could find a shared bit
+//! in — with `Relaxed` loads made sound by the `SeqCst` fences around the
+//! timestamp protocol (see `algo/invalstm.rs`). For the same reason the
+//! owner's summary store needs no ordering against its word store: nobody
+//! else reads it while the owner is live.
 
 use crate::sync::mix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,14 +171,6 @@ pub mod cores {
             .any(|(x, &y)| x.load(Ordering::Relaxed) & y != 0)
     }
 
-    /// Oracle of [`Bloom::union_with`].
-    pub fn union_scalar(dst: &mut Bloom, src: &Bloom) {
-        for (d, &s) in dst.words.iter_mut().zip(src.words.iter()) {
-            *d |= s;
-        }
-        dst.summary = summarize(&dst.words);
-    }
-
     /// Oracle of [`AtomicBloom::snapshot_intersect2`] (and, ignoring the
     /// hits, of [`AtomicBloom::load_into`]).
     pub fn snapshot_intersect2_scalar(
@@ -194,7 +185,10 @@ pub mod cores {
 
     /// Oracle of [`AtomicBloom::or_into`].
     pub fn or_into_scalar(src: &AtomicBloom, dst: &mut Bloom) {
-        union_scalar(dst, &load_scalar(src));
+        for (d, &s) in dst.words.iter_mut().zip(load_scalar(src).words.iter()) {
+            *d |= s;
+        }
+        dst.summary = summarize(&dst.words);
     }
 }
 
@@ -270,16 +264,6 @@ impl Bloom {
             named(s, self.summary[s] & other.summary[s])
                 .any(|w| self.words[w] & other.words[w] != 0)
         })
-    }
-
-    /// Merges every bit of `other` into `self` (set union) — used by the
-    /// V1 commit-server to build a batch's combined write signature.
-    #[inline]
-    pub fn union_with(&mut self, other: &Bloom) {
-        for (s, mark) in self.summary.iter_mut().enumerate() {
-            named(s, other.summary[s]).for_each(|w| self.words[w] |= other.words[w]);
-            *mark |= other.summary[s];
-        }
     }
 
     /// Raw words, used when publishing into an [`AtomicBloom`].
@@ -406,8 +390,8 @@ impl AtomicBloom {
     }
 
     /// Frozen filters only: ORs the current contents into a private filter
-    /// (one pass; used to accumulate a commit batch's combined *read*
-    /// signature without an intermediate snapshot).
+    /// (one pass; crash recovery merges the claimed requests' write
+    /// signatures with it, without an intermediate snapshot).
     pub fn or_into(&self, dst: &mut Bloom) {
         for (s, mark) in dst.summary.iter_mut().enumerate() {
             named(s, self.summary[s].load(Ordering::Relaxed)).for_each(|w| {
@@ -421,13 +405,12 @@ impl AtomicBloom {
     /// Frozen filters only: fused snapshot-and-test. Loads the current
     /// contents into `dst` (as [`AtomicBloom::load_into`]) and, in the same
     /// pass over the occupied words, reports whether that snapshot
-    /// intersects `a` and whether it intersects `b`.
+    /// intersects `a` and whether it intersects `b`. The returned pair is
+    /// `(dst ∩ a, dst ∩ b)` for exactly the snapshot left in `dst`.
     ///
-    /// This is the V1 commit-server's admission primitive: one walk both
-    /// *builds* the candidate's write-signature snapshot and answers the
-    /// write-write (`∩ batch writes`) and write-read (`∩ batch reads`)
-    /// independence tests. The returned pair is `(dst ∩ a, dst ∩ b)` for
-    /// exactly the snapshot left in `dst`.
+    /// No product path calls it: it is kept only for the benchmark ledger's
+    /// frozen `bloom.snapshot_intersect2_ns` probe, with its oracle in
+    /// [`cores`].
     #[inline]
     pub fn snapshot_intersect2(&self, dst: &mut Bloom, a: &Bloom, b: &Bloom) -> (bool, bool) {
         let (mut hit_a, mut hit_b) = (0, 0);
@@ -584,42 +567,37 @@ mod tests {
     }
 
     #[test]
-    fn union_with_accumulates_and_or_into_merges() {
+    fn or_into_merges() {
         let mut a = Bloom::new();
-        let mut b = Bloom::new();
         a.insert(1);
-        b.insert(2);
-        a.union_with(&b);
-        assert!(a.may_contain(1) && a.may_contain(2));
-
         let ab = AtomicBloom::new();
         ab.owner_insert(3);
         ab.or_into(&mut a);
-        assert!(a.may_contain(1) && a.may_contain(2) && a.may_contain(3));
+        assert!(a.may_contain(1) && a.may_contain(3));
     }
 
     #[test]
     fn snapshot_intersect2_matches_separate_ops() {
-        // The fused admission pass must agree with the three ops it fuses
-        // (load_into + intersects against each filter), snapshot included.
+        // The fused pass must agree with the three ops it fuses (load_into +
+        // intersects against each filter), snapshot included.
         let shared = AtomicBloom::new();
         for a in [3u32, 99, 4097, 70_000] {
             shared.owner_insert(a);
         }
-        let mut batch_w = Bloom::new();
-        batch_w.insert(99); // overlaps `shared`
-        let mut batch_r = Bloom::new();
-        batch_r.insert(123_456); // disjoint from `shared`
+        let mut a = Bloom::new();
+        a.insert(99); // overlaps `shared`
+        let mut b = Bloom::new();
+        b.insert(123_456); // disjoint from `shared`
 
         let mut fused = Bloom::new();
-        let (hit_w, hit_r) = shared.snapshot_intersect2(&mut fused, &batch_w, &batch_r);
+        let (hit_a, hit_b) = shared.snapshot_intersect2(&mut fused, &a, &b);
 
         let mut plain = Bloom::new();
         shared.load_into(&mut plain);
         assert_eq!(plain.words(), fused.words());
-        assert_eq!(hit_w, plain.intersects(&batch_w));
-        assert_eq!(hit_r, plain.intersects(&batch_r));
-        assert!(hit_w && !hit_r);
+        assert_eq!(hit_a, plain.intersects(&a));
+        assert_eq!(hit_b, plain.intersects(&b));
+        assert!(hit_a && !hit_b);
     }
 
     #[test]
@@ -643,12 +621,6 @@ mod tests {
             shared_a.intersects_plain(&b),
             cores::intersects_plain_scalar(&shared_a, &b)
         );
-        let (mut u1, mut u2) = (a.clone(), a.clone());
-        u1.union_with(&b);
-        cores::union_scalar(&mut u2, &b);
-        assert_eq!(u1.words(), u2.words());
-        assert!(cores::summary_is_exact(&u1));
-
         let (mut s1, mut s2) = (b.clone(), b.clone());
         let h1 = shared_a.snapshot_intersect2(&mut s1, &a, &b);
         let h2 = cores::snapshot_intersect2_scalar(&shared_a, &mut s2, &a, &b);

@@ -389,6 +389,7 @@ pub(crate) struct StmInner {
     pub(crate) inval_ts: Box<[CachePadded<AtomicU64>]>,
     /// Ring of commit write signatures handed from the commit-server to the
     /// invalidation-servers; commit number `c` uses slot `c % ring.len()`.
+    /// Empty without invalidation-servers (V1 invalidates inline).
     pub(crate) commit_ring: Box<[AtomicBloom]>,
     /// Requester registry index for each ring slot, so invalidation-servers
     /// skip the committer itself (its reads always intersect its writes).
@@ -426,7 +427,7 @@ pub(crate) struct StmInner {
     /// Whether commit-latency observations are recorded into
     /// [`stats::ServerCounters::commit_latency`].
     pub(crate) latency_histogram: bool,
-    /// Scan/batch counters maintained by servers and InvalSTM committers.
+    /// Scan and protocol counters maintained by servers and clients.
     pub(crate) server_stats: stats::ServerCounters,
 }
 
@@ -611,7 +612,11 @@ impl StmBuilder {
     /// tests drive server/recovery code on it directly.
     pub(crate) fn build_inner(self) -> Arc<StmInner> {
         let invalidators = self.algo.invalidators();
-        let ring_len = self.algo.steps_ahead() + 1;
+        let ring_len = if invalidators == 0 {
+            0
+        } else {
+            self.algo.steps_ahead() + 1
+        };
         let faults = faults::FaultPlan::new();
         faults.arm_from_env();
         if let Some(seed) = self.fault_seed {
@@ -632,10 +637,8 @@ impl StmBuilder {
             inval_ts: (0..invalidators)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            commit_ring: (0..if self.algo.is_remote() { ring_len } else { 0 })
-                .map(|_| AtomicBloom::new())
-                .collect(),
-            commit_req: (0..if self.algo.is_remote() { ring_len } else { 0 })
+            commit_ring: (0..ring_len).map(|_| AtomicBloom::new()).collect(),
+            commit_req: (0..ring_len)
                 .map(|_| AtomicUsize::new(usize::MAX))
                 .collect(),
             steps_ahead_ts: self.algo.steps_ahead() as u64 * 2,
@@ -805,10 +808,10 @@ impl Stm {
         self.inner.heap.stats()
     }
 
-    /// Snapshot of the server-side scan/batch counters (slots visited per
-    /// pass, empty passes, V1 batch sizes). Under RInval these are
-    /// maintained by the server threads; under InvalSTM the committing
-    /// clients maintain the invalidation-scan counters.
+    /// Snapshot of the server-side counters (slots visited per pass, empty
+    /// passes, dooms, recovery events). Under RInval these are maintained
+    /// by the server threads; under InvalSTM the committing clients
+    /// maintain the invalidation-scan counters.
     pub fn server_stats(&self) -> ServerStats {
         self.inner.server_stats.snapshot()
     }

@@ -21,7 +21,6 @@
 //! |---|---|---|---|---|
 //! | post ([`ReqCell::post`]) | owner | `IDLE → PENDING` \| `IRREVOCABLE` | the store publishes the payload written before it | the server, through the summary bit the owner sets *after* the store |
 //! | claim ([`ReqCell::step`]) | server, drain | `PENDING → CLAIMED` | a won CAS acquires the payload and freezes it: the owner can no longer withdraw | — |
-//! | revert ([`ReqCell::post`]) | V1 server | `CLAIMED → PENDING` | nothing new; re-opens the withdrawal window | — |
 //! | withdraw ([`ReqCell::step`]) | owner | `PENDING` \| `IRREVOCABLE → IDLE` | a won CAS proves no server ever owned the request | — |
 //! | answer ([`ReqCell::answer`]) | whoever holds the claim | `CLAIMED → COMMITTED` \| `ABORTED` | the store publishes the write-back done before it | the owner, by the same call |
 //! | answer-from ([`ReqCell::answer_from`]) | server | `IRREVOCABLE → COMMITTED` | as answer, for a request that was never claimed and so races the withdraw edge | the owner, if the CAS won |
@@ -130,8 +129,8 @@ impl ReqCell {
 
     /// The owner's publishing store: everything written before it is
     /// visible to whoever claims `kind`. Also the owner's return to
-    /// [`REQ_IDLE`] after reading a verdict, and V1's claim revert. A bare
-    /// store — the poster sets its summary bit and wakes the server itself.
+    /// [`REQ_IDLE`] after reading a verdict. A bare store — the poster sets
+    /// its summary bit and wakes the server itself.
     #[inline]
     pub fn post(&self, kind: u32) {
         self.state.store(kind, Ordering::SeqCst);

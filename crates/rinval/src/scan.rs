@@ -2,8 +2,8 @@
 //! committer-side registry scan.
 //!
 //! Before this layer, the `iter_set_bits → load slot → is_live →
-//! read_bf.intersects_plain(wbf)` loop was hand-rolled four times — V1
-//! commit-server batch admission, the V2/V3 invalidation scans, the
+//! read_bf.intersects_plain(wbf)` loop was hand-rolled four times — the
+//! commit-server's admission pass, the V2/V3 invalidation scans, the
 //! InvalSTM committer's fused doom/census pass, and the §13 priority
 //! census — each with its own slot accounting (and each accounting
 //! slightly differently). [`scan`] is the one walk they all call now:

@@ -1,21 +1,21 @@
 //! Server threads for the RInval family, plus the fault-containment layer
 //! that supervises them.
 //!
-//! * [`commit_server_v1`] — Algorithm 2's `COMMIT-SERVER LOOP`: one thread
-//!   owns the global timestamp, performs invalidation *and* write-back for
-//!   every request, and is the only writer of shared metadata (so the
-//!   timestamp is bumped with plain stores, never CAS). On top of the
-//!   paper's per-request loop it *batches*: all currently-pending requests
-//!   whose signatures are pairwise independent commit under a single
-//!   timestamp bump, one merged invalidation scan and one odd/even phase
-//!   (see "Batched commits" below).
-//! * [`commit_server_v2`] — Algorithm 3/4: write-back only; invalidation is
-//!   delegated to [`invalidation_server`]s through a ring of commit write
-//!   signatures — and skipped for partitions with nothing to doom (see
-//!   "Waiting" below). With `steps_ahead = 0` this is exactly V2 (the server
-//!   waits for every invalidator before each request); with `steps_ahead =
-//!   n > 0` it is V3 (only the *requester's* invalidator must be caught up,
-//!   and others may lag up to `n` commits).
+//! * [`commit_server`] — the `COMMIT-SERVER LOOP` of Algorithms 2–4, one
+//!   loop for every remote kind: one thread claims each request, owns the
+//!   global timestamp (bumped with plain stores, never CAS) and writes
+//!   back. The kinds differ only in who invalidates, which the loop decides
+//!   once per commit, after its odd-timestamp store:
+//!   - **V1** (Algorithm 2) has no invalidation-server: the commit-server
+//!     invalidates inline, then writes back.
+//!   - **V2** (Algorithm 3, `steps_ahead = 0`): [`invalidation_server`]s
+//!     scan their partitions while the commit-server writes back — handed
+//!     the commit through a ring of write signatures, or skipped where the
+//!     partition has nothing to doom (see "Waiting" below). The server
+//!     waits for every invalidator before each request.
+//!   - **V3 / MV** (Algorithm 4, `steps_ahead = n > 0`): as V2, but only
+//!     the *requester's* invalidator must be caught up, and the others may
+//!     lag up to `n` commits.
 //! * [`invalidation_server`] — Algorithm 3's `INVALIDATION-SERVER LOOP`:
 //!   chases the global timestamp in steps of 2, scanning its partition of
 //!   the registry against the published signature.
@@ -89,28 +89,6 @@
 //! [`crate::stats::ServerCounters`] (see `scan.rs` for the accounting
 //! contract).
 //!
-//! ## Batched commits (V1)
-//!
-//! Algorithm 2 serializes every commit through its own timestamp bump.
-//! Under commit pressure most of that cost is protocol overhead: the bump,
-//! the `SeqCst` fence and the invalidation scan are identical for requests
-//! that cannot possibly conflict. The V1 server therefore *drains* the
-//! pending map per pass, admitting a request into the current batch iff it
-//! is fully independent of every admitted member: its write signature
-//! intersects neither the batch's merged write signature (write-write) nor
-//! the batch's merged read signature (write-read), and its read signature
-//! does not intersect the batch's merged writes (read-write). Independent
-//! requests are answered under one bump with one merged-signature
-//! invalidation scan; dependent requests stay pending and serialize on a
-//! later pass (where the invalidation performed for the earlier batch
-//! aborts them if they had read what the batch wrote). Full independence —
-//! not just the pairwise-disjoint *write* sets — is required: two requests
-//! with disjoint writes but crossing read/write dependencies have no
-//! equivalent serial order and must not land in one batch. The merged
-//! read signature is built lazily — a member's `read_bf` joins it only
-//! when another candidate is examined in the same pass — so a one-member
-//! batch never touches its client's read-signature lines.
-//!
 //! ## Fault containment
 //!
 //! A commit request now moves `IDLE → PENDING → CLAIMED → {COMMITTED,
@@ -122,8 +100,8 @@
 //!
 //! Recovery leans on two protocol invariants (DESIGN.md §11):
 //!
-//! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** Both
-//!    commit-servers answer doomed requests (invalidated / refused)
+//! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** The
+//!    commit-server answers doomed requests (invalidated / refused)
 //!    *before* bumping the timestamp, so any slot still `CLAIMED` while
 //!    the timestamp is odd passed its status checks and its commit must be
 //!    *completed*: readers spin while the timestamp is odd, so no partial
@@ -148,7 +126,7 @@ use crate::registry::{
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
 use crate::sync::Waiter;
-use crate::{AlgorithmKind, StmInner};
+use crate::StmInner;
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -163,12 +141,7 @@ use std::time::{Duration, Instant};
 /// the `Acquire`-ordered observation of `REQ_PENDING` made the buffer's
 /// contents visible. Addresses are bounds-checked so a corrupt request
 /// cannot fault the server.
-unsafe fn write_back(
-    stm: &StmInner,
-    ptr: *const crate::logs::WriteEntry,
-    len: usize,
-    release_ts: u64,
-) {
+unsafe fn write_back(stm: &StmInner, ptr: *const WriteEntry, len: usize, release_ts: u64) {
     if ptr.is_null() {
         return;
     }
@@ -181,16 +154,6 @@ unsafe fn write_back(
         // ring is disabled).
         stm.heap.store_versioned_checked(e.addr, e.val, release_ts);
     }
-}
-
-#[inline]
-fn mask_set(mask: &mut [u64], i: usize) {
-    mask[i / 64] |= 1u64 << (i % 64);
-}
-
-#[inline]
-fn mask_get(mask: &[u64], i: usize) -> bool {
-    mask[i / 64] & (1u64 << (i % 64)) != 0
 }
 
 /// Counts a wake that was sent. A wake is what a poster owes after the
@@ -252,9 +215,11 @@ pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>)
     slot.req.waiter(stm.watchdog.interval, deadline, parks)
 }
 
-/// Invalidates every live transaction (except those in `skip_mask`) whose
+/// Invalidates every live transaction (except the slots `skip` names) whose
 /// read signature intersects `wbf`, walking only the `live` summary map.
-/// Shared by V1's inline invalidation and the invalidation-servers.
+/// Shared by V1's inline invalidation, the invalidation-servers and crash
+/// recovery, each of which skips the committing slots: a committer's own
+/// reads always intersect its writes.
 ///
 /// `server`: `Some(k)` restricts the walk to invalidation-server `k`'s
 /// partition, the slots with `i % nk == k` ([`StmInner::inval_server_of`]).
@@ -262,7 +227,7 @@ pub(crate) fn slot_waiter(stm: &StmInner, idx: usize, deadline: Option<Instant>)
 fn invalidate_conflicting(
     stm: &StmInner,
     wbf: &Bloom,
-    skip_mask: &[u64],
+    skip: impl Fn(usize) -> bool,
     server: Option<usize>,
 ) -> usize {
     let st = &stm.server_stats;
@@ -272,9 +237,9 @@ fn invalidate_conflicting(
         st,
         stm.registry.live(),
         ScanKind::Inval,
-        // Skip-mask and partition skips are index-level and uncounted;
+        // Committer and partition skips are index-level and uncounted;
         // everything delivered below is an examined slot.
-        |i| !mask_get(skip_mask, i) && server.is_none_or(|k| stm.inval_server_of(i) == k),
+        |i| !skip(i) && server.is_none_or(|k| stm.inval_server_of(i) == k),
         |_, slot| {
             examined += 1;
             // `wbf` is private to this scan, so the words to load from each
@@ -488,150 +453,6 @@ fn pass_failpoints(stm: &StmInner, death_site: usize, stall_site: usize) -> bool
     true
 }
 
-/// RInval-V1 commit-server (paper Algorithm 2, lines 10–25, plus commit
-/// batching — see the module docs).
-pub(crate) fn commit_server_v1(stm: &StmInner) {
-    let hb = &stm.health[0];
-    let _alive = hb.alive_guard();
-    let st = &stm.server_stats;
-    let mut wbf = Bloom::new();
-    let mut batch_wbf = Bloom::new();
-    let mut batch_rbf = Bloom::new();
-    let mut batch: Vec<(usize, *const WriteEntry, usize)> = Vec::new();
-    let mut batch_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
-    let mut idle = seat_waiter(stm, 0);
-    while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
-        hb.beat();
-        if !pass_failpoints(
-            stm,
-            faults::site::SERVER_COMMIT_DEATH,
-            faults::site::SERVER_COMMIT_STALL,
-        ) {
-            return;
-        }
-        ServerCounters::add(&st.scan_passes, 1);
-        let mut answered = false;
-        let Some(holder) = token_grant_point(stm, &mut answered) else {
-            end_pass(stm, &mut idle, false);
-            continue;
-        };
-        batch.clear();
-        batch_wbf.clear();
-        batch_rbf.clear();
-        // The member admitted last, whose read signature is not in
-        // `batch_rbf` yet (see the admission pass below).
-        let mut unmerged: Option<usize> = None;
-        batch_mask.iter_mut().for_each(|w| *w = 0);
-        let _ = scan(
-            &stm.registry,
-            st,
-            stm.registry.pending(),
-            ScanKind::Admission,
-            // While a token holder exists only its own requests are served;
-            // the skip is uncounted, like the partition skips elsewhere.
-            |i| holder.is_none_or(|h| h == i),
-            |i, slot| {
-                // Line 14, hardened: *claim* the request rather than just
-                // observing it. A set pending bit was published after the
-                // client's SeqCst store of REQ_PENDING, so the successful
-                // CAS doubles as the acquire of the request payload — and
-                // from here until we answer (or revert), no concurrent
-                // withdrawal can retract the payload out from under us.
-                if !slot.req.step(REQ_PENDING, REQ_CLAIMED) {
-                    return ControlFlow::Continue(());
-                }
-                // Line 15: the client may have been invalidated by a commit
-                // we processed after it went PENDING; checking *before*
-                // bumping the timestamp saves a useless version bump (paper
-                // §IV-A) — and keeps invariant 1 of the module docs: a slot
-                // still CLAIMED at an odd timestamp has passed this check.
-                if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
-                    stm.registry.pending().clear(i);
-                    answer(stm, i, REQ_ABORTED);
-                    answered = true;
-                    return ControlFlow::Continue(());
-                }
-                // A member's read signature joins `batch_rbf` only here,
-                // when another candidate is examined in the same pass: a
-                // one-member batch — every batch of a lone client — never
-                // pulls the client's `read_bf` lines over to this core, and
-                // the client's next `begin` finds them still exclusive. The
-                // member is `CLAIMED` (frozen) until the pass answers it.
-                if let Some(m) = unmerged.take() {
-                    stm.registry.slot(m).read_bf.or_into(&mut batch_rbf);
-                }
-                // Fused admission pass: one walk of the words the claimed
-                // (frozen) request's summary names snapshots its write
-                // signature into `wbf` *and* answers both batch-independence
-                // intersections (write-write against the merged writes,
-                // write-read against the merged reads).
-                let (hits_w, hits_r) =
-                    slot.req_write_bf
-                        .snapshot_intersect2(&mut wbf, &batch_wbf, &batch_rbf);
-                // Admission census (§13): priority refusal, checked per
-                // request at admission. The token holder bypasses it — its
-                // commit must never be refused or the grant's progress
-                // guarantee is void.
-                if holder != Some(i) {
-                    let pc = slot.priority.load(Ordering::SeqCst);
-                    if let Some(inherit) = census_refusal(stm, &wbf, i, pc) {
-                        stm.registry.pending().clear(i);
-                        refuse_request(stm, i, inherit);
-                        answered = true;
-                        return ControlFlow::Continue(());
-                    }
-                }
-                // Batch admission: fully independent of every member, or
-                // stay pending and serialize behind this batch on a later
-                // pass. The claim is reverted (bit still set), re-opening
-                // the withdrawal window for the client.
-                if !batch.is_empty()
-                    && (hits_w || hits_r || slot.read_bf.intersects_plain(&batch_wbf))
-                {
-                    slot.req.post(REQ_PENDING);
-                    return ControlFlow::Continue(());
-                }
-                stm.registry.pending().clear(i);
-                batch_wbf.union_with(&wbf);
-                unmerged = Some(i);
-                mask_set(&mut batch_mask, i);
-                batch.push((
-                    i,
-                    slot.req_ws_ptr.load(Ordering::Relaxed),
-                    slot.req_ws_len.load(Ordering::Relaxed),
-                ));
-                ControlFlow::Continue(())
-            },
-        );
-        if !batch.is_empty() {
-            // Line 18: enter the odd (commit-in-flight) phase — once for
-            // the whole batch. Plain store: this thread is the timestamp's
-            // only writer.
-            let t = stm.timestamp.load(Ordering::Relaxed);
-            stm.timestamp.store(t + 1, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            // Lines 19–21: one merged invalidation scan for the batch
-            // (members skip each other; their own reads always intersect
-            // their own writes).
-            invalidate_conflicting(stm, &batch_wbf, &batch_mask, None);
-            // Line 22: publish every member's write-set.
-            for &(_, ptr, len) in &batch {
-                unsafe { write_back(stm, ptr, len, t + 2) };
-            }
-            // Line 23: leave the odd phase.
-            stm.timestamp.store(t + 2, Ordering::SeqCst);
-            // Line 24: answer every member.
-            for &(i, _, _) in &batch {
-                answer(stm, i, REQ_COMMITTED);
-            }
-            ServerCounters::add(&st.batches, 1);
-            ServerCounters::add(&st.batched_requests, batch.len() as u64);
-            answered = true;
-        }
-        end_pass(stm, &mut idle, answered);
-    }
-}
-
 /// Hands commit `t`, requested by slot `req`, to the invalidation-servers;
 /// runs right after the commit's odd-timestamp store and its `SeqCst`
 /// fence. A server whose partition holds no live transaction but the
@@ -670,8 +491,10 @@ fn hand_off_invalidation(stm: &StmInner, t: u64, req: usize, busy: &mut [bool]) 
     }
 }
 
-/// RInval-V2/V3 commit-server (paper Algorithms 3 and 4).
-pub(crate) fn commit_server_v2(stm: &StmInner) {
+/// The commit-server of every RInval kind (paper Algorithms 2–4; module
+/// docs). V1 is the instance with no invalidation-servers: its lag check,
+/// catch-up wait and ring have nothing to do, and it invalidates inline.
+pub(crate) fn commit_server(stm: &StmInner) {
     let hb = &stm.health[0];
     let _alive = hb.alive_guard();
     let st = &stm.server_stats;
@@ -710,18 +533,22 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                     return ControlFlow::Continue(());
                 }
                 let t = stm.timestamp.load(Ordering::Relaxed);
-                // Algorithm 4, line 2: only take a request whose own
-                // invalidation-server has processed every prior commit —
-                // otherwise the tx_status check below would not be
-                // authoritative. A lagging invalidator thus only defers
-                // its own partition's requests, never strands another's.
-                // (In V2 the global wait below implies this; checking first
-                // lets V3 skip past a stalled partition.) The request stays
-                // pending and is *not* counted as progress: treating a
-                // lagging partition as "found" work would keep the server
+                // Algorithm 4, line 2 (run-ahead kinds only): only take a
+                // request whose own invalidation-server has processed every
+                // prior commit — otherwise the tx_status check below would
+                // not be authoritative — so a stalled partition defers its
+                // own requests, never another's. The request stays pending
+                // and is *not* counted as progress: treating a lagging
+                // partition as "found" work would keep the server
                 // hot-spinning with no backoff while contributing nothing.
-                let req_server = stm.inval_server_of(i);
-                if stm.inval_ts[req_server].load(Ordering::SeqCst) < t {
+                // Without run-ahead the wait below already implies the
+                // check, and skipping would starve: the writer in a
+                // partition another writer keeps busy was passed over while
+                // the quiet one committed back to back (DESIGN.md §13).
+                // V1 has no invalidator to lag.
+                if stm.steps_ahead_ts > 0
+                    && stm.inval_ts[stm.inval_server_of(i)].load(Ordering::SeqCst) < t
+                {
                     return ControlFlow::Continue(());
                 }
                 // Algorithm 3 line 7 / Algorithm 4 line 5: wait until no
@@ -753,23 +580,19 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                 }
                 stm.registry.pending().clear(i);
                 answered = true;
-                // Algorithm 3, lines 9–10: authoritative invalidation check.
+                // Algorithm 2 line 15 / Algorithm 3 lines 9–10: the
+                // authoritative invalidation check, before the timestamp
+                // moves — which keeps invariant 1 of the module docs.
                 if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
                     answer(stm, i, REQ_ABORTED);
                     return ControlFlow::Continue(());
                 }
-                // Algorithm 3 line 12 / Algorithm 4 line 8: hand the write
-                // signature (and the requester's identity, so invalidators
-                // can skip it — a read-modify-write transaction always
-                // intersects its own read signature) to the
-                // invalidation-servers via the ring slot for commit number
-                // t/2. Both copies move the occupied words only: the
-                // claimed request is frozen, and so is the ring entry once
-                // the odd-timestamp store below publishes it.
+                // The copy moves the occupied words only: the claimed
+                // request is frozen.
                 slot.req_write_bf.load_into(&mut wbf);
                 // Admission census (§13): the commit-server applies the
-                // priority refusal itself before involving the
-                // invalidation-servers. The token holder bypasses it.
+                // priority refusal itself before anyone invalidates. The
+                // token holder bypasses it.
                 if holder != Some(i) {
                     let pc = slot.priority.load(Ordering::SeqCst);
                     if let Some(inherit) = census_refusal(stm, &wbf, i, pc) {
@@ -777,18 +600,30 @@ pub(crate) fn commit_server_v2(stm: &StmInner) {
                         return ControlFlow::Continue(());
                     }
                 }
-                let ring_idx = ((t / 2) % ring) as usize;
-                stm.commit_ring[ring_idx].store_from(&wbf);
-                stm.commit_req[ring_idx].store(i, Ordering::Relaxed);
+                // Algorithm 3 line 12 / Algorithm 4 line 8: hand the write
+                // signature (and the requester's identity, which invalidators
+                // skip) to the invalidation-servers via the ring slot for
+                // commit number t/2, frozen once the odd-timestamp store
+                // below publishes it. V1 has no ring.
+                if let Some(r) = (t / 2).checked_rem(ring) {
+                    stm.commit_ring[r as usize].store_from(&wbf);
+                    stm.commit_req[r as usize].store(i, Ordering::Relaxed);
+                }
                 let ptr = slot.req_ws_ptr.load(Ordering::Relaxed);
                 let len = slot.req_ws_len.load(Ordering::Relaxed);
-                // Algorithm 3, line 13: entering the odd phase *is* the
-                // signal that starts the invalidation-servers on this
-                // commit — those with anything to doom.
+                // Algorithm 2 line 18 / Algorithm 3 line 13: enter the odd
+                // (commit-in-flight) phase — the signal that starts the
+                // invalidation-servers on this commit.
                 stm.timestamp.store(t + 1, Ordering::SeqCst);
                 fence(Ordering::SeqCst);
-                hand_off_invalidation(stm, t, i, &mut busy);
-                // Line 14: write-back runs in parallel with invalidation.
+                if nk == 0 {
+                    // Algorithm 2, lines 19–21: V1 invalidates inline.
+                    invalidate_conflicting(stm, &wbf, |j| j == i, None);
+                } else {
+                    hand_off_invalidation(stm, t, i, &mut busy);
+                }
+                // Algorithm 2 line 22 / Algorithm 3 line 14: write-back, in
+                // parallel with the invalidation-servers' scans.
                 unsafe { write_back(stm, ptr, len, t + 2) };
                 stm.timestamp.store(t + 2, Ordering::SeqCst);
                 answer(stm, i, REQ_COMMITTED);
@@ -818,7 +653,6 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
     let mut idle = seat_waiter(stm, 1 + k);
     let cursor = &stm.inval_ts[k];
     let ring = stm.commit_ring.len() as u64;
-    let mut skip_mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
     while !stm.shutdown.load(Ordering::SeqCst) && !stm.degraded.load(Ordering::SeqCst) {
         hb.beat();
         if !pass_failpoints(
@@ -842,11 +676,7 @@ pub(crate) fn invalidation_server(stm: &StmInner, k: usize) {
                 continue;
             }
             // Lines 21–23: scan my partition of the live map.
-            skip_mask.iter_mut().for_each(|w| *w = 0);
-            if requester < stm.registry.len() {
-                mask_set(&mut skip_mask, requester);
-            }
-            let examined = invalidate_conflicting(stm, &wbf, &skip_mask, Some(k));
+            let examined = invalidate_conflicting(stm, &wbf, |j| j == requester, Some(k));
             // Line 24: catch up by one commit — which is what the
             // commit-server waits for before it claims the next request.
             // Only a cursor this scan moved is progress anyone waits on,
@@ -977,14 +807,12 @@ pub(crate) fn recover_inflight(stm: &StmInner) {
         .collect();
     if t & 1 == 1 {
         let mut merged = Bloom::new();
-        let mut mask: Vec<u64> = vec![0; stm.registry.len().div_ceil(64)];
         for &i in &claimed {
             // Claimed, hence frozen: walked by its own summary.
             stm.registry.slot(i).req_write_bf.or_into(&mut merged);
-            mask_set(&mut mask, i);
         }
         fence(Ordering::SeqCst);
-        invalidate_conflicting(stm, &merged, &mask, None);
+        invalidate_conflicting(stm, &merged, |j| claimed.contains(&j), None);
         for &i in &claimed {
             let slot = stm.registry.slot(i);
             let ptr = slot.req_ws_ptr.load(Ordering::Relaxed);
@@ -1041,7 +869,7 @@ fn seat_busy(stm: &StmInner, seat: usize) -> bool {
 /// `1 + k` is invalidation-server `k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ServerRole {
-    /// The commit-server (V1 or V2/V3, per the instance's algorithm).
+    /// The commit-server.
     Commit,
     /// Invalidation-server `k` (V2/V3 only).
     Inval(usize),
@@ -1057,13 +885,7 @@ pub(crate) fn spawn_server(
     match role {
         ServerRole::Commit => std::thread::Builder::new()
             .name("rinval-commit".into())
-            .spawn(move || {
-                if i.algo == AlgorithmKind::RInvalV1 {
-                    commit_server_v1(&i)
-                } else {
-                    commit_server_v2(&i)
-                }
-            }),
+            .spawn(move || commit_server(&i)),
         ServerRole::Inval(k) => std::thread::Builder::new()
             .name(format!("rinval-inval-{k}"))
             .spawn(move || invalidation_server(&i, k)),

@@ -108,7 +108,7 @@ pub fn log2_quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
     Some(1u64 << (i + 1))
 }
 
-/// Shared scan/batch counters maintained by the server threads (and by
+/// Shared scan counters maintained by the server threads (and by
 /// InvalSTM committers, which run the same invalidation scan inline).
 ///
 /// These make the summary-bitmap optimization *observable*: a full
@@ -134,11 +134,6 @@ pub struct ServerCounters {
     /// dooms nothing, and how often aging arms it depends on contention
     /// timing.
     pub census_scans: AtomicU64,
-    /// V1 commit batches processed (each batch = one timestamp bump).
-    pub batches: AtomicU64,
-    /// Commit requests answered through batches (`batched_requests /
-    /// batches` = mean batch size).
-    pub batched_requests: AtomicU64,
     /// Watchdog intervals in which a server with outstanding work made no
     /// heartbeat progress.
     pub heartbeat_misses: AtomicU64,
@@ -228,8 +223,6 @@ impl ServerCounters {
             inval_scans: self.inval_scans.load(Ordering::Relaxed),
             inval_slots_visited: self.inval_slots_visited.load(Ordering::Relaxed),
             census_scans: self.census_scans.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
             heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
@@ -269,10 +262,6 @@ pub struct ServerStats {
     pub inval_slots_visited: u64,
     /// Commit-admission census walks (doom nothing).
     pub census_scans: u64,
-    /// V1 commit batches processed.
-    pub batches: u64,
-    /// Commit requests answered through batches.
-    pub batched_requests: u64,
     /// Watchdog intervals with a silent-but-busy server.
     pub heartbeat_misses: u64,
     /// Dead server threads respawned by the watchdog.
@@ -339,15 +328,6 @@ impl ServerStats {
         }
     }
 
-    /// Mean V1 batch size (1.0 when every bump served a single request).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
-
     /// Counter-wise difference (`self - earlier`), for before/after
     /// windows around a measured region.
     pub fn since(&self, earlier: &ServerStats) -> ServerStats {
@@ -358,8 +338,6 @@ impl ServerStats {
             inval_scans: self.inval_scans - earlier.inval_scans,
             inval_slots_visited: self.inval_slots_visited - earlier.inval_slots_visited,
             census_scans: self.census_scans - earlier.census_scans,
-            batches: self.batches - earlier.batches,
-            batched_requests: self.batched_requests - earlier.batched_requests,
             heartbeat_misses: self.heartbeat_misses - earlier.heartbeat_misses,
             respawns: self.respawns - earlier.respawns,
             degradations: self.degradations - earlier.degradations,
@@ -543,13 +521,10 @@ mod tests {
         ServerCounters::add(&c.scan_passes, 10);
         ServerCounters::add(&c.slots_visited, 25);
         ServerCounters::add(&c.empty_passes, 4);
-        ServerCounters::add(&c.batches, 2);
-        ServerCounters::add(&c.batched_requests, 6);
         let s = c.snapshot();
         assert_eq!(s.scan_passes, 10);
         assert_eq!(s.full_scan_equivalent(128), 1280);
         assert!((s.visited_per_pass() - 2.5).abs() < 1e-12);
-        assert!((s.mean_batch_size() - 3.0).abs() < 1e-12);
 
         ServerCounters::add(&c.scan_passes, 5);
         let d = c.snapshot().since(&s);
@@ -561,7 +536,6 @@ mod tests {
     fn server_stats_zero_divisions_are_safe() {
         let s = ServerStats::default();
         assert_eq!(s.visited_per_pass(), 0.0);
-        assert_eq!(s.mean_batch_size(), 0.0);
     }
 
     #[test]

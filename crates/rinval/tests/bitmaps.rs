@@ -1,9 +1,11 @@
-//! Summary-bitmap coherence and V1 commit-batching tests.
+//! Summary-bitmap coherence and V1 commit-server tests.
 //!
 //! The registry's `pending`/`live` bitmaps are *summaries* of per-slot
 //! state; the servers trust them to find every request and every live
 //! transaction. These tests stress the two invariants the protocol rests
-//! on and pin down the batching semantics of the V1 commit-server:
+//! on, and pin down that the V1 commit-server — the commit loop with no
+//! invalidation-server — commits every request under its own timestamp
+//! bump pair, serializes conflicts and invalidates inline:
 //!
 //! * **live**: at every point of the `SeqCst` total order,
 //!   `tx_status != TX_IDLE` implies the slot's live bit is set
@@ -47,7 +49,7 @@ fn summary_maps_agree_with_slot_state_under_stress() {
             .max_threads(16)
             .build();
         // A contended word (forces conflicts/aborts) plus per-client
-        // private words (commits that batch under V1).
+        // private words (commits that never conflict).
         let shared = stm.alloc_init(&[0]);
         let private = stm.alloc(CLIENTS);
         let stop = AtomicBool::new(false);
@@ -139,10 +141,10 @@ fn summary_maps_agree_with_slot_state_under_stress() {
     }
 }
 
-/// Disjoint write-sets from many V1 clients must all land, and every
-/// committed request must have been answered through a batch.
+/// Disjoint write-sets from many V1 clients must all land, each commit
+/// under its own timestamp bump pair.
 #[test]
-fn v1_batched_disjoint_commits_all_land() {
+fn v1_disjoint_commits_all_land() {
     const CLIENTS: usize = 8;
     const OPS: u64 = 200;
     let stm = Stm::builder(AlgorithmKind::RInvalV1)
@@ -170,19 +172,12 @@ fn v1_batched_disjoint_commits_all_land() {
     for c in 0..CLIENTS {
         assert_eq!(stm.peek(arr.field(c as u32)), OPS, "client {c} lost writes");
     }
-    let stats = stm.server_stats();
-    // Every write commit is answered through a batch (of size >= 1).
-    assert_eq!(stats.batched_requests, (CLIENTS as u64) * OPS);
-    assert!(stats.batches >= 1 && stats.batches <= stats.batched_requests);
-    assert!(stats.mean_batch_size() >= 1.0);
-    // The batch phase costs one timestamp bump pair per *batch*, not per
-    // request.
-    assert_eq!(stm.timestamp(), 2 * stats.batches);
+    // One odd/even timestamp pair per write commit.
+    assert_eq!(stm.timestamp(), 2 * (CLIENTS as u64) * OPS);
 }
 
 /// Conflicting write-sets must serialize: concurrent read-modify-write
-/// transactions on one counter may never lose an increment (a batch that
-/// wrongly admitted two dependent requests would).
+/// transactions on one counter may never lose an increment.
 #[test]
 fn v1_conflicting_commits_serialize() {
     const CLIENTS: usize = 4;
@@ -212,7 +207,7 @@ fn v1_conflicting_commits_serialize() {
 }
 
 /// Deterministic read-write dependency: a transaction that read what a
-/// batch wrote must be aborted by that batch, not committed alongside it.
+/// commit wrote must be aborted by that commit's inline invalidation.
 #[test]
 fn v1_read_write_dependent_requests_do_not_merge() {
     let stm = Stm::builder(AlgorithmKind::RInvalV1)
@@ -223,8 +218,8 @@ fn v1_read_write_dependent_requests_do_not_merge() {
     let mut th1 = stm.register_thread();
     let mut th2 = stm.register_thread();
 
-    // th1 reads x, then th2 commits a write to x (a complete batch), then
-    // th1 tries to commit a write to y derived from the stale x.
+    // th1 reads x, then th2 commits a write to x, then th1 tries to
+    // commit a write to y derived from the stale x.
     let r: TxResult<()> = th1.try_run(1, |tx| {
         let v = tx.read(x)?;
         th2.run(|tx2| {

@@ -57,19 +57,6 @@ proptest! {
         prop_assert_eq!(a.intersects_plain_sparse(&b, &b.nonzero_words()), want);
     }
 
-    /// `Bloom::union_with` agrees with the dense oracle and keeps the
-    /// summary exact.
-    #[test]
-    fn union_matches_dense(left in addrs(300), right in addrs(300)) {
-        let (src, _) = sig_pair(&right);
-        let (mut got, _) = sig_pair(&left);
-        let (mut want, _) = sig_pair(&left);
-        got.union_with(&src);
-        cores::union_scalar(&mut want, &src);
-        prop_assert_eq!(got.words(), want.words());
-        prop_assert!(cores::summary_is_exact(&got));
-    }
-
     /// `AtomicBloom::or_into` agrees with the dense oracle on a non-empty
     /// accumulator.
     #[test]
@@ -127,7 +114,7 @@ proptest! {
     /// leave every word zero and `is_empty` says what the words say.
     #[test]
     fn summary_invariants_hold_after_any_op_sequence(
-        ops in prop::collection::vec((0u8..7, addrs(60)), 1..24),
+        ops in prop::collection::vec((0u8..6, addrs(60)), 1..24),
     ) {
         let mut plain = Bloom::new();
         let shared = AtomicBloom::new();
@@ -136,10 +123,9 @@ proptest! {
             match op {
                 0 => set.iter().for_each(|&a| plain.insert(a)),
                 1 => set.iter().for_each(|&a| shared.owner_insert(a)),
-                2 => plain.union_with(&other),
-                3 => shared.store_from(&other),
-                4 => other_shared.load_into(&mut plain),
-                5 => shared.or_into(&mut plain),
+                2 => shared.store_from(&other),
+                3 => other_shared.load_into(&mut plain),
+                4 => shared.or_into(&mut plain),
                 _ => {
                     plain.clear();
                     shared.owner_clear();

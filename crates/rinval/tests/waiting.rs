@@ -184,14 +184,8 @@ fn oversubscribed_clients_are_all_answered() {
             assert_eq!(stm.peek(own.field(c)), INCS / 2, "{kind:?}");
         }
         let st = stm.server_stats();
-        // One timestamp bump per V1 batch, one per commit otherwise.
-        let bumps = if kind == AlgorithmKind::RInvalV1 {
-            assert_eq!(st.batched_requests, commits, "{kind:?}: {st:?}");
-            st.batches
-        } else {
-            commits
-        };
-        assert_eq!(stm.timestamp(), 2 * bumps, "{kind:?}: {st:?}");
+        // One timestamp bump pair per commit, on every kind.
+        assert_eq!(stm.timestamp(), 2 * commits, "{kind:?}: {st:?}");
         assert!(!stm.registry().pending().any_set(), "{kind:?}");
         assert!(!stm.is_degraded() && st.respawns == 0, "{kind:?}: {st:?}");
     }
