@@ -1,7 +1,7 @@
 //! Commit-time invalidation (InvalSTM — Gottschlich et al., CGO 2010),
 //! transcribed from the paper's Algorithm 1. Also provides the *client
-//! read path* of every registered RInval attempt — all of `run`, and a
-//! `run_ro` attempt once it has promoted (`rinval::RInvalSnapshot`): under
+//! read path* of every registered RInval attempt — every retry, and a
+//! first attempt once it has promoted (`rinval::RInvalSnapshot`): under
 //! RInval the read protocol is identical (paper §IV-A: "The read procedure
 //! is the same in both InvalSTM and RInval"), with one extra check in
 //! V2/V3 that the reader's invalidation-server has caught up (Algorithm 3,

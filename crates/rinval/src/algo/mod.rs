@@ -1,16 +1,17 @@
 //! The engine layer: one monomorphized [`Algorithm`] implementation per
 //! concurrency-control algorithm.
 //!
-//! Each submodule implements one algorithm's `begin` / `read` / `write` /
-//! `commit` over the shared [`crate::txn::Txn`] state and exposes it as a
-//! unit type implementing [`Algorithm`]. The transaction loop
+//! Each submodule implements one algorithm's `begin` / `read` / `commit`
+//! over the shared [`crate::txn::Txn`] state and exposes it as a unit type
+//! implementing [`Algorithm`]. The transaction loop
 //! ([`crate::txn::ThreadHandle`]) resolves [`crate::AlgorithmKind`] **once
 //! per attempt** through [`with_algorithm!`] and then runs fully
 //! monomorphized: lifecycle calls dispatch statically through
-//! `A: Algorithm`, and the body-visible ops (`Txn::read` / `Txn::write`)
-//! go through the per-attempt [`OpTable`] of plain function pointers —
-//! there is no kind branch anywhere on the per-access path. The RInval
-//! server side lives in [`crate::server`].
+//! `A: Algorithm`, and the body-visible read (`Txn::read`) goes through
+//! the per-attempt [`OpTable`] — there is no kind branch anywhere on the
+//! per-access path. Writes are the same for every engine: `Txn::write`
+//! buffers them itself. The RInval server side lives in
+//! [`crate::server`].
 //!
 //! ## Sealing
 //!
@@ -50,13 +51,14 @@ pub(crate) mod sealed {
 /// records.** An abort therefore has nothing to undo, and one
 /// [`Algorithm::cleanup`] serves commit and abort alike.
 ///
-/// The default methods encode that shared write buffering and the common
-/// era-pinning lifecycle (DESIGN.md §9); each engine overrides only what
-/// differs. Call order per attempt:
+/// The default methods encode the common era-pinning lifecycle (DESIGN.md
+/// §9); each engine overrides only what differs. Writes are not a hook:
+/// every engine buffers them the same way (`Txn::write`). Call order per
+/// attempt:
 ///
 /// 1. [`Algorithm::pin`] — pin the reclamation horizon;
 /// 2. [`Algorithm::begin`] — snapshot acquisition;
-/// 3. body: [`Algorithm::read`] / [`Algorithm::write`] (via [`OpTable`]);
+/// 3. body: [`Algorithm::read`] (via [`OpTable`]) and buffered writes;
 /// 4. [`Algorithm::commit`];
 /// 5. [`Algorithm::cleanup`], whether the attempt committed or aborted.
 pub(crate) trait Algorithm: sealed::Sealed + 'static {
@@ -70,8 +72,8 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// fenced variant ([`crate::registry::Registry::pin_era_fenced`]); the
     /// invalidation family overrides it with the full [`registry_begin`]
     /// (which also publishes the slot in the `live` map and clears the
-    /// read signature that committers/servers scan). The RInval declared
-    /// readers ([`rinval::RInvalSnapshot`]) keep the plain pin and run
+    /// read signature that committers/servers scan). The RInval snapshot
+    /// attempts ([`rinval::RInvalSnapshot`]) keep the plain pin and run
     /// `registry_begin` only if they promote.
     ///
     /// The pinned era is the thread's cached copy of the clock, not a
@@ -99,19 +101,6 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// Transactionally reads the word at `h`.
     fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64>;
 
-    /// Transactionally writes `v` to the word at `h`.
-    ///
-    /// Default: lazy buffering — the write-set holds the value and the
-    /// private Bloom signature gets one insertion per distinct address.
-    /// No override stores to the heap (see the trait docs).
-    #[inline]
-    fn write(tx: &mut Txn<'_>, h: Handle, v: u64) -> TxResult<()> {
-        if tx.ws.insert(h, v) {
-            tx.wbf.insert(h.addr());
-        }
-        Ok(())
-    }
-
     /// Attempts to commit; `Ok` or `Err`, the caller then runs
     /// [`Algorithm::cleanup`].
     fn commit(tx: &mut Txn<'_>) -> TxResult<()>;
@@ -119,8 +108,8 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// End-of-attempt bookkeeping, after a commit and after an abort
     /// alike. Default: unpin the reclamation horizon; the invalidation
     /// family overrides with [`registry_end`], which additionally
-    /// deregisters from the in-flight registry and withdraws the slot
-    /// from the `live` summary map.
+    /// deregisters a registered attempt from the in-flight registry and
+    /// withdraws the slot from the `live` summary map.
     #[inline]
     fn cleanup(tx: &mut Txn<'_>) {
         tx.stm.registry.unpin_era(tx.slot_idx);
@@ -226,62 +215,73 @@ pub(crate) fn seqlock_grant_token(tx: &mut Txn<'_>) -> bool {
 /// The per-attempt dispatch table for body-visible operations.
 ///
 /// User transaction bodies are plain closures over `&mut Txn<'_>` — they
-/// cannot be generic over the algorithm, so `Txn::read` / `Txn::write`
-/// cannot statically name `A`. Instead each attempt installs this table
-/// of plain function pointers (built per-`A` by [`OpTable::of`], a const
-/// fn, so the table itself is a compile-time constant). A call through it
-/// is one indirect jump to the already-monomorphized engine function —
-/// no kind comparison, no branch tree.
+/// cannot be generic over the algorithm, so `Txn::read` cannot statically
+/// name `A`. Instead each attempt installs this table of plain function
+/// pointers (built per-`A` by [`OpTable::of`], a const fn, so the table
+/// itself is a compile-time constant). A call through it is one indirect
+/// jump to the already-monomorphized engine function — no kind
+/// comparison, no branch tree.
 #[derive(Clone, Copy)]
 pub(crate) struct OpTable {
     /// [`Algorithm::read`] of the attempt's engine.
     pub(crate) read: fn(&mut Txn<'_>, Handle) -> TxResult<u64>,
-    /// [`Algorithm::write`] of the attempt's engine.
-    pub(crate) write: fn(&mut Txn<'_>, Handle, u64) -> TxResult<()>,
 }
 
 impl OpTable {
     /// The op table of engine `A`.
     pub(crate) const fn of<A: Algorithm>() -> OpTable {
-        OpTable {
-            read: A::read,
-            write: A::write,
-        }
+        OpTable { read: A::read }
     }
 }
 
-/// Full registry begin: the invalidation family's [`Algorithm::pin`].
+/// Full registry begin: the invalidation family's [`Algorithm::pin`], and
+/// the first step of a snapshot attempt's `rinval::promote`. Marks the
+/// attempt [`Txn::registered`], which selects its cleanup.
 #[inline]
 pub(crate) fn registry_begin(tx: &mut Txn<'_>) {
     tx.stm.registry.begin(tx.slot_idx, tx.cache.era_cache);
+    tx.registered = true;
 }
 
-/// Registry deregistration: the invalidation family's
-/// [`Algorithm::cleanup`].
+/// The invalidation family's [`Algorithm::cleanup`], one for every engine
+/// that registers or may register: deregister from the in-flight registry
+/// if the attempt registered, else just unpin (a snapshot attempt that
+/// never promoted).
 #[inline]
 pub(crate) fn registry_end(tx: &mut Txn<'_>) {
-    tx.stm.registry.end(tx.slot_idx);
+    if tx.registered {
+        tx.stm.registry.end(tx.slot_idx);
+    } else {
+        tx.stm.registry.unpin_era(tx.slot_idx);
+    }
 }
 
 /// Resolves an [`crate::AlgorithmKind`] value to its engine type exactly
 /// once, binding it as a type alias visible to the expression:
 ///
 /// ```ignore
-/// with_algorithm!(self.stm.algo, A => self.attempt::<A, T>(body))
-/// with_algorithm!(self.stm.algo, declared_ro = true, A => ...)
+/// with_algorithm!(self.stm.algo, declared_ro = false, first = true, A => ...)
 /// ```
 ///
 /// This is the single place in the crate where the kind enum is matched
 /// on the transaction path; everything the expression calls is
-/// monomorphized for the bound engine. `declared_ro` (default `false`)
-/// picks the unregistered snapshot reader
-/// ([`crate::algo::rinval::RInvalSnapshot`]) for V1/V2/V3, so writing
-/// attempts run the registered engines with no per-read branch on it.
+/// monomorphized for the bound engine. Two inputs pick among a remote
+/// kind's engines:
+///
+/// * `first` — the attempt is a transaction's first (abort streak 0). A
+///   first attempt on V1/V2/V3 runs the unregistered snapshot engine
+///   ([`crate::algo::rinval::RInvalSnapshot`]), and so does an MV
+///   attempt that may write; a retry runs the registered engine from its
+///   begin (MV's is V2's client, which is what a promoted MV transaction
+///   runs).
+/// * `declared_ro` — the attempt runs under
+///   [`crate::ThreadHandle::run_ro`]. MV's declared readers always run
+///   the wait-free [`crate::algo::mv::RInvalMV`]; on V1/V2/V3 the flag
+///   only compiles the snapshot engine's write-set lookup out of its read.
+///
+/// Neither input adds a per-read branch: each picks a type.
 macro_rules! with_algorithm {
-    ($kind:expr, $A:ident => $e:expr) => {
-        $crate::algo::with_algorithm!($kind, declared_ro = false, $A => $e)
-    };
-    ($kind:expr, declared_ro = $ro:expr, $A:ident => $e:expr) => {
+    ($kind:expr, declared_ro = $ro:expr, first = $first:expr, $A:ident => $e:expr) => {
         match $kind {
             $crate::AlgorithmKind::NOrec => {
                 type $A = $crate::algo::norec::NOrec;
@@ -292,26 +292,40 @@ macro_rules! with_algorithm {
                 $e
             }
             $crate::AlgorithmKind::RInvalV1 => {
-                if $ro {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<false>;
+                if !$first {
+                    type $A = $crate::algo::rinval::RInvalV1;
+                    $e
+                } else if $ro {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<false, true>;
                     $e
                 } else {
-                    type $A = $crate::algo::rinval::RInvalV1;
+                    type $A = $crate::algo::rinval::RInvalSnapshot<false, false>;
                     $e
                 }
             }
             $crate::AlgorithmKind::RInvalV2 { .. } | $crate::AlgorithmKind::RInvalV3 { .. } => {
+                if !$first {
+                    type $A = $crate::algo::rinval::RInvalV2;
+                    $e
+                } else if $ro {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<true, true>;
+                    $e
+                } else {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<true, false>;
+                    $e
+                }
+            }
+            $crate::AlgorithmKind::RInvalMV { .. } => {
                 if $ro {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<true>;
+                    type $A = $crate::algo::mv::RInvalMV;
+                    $e
+                } else if $first {
+                    type $A = $crate::algo::rinval::RInvalSnapshot<true, false>;
                     $e
                 } else {
                     type $A = $crate::algo::rinval::RInvalV2;
                     $e
                 }
-            }
-            $crate::AlgorithmKind::RInvalMV { .. } => {
-                type $A = $crate::algo::mv::RInvalMV;
-                $e
             }
         }
     };

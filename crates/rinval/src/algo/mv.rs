@@ -1,13 +1,19 @@
-//! Multi-version RInval: wait-free read-only transactions over the
-//! per-word version ring (see `heap::VERSION_RING` and DESIGN.md §14).
+//! Multi-version RInval: wait-free declared read-only transactions over
+//! the per-word version ring (see `heap::VERSION_RING` and DESIGN.md §14).
 //!
-//! A transaction starts as a *snapshot reader*: at begin it captures the
-//! last even value of the global timestamp and thereafter resolves every
-//! read from the version ring — the newest version stamped ≤ the snapshot.
-//! It does not publish a read signature, does not enter the `live` summary
-//! map (so commit- and invalidation-server scans police writers only), and
-//! its commit is a no-op: the snapshot was consistent by construction, so
-//! a read-only transaction **never validates and never aborts**.
+//! This engine runs [`crate::ThreadHandle::run_ro`] attempts only. A
+//! transaction that may write runs its first attempt as an unregistered
+//! snapshot transaction ([`super::rinval::RInvalSnapshot`], shared with
+//! V1/V2/V3) and its retries on the V2/V3 client
+//! ([`super::rinval::RInvalV2`]); `with_algorithm!` picks which.
+//!
+//! A declared reader captures the last even value of the global timestamp
+//! at begin and thereafter resolves every read from the version ring — the
+//! newest version stamped ≤ the snapshot. It does not publish a read
+//! signature, does not enter the `live` summary map (so commit- and
+//! invalidation-server scans police writers only), and its commit is a
+//! no-op: the snapshot was consistent by construction, so a read-only
+//! transaction **never validates and never aborts**, ring misses aside.
 //!
 //! The snapshot is acquired wait-free — no even-parity spin. Reading the
 //! timestamp mid-commit (odd, say `t+1`) rounds *down* to `t`, which is
@@ -16,34 +22,23 @@
 //! visible, and versions newer than the snapshot are simply skipped by the
 //! ring walk.
 //!
-//! Two escape hatches keep the path total:
-//!
-//! * **Ring miss** — the word was overwritten more than `VERSION_RING`
-//!   times since the snapshot. The reader performs one bounded
-//!   revalidation: under a stable even timestamp window it re-reads its
-//!   value read-set; if nothing changed the snapshot *advances* to that
-//!   window (and the missed word is read inside it), otherwise the attempt
-//!   restarts. Only a genuinely changed value can abort a reader, and only
-//!   after a miss.
-//! * **Promotion** — the first [`Algorithm::write`] upgrades the
-//!   transaction in place to the full V3 protocol
-//!   ([`super::rinval::promote`], shared with the V1/V2/V3 declared
-//!   readers): it registers in the `live` map, republishes its reads into
-//!   the slot's signature, and value-validates them once under a stable
-//!   window. From then on reads take the invalidation-checked path and
-//!   commit goes through the commit-server, exactly like the V2/V3 client
-//!   ([`super::rinval::RInvalV2`]).
+//! One escape hatch keeps the path total: a **ring miss** — the word was
+//! overwritten more than `VERSION_RING` times since the snapshot. The
+//! reader performs one bounded revalidation: under a stable even timestamp
+//! window it re-reads its value read-set; if nothing changed the snapshot
+//! *advances* to that window (and the missed word is read inside it),
+//! otherwise the attempt restarts. Only a genuinely changed value can abort
+//! a reader, and only after a miss.
 
-use super::rinval::{cleanup_promotable, promote};
-use super::{invalstm, norec, sealed, Algorithm};
+use super::{norec, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
-use crate::server::withdraw_request;
 use crate::stats::ServerCounters;
 use crate::txn::Txn;
 use crate::TxResult;
 use std::sync::atomic::Ordering;
 
-/// Engine for [`crate::AlgorithmKind::RInvalMV`].
+/// Engine for the declared readers of [`crate::AlgorithmKind::RInvalMV`]
+/// (`Txn::write` panics inside `run_ro`).
 pub(crate) struct RInvalMV;
 
 impl sealed::Sealed for RInvalMV {}
@@ -66,6 +61,7 @@ impl Algorithm for RInvalMV {
         // those enable the ring at construction (never on degraded
         // fallbacks, which re-resolve to InvalSTM).
         debug_assert!(tx.stm.heap.versions_enabled());
+        debug_assert!(tx.declared_ro);
         // Wait-free snapshot acquisition: round an odd (commit-in-flight)
         // timestamp down instead of spinning it out.
         tx.snapshot = tx.stm.timestamp.load(Ordering::SeqCst) & !1;
@@ -74,9 +70,6 @@ impl Algorithm for RInvalMV {
 
     #[inline]
     fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
-        if tx.promoted {
-            return invalstm::read_impl::<true>(tx, h);
-        }
         // Fast path — no ring walk. If the global timestamp still equals
         // the snapshot, no commit has *released* since the snapshot was
         // taken, so the main value is the word's value at the snapshot:
@@ -100,68 +93,22 @@ impl Algorithm for RInvalMV {
             return Ok(main);
         }
         match tx.stm.heap.snapshot_read(h, tx.snapshot) {
-            SnapshotRead::Current(v) => {
+            // Reading into the past is always safe for a declared reader:
+            // this is the wait-free path the engine exists for.
+            SnapshotRead::Current(v) | SnapshotRead::Old(v) => {
                 tx.rs.push(h, v);
                 Ok(v)
-            }
-            SnapshotRead::Old(v) => {
-                if tx.declared_ro {
-                    // A declared reader can never promote, so reading
-                    // into the past is always safe — this is the wait-free
-                    // path the engine exists for.
-                    tx.rs.push(h, v);
-                    Ok(v)
-                } else {
-                    // A transaction that may still write must not anchor
-                    // itself to a superseded version: a read-set with old
-                    // values in it makes the first-write promotion's
-                    // revalidation fail *deterministically*, and at scale
-                    // the resulting abort storm feeds on itself (aborts →
-                    // retries → longer attempts → staler snapshots).
-                    // Advance to the present instead, NOrec-style.
-                    refresh_to_present(tx, h)
-                }
             }
             SnapshotRead::Miss => ring_miss_fallback(tx, h),
         }
     }
 
     #[inline]
-    fn write(tx: &mut Txn<'_>, h: Handle, v: u64) -> TxResult<()> {
-        if !tx.promoted {
-            promote(tx)?;
-        }
-        if tx.ws.insert(h, v) {
-            tx.wbf.insert(h.addr());
-        }
-        Ok(())
-    }
-
-    #[inline]
     fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
-        if !tx.promoted {
-            // Pure snapshot transaction: nothing to validate, nothing to
-            // publish, nobody to ask.
-            ServerCounters::add(&tx.stm.server_stats.ro_snapshot_commits, 1);
-            return Ok(());
-        }
-        super::rinval::client_commit(tx)
-    }
-
-    #[inline]
-    fn cleanup(tx: &mut Txn<'_>) {
-        cleanup_promotable(tx);
-    }
-
-    #[inline]
-    fn cleanup_panic(tx: &mut Txn<'_>) {
-        if tx.promoted {
-            // Same hazard as the plain RInval engines: a panic with a
-            // commit request posted must not leave the server a dangling
-            // write-set pointer.
-            let _ = withdraw_request(tx.stm, tx.slot_idx);
-        }
-        Self::cleanup(tx);
+        // Pure snapshot transaction: nothing to validate, nothing to
+        // publish, nobody to ask.
+        ServerCounters::add(&tx.stm.server_stats.ro_snapshot_commits, 1);
+        Ok(())
     }
 
     #[inline]
@@ -178,13 +125,6 @@ impl Algorithm for RInvalMV {
 #[cold]
 fn ring_miss_fallback(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     ServerCounters::add(&tx.stm.server_stats.ring_misses, 1);
-    refresh_to_present(tx, h)
-}
-
-/// Advances the snapshot to a present stable window (read-set values
-/// permitting) and reads `h` inside it. Shared by the ring-miss fallback
-/// and the maybe-writer path out of an [`SnapshotRead::Old`] read.
-fn refresh_to_present(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     let (t, v) = norec::validate(tx, Some(h))?;
     tx.snapshot = t;
     tx.rs.push(h, v);

@@ -69,9 +69,9 @@ pub(crate) fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
 /// window spin is the only wait and retries purely on instability, so a
 /// call makes exactly one validation pass over stable state.
 ///
-/// The one revalidation loop: NOrec's incremental validation, a snapshot
-/// reader's in-place promotion (`rinval::promote`) and MV's advance to the
-/// present all call it.
+/// The one revalidation loop: NOrec's incremental validation, an
+/// unregistered attempt's in-place promotion (`rinval::promote`) and MV's
+/// ring-miss advance to the present all call it.
 pub(crate) fn validate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64, u64)> {
     let stm = tx.stm;
     let ts = &stm.timestamp;
@@ -87,8 +87,8 @@ pub(crate) fn validate(tx: &mut Txn<'_>, extra: Option<Handle>) -> TxResult<(u64
         }
         let extra_v = extra.map_or(0, |h| stm.heap.load(h));
         let ok = tx.rs.entries().iter().all(|&(h, v)| stm.heap.load(h) == v);
-        // NOrec alone needs only `Acquire` here. Promotion and MV's refresh
-        // have always run under `SeqCst`; weakening theirs is a relaxation
+        // NOrec alone needs only `Acquire` here. Promotion and MV's ring-miss
+        // refresh have always run under `SeqCst`; weakening theirs is a relaxation
         // that needs its own checked argument.
         fence(Ordering::SeqCst);
         if ts.load(Ordering::SeqCst) != t {

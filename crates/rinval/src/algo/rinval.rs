@@ -17,16 +17,20 @@
 //! mechanism for removing coherence traffic from the critical path; the
 //! wake it owes a parked commit-server is one load of the seat's flag.
 //!
-//! ## Declared readers start unregistered
+//! ## First attempts start unregistered
 //!
 //! Registration — the `live` bit, `TX_ALIVE`, a read-signature store and
 //! a `SeqCst` fence per read — exists only so that a concurrent committer
-//! can find and doom the reader. The first attempt of a
-//! [`crate::ThreadHandle::run_ro`] transaction runs [`RInvalSnapshot`]
-//! instead: it reads NOrec-style against an even timestamp snapshot, off
-//! the registry, and [`promote`]s itself in place to the paper's read path
-//! the first time it sees the timestamp move (DESIGN.md §14). Its retries
-//! run the registered engines.
+//! can find and doom the transaction. The first attempt of every
+//! transaction — [`crate::ThreadHandle::run`], `try_run`, `try_run_for`
+//! and `run_ro` alike, and on MV every attempt that may write — runs
+//! [`RInvalSnapshot`] instead: it reads NOrec-style against an even
+//! timestamp snapshot, off the registry, buffers its writes, and
+//! [`promote`]s itself in place to the paper's read path the first time it
+//! sees the timestamp move (DESIGN.md §14). A write-set it still holds
+//! unregistered at commit is posted with its snapshot and its reads, and
+//! the commit-server admits it if the timestamp has not moved since — or,
+//! if it has, if the reads still hold. Retries run the registered engines.
 
 use super::{invalstm, norec, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
@@ -70,13 +74,7 @@ macro_rules! rinval_engine {
 
             #[inline]
             fn cleanup_panic(tx: &mut Txn<'_>) {
-                // A panic with a commit request posted must not leave the
-                // server a dangling write-set pointer (the backing buffer
-                // lives in the unwinding ThreadHandle). Withdraw it — or,
-                // if a server already claimed it, wait out the verdict —
-                // before deregistering the slot.
-                let _ = withdraw_request(tx.stm, tx.slot_idx);
-                registry_end(tx);
+                withdraw_then_end(tx);
             }
 
             #[inline]
@@ -103,18 +101,24 @@ rinval_engine!(
     check_inval_server = true
 );
 
-/// Engine for the first attempt of a [`crate::ThreadHandle::run_ro`]
-/// transaction on [`crate::AlgorithmKind::RInvalV1`]
-/// (`CHECK_INVAL_SERVER = false`) and on V2/V3 (`true`): an *unregistered
-/// snapshot reader* until the first commit it observes. Retries run the
-/// registered engines.
+/// Engine for the first attempt of every transaction on
+/// [`crate::AlgorithmKind::RInvalV1`] (`CHECK_INVAL_SERVER = false`) and
+/// on V2/V3 (`true`), and for MV's first attempt that may write (`true`):
+/// an *unregistered snapshot transaction* until the first commit it
+/// observes, through every entry point. `DECLARED_RO` is true under
+/// [`crate::ThreadHandle::run_ro`], whose read then compiles without the
+/// write-set lookup (with the lookup in, `rbtree_ro`'s V2 lookups ran
+/// 18 % slower, DESIGN.md §10). Retries run the registered engines.
 ///
 /// * **Pin** — the default plain `pin_era`: no `live` bit, no `TX_ALIVE`,
 ///   no read-signature clear. Sound by NOrec's argument (DESIGN.md §9):
 ///   every value is checked against the timestamp before it is returned,
 ///   and a block is recycled only after its freeing commit bumped it.
-/// * **Read** — heap load, acquire fence, `timestamp == snapshot`, exactly
-///   `norec::read`'s check; a hit is logged in the value read-set.
+/// * **Read** — own buffered write first (writers only), then heap load,
+///   acquire fence, `timestamp == snapshot`, exactly `norec::read`'s
+///   check; a hit is logged in the value read-set.
+/// * **Write** — buffered like every engine's; nothing is published
+///   before commit.
 /// * **Promotion** — a mismatch means a commit landed since the snapshot:
 ///   [`promote`] registers in place and revalidates the logged reads once,
 ///   and from then on every read takes the paper's path
@@ -122,14 +126,21 @@ rinval_engine!(
 ///   invalidation buys while commits interleave. Measured against
 ///   revalidating NOrec-style on every timestamp move instead: no worse
 ///   for readers, and more writer commits on V2/V3 (DESIGN.md §14).
-/// * **Commit** — nothing to publish or ask: unpromoted, the reads are
-///   consistent at the snapshot; promoted, every read checked the
-///   invalidation flag (Algorithm 2, lines 2–3).
-pub(crate) struct RInvalSnapshot<const CHECK_INVAL_SERVER: bool>;
+/// * **Commit** — read-only: nothing to publish or ask (unpromoted, the
+///   reads are consistent at the snapshot; promoted, every read checked
+///   the invalidation flag — Algorithm 2, lines 2–3). With writes,
+///   registered or not, the request goes to the commit-server
+///   ([`client_commit`]). An unregistered write-set is posted with its
+///   snapshot and its value read-set; the server admits it at once while
+///   the timestamp still equals the snapshot, and otherwise only if the
+///   reads still hold. A refusal therefore means a read really changed.
+pub(crate) struct RInvalSnapshot<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool>;
 
-impl<const CHECK_INVAL_SERVER: bool> sealed::Sealed for RInvalSnapshot<CHECK_INVAL_SERVER> {}
+impl<const C: bool, const RO: bool> sealed::Sealed for RInvalSnapshot<C, RO> {}
 
-impl<const CHECK_INVAL_SERVER: bool> Algorithm for RInvalSnapshot<CHECK_INVAL_SERVER> {
+impl<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool> Algorithm
+    for RInvalSnapshot<CHECK_INVAL_SERVER, DECLARED_RO>
+{
     #[inline]
     fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
         norec::begin(tx)
@@ -137,8 +148,13 @@ impl<const CHECK_INVAL_SERVER: bool> Algorithm for RInvalSnapshot<CHECK_INVAL_SE
 
     #[inline]
     fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
-        if tx.promoted {
+        if tx.registered {
             return invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h);
+        }
+        if !DECLARED_RO {
+            if let Some(v) = tx.ws.get(h) {
+                return Ok(v);
+            }
         }
         let v = tx.stm.heap.load(h);
         fence(Ordering::Acquire);
@@ -151,13 +167,21 @@ impl<const CHECK_INVAL_SERVER: bool> Algorithm for RInvalSnapshot<CHECK_INVAL_SE
 
     #[inline]
     fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
-        debug_assert!(tx.ws.is_empty(), "declared-RO attempt buffered a write");
-        Ok(())
+        if DECLARED_RO {
+            debug_assert!(tx.ws.is_empty(), "declared-RO attempt buffered a write");
+            return Ok(());
+        }
+        client_commit(tx)
     }
 
     #[inline]
     fn cleanup(tx: &mut Txn<'_>) {
-        cleanup_promotable(tx);
+        registry_end(tx);
+    }
+
+    #[inline]
+    fn cleanup_panic(tx: &mut Txn<'_>) {
+        withdraw_then_end(tx);
     }
 
     #[inline]
@@ -166,7 +190,7 @@ impl<const CHECK_INVAL_SERVER: bool> Algorithm for RInvalSnapshot<CHECK_INVAL_SE
     }
 }
 
-/// The first commit an [`RInvalSnapshot`] reader observes: promote, then
+/// The first commit an [`RInvalSnapshot`] attempt observes: promote, then
 /// read `h` on the paper's path (the value loaded before the mismatch is
 /// discarded).
 #[cold]
@@ -175,72 +199,64 @@ fn promote_and_read<const CHECK_INVAL_SERVER: bool>(tx: &mut Txn<'_>, h: Handle)
     invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h)
 }
 
-/// Cleanup of an attempt that starts unregistered and may have promoted
-/// (MV and [`RInvalSnapshot`]): deregister if it promoted, else unpin.
-#[inline]
-pub(crate) fn cleanup_promotable(tx: &mut Txn<'_>) {
-    if tx.promoted {
-        registry_end(tx);
-    } else {
-        tx.stm.registry.unpin_era(tx.slot_idx);
-    }
+/// Panic repair of every engine that can post a commit request: a panic
+/// with a request posted must not leave the server a dangling write-set
+/// pointer (the backing buffer lives in the unwinding ThreadHandle).
+/// Withdraw it — or, if a server already claimed it, wait out the verdict
+/// — before deregistering (or unpinning) the slot.
+fn withdraw_then_end(tx: &mut Txn<'_>) {
+    let _ = withdraw_request(tx.stm, tx.slot_idx);
+    registry_end(tx);
 }
 
-/// In-place upgrade of a snapshot reader to the registered protocol — MV
-/// on its first write, [`RInvalSnapshot`] on the first commit it observes:
+/// In-place upgrade of an [`RInvalSnapshot`] attempt to the registered
+/// protocol, on the first commit it observes in a read:
 /// register in the `live` map, republish the reads into the slot's
 /// signature (before the fence, so a committer admitted after the fence
 /// either sees the signature and invalidates us or wrote before our
 /// validation window — the same two-sided race argument as the read path's
 /// bloom publish), then value-validate the read-set once. On success the
 /// transaction continues at the validated window under the ordinary RInval
-/// rules. Counted in `ServerStats::ro_promotions`.
-pub(crate) fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
-    debug_assert!(!tx.promoted);
+/// rules. Counted in `ServerStats::ro_promotions`. On failure the attempt
+/// aborts registered, which [`Txn::registered`] already records for
+/// cleanup.
+fn promote(tx: &mut Txn<'_>) -> TxResult<()> {
+    debug_assert!(!tx.registered);
     registry_begin(tx);
     let slot = tx.stm.registry.slot(tx.slot_idx);
     for &(h, _) in tx.rs.entries() {
         slot.read_bf.owner_insert(h.addr());
     }
     fence(Ordering::SeqCst);
-    match norec::validate(tx, None) {
-        Ok((t, _)) => {
-            tx.snapshot = t;
-            tx.promoted = true;
-            ServerCounters::add(&tx.stm.server_stats.ro_promotions, 1);
-            Ok(())
-        }
-        Err(Aborted) => {
-            // The attempt aborts while registered; `cleanup` must
-            // deregister, so flip the mode before unwinding the attempt.
-            tx.promoted = true;
-            Err(Aborted)
-        }
-    }
+    let (t, _) = norec::validate(tx, None)?;
+    tx.snapshot = t;
+    ServerCounters::add(&tx.stm.server_stats.ro_promotions, 1);
+    Ok(())
 }
 
-pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
-    let slot = tx.stm.registry.slot(tx.slot_idx);
+fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     if tx.ws.is_empty() {
         // Read-only transactions never contact the server (Algorithm 2,
-        // lines 2–3): each read already checked the invalidation flag.
+        // lines 2–3): each read already checked the invalidation flag, or,
+        // unregistered, the snapshot.
         return Ok(());
     }
+    let slot = tx.stm.registry.slot(tx.slot_idx);
     // Degraded instance: the servers are gone; abort so the retry loop
     // re-resolves this attempt's engine to InvalSTM.
     if tx.stm.degraded.load(Ordering::SeqCst) {
         return Err(Aborted);
     }
     // Algorithm 2, line 5: bail out before bothering the server if a prior
-    // commit already invalidated us. The server rechecks (its view is the
-    // authoritative one).
+    // commit already invalidated us (never, unregistered: no one can). The
+    // server rechecks (its view is the authoritative one).
     if slot.tx_status.load(Ordering::SeqCst) == TX_INVALIDATED {
         return Err(Aborted);
     }
 
-    // Publish the request payload. The write-set buffer lives in this
-    // thread's ThreadHandle and is not touched again until the server
-    // responds, so handing out a raw pointer is sound. The signature
+    // Publish the request payload. The write-set and read-set buffers live
+    // in this thread's ThreadHandle and are not touched again until the
+    // server responds, so handing out raw pointers is sound. The signature
     // store writes the occupied words and the summary (zeroing what the
     // slot's previous request left set); once the server has claimed the
     // request it is frozen, and the server's snapshot walks that summary.
@@ -249,6 +265,19 @@ pub(crate) fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     slot.req_ws_ptr
         .store(entries.as_ptr() as *mut _, Ordering::Relaxed);
     slot.req_ws_len.store(entries.len(), Ordering::Relaxed);
+    // An unregistered write-set is admissible at the snapshot its reads
+    // were checked at, and later only if they still hold, so it brings
+    // them along; a registered one at any timestamp, since invalidation
+    // covers it (DESIGN.md §14).
+    if tx.registered {
+        slot.req_snapshot.store(u64::MAX, Ordering::Relaxed);
+    } else {
+        let reads = tx.rs.entries();
+        slot.req_snapshot.store(tx.snapshot, Ordering::Relaxed);
+        slot.req_rs_ptr
+            .store(reads.as_ptr() as *mut _, Ordering::Relaxed);
+        slot.req_rs_len.store(reads.len(), Ordering::Relaxed);
+    }
     // Algorithm 2, line 7 — the release edge: everything above (and the
     // transaction's `Txn::init` stores into fresh records) happens-before
     // the server's acquire load of PENDING.

@@ -187,11 +187,12 @@ pub enum AlgorithmKind {
         steps_ahead: usize,
     },
     /// Multi-version RInval: the V3 protocol for writers plus a per-word
-    /// version ring written by the commit write-back, so read-only
-    /// transactions read a consistent snapshot at their begin timestamp —
-    /// they never validate, never abort, and never appear in invalidation
-    /// scans. A transaction that writes promotes in place to the V3
-    /// protocol at its first write.
+    /// version ring written by the commit write-back, so declared
+    /// read-only transactions ([`ThreadHandle::run_ro`]) read a consistent
+    /// snapshot at their begin timestamp — they never validate, never
+    /// abort, and never appear in invalidation scans. A transaction that
+    /// may write runs as on V3: its first attempt off the registry until
+    /// it observes a commit, its retries registered.
     RInvalMV {
         /// Number of invalidation-server threads.
         invalidators: usize,

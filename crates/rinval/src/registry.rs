@@ -64,6 +64,7 @@
 //!   [`TxSlot::is_live`] per visited slot.
 
 use crate::bloom::AtomicBloom;
+use crate::heap::Handle;
 use crate::logs::WriteEntry;
 use crate::sync::{AtomicBitmap, CachePadded, Sleeper, Waiter};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -222,6 +223,22 @@ pub struct TxSlot {
     pub req_ws_ptr: AtomicPtr<WriteEntry>,
     /// Length of the write-set at `req_ws_ptr`.
     pub req_ws_len: AtomicUsize,
+    /// The timestamp through which the published request needs no
+    /// validation. An unregistered write-set (a first attempt that never
+    /// promoted) carries the snapshot its reads were checked at, and the
+    /// commit-server admits it at once while the timestamp still equals
+    /// it, else only if its reads at `req_rs_ptr` still hold; a registered
+    /// one carries `u64::MAX`, since invalidation covers it (DESIGN.md
+    /// §14). Published like `req_ws_ptr`/`req_ws_len`: a `Relaxed` store
+    /// before the `PENDING` release. `u64::MAX` at rest.
+    pub req_snapshot: AtomicU64,
+    /// Value read-set of a published unregistered request — `(handle,
+    /// value)` pairs the commit-server re-checks if the timestamp moved
+    /// past `req_snapshot` — and null for a registered one. Same lifetime
+    /// and publication as `req_ws_ptr`.
+    pub req_rs_ptr: AtomicPtr<(Handle, u64)>,
+    /// Length of the read-set at `req_rs_ptr`.
+    pub req_rs_len: AtomicUsize,
     /// Published starvation priority (DESIGN.md §13). Raised by the owner
     /// with its abort streak and by servers granting inheritance
     /// (`fetch_max` only, so concurrent raises never lose); reset to zero
@@ -241,12 +258,28 @@ impl Default for TxSlot {
             req_write_bf: AtomicBloom::new(),
             req_ws_ptr: AtomicPtr::new(std::ptr::null_mut()),
             req_ws_len: AtomicUsize::new(0),
+            req_snapshot: AtomicU64::new(u64::MAX),
+            req_rs_ptr: AtomicPtr::new(std::ptr::null_mut()),
+            req_rs_len: AtomicUsize::new(0),
             priority: AtomicU32::new(0),
         }
     }
 }
 
 impl TxSlot {
+    /// Resets the request payload words to their at-rest values (null
+    /// write- and read-sets, `req_snapshot == u64::MAX`), so that no
+    /// server can follow a pointer into a buffer its owner has reused.
+    pub fn clear_payload(&self) {
+        self.req_ws_ptr
+            .store(std::ptr::null_mut(), Ordering::Relaxed);
+        self.req_ws_len.store(0, Ordering::Relaxed);
+        self.req_snapshot.store(u64::MAX, Ordering::Relaxed);
+        self.req_rs_ptr
+            .store(std::ptr::null_mut(), Ordering::Relaxed);
+        self.req_rs_len.store(0, Ordering::Relaxed);
+    }
+
     /// Owner-side reset at transaction begin.
     pub fn begin(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
@@ -356,10 +389,7 @@ impl Registry {
         self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();
         self.slots[idx].req_write_bf.owner_clear();
-        self.slots[idx]
-            .req_ws_ptr
-            .store(std::ptr::null_mut(), Ordering::Relaxed);
-        self.slots[idx].req_ws_len.store(0, Ordering::Relaxed);
+        self.slots[idx].clear_payload();
         self.pending.clear(idx);
         self.live.clear(idx);
         self.free
@@ -396,13 +426,15 @@ impl Registry {
     /// global timestamp — after the missed transaction's snapshot, and
     /// NOrec revalidates against the timestamp *before returning any read
     /// value*, so a read that could observe recycled contents aborts
-    /// instead (DESIGN.md §9). The RInval declared readers
-    /// (`RInvalSnapshot`) make the same argument until they promote: every
-    /// value they return was checked against the snapshot timestamp, and a
-    /// mismatch promotes rather than returns — promotion re-pins with
-    /// `SeqCst` ([`Registry::begin`]) *before* it revalidates the logged
-    /// reads by value, so every handle the attempt keeps was reachable at
-    /// the validated window (DESIGN.md §9, §14). MV snapshot readers cannot
+    /// instead (DESIGN.md §9). The RInval snapshot attempts
+    /// (`RInvalSnapshot`, every first attempt) make the same argument until
+    /// they promote: every value they return was checked against the
+    /// snapshot timestamp, a mismatch promotes rather than returns, and an
+    /// unregistered write-set is admitted only while the timestamp still
+    /// equals the snapshot — promotion re-pins with `SeqCst`
+    /// ([`Registry::begin`]) *before* it revalidates the logged reads by
+    /// value, so every handle the attempt keeps was reachable at the
+    /// validated window (DESIGN.md §9, §14). MV snapshot readers cannot
     /// make that argument (they never revalidate) and use
     /// [`Registry::pin_era_fenced`].
     #[inline]
@@ -677,6 +709,12 @@ mod tests {
             .req_ws_ptr
             .store(ws.as_mut_ptr(), Ordering::Relaxed);
         reg.slot(idx).req_ws_len.store(ws.len(), Ordering::Relaxed);
+        reg.slot(idx).req_snapshot.store(8, Ordering::Relaxed);
+        let mut rs = [(Handle::NULL, 1)];
+        reg.slot(idx)
+            .req_rs_ptr
+            .store(rs.as_mut_ptr(), Ordering::Relaxed);
+        reg.slot(idx).req_rs_len.store(rs.len(), Ordering::Relaxed);
         reg.pending().set(idx);
         reg.release(idx);
         // Dense checks: every word, whatever the summaries claim.
@@ -691,6 +729,13 @@ mod tests {
         }
         assert!(reg.slot(idx).req_ws_ptr.load(Ordering::Relaxed).is_null());
         assert_eq!(reg.slot(idx).req_ws_len.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            reg.slot(idx).req_snapshot.load(Ordering::Relaxed),
+            u64::MAX,
+            "a recycled slot's next request would be held to a stale snapshot"
+        );
+        assert!(reg.slot(idx).req_rs_ptr.load(Ordering::Relaxed).is_null());
+        assert_eq!(reg.slot(idx).req_rs_len.load(Ordering::Relaxed), 0);
         assert!(!reg.pending().get(idx));
         assert!(!reg.live().get(idx));
     }

@@ -101,8 +101,9 @@
 //! Recovery leans on two protocol invariants (DESIGN.md §11):
 //!
 //! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** The
-//!    commit-server answers doomed requests (invalidated / refused)
-//!    *before* bumping the timestamp, so any slot still `CLAIMED` while
+//!    commit-server answers doomed requests (invalidated, census-refused,
+//!    or unregistered with reads that no longer hold) *before* bumping the
+//!    timestamp, so any slot still `CLAIMED` while
 //!    the timestamp is odd passed its status checks and its commit must be
 //!    *completed*: readers spin while the timestamp is odd, so no partial
 //!    write-back was observed, and re-running invalidation + write-back is
@@ -120,8 +121,8 @@ use crate::bloom::Bloom;
 use crate::faults::{self, FaultAction};
 use crate::logs::WriteEntry;
 use crate::registry::{
-    precedes, refusal, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE,
-    REQ_IRREVOCABLE, REQ_PENDING, TX_ALIVE, TX_INVALIDATED,
+    precedes, refusal, TxSlot, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED,
+    REQ_IDLE, REQ_IRREVOCABLE, REQ_PENDING, TX_ALIVE, TX_INVALIDATED,
 };
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
@@ -154,6 +155,27 @@ unsafe fn write_back(stm: &StmInner, ptr: *const WriteEntry, len: usize, release
         // ring is disabled).
         stm.heap.store_versioned_checked(e.addr, e.val, release_ts);
     }
+}
+
+/// Whether every `(handle, value)` pair of the unregistered request
+/// published in `slot` still holds: the commit-server's value validation
+/// of a write-set whose snapshot the timestamp has moved past.
+///
+/// # Safety contract
+/// As for [`write_back`]: the read-set buffer belongs to a client waiting
+/// on its claimed request, and the `Acquire` observation of `REQ_PENDING`
+/// made its contents visible. Every handle in it was loaded by that
+/// client, so it lies in a materialized segment. Committed state is
+/// stable while the caller holds an even timestamp: it is the only
+/// writer.
+unsafe fn reads_hold(stm: &StmInner, slot: &TxSlot) -> bool {
+    let ptr = slot.req_rs_ptr.load(Ordering::Relaxed);
+    let len = slot.req_rs_len.load(Ordering::Relaxed);
+    if ptr.is_null() {
+        return false;
+    }
+    let reads = unsafe { std::slice::from_raw_parts(ptr, len) };
+    reads.iter().all(|&(h, v)| stm.heap.load(h) == v)
 }
 
 /// Counts a wake that was sent. A wake is what a poster owes after the
@@ -587,6 +609,21 @@ pub(crate) fn commit_server(stm: &StmInner) {
                     answer(stm, i, REQ_ABORTED);
                     return ControlFlow::Continue(());
                 }
+                // An unregistered write-set (DESIGN.md §14) was validated at
+                // its snapshot only, and nothing could doom it since: admit
+                // it only if its reads still hold at `t` — NOrec's commit
+                // rule, with this thread as the lock holder. It is the
+                // timestamp's only writer, so `t` equal to the snapshot
+                // decides it in one compare; after a move, the reads are
+                // re-checked by value. A registered request carries
+                // `u64::MAX` and always passes.
+                if t > slot.req_snapshot.load(Ordering::Relaxed)
+                    && !unsafe { reads_hold(stm, slot) }
+                {
+                    answer(stm, i, REQ_ABORTED);
+                    ServerCounters::add(&st.stale_refusals, 1);
+                    return ControlFlow::Continue(());
+                }
                 // The copy moves the occupied words only: the claimed
                 // request is frozen.
                 slot.req_write_bf.load_into(&mut wbf);
@@ -728,9 +765,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
                     // Clearing the summary bit is normally the server's
                     // job at pickup; here the withdrawal is the pickup.
                     stm.registry.pending().clear(idx);
-                    slot.req_ws_ptr
-                        .store(std::ptr::null_mut(), Ordering::Relaxed);
-                    slot.req_ws_len.store(0, Ordering::Relaxed);
+                    slot.clear_payload();
                     ServerCounters::add(&stm.server_stats.withdrawn_requests, 1);
                     return None;
                 }
@@ -739,9 +774,7 @@ pub(crate) fn withdraw_request(stm: &StmInner, idx: usize) -> Option<bool> {
             REQ_CLAIMED => claimed.pause(),
             verdict => {
                 debug_assert!(verdict == REQ_COMMITTED || verdict == REQ_ABORTED);
-                slot.req_ws_ptr
-                    .store(std::ptr::null_mut(), Ordering::Relaxed);
-                slot.req_ws_len.store(0, Ordering::Relaxed);
+                slot.clear_payload();
                 slot.req.post(REQ_IDLE);
                 return Some(verdict == REQ_COMMITTED);
             }

@@ -19,10 +19,9 @@ pub struct PhaseStats {
     /// Time spent validating reads (seqlock retries, NOrec read-set
     /// revalidation, invalidation-flag checks).
     pub validation: Duration,
-    /// Time spent in the write path (write-set buffering; MV's
-    /// first-write promotion). Part of the paper's "other" bucket in
-    /// Fig. 2/3; broken out here so write-side work is observable per
-    /// phase like the read side.
+    /// Time spent in the write path (write-set buffering). Part of the
+    /// paper's "other" bucket in Fig. 2/3; broken out here so write-side
+    /// work is observable per phase like the read side.
     pub write: Duration,
     /// Time spent in the commit routine (including spinning on the global
     /// lock or on the request slot).
@@ -173,11 +172,16 @@ pub struct ServerCounters {
     /// Snapshot reads that found the version ring overwritten past the
     /// snapshot and fell back to revalidation.
     pub ring_misses: AtomicU64,
-    /// Snapshot readers promoted in place to the invalidation protocol:
-    /// MV transactions on their first write, and declared read-only
-    /// (`run_ro`) attempts of every RInval kind on the first commit they
-    /// observe.
+    /// Unregistered first attempts (`RInvalSnapshot`: every first attempt
+    /// on V1/V2/V3, MV's first attempts that may write) promoted in place
+    /// to the invalidation protocol on the first commit they observe in a
+    /// read — readers and writers alike.
     pub ro_promotions: AtomicU64,
+    /// Unregistered write-sets the commit-server refused because a commit
+    /// that landed after their snapshot changed a value they read
+    /// (DESIGN.md §14) — the *validation failure* abort of the RInval
+    /// kinds. The retry runs registered.
+    pub stale_refusals: AtomicU64,
     /// Times a server seat parked (an idle seat parks once per park bound).
     pub server_parks: AtomicU64,
     /// Times a client parked on its request slot waiting for a verdict.
@@ -237,6 +241,7 @@ impl ServerCounters {
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
             ring_misses: self.ring_misses.load(Ordering::Relaxed),
             ro_promotions: self.ro_promotions.load(Ordering::Relaxed),
+            stale_refusals: self.stale_refusals.load(Ordering::Relaxed),
             server_parks: self.server_parks.load(Ordering::Relaxed),
             client_parks: self.client_parks.load(Ordering::Relaxed),
             wakes_sent: self.wakes_sent.load(Ordering::Relaxed),
@@ -289,10 +294,12 @@ pub struct ServerStats {
     pub ro_snapshot_commits: u64,
     /// Snapshot reads that fell off the version ring into revalidation.
     pub ring_misses: u64,
-    /// Snapshot readers promoted to the invalidation protocol (MV on first
-    /// write; every RInval kind's declared readers on the first observed
-    /// commit).
+    /// Unregistered first attempts promoted to the invalidation protocol
+    /// on the first commit they observed (readers and writers alike).
     pub ro_promotions: u64,
+    /// Unregistered write-sets refused at pickup because a commit after
+    /// their snapshot changed a value they read (validation failures).
+    pub stale_refusals: u64,
     /// Times a server seat parked.
     pub server_parks: u64,
     /// Times a client parked on its request slot.
@@ -354,6 +361,7 @@ impl ServerStats {
             ro_snapshot_commits: self.ro_snapshot_commits - earlier.ro_snapshot_commits,
             ring_misses: self.ring_misses - earlier.ring_misses,
             ro_promotions: self.ro_promotions - earlier.ro_promotions,
+            stale_refusals: self.stale_refusals - earlier.stale_refusals,
             server_parks: self.server_parks - earlier.server_parks,
             client_parks: self.client_parks - earlier.client_parks,
             wakes_sent: self.wakes_sent - earlier.wakes_sent,
@@ -566,16 +574,20 @@ mod tests {
         ServerCounters::add(&c.ro_snapshot_commits, 6);
         ServerCounters::add(&c.ring_misses, 2);
         ServerCounters::add(&c.ro_promotions, 1);
+        ServerCounters::add(&c.stale_refusals, 4);
         let s = c.snapshot();
         assert_eq!(s.ro_snapshot_commits, 6);
         assert_eq!(s.ring_misses, 2);
         assert_eq!(s.ro_promotions, 1);
+        assert_eq!(s.stale_refusals, 4);
 
         ServerCounters::add(&c.ro_snapshot_commits, 3);
+        ServerCounters::add(&c.stale_refusals, 1);
         let d = c.snapshot().since(&s);
         assert_eq!(d.ro_snapshot_commits, 3);
         assert_eq!(d.ring_misses, 0);
         assert_eq!(d.ro_promotions, 0);
+        assert_eq!(d.stale_refusals, 1);
     }
 
     #[test]

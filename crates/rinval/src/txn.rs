@@ -10,8 +10,8 @@
 //! *attempt*, not per call, so a degraded instance re-resolves remote
 //! kinds to their InvalSTM fallback between retries
 //! (`StmInner::effective_algo`). From there the lifecycle dispatches
-//! statically through `A: Algorithm` and the body-visible ops go through
-//! the attempt's [`algo::OpTable`].
+//! statically through `A: Algorithm` and the body-visible read goes
+//! through the attempt's [`algo::OpTable`].
 //!
 //! ## Panic containment
 //!
@@ -94,12 +94,25 @@ impl<'a> ThreadHandle<'a> {
     ///
     /// The closure may run many times; side effects outside the STM must be
     /// idempotent. Within the closure, propagate [`Aborted`] with `?`.
+    ///
+    /// On every RInval kind the *first* attempt runs off the registry
+    /// (DESIGN.md §14): reads are checked against a timestamp snapshot,
+    /// with no read-signature store and no fence, and writes are buffered.
+    /// The attempt registers in place (counted in
+    /// [`crate::ServerStats::ro_promotions`]) only once it observes a
+    /// commit, and continues on the paper's invalidation-checked path. A
+    /// write-set still unregistered at commit is admitted if no commit
+    /// landed since its snapshot, or if the values it read still hold;
+    /// otherwise the commit-server refuses it (counted in
+    /// [`crate::ServerStats::stale_refusals`]) and the attempt aborts.
+    /// Every retry runs registered from its begin.
     pub fn run<T>(&mut self, mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>) -> T {
         loop {
             // The one kind branch of the transaction path, once per
             // attempt: everything inside is monomorphized, and a
             // degradation takes effect on the next retry.
-            let r = algo::with_algorithm!(self.stm.effective_algo(), A => {
+            let first = self.cm.streak() == 0;
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
                 self.attempt::<A, T>(&mut body, None, false)
             });
             if let Ok(v) = r {
@@ -117,16 +130,14 @@ impl<'a> ThreadHandle<'a> {
     /// panics (API misuse, not an abort). The engines differ in what the
     /// declaration buys (DESIGN.md §14):
     ///
-    /// * [`crate::AlgorithmKind::RInvalMV`] routes straight to the
+    /// * [`crate::AlgorithmKind::RInvalMV`] routes every attempt to the
     ///   wait-free snapshot path — no registration, no validation and,
     ///   ring misses aside, no aborts.
     /// * [`crate::AlgorithmKind::RInvalV1`], `RInvalV2` and `RInvalV3`
-    ///   start the first attempt *unregistered*: reads are checked against
-    ///   a timestamp snapshot, with no read-signature store and no fence,
-    ///   and the attempt registers in place (counted in
-    ///   [`crate::ServerStats::ro_promotions`]) only once it observes a
-    ///   commit, continuing on the paper's invalidation-checked read path.
-    ///   A retry runs registered from its begin.
+    ///   behave like [`ThreadHandle::run`]: the first attempt reads
+    ///   unregistered and registers in place only once it observes a
+    ///   commit, and a retry runs registered from its begin. The
+    ///   declaration only drops the write-set lookup from those reads.
     /// * NOrec and InvalSTM — and degraded instances, which run InvalSTM —
     ///   behave like [`ThreadHandle::run`] with an empty write-set.
     pub fn run_ro<T>(&mut self, mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>) -> T {
@@ -139,10 +150,10 @@ impl<'a> ThreadHandle<'a> {
         self.alog.clear();
         loop {
             // Only a first attempt reads unregistered: a retry binds the
-            // registered engine from its begin, so an aged reader's
+            // registered engine from its begin, so an aged transaction's
             // priority is visible to the commit census (DESIGN.md §13).
             let first = self.cm.streak() == 0;
-            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = first, A => {
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = true, first = first, A => {
                 self.attempt::<A, T>(&mut body, None, true)
             });
             if let Ok(v) = r {
@@ -152,13 +163,17 @@ impl<'a> ThreadHandle<'a> {
     }
 
     /// Like [`ThreadHandle::run`] but gives up after `max_attempts` aborts.
+    /// Attempts run off the registry exactly as in [`ThreadHandle::run`]
+    /// while the abort streak is zero; the streak outlives a call that
+    /// gave up, so the next call starts registered.
     pub fn try_run<T>(
         &mut self,
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>,
     ) -> TxResult<T> {
         for _ in 0..max_attempts {
-            let r = algo::with_algorithm!(self.stm.effective_algo(), A => {
+            let first = self.cm.streak() == 0;
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
                 self.attempt::<A, T>(&mut body, None, false)
             });
             if let Ok(v) = r {
@@ -181,7 +196,9 @@ impl<'a> ThreadHandle<'a> {
     /// verdict at the deadline is returned as success, never dropped).
     /// Deadline checks ride the existing backoff escalation
     /// ([`crate::sync::SpinYield::is_yielding`]), so the contention-free
-    /// fast path never reads the clock.
+    /// fast path never reads the clock. Attempts run off the registry as
+    /// in [`ThreadHandle::run`] while the abort streak is zero; a promotion
+    /// revalidates under the same deadline.
     pub fn try_run_for<T>(
         &mut self,
         timeout: Duration,
@@ -197,7 +214,8 @@ impl<'a> ThreadHandle<'a> {
                 ServerCounters::add(&self.stm.server_stats.timeout_withdrawals, 1);
                 return Err(TxError::Timeout);
             }
-            let r = algo::with_algorithm!(self.stm.effective_algo(), A => {
+            let first = self.cm.streak() == 0;
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
                 self.attempt::<A, T>(&mut body, Some(deadline), false)
             });
             match r {
@@ -238,7 +256,7 @@ impl<'a> ThreadHandle<'a> {
             slot_idx: self.slot_idx,
             snapshot: 0,
             lock_held: false,
-            promoted: false,
+            registered: false,
             declared_ro,
             deadline,
             timed_out: false,
@@ -415,11 +433,14 @@ pub struct Txn<'t> {
     /// NOrec / InvalSTM commit critical section). Gates the
     /// `cleanup_panic` seqlock repair.
     pub(crate) lock_held: bool,
-    /// Whether a snapshot reader has promoted in place to the registered
-    /// protocol — MV on its first write, a V1/V2/V3 declared reader on the
-    /// first commit it observes. Gates those engines' read/commit/cleanup
-    /// mode selection.
-    pub(crate) promoted: bool,
+    /// Whether this attempt is on the in-flight registry (`live` bit,
+    /// `TX_ALIVE`): from its pin on the registered engines, from its
+    /// promotion on an unregistered snapshot attempt
+    /// ([`crate::algo::rinval::RInvalSnapshot`]). Set only by
+    /// `algo::registry_begin`; selects the snapshot engine's read path,
+    /// the admission tag of a posted write-set and the family's one
+    /// cleanup (`algo::registry_end`).
+    pub(crate) registered: bool,
     /// Whether this attempt runs under [`ThreadHandle::run_ro`]: writes,
     /// allocs and frees panic, and [`Txn::is_read_only`] is `true` by
     /// declaration.
@@ -487,9 +508,14 @@ impl Txn<'_> {
         );
         self.stats.writes += 1;
         let p = Probe::start(self.profile);
-        let r = (self.ops.write)(self, h, v);
+        // Every engine buffers lazily: the write-set holds the value and
+        // the private signature gets one insertion per distinct address.
+        // Nothing reaches the heap before the commit is admitted.
+        if self.ws.insert(h, v) {
+            self.wbf.insert(h.addr());
+        }
         p.stop(&mut self.stats.write);
-        r
+        Ok(())
     }
 
     /// Reads a word that is known to encode a [`Handle`] (a transactional

@@ -217,11 +217,20 @@ fn v1_read_write_dependent_requests_do_not_merge() {
     let y = stm.alloc_init(&[0]);
     let mut th1 = stm.register_thread();
     let mut th2 = stm.register_thread();
+    let me = th1.slot();
 
     // th1 reads x, then th2 commits a write to x, then th1 tries to
-    // commit a write to y derived from the stale x.
-    let r: TxResult<()> = th1.try_run(1, |tx| {
+    // commit a write to y derived from the stale x. A first attempt would
+    // stay off the registry (DESIGN.md §14) and fail its revalidation
+    // instead, so the first attempt aborts on purpose and the retry —
+    // registered from its begin — is the one the commit must doom.
+    let mut first = true;
+    let r: TxResult<()> = th1.try_run(2, |tx| {
+        if std::mem::take(&mut first) {
+            return tx.user_abort();
+        }
         let v = tx.read(x)?;
+        assert!(stm.registry().live().get(me), "the retry is not live");
         th2.run(|tx2| {
             let cur = tx2.read(x)?;
             tx2.write(x, cur + 10)
@@ -231,6 +240,7 @@ fn v1_read_write_dependent_requests_do_not_merge() {
     assert!(r.is_err(), "stale read-write dependency committed");
     assert_eq!(stm.peek(x), 11);
     assert_eq!(stm.peek(y), 0);
+    assert_eq!(stm.server_stats().txs_doomed, 1, "not doomed inline");
 }
 
 /// The scan counters actually expose the bitmap win: with at most a

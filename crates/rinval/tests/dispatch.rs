@@ -142,18 +142,18 @@ fn server_counters_match_write_commits() {
             }
             AlgorithmKind::RInvalV1
             | AlgorithmKind::RInvalV2 { .. }
-            | AlgorithmKind::RInvalV3 { .. } => {
+            | AlgorithmKind::RInvalV3 { .. }
+            | AlgorithmKind::RInvalMV { .. } => {
                 // The commit-server bumps the timestamp twice per write
                 // commit (odd to lock, even to release).
                 assert_eq!(stm.timestamp(), 2 * INCS, "{name}: server timestamp");
-            }
-            AlgorithmKind::RInvalMV { .. } => {
-                // Every transaction reads first, then writes: each one
-                // promotes from the snapshot path to the V3 protocol and
-                // commits through the server.
-                assert_eq!(stm.timestamp(), 2 * INCS, "{name}: server timestamp");
-                assert_eq!(st.ro_promotions, INCS, "{name}: one promotion per tx");
-                assert_eq!(st.ro_snapshot_commits, 0, "{name}: no pure-RO commits");
+                // A lone client never sees a commit land inside its own
+                // attempt: every transaction reads, writes and commits off
+                // the registry, and every unregistered write-set is
+                // admitted at its snapshot.
+                assert_eq!(st.ro_promotions, 0, "{name}: a lone writer promoted");
+                assert_eq!(st.stale_refusals, 0, "{name}: a lone writer was refused");
+                assert_eq!(st.ro_snapshot_commits, 0, "{name}: no declared readers ran");
             }
             AlgorithmKind::NOrec => {
                 // The non-invalidation kind never touches the server counters.

@@ -299,13 +299,19 @@ mod injected {
         let slots = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             // Two readers of `d`, which nobody writes, take the two lowest
-            // slots — one per partition.
+            // slots — one per partition. Each parks in a registered attempt
+            // (a first attempt would stay off the registry, DESIGN.md §14,
+            // so it aborts on purpose), which keeps both partitions busy:
+            // every commit is handed to both invalidators.
             for _ in 0..2 {
                 s.spawn(|| {
                     let mut th = stm.register_thread();
                     slots.lock().unwrap().push(th.slot());
-                    let mut counted = false;
+                    let (mut first, mut counted) = (true, false);
                     th.run(|tx| {
+                        if std::mem::take(&mut first) {
+                            return tx.user_abort();
+                        }
                         tx.read(d)?;
                         if !std::mem::replace(&mut counted, true) {
                             parked.fetch_add(1, Ordering::SeqCst);
@@ -330,6 +336,12 @@ mod injected {
                 parities.contains(&0) && parities.contains(&1),
                 "{parities:?}"
             );
+            for &i in slots.lock().unwrap().iter() {
+                assert!(
+                    stm.registry().live().get(i),
+                    "parked reader {i} is not live"
+                );
+            }
             stm.faults()
                 .arm(site::SERVER_INVAL_DEATH, FaultAction::Exit, Some(1));
 
@@ -344,7 +356,12 @@ mod injected {
 
         assert_eq!(stm.peek(c), 200);
         assert!(!stm.is_degraded());
-        assert!(stm.server_stats().respawns >= 1);
+        let st = stm.server_stats();
+        assert!(st.respawns >= 1);
+        assert_eq!(
+            st.quiet_retirements, 0,
+            "a commit skipped the hand-off: {st:?}"
+        );
     }
 
     /// Algorithm 4, line 2: a lagging invalidation-server only defers its

@@ -4,32 +4,82 @@
 //! scheduler dependence.
 
 use rinval::bloom::{cores, Bloom};
-use rinval::{Aborted, AlgorithmKind, Handle, Stm, TxResult};
+use rinval::{Aborted, AlgorithmKind, Handle, Stm, ThreadHandle, TxResult, Txn};
+
+/// Runs `body` as one *registered* transaction on the RInval kinds: its
+/// first attempt aborts on purpose, so the attempt that runs is a retry,
+/// on the registered engine from its begin. (A first attempt stays off the
+/// registry until it observes a commit — DESIGN.md §14 — so it publishes
+/// no read signature and no commit can doom it.)
+fn run_registered<T>(
+    th: &mut ThreadHandle<'_>,
+    mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>,
+) -> TxResult<T> {
+    let mut first = true;
+    th.try_run(2, |tx| {
+        if std::mem::take(&mut first) {
+            return tx.user_abort();
+        }
+        body(tx)
+    })
+}
+
+/// Runs `body` once as a first attempt (`registered == false`: on the
+/// RInval kinds off the registry, so a conflict surfaces as a failed
+/// revalidation) or through [`run_registered`] (`true`).
+fn run_once<T>(
+    th: &mut ThreadHandle<'_>,
+    registered: bool,
+    body: impl FnMut(&mut Txn<'_>) -> TxResult<T>,
+) -> TxResult<T> {
+    if registered {
+        run_registered(th, body)
+    } else {
+        th.try_run(1, body)
+    }
+}
+
+/// Whether a commit that overwrites a read must doom the reader (counted
+/// in `txs_doomed`): always on InvalSTM, whose every attempt is live; on
+/// the RInval kinds once registered; never on NOrec.
+fn dooms(algo: AlgorithmKind, registered: bool) -> bool {
+    algo == AlgorithmKind::InvalStm || (registered && algo.is_remote())
+}
 
 /// Read x; a concurrent transaction overwrites x; then try to commit a
-/// write based on the stale read. Must abort under every algorithm.
+/// write based on the stale read. Must abort under every algorithm, on
+/// a first attempt and registered alike.
 #[test]
 fn conflicting_commit_aborts() {
     for algo in AlgorithmKind::all(2, 2) {
-        let stm = Stm::builder(algo).heap_words(256).build();
-        let x = stm.alloc_init(&[10]);
-        let y = stm.alloc_init(&[0]);
-        let mut th1 = stm.register_thread();
-        let mut th2 = stm.register_thread();
+        for registered in [false, true] {
+            let stm = Stm::builder(algo).heap_words(256).build();
+            let x = stm.alloc_init(&[10]);
+            let y = stm.alloc_init(&[0]);
+            let mut th1 = stm.register_thread();
+            let mut th2 = stm.register_thread();
 
-        let r: TxResult<()> = th1.try_run(1, |tx| {
-            let v = tx.read(x)?;
-            // Interleaved committer invalidates our read.
-            th2.run(|tx2| {
-                let cur = tx2.read(x)?;
-                tx2.write(x, cur + 1)
+            let r: TxResult<()> = run_once(&mut th1, registered, |tx| {
+                let v = tx.read(x)?;
+                // Interleaved committer invalidates our read.
+                th2.run(|tx2| {
+                    let cur = tx2.read(x)?;
+                    tx2.write(x, cur + 1)
+                });
+                // Stale-read-based write must not commit.
+                tx.write(y, v * 2)
             });
-            // Stale-read-based write must not commit.
-            tx.write(y, v * 2)
-        });
-        assert_eq!(r, Err(Aborted), "stale commit succeeded under {algo:?}");
-        assert_eq!(stm.peek(y), 0, "stale write published under {algo:?}");
-        assert_eq!(stm.peek(x), 11);
+            let case = format!("{algo:?}, registered: {registered}");
+            assert_eq!(r, Err(Aborted), "stale commit succeeded under {case}");
+            assert_eq!(stm.peek(y), 0, "stale write published under {case}");
+            assert_eq!(stm.peek(x), 11);
+            let doomed = stm.server_stats().txs_doomed;
+            assert_eq!(
+                doomed > 0,
+                dooms(algo, registered),
+                "{case}: {doomed} doomed"
+            );
+        }
     }
 }
 
@@ -39,31 +89,34 @@ fn conflicting_commit_aborts() {
 #[test]
 fn doomed_reader_aborts_at_next_read() {
     for algo in AlgorithmKind::all(2, 2) {
-        // MV reads `z` at its begin snapshot, where it is consistent with
-        // `x`; the conflict surfaces at the first write (covered by
-        // conflicting_commit_aborts).
-        if algo.is_multi_version() {
-            continue;
-        }
-        let stm = Stm::builder(algo).heap_words(256).build();
-        let x = stm.alloc_init(&[10]);
-        let z = stm.alloc_init(&[5]);
-        let mut th1 = stm.register_thread();
-        let mut th2 = stm.register_thread();
+        for registered in [false, true] {
+            let stm = Stm::builder(algo).heap_words(256).build();
+            let x = stm.alloc_init(&[10]);
+            let z = stm.alloc_init(&[5]);
+            let mut th1 = stm.register_thread();
+            let mut th2 = stm.register_thread();
 
-        let r: TxResult<u64> = th1.try_run(1, |tx| {
-            let _v = tx.read(x)?;
-            th2.run(|tx2| {
-                let cur = tx2.read(x)?;
-                tx2.write(x, cur + 100)
+            let r: TxResult<u64> = run_once(&mut th1, registered, |tx| {
+                let _v = tx.read(x)?;
+                th2.run(|tx2| {
+                    let cur = tx2.read(x)?;
+                    tx2.write(x, cur + 100)
+                });
+                // This read must observe the conflict and abort; returning
+                // a value would mean we extended an inconsistent snapshot.
+                tx.read(z)
             });
-            // This read must observe the conflict and abort; returning a
-            // value would mean we extended an inconsistent snapshot.
-            tx.read(z)
-        });
-        assert_eq!(r, Err(Aborted), "doomed read survived under {algo:?}");
-        // …and the committer won: its write landed.
-        assert_eq!(stm.peek(x), 110, "committer lost under {algo:?}");
+            let case = format!("{algo:?}, registered: {registered}");
+            assert_eq!(r, Err(Aborted), "doomed read survived under {case}");
+            // …and the committer won: its write landed.
+            assert_eq!(stm.peek(x), 110, "committer lost under {case}");
+            let doomed = stm.server_stats().txs_doomed;
+            assert_eq!(
+                doomed > 0,
+                dooms(algo, registered),
+                "{case}: {doomed} doomed"
+            );
+        }
     }
 }
 
@@ -132,27 +185,28 @@ fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
         };
         // An invalidation-server may still be scanning for a commit its
         // client already saw answered, and would doom a reader that begins
-        // meanwhile — legitimately. A read waits for the reader's own
-        // invalidation-server to catch up (for MV: once promoted), so this
-        // leaves nothing older in flight that could doom `th`'s next
-        // transaction.
-        let settle = |th: &mut rinval::ThreadHandle<'_>| {
-            th.run(|tx| {
+        // meanwhile — legitimately. A registered read waits for the
+        // reader's own invalidation-server to catch up, so this leaves
+        // nothing older in flight that could doom `th`'s next transaction.
+        let settle = |th: &mut ThreadHandle<'_>| {
+            run_registered(th, |tx| {
                 let v = tx.read(scratch)?;
                 tx.write(scratch, v + 1)
             })
+            .unwrap()
         };
         // Small first, so the last transaction of the run is a large one.
+        // Registered, so that every one publishes its read signature too.
         for k in 0..TXS {
-            th1.run(|tx| bump(tx, if k % 2 == 0 { 1 } else { LARGE }));
+            run_registered(&mut th1, |tx| bump(tx, if k % 2 == 0 { 1 } else { LARGE })).unwrap();
         }
         assert_eq!(stm.peek(arr.field(0)), TXS as u64);
         assert_eq!(stm.peek(arr.field(LARGE - 1)), TXS as u64 / 2);
 
-        // `begin` (for MV: the promotion at the first write) leaves the
-        // read signature empty — all 256 words, whatever its summary says.
+        // A registered `begin` leaves the read signature empty — all 256
+        // words, whatever its summary says.
         let slot1 = stm.registry().slot(th1.slot());
-        th1.run(|tx| {
+        run_registered(&mut th1, |tx| {
             tx.write(scratch, 1)?;
             assert!(
                 cores::load_scalar(&slot1.read_bf)
@@ -162,7 +216,8 @@ fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
                 "{algo:?}: read signature not empty after begin"
             );
             Ok(())
-        });
+        })
+        .unwrap();
 
         // Words of the large set whose signature bit differs from the
         // small set's: a conflict test between the two can only hit a bit
@@ -179,9 +234,9 @@ fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
         // (a) th1's small commit, published over its large one (request
         // slot, server copies, ring entry), against a live reader of
         // `others`.
-        th1.run(|tx| bump(tx, LARGE));
+        run_registered(&mut th1, |tx| bump(tx, LARGE)).unwrap();
         settle(&mut th2);
-        let r = th2.try_run(1, |tx2| {
+        let r = run_registered(&mut th2, |tx2| {
             for &h in &others {
                 tx2.read(h)?;
             }
@@ -197,9 +252,9 @@ fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
 
         // (b) th1 live on the small set right after a large transaction,
         // against a commit that writes `others`.
-        th1.run(|tx| bump(tx, LARGE));
+        run_registered(&mut th1, |tx| bump(tx, LARGE)).unwrap();
         settle(&mut th1);
-        let r = th1.try_run(1, |tx| {
+        let r = run_registered(&mut th1, |tx| {
             bump(tx, 1)?;
             th2.run(|tx2| others.iter().try_for_each(|&h| tx2.write(h, 0)));
             Ok(())

@@ -7,7 +7,8 @@
 //! * (a) a lone client's commits never reach an invalidator, and every
 //!   cursor still ends equal to the timestamp;
 //! * (b) a live reader in partition `k` is still doomed — the partition is
-//!   not quiet, so its invalidator is woken and scans — for every `k`;
+//!   not quiet, so its invalidator is woken and scans — for every `k`, and
+//!   by V1's inline invalidation;
 //! * (c) readers flipping their partitions between quiet and busy while
 //!   writers commit: the conserved sum holds and no cursor ever moves
 //!   back (CI's `oversubscribed` job runs this again under `taskset -c 0`).
@@ -29,10 +30,11 @@ fn kinds() -> [AlgorithmKind; 4] {
 }
 
 /// Registers handles until one lands in invalidation-server `k`'s
-/// partition (`slot % invalidators == k`); the misses stay registered in
-/// `spare` (idle, so never live) until the caller drops them.
+/// partition (`slot % invalidators == k`; V1 has one partition, its
+/// commit-server's); the misses stay registered in `spare` (idle, so
+/// never live) until the caller drops them.
 fn handle_in<'s>(stm: &'s Stm, k: usize, spare: &mut Vec<ThreadHandle<'s>>) -> ThreadHandle<'s> {
-    let nk = stm.algorithm().invalidators();
+    let nk = stm.algorithm().invalidators().max(1);
     loop {
         let th = stm.register_thread();
         if th.slot() % nk == k {
@@ -83,26 +85,36 @@ fn lone_client_commits_never_reach_an_invalidator() {
 /// (b) A reader parked mid-transaction in partition `k` after reading `x`
 /// is doomed by another client's commit to `x`, for every `k`: its
 /// partition is busy, so that commit is handed to `k`'s invalidator, which
-/// scans and dooms it; the reader's next read observes the doom.
+/// scans and dooms it; the reader's next read observes the doom. The
+/// reader is live because it saw an earlier commit land and promoted.
+/// V1 runs it too: its commit-server's inline invalidation must doom a
+/// promoted reader the same way.
 #[test]
 fn live_reader_in_every_partition_is_doomed() {
-    for kind in kinds() {
-        for k in 0..kind.invalidators() {
+    let v1 = AlgorithmKind::RInvalV1;
+    for kind in std::iter::once(v1).chain(kinds()) {
+        for k in 0..kind.invalidators().max(1) {
             let stm = Stm::builder(kind).heap_words(256).build();
             let x = stm.alloc_init(&[10]);
             let z = stm.alloc_init(&[5]);
             let own = stm.alloc_init(&[0]);
+            let y = stm.alloc_init(&[0]);
             let mut spare = Vec::new();
             let mut reader = handle_in(&stm, k, &mut spare);
             let mut writer = stm.register_thread();
             drop(spare);
             let doomed = stm.server_stats().txs_doomed;
+            let tx_slot = reader.slot();
 
             let r: TxResult<u64> = reader.try_run(1, |tx| {
-                // A write first, so that an MV transaction is promoted —
-                // live and policed — before it reads `x`.
+                // A first attempt runs off the registry until it observes a
+                // commit (DESIGN.md §14): an unrelated commit first, so
+                // that the read of `x` promotes the transaction — live and
+                // policed — before it reads `x`.
                 tx.write(own, 1)?;
+                writer.run(|tx2| tx2.write(y, 1));
                 tx.read(x)?;
+                assert!(stm.registry().live().get(tx_slot), "{kind:?}: not promoted");
                 writer.run(|tx2| {
                     let v = tx2.read(x)?;
                     tx2.write(x, v + 1)

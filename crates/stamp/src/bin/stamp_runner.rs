@@ -95,7 +95,7 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
         };
         println!(
             "{:>10} {:>10} commit-latency p50={} p99={} server_parks={} client_parks={} wakes_sent={} \
-             quiet_retirements={} ro_promotions={}",
+             quiet_retirements={} ro_promotions={} stale_refusals={}",
             app.name(),
             algo.name(),
             fmt(0.5),
@@ -105,6 +105,7 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
             st.wakes_sent,
             st.quiet_retirements,
             st.ro_promotions,
+            st.stale_refusals,
         );
     }
     if verdict.is_err() {
