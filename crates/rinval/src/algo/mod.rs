@@ -68,8 +68,9 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// circulation while it may hold handles to them. The default is the
     /// plain pin ([`crate::registry::Registry::pin_era`]) — a single
     /// uncontended `Release` store, keeping the fast algorithms' critical
-    /// path free of shared-map traffic. MV overrides this with the
-    /// fenced variant ([`crate::registry::Registry::pin_era_fenced`]); the
+    /// path free of shared-map traffic. MV overrides this with a fenced
+    /// pin that also raises its declared-reader flag
+    /// ([`crate::registry::Registry::begin_snapshot_reader`]); the
     /// invalidation family overrides it with the full [`registry_begin`]
     /// (which also publishes the slot in the `live` map and clears the
     /// read signature that committers/servers scan). The RInval snapshot
@@ -276,7 +277,7 @@ pub(crate) fn registry_end(tx: &mut Txn<'_>) {
 ///   runs).
 /// * `declared_ro` — the attempt runs under
 ///   [`crate::ThreadHandle::run_ro`]. MV's declared readers always run
-///   the wait-free [`crate::algo::mv::RInvalMV`]; on V1/V2/V3 the flag
+///   the version-ring [`crate::algo::mv::RInvalMV`]; on V1/V2/V3 the flag
 ///   only compiles the snapshot engine's write-set lookup out of its read.
 ///
 /// Neither input adds a per-read branch: each picks a type.

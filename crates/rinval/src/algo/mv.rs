@@ -1,5 +1,6 @@
-//! Multi-version RInval: wait-free declared read-only transactions over
-//! the per-word version ring (see `heap::VERSION_RING` and DESIGN.md §14).
+//! Multi-version RInval: declared read-only transactions that never
+//! validate or abort, over the per-word version ring (see
+//! `heap::VERSION_RING` and DESIGN.md §14).
 //!
 //! This engine runs [`crate::ThreadHandle::run_ro`] attempts only. A
 //! transaction that may write runs its first attempt as an unregistered
@@ -7,20 +8,35 @@
 //! V1/V2/V3) and its retries on the V2/V3 client
 //! ([`super::rinval::RInvalV2`]); `with_algorithm!` picks which.
 //!
-//! A declared reader captures the last even value of the global timestamp
-//! at begin and thereafter resolves every read from the version ring — the
-//! newest version stamped ≤ the snapshot. It does not publish a read
-//! signature, does not enter the `live` summary map (so commit- and
-//! invalidation-server scans police writers only), and its commit is a
-//! no-op: the snapshot was consistent by construction, so a read-only
-//! transaction **never validates and never aborts**, ring misses aside.
+//! **Versions exist only while a declared reader is in flight.** A reader
+//! raises its slot's `snapshot_reader` flag before it reads the timestamp
+//! and lowers it when the attempt ends; the commit-server versions a
+//! commit only if it finds a flag up after the commit's odd-timestamp
+//! store, and otherwise stores plainly and advances the heap's version
+//! base (`server.rs`, `write_back`). Writers that run with no reader about
+//! therefore fill no ring at all. The flag sits on the reader's own slot
+//! and shares one fence with its era pin; the registry's `snapshots` map
+//! names the slots to look at, and a reader sets its bit there once, not
+//! per attempt.
 //!
-//! The snapshot is acquired wait-free — no even-parity spin. Reading the
-//! timestamp mid-commit (odd, say `t+1`) rounds *down* to `t`, which is
-//! safe because a commit's versions are published strictly before its
-//! release store of `t+2`: every version the snapshot may need is already
-//! visible, and versions newer than the snapshot are simply skipped by the
-//! ring walk.
+//! A declared reader then captures an even timestamp at begin and
+//! resolves every read from the version ring — the newest version stamped
+//! ≤ the snapshot, ignoring entries stamped below the base it loaded
+//! once, after its snapshot. It does not publish a read signature, does
+//! not enter the `live` summary map (so commit- and invalidation-server
+//! scans police writers only), and its commit is a no-op: the snapshot was
+//! consistent by construction, so a read-only transaction **never
+//! validates and never aborts**, ring misses aside.
+//!
+//! Begin **waits out at most one in-flight commit**. An odd timestamp at
+//! its first load may belong to a commit that missed the reader's flag and
+//! writes back unversioned, so the pre-images a rounded-down snapshot
+//! would need may never reach a ring: begin waits only until the
+//! timestamp moves. Every commit after that one saw the flag and is
+//! versioned, so the value begin then reads is rounded down: every
+//! version the snapshot needs is already in its ring (DESIGN.md §12).
+//! Beyond that wait, a declared attempt pays for this two stores to its
+//! own slot line, under the fence its era pin already needed.
 //!
 //! One escape hatch keeps the path total: a **ring miss** — the word was
 //! overwritten more than `VERSION_RING` times since the snapshot. The
@@ -33,8 +49,9 @@
 use super::{norec, sealed, Algorithm};
 use crate::heap::{Handle, SnapshotRead};
 use crate::stats::ServerCounters;
+use crate::sync::SpinYield;
 use crate::txn::Txn;
-use crate::TxResult;
+use crate::{Aborted, TxResult};
 use std::sync::atomic::Ordering;
 
 /// Engine for the declared readers of [`crate::AlgorithmKind::RInvalMV`]
@@ -46,13 +63,14 @@ impl sealed::Sealed for RInvalMV {}
 impl Algorithm for RInvalMV {
     #[inline]
     fn pin(tx: &mut Txn<'_>) {
-        // Era-only pin: snapshot readers must hold the reclamation horizon
-        // (their ring walks dereference blocks other threads may free) but
-        // stay out of the `live` map. The *fenced* pin: snapshot reads
-        // never revalidate, so the horizon scan must never miss the pin.
+        // Era pin plus the declared-reader flag, no `live` bit: snapshot
+        // readers must hold the reclamation horizon (their ring walks
+        // dereference blocks other threads may free) and be seen by the
+        // write-back's versioning check, but stay out of server scans. One
+        // fence covers both, before `begin`'s timestamp load.
         tx.stm
             .registry
-            .pin_era_fenced(tx.slot_idx, tx.cache.era_cache);
+            .begin_snapshot_reader(tx.slot_idx, tx.cache.era_cache);
     }
 
     #[inline]
@@ -62,9 +80,30 @@ impl Algorithm for RInvalMV {
         // fallbacks, which re-resolve to InvalSTM).
         debug_assert!(tx.stm.heap.versions_enabled());
         debug_assert!(tx.declared_ro);
-        // Wait-free snapshot acquisition: round an odd (commit-in-flight)
-        // timestamp down instead of spinning it out.
-        tx.snapshot = tx.stm.timestamp.load(Ordering::SeqCst) & !1;
+        // `pin` raised the flag and fenced; now the timestamp: the Dekker
+        // pair with `write_back`'s odd store, fence and flag load. Only the
+        // commit in flight at the first load can have missed the flag, so
+        // once the timestamp moves past it, rounding down is safe again:
+        // every later odd stamp belongs to a versioned commit, and the
+        // release before it published the base the missed commit advanced.
+        let ts = &tx.stm.timestamp;
+        let mut t = ts.load(Ordering::SeqCst);
+        if t & 1 == 1 {
+            let missed = t;
+            let mut bk = SpinYield::new();
+            loop {
+                t = ts.load(Ordering::SeqCst);
+                if t != missed {
+                    break;
+                }
+                if bk.is_yielding() && tx.deadline_expired() {
+                    return Err(Aborted);
+                }
+                bk.pause();
+            }
+        }
+        tx.snapshot = t & !1;
+        tx.version_base = tx.stm.heap.version_base();
         Ok(())
     }
 
@@ -92,7 +131,7 @@ impl Algorithm for RInvalMV {
             tx.rs.push(h, main);
             return Ok(main);
         }
-        match tx.stm.heap.snapshot_read(h, tx.snapshot) {
+        match tx.stm.heap.snapshot_read(h, tx.snapshot, tx.version_base) {
             // Reading into the past is always safe for a declared reader:
             // this is the wait-free path the engine exists for.
             SnapshotRead::Current(v) | SnapshotRead::Old(v) => {
@@ -109,6 +148,11 @@ impl Algorithm for RInvalMV {
         // publish, nobody to ask.
         ServerCounters::add(&tx.stm.server_stats.ro_snapshot_commits, 1);
         Ok(())
+    }
+
+    #[inline]
+    fn cleanup(tx: &mut Txn<'_>) {
+        tx.stm.registry.end_snapshot_reader(tx.slot_idx);
     }
 
     #[inline]

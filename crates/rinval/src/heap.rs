@@ -133,6 +133,16 @@ const HARD_CAP_WORDS: usize = u32::MAX as usize - 1;
 /// enough that a snapshot reader only misses when a word is overwritten
 /// this many times *during* the reader's lifetime; small enough that the
 /// sidecar arena stays a bounded constant factor of the heap.
+///
+/// A commit versions its words only while a declared reader is in flight
+/// (`server.rs`, `write_back`; DESIGN.md §14). Every other commit stores
+/// plainly and advances the heap's **version base** to its release stamp:
+/// ring entries stamped below the base are *stale* — the appender reuses
+/// them as empty slots and snapshot reads skip them — because no reader
+/// can hold a snapshot below the base (DESIGN.md §12). A word's first
+/// versioned write after the base seeds its pre-image at the base stamp,
+/// the value the word holds for every snapshot from the base up to that
+/// write.
 pub const VERSION_RING: usize = 8;
 
 /// `ts` sentinel: the entry holds no version.
@@ -141,16 +151,27 @@ const VERSION_EMPTY: u64 = 0;
 /// only writer of a given word's ring, so BUSY is a seqlock for readers,
 /// never a lock writers contend on).
 const VERSION_BUSY: u64 = u64::MAX;
-/// Stamp of the synthetic pre-image seeded on a word's *first* versioned
-/// write, preserving the value older snapshots must still see. Real
-/// version stamps are the even seqlock release values (≥ 2), so 1 is
-/// below all of them and above `VERSION_EMPTY`.
-const VERSION_SEED_TS: u64 = 1;
 
 /// One slot of a word's version ring.
 struct VersionEntry {
     ts: AtomicU64,
     val: AtomicU64,
+}
+
+/// The words the write-back agent stores into, on their own line pair:
+/// readers load only [`VersionMeta::base`], once per attempt.
+#[derive(Default)]
+struct VersionMeta {
+    /// The version base (see [`VERSION_RING`]): the release stamp of the
+    /// latest unversioned commit, 1 before any. Real stamps are the even
+    /// seqlock release values (≥ 2), so 1 is below all of them and above
+    /// `VERSION_EMPTY`: every empty entry is stale.
+    base: AtomicU64,
+    /// Versions appended by committed write-backs (monotone).
+    appends: AtomicU64,
+    /// Ring entries currently holding a version, stale ones included until
+    /// they are overwritten or cleared (occupancy telemetry).
+    live_entries: AtomicU64,
 }
 
 /// Sidecar arena of per-word version rings, segment-parallel to the heap
@@ -159,10 +180,7 @@ struct VersionEntry {
 /// that ever saw a versioned write pay the ring's memory cost.
 struct VersionArena {
     table: Box<[AtomicPtr<VersionEntry>]>,
-    /// Versions appended by committed write-backs (monotone).
-    appends: AtomicU64,
-    /// Ring entries currently holding a version (occupancy telemetry).
-    live_entries: AtomicU64,
+    meta: CachePadded<VersionMeta>,
 }
 
 /// Result of a multi-version snapshot read (see [`Heap::snapshot_read`]).
@@ -245,11 +263,14 @@ pub struct Heap {
     /// blocks, *after* its commit is fully visible.
     era: CachePadded<AtomicU64>,
     live_segments: AtomicUsize,
-    freed_words: AtomicU64,
-    recycled_words: AtomicU64,
+    /// Telemetry clients bump per committed free and per recycled handout;
+    /// padded off the addressing words above, which every word access
+    /// (the commit-server's write-back included) reads.
+    freed_words: CachePadded<AtomicU64>,
+    recycled_words: CachePadded<AtomicU64>,
     /// Blocks surrendered by deregistered threads, picked up by any thread
     /// whose local cache misses. Matured entries carry stamp 0.
-    pool: Mutex<Vec<Retired>>,
+    pool: CachePadded<Mutex<Vec<Retired>>>,
     /// Per-word version rings; `Some` only for multi-version engines
     /// (enabled once at construction, before the heap is shared).
     versions: Option<VersionArena>,
@@ -310,9 +331,9 @@ impl Heap {
             cursor: CachePadded::new(AtomicUsize::new(1)),
             era: CachePadded::new(AtomicU64::new(0)),
             live_segments: AtomicUsize::new(base_segs),
-            freed_words: AtomicU64::new(0),
-            recycled_words: AtomicU64::new(0),
-            pool: Mutex::new(Vec::new()),
+            freed_words: CachePadded::new(AtomicU64::new(0)),
+            recycled_words: CachePadded::new(AtomicU64::new(0)),
+            pool: CachePadded::new(Mutex::new(Vec::new())),
             versions: None,
         }
     }
@@ -325,8 +346,10 @@ impl Heap {
         table.resize_with(self.table.len(), || AtomicPtr::new(std::ptr::null_mut()));
         self.versions = Some(VersionArena {
             table: table.into_boxed_slice(),
-            appends: AtomicU64::new(0),
-            live_entries: AtomicU64::new(0),
+            meta: CachePadded::new(VersionMeta {
+                base: AtomicU64::new(1),
+                ..VersionMeta::default()
+            }),
         });
     }
 
@@ -334,6 +357,29 @@ impl Heap {
     #[inline]
     pub(crate) fn versions_enabled(&self) -> bool {
         self.versions.is_some()
+    }
+
+    /// The version base (see [`VERSION_RING`]). A declared reader loads it
+    /// once, after its begin: from then on no commit can be unversioned,
+    /// so the value is stable for the whole attempt (DESIGN.md §12). The
+    /// begin's `SeqCst` load of an even timestamp acquired every base
+    /// stored before that timestamp's release, so `Relaxed` suffices.
+    #[inline]
+    pub(crate) fn version_base(&self) -> u64 {
+        self.versions
+            .as_ref()
+            .map_or(1, |va| va.meta.base.load(Ordering::Relaxed))
+    }
+
+    /// Records an unversioned commit releasing at `release_ts`: every ring
+    /// entry stamped below it turns stale. Stored by the write-back agent
+    /// before the commit's first plain store; the release store of
+    /// `release_ts` publishes it.
+    #[inline]
+    pub(crate) fn advance_version_base(&self, release_ts: u64) {
+        if let Some(va) = &self.versions {
+            va.meta.base.store(release_ts, Ordering::Relaxed);
+        }
     }
 
     /// Total usable words (the growth ceiling, not currently-reserved memory).
@@ -365,11 +411,11 @@ impl Heap {
             version_entries: self
                 .versions
                 .as_ref()
-                .map_or(0, |v| v.live_entries.load(Ordering::Relaxed)),
+                .map_or(0, |v| v.meta.live_entries.load(Ordering::Relaxed)),
             version_appends: self
                 .versions
                 .as_ref()
-                .map_or(0, |v| v.appends.load(Ordering::Relaxed)),
+                .map_or(0, |v| v.meta.appends.load(Ordering::Relaxed)),
         }
     }
 
@@ -574,10 +620,15 @@ impl Heap {
         self.version_ring(va, idx).expect("just materialized")
     }
 
-    /// Appends `(ts, v)` to word `idx`'s ring, overwriting the oldest
-    /// entry. On the word's first versioned write the current (pre-image)
-    /// value is seeded first under [`VERSION_SEED_TS`], so snapshots older
-    /// than this commit still resolve.
+    /// Appends `(ts, v)` to word `idx`'s ring, overwriting a stale entry
+    /// (stamped below the version base, empty ones included) if there is
+    /// one, else the oldest. When the ring holds nothing at or above the
+    /// base — the word's first versioned write since the base — its
+    /// current (pre-image) value is seeded first under the base stamp, so
+    /// snapshots from the base up to this commit still resolve. A commit
+    /// at the base stamp itself seeds nothing: it is the base (a recovery
+    /// re-deciding a commit its dead server left unversioned, DESIGN.md
+    /// §11), and no snapshot below it exists.
     ///
     /// Appends to one word are never concurrent: every write-back path
     /// (commit server, degraded seqlock committer, crash recovery) runs
@@ -587,38 +638,41 @@ impl Heap {
     /// monotone per word, so a reader observing the same stamp twice has
     /// read the matching value.
     fn version_append(&self, va: &VersionArena, idx: usize, v: u64, ts: u64) {
+        let base = va.meta.base.load(Ordering::Relaxed);
         let ring = self.version_ring_materialize(va, idx);
         let mut victim = 0;
         let mut victim_ts = u64::MAX;
-        let mut empty = 0u64;
+        let mut current = false;
         for (i, e) in ring.iter().enumerate() {
             let t = e.ts.load(Ordering::Relaxed);
-            if t == VERSION_EMPTY {
-                empty += 1;
-            }
+            current |= t >= base;
             if t < victim_ts {
                 victim = i;
                 victim_ts = t;
             }
         }
-        if empty == VERSION_RING as u64 {
-            // First versioned write: preserve the pre-image for snapshots
-            // that began before this commit.
+        let mut filled = 0;
+        if !current && ts > base {
+            // First versioned write since the base: preserve the pre-image
+            // for snapshots that began before this commit. Every entry is
+            // stale, so the seed and the version take the first two; no
+            // reader reads a stale entry's value, so the seed needs no BUSY.
             let pre = self.word(idx).load(Ordering::Relaxed);
+            filled += (ring[0].ts.load(Ordering::Relaxed) == VERSION_EMPTY) as u64;
             ring[0].val.store(pre, Ordering::SeqCst);
-            ring[0].ts.store(VERSION_SEED_TS, Ordering::SeqCst);
+            ring[0].ts.store(base, Ordering::SeqCst);
             victim = 1;
-            victim_ts = VERSION_EMPTY;
-            va.live_entries.fetch_add(1, Ordering::Relaxed);
+            victim_ts = ring[1].ts.load(Ordering::Relaxed);
         }
         let e = &ring[victim];
         e.ts.store(VERSION_BUSY, Ordering::SeqCst);
         e.val.store(v, Ordering::SeqCst);
         e.ts.store(ts, Ordering::SeqCst);
-        if victim_ts == VERSION_EMPTY {
-            va.live_entries.fetch_add(1, Ordering::Relaxed);
+        filled += (victim_ts == VERSION_EMPTY) as u64;
+        if filled != 0 {
+            va.meta.live_entries.fetch_add(filled, Ordering::Relaxed);
         }
-        va.appends.fetch_add(1, Ordering::Relaxed);
+        va.meta.appends.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Commit write-back of `v` into `h` stamped with the committing
@@ -654,7 +708,9 @@ impl Heap {
 
     /// Reads the value word `h` held at snapshot timestamp `snap` (an even
     /// seqlock value), walking the version ring for the newest version
-    /// with stamp ≤ `snap`.
+    /// with stamp ≤ `snap`. `base` is the version base the reader loaded
+    /// at its begin ([`Heap::version_base`]; `snap ≥ base`): entries
+    /// stamped below it are stale and skipped like empty ones.
     ///
     /// Visibility rule: a version stamped `t ≤ snap` was fully published
     /// (SeqCst) before its commit's release store of `t`, and `snap` was
@@ -673,13 +729,14 @@ impl Heap {
     /// the scan saw them all and the answer stands. Changed, or no stable
     /// candidate at all ⇒ the conservative [`SnapshotRead::Miss`].
     ///
-    /// A fully empty ring means the word was never written by a versioned
-    /// commit: the main value has been constant since the word became
-    /// reachable, and the acquire-load/release-fence pair with
+    /// A ring with nothing at or above the base means no versioned commit
+    /// wrote the word since the base: the main value has been constant
+    /// since the base (or since the word became reachable), and the
+    /// acquire-load/release-fence pair with
     /// [`Heap::store_versioned`] rules out "main store visible, append
     /// not". The acquire load keeps the ring scan ordered after it at no
     /// per-read fence cost — this runs on the engine's hottest path.
-    pub(crate) fn snapshot_read(&self, h: Handle, snap: u64) -> SnapshotRead {
+    pub(crate) fn snapshot_read(&self, h: Handle, snap: u64, base: u64) -> SnapshotRead {
         debug_assert!(!h.is_null(), "snapshot_read through null handle");
         let va = self
             .versions
@@ -695,7 +752,7 @@ impl Heap {
         let mut newer = false;
         for e in ring {
             let t1 = e.ts.load(Ordering::SeqCst);
-            if t1 == VERSION_EMPTY {
+            if t1 < base {
                 continue;
             }
             nonempty = true;
@@ -741,7 +798,7 @@ impl Heap {
             }
         }
         if cleared > 0 {
-            va.live_entries.fetch_sub(cleared, Ordering::Relaxed);
+            va.meta.live_entries.fetch_sub(cleared, Ordering::Relaxed);
         }
     }
 
@@ -962,6 +1019,12 @@ impl HeapCache {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A snapshot read at the heap's current version base, as a declared
+    /// reader that began now would make it.
+    fn read_at(heap: &Heap, h: Handle, snap: u64) -> SnapshotRead {
+        heap.snapshot_read(h, snap, heap.version_base())
+    }
 
     #[test]
     fn null_handle_properties() {
@@ -1210,11 +1273,11 @@ mod tests {
         heap.store_versioned(h, 10, 4); // first versioned commit at ts 4
         // Snapshots before the commit see the seeded pre-image, flagged
         // Old because the ts-4 commit supersedes it…
-        assert_eq!(heap.snapshot_read(h, 2), SnapshotRead::Old(5));
+        assert_eq!(read_at(&heap, h, 2), SnapshotRead::Old(5));
         // …snapshots at or after it see the new version, which is also
         // the word's present value.
-        assert_eq!(heap.snapshot_read(h, 4), SnapshotRead::Current(10));
-        assert_eq!(heap.snapshot_read(h, 6), SnapshotRead::Current(10));
+        assert_eq!(read_at(&heap, h, 4), SnapshotRead::Current(10));
+        assert_eq!(read_at(&heap, h, 6), SnapshotRead::Current(10));
         let st = heap.stats();
         assert_eq!(st.version_ring_depth, VERSION_RING);
         assert_eq!(st.version_entries, 2, "seed + one version");
@@ -1242,21 +1305,21 @@ mod tests {
             } else {
                 SnapshotRead::Old(v)
             };
-            assert_eq!(heap.snapshot_read(h, ts), want, "snapshot {ts}");
+            assert_eq!(read_at(&heap, h, ts), want, "snapshot {ts}");
             // An in-between (odd-gap) snapshot sees the older version.
             let want_odd = if ts + 1 > last_ts {
                 SnapshotRead::Current(v)
             } else {
                 SnapshotRead::Old(v)
             };
-            assert_eq!(heap.snapshot_read(h, ts + 1), want_odd);
+            assert_eq!(read_at(&heap, h, ts + 1), want_odd);
         }
         // …anything older fell off the ring.
         assert_eq!(
-            heap.snapshot_read(h, last_ts - 2 * VERSION_RING as u64),
+            read_at(&heap, h, last_ts - 2 * VERSION_RING as u64),
             SnapshotRead::Miss
         );
-        assert_eq!(heap.snapshot_read(h, 2), SnapshotRead::Miss);
+        assert_eq!(read_at(&heap, h, 2), SnapshotRead::Miss);
         let st = heap.stats();
         assert_eq!(st.version_entries, VERSION_RING as u64, "ring stays full");
         assert_eq!(st.version_appends, writes);
@@ -1289,7 +1352,7 @@ mod tests {
                 let (mut reads, mut stale) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
                     let snap = published.load(Ordering::SeqCst);
-                    match heap.snapshot_read(h, snap) {
+                    match read_at(heap, h, snap) {
                         SnapshotRead::Current(v) | SnapshotRead::Old(v) => {
                             stale += (v < snap) as u64
                         }
@@ -1323,11 +1386,11 @@ mod tests {
         let b = heap.alloc(1).unwrap();
         heap.store(a, 77);
         // No versioned write anywhere: no segment materialized.
-        assert_eq!(heap.snapshot_read(a, 2), SnapshotRead::Current(77));
+        assert_eq!(read_at(&heap, a, 2), SnapshotRead::Current(77));
         // A neighbor's versioned write materializes the segment; `a`'s own
         // ring is still empty and must still resolve to the main value.
         heap.store_versioned(b, 9, 4);
-        assert_eq!(heap.snapshot_read(a, 2), SnapshotRead::Current(77));
+        assert_eq!(read_at(&heap, a, 2), SnapshotRead::Current(77));
     }
 
     #[test]
@@ -1351,8 +1414,79 @@ mod tests {
         // the zeroed main words.
         assert_eq!(heap.stats().version_entries, 0);
         for snap in [0, 2, 4, 6, 8] {
-            assert_eq!(heap.snapshot_read(b, snap), SnapshotRead::Current(0));
-            assert_eq!(heap.snapshot_read(b.field(1), snap), SnapshotRead::Current(0));
+            assert_eq!(read_at(&heap, b, snap), SnapshotRead::Current(0));
+            assert_eq!(read_at(&heap, b.field(1), snap), SnapshotRead::Current(0));
+        }
+    }
+
+    /// The version base: an unversioned commit (plain store after the base
+    /// advance) turns every older entry stale — skipped by reads, reused by
+    /// the next append, which seeds the pre-image at the base stamp. A
+    /// versioned write at the base stamp itself seeds nothing.
+    #[test]
+    fn entries_below_the_version_base_are_stale() {
+        let mut heap = Heap::new(64);
+        heap.enable_versions();
+        assert_eq!(heap.version_base(), 1);
+        let h = heap.alloc(1).unwrap();
+        heap.store(h, 5);
+        // Seed (5 @ 1) and (10 @ 4), then an unversioned commit at 6.
+        heap.store_versioned(h, 10, 4);
+        heap.advance_version_base(6);
+        heap.store(h, 20);
+        assert_eq!(
+            read_at(&heap, h, 6),
+            SnapshotRead::Current(20),
+            "stale 10 @ 4"
+        );
+        // Versioned commit at 8: the stale entries are reused, the seed
+        // carries 20 from the base on.
+        heap.store_versioned(h, 30, 8);
+        assert_eq!(read_at(&heap, h, 6), SnapshotRead::Old(20));
+        assert_eq!(read_at(&heap, h, 8), SnapshotRead::Current(30));
+        let st = heap.stats();
+        assert_eq!((st.version_appends, st.version_entries), (2, 2), "{st:?}");
+        // A versioned write-back at the base stamp (recovery re-deciding an
+        // unversioned commit) must not seed the pre-image there.
+        heap.advance_version_base(10);
+        heap.store_versioned(h, 40, 10);
+        assert_eq!(read_at(&heap, h, 10), SnapshotRead::Current(40));
+    }
+
+    /// The addressing words every word access reads (the commit-server's
+    /// write-back included) share no line pair with a word clients or the
+    /// write-back agent store into per commit.
+    #[test]
+    fn addressing_words_share_no_line_pair_with_a_writer() {
+        use crate::tests::{share_a_pair, span};
+        let mut heap = Heap::new(64);
+        heap.enable_versions();
+        let h = &heap;
+        let va = h.versions.as_ref().unwrap();
+        let read = [
+            ("base", span(h, &h.base)),
+            ("base_words", span(h, &h.base_words)),
+            ("table", span(h, &h.table)),
+            ("seg_words", span(h, &h.seg_words)),
+            ("seg_shift", span(h, &h.seg_shift)),
+            ("max_words", span(h, &h.max_words)),
+            ("versions.table", span(h, &va.table)),
+        ];
+        let written = [
+            ("cursor", span(h, &h.cursor)),
+            ("era", span(h, &h.era)),
+            ("freed_words", span(h, &h.freed_words)),
+            ("recycled_words", span(h, &h.recycled_words)),
+            ("pool", span(h, &h.pool)),
+            ("versions.meta", span(h, &va.meta)),
+        ];
+        for (r, rs) in read {
+            for (w, ws) in written {
+                assert!(
+                    !share_a_pair(rs, ws),
+                    "{r} {rs:?} shares a line pair with {w} {ws:?}"
+                );
+            }
         }
     }
 
@@ -1365,7 +1499,7 @@ mod tests {
         let h = heap.alloc(1).unwrap();
         assert!(heap.store_versioned_checked(h.addr(), 9, 4));
         assert_eq!(heap.load(h), 9);
-        assert_eq!(heap.snapshot_read(h, 4), SnapshotRead::Current(9));
+        assert_eq!(read_at(&heap, h, 4), SnapshotRead::Current(9));
     }
 
     #[test]

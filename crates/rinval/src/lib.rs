@@ -12,7 +12,7 @@
 //! | [`AlgorithmKind::RInvalV1`] | commit executed remotely on a dedicated commit-server (Algorithm 2) |
 //! | [`AlgorithmKind::RInvalV2`] | + invalidation parallelized over invalidation-servers (Algorithm 3) |
 //! | [`AlgorithmKind::RInvalV3`] | + commit-server may run ahead of lagging invalidators (Algorithm 4) |
-//! | [`AlgorithmKind::RInvalMV`] | V3 + per-word version ring: read-only transactions run wait-free on a begin snapshot (§V read-mostly extension) |
+//! | [`AlgorithmKind::RInvalMV`] | V3 + per-word version ring: read-only transactions read a begin snapshot and never validate or abort; commits are versioned only while such a reader is in flight (§V read-mostly extension) |
 //!
 //! All six are deferred-update: writes are buffered in a redo log and
 //! reach the heap only once the commit is admitted, so an abort has
@@ -879,5 +879,59 @@ impl std::fmt::Debug for Stm {
             .field("heap", &self.inner.heap)
             .field("servers", &self.servers.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `field`'s byte span inside `owner`, as `(offset, len)`.
+    pub(crate) fn span<O, F>(owner: &O, field: &F) -> (usize, usize) {
+        let off = field as *const F as usize - owner as *const O as usize;
+        (off, std::mem::size_of_val(field).max(1))
+    }
+
+    /// True if two spans of one 128-aligned owner touch a common
+    /// cache-line pair.
+    pub(crate) fn share_a_pair((a, la): (usize, usize), (b, lb): (usize, usize)) -> bool {
+        a / 128 <= (b + lb - 1) / 128 && b / 128 <= (a + la - 1) / 128
+    }
+
+    /// The words every attempt or server pass reads (the kind, the
+    /// degradation and shutdown flags, the registry's pointers, the
+    /// per-attempt switches) share no line pair with a word written per
+    /// commit — the timestamp, the counters, the token words, the heap.
+    #[test]
+    fn hot_read_words_share_no_line_pair_with_a_per_commit_writer() {
+        let stm = Stm::builder(AlgorithmKind::RInvalV2 { invalidators: 2 }).build_inner();
+        let s = &*stm;
+        assert_eq!(std::mem::align_of::<StmInner>(), 128);
+        let read = [
+            ("algo", span(s, &s.algo)),
+            ("shutdown", span(s, &s.shutdown)),
+            ("degraded", span(s, &s.degraded)),
+            ("registry", span(s, &s.registry)),
+            ("inval_ts", span(s, &s.inval_ts)),
+            ("steps_ahead_ts", span(s, &s.steps_ahead_ts)),
+            ("profile", span(s, &s.profile)),
+            ("irrevocable_after", span(s, &s.irrevocable_after)),
+            ("latency_histogram", span(s, &s.latency_histogram)),
+        ];
+        let written = [
+            ("timestamp", span(s, &s.timestamp)),
+            ("priority_ceiling", span(s, &s.priority_ceiling)),
+            ("irrevocable", span(s, &s.irrevocable)),
+            ("server_stats", span(s, &s.server_stats)),
+            ("heap", span(s, &s.heap)),
+        ];
+        for (r, rs) in read {
+            for (w, ws) in written {
+                assert!(
+                    !share_a_pair(rs, ws),
+                    "{r} {rs:?} shares a line pair with {w} {ws:?}"
+                );
+            }
+        }
     }
 }

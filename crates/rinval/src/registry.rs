@@ -46,8 +46,8 @@
 //! ## Summary bitmaps
 //!
 //! Servers used to discover work by walking all `max_threads` slots on
-//! every pass. The registry now maintains two [`AtomicBitmap`] summary
-//! maps so scans touch only the slots that matter:
+//! every pass. The registry now maintains [`AtomicBitmap`] summary maps so
+//! scans touch only the slots that matter:
 //!
 //! * [`Registry::pending`] — bit `i` set ⇒ slot `i` has a published
 //!   `REQ_PENDING` commit request. Set by the client *after* its `SeqCst`
@@ -62,12 +62,20 @@
 //!   over set bits can never miss a live reader. The bit may be set while
 //!   the slot is idle (begin/end windows); scanners still check
 //!   [`TxSlot::is_live`] per visited slot.
+//! * [`Registry::snapshots`] — bit `i` set ⇒ slot `i` has run a declared
+//!   reader of the multi-version engine since it was claimed. Sticky until
+//!   [`Registry::release`], so a reader sets it once, not per attempt; the
+//!   MV write-back walks it to read the named slots'
+//!   [`TxSlot::snapshot_reader`] flags and versions its commit only if one
+//!   is up (DESIGN.md §12, §14).
 
 use crate::bloom::AtomicBloom;
 use crate::heap::Handle;
 use crate::logs::WriteEntry;
 use crate::sync::{AtomicBitmap, CachePadded, Sleeper, Waiter};
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -215,6 +223,11 @@ pub struct TxSlot {
     /// horizon: a retired block stamped `R` may be recycled only once
     /// every in-flight transaction's `start_era >= R` (DESIGN.md §9).
     pub start_era: AtomicU64,
+    /// Up while the slot runs a declared reader of the multi-version
+    /// engine, from its pin to its cleanup
+    /// ([`Registry::begin_snapshot_reader`]). Read by the MV write-back
+    /// for the slots [`Registry::snapshots`] names.
+    pub snapshot_reader: AtomicBool,
     /// Write signature of the published commit request.
     pub req_write_bf: AtomicBloom,
     /// Write-set of the published request. Valid from the `Release` store of
@@ -254,6 +267,7 @@ impl Default for TxSlot {
             epoch: AtomicU64::new(0),
             read_bf: AtomicBloom::new(),
             start_era: AtomicU64::new(u64::MAX),
+            snapshot_reader: AtomicBool::new(false),
             req: ReqCell::default(),
             req_write_bf: AtomicBloom::new(),
             req_ws_ptr: AtomicPtr::new(std::ptr::null_mut()),
@@ -333,6 +347,7 @@ pub struct Registry {
     free: Mutex<Vec<usize>>,
     pending: AtomicBitmap,
     live: AtomicBitmap,
+    snapshots: AtomicBitmap,
 }
 
 impl Registry {
@@ -347,6 +362,7 @@ impl Registry {
             free: Mutex::new((0..max_threads).rev().collect()),
             pending: AtomicBitmap::new(max_threads),
             live: AtomicBitmap::new(max_threads),
+            snapshots: AtomicBitmap::new(max_threads),
         }
     }
 
@@ -386,12 +402,16 @@ impl Registry {
         self.slots[idx].tx_status.store(TX_IDLE, Ordering::SeqCst);
         self.slots[idx].req.reset();
         self.slots[idx].start_era.store(u64::MAX, Ordering::SeqCst);
+        self.slots[idx]
+            .snapshot_reader
+            .store(false, Ordering::SeqCst);
         self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();
         self.slots[idx].req_write_bf.owner_clear();
         self.slots[idx].clear_payload();
         self.pending.clear(idx);
         self.live.clear(idx);
+        self.snapshots.clear(idx);
         self.free
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -436,21 +456,54 @@ impl Registry {
     /// value, so every handle the attempt keeps was reachable at the
     /// validated window (DESIGN.md §9, §14). MV snapshot readers cannot
     /// make that argument (they never revalidate) and use
-    /// [`Registry::pin_era_fenced`].
+    /// [`Registry::begin_snapshot_reader`].
     #[inline]
     pub fn pin_era(&self, idx: usize, era: u64) {
         self.slots[idx].start_era.store(era, Ordering::Release);
     }
 
-    /// [`Registry::pin_era`] with a full `SeqCst` fence: the pin is
-    /// globally visible before the transaction's first read *executes*, so
-    /// a horizon scan can never miss an in-flight transaction. Required by
-    /// the MV engine, whose snapshot reads never revalidate: a ring walk
-    /// into a recycled block would return inconsistent data rather than
-    /// abort.
+    /// Owner-side begin of a declared reader of the multi-version engine
+    /// for `idx`: names the slot in the [`Registry::snapshots`] map (once
+    /// per owner — the bit stays until release), raises its
+    /// [`TxSlot::snapshot_reader`] flag and pins `era`, then one `SeqCst`
+    /// fence makes flag and pin visible before the reader's first
+    /// timestamp or heap load. The fence is the reader's half of two
+    /// Dekker pairs: with the horizon scan, which must never miss the pin
+    /// of a reader whose snapshot reads never revalidate (a ring walk into
+    /// a recycled block would return inconsistent data rather than abort),
+    /// and with the write-back's versioning check (DESIGN.md §12).
     #[inline]
-    pub fn pin_era_fenced(&self, idx: usize, era: u64) {
-        self.slots[idx].start_era.store(era, Ordering::SeqCst);
+    pub fn begin_snapshot_reader(&self, idx: usize, era: u64) {
+        if !self.snapshots.get(idx) {
+            self.snapshots.set(idx);
+        }
+        let slot = &self.slots[idx];
+        slot.snapshot_reader.store(true, Ordering::Relaxed);
+        slot.start_era.store(era, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    /// Ends a declared reader's attempt on `idx`: lowers its
+    /// [`TxSlot::snapshot_reader`] flag, then clears the horizon pin.
+    #[inline]
+    pub fn end_snapshot_reader(&self, idx: usize) {
+        self.slots[idx]
+            .snapshot_reader
+            .store(false, Ordering::Release);
+        self.unpin_era(idx);
+    }
+
+    /// Whether a declared reader of the multi-version engine may be in
+    /// flight: a slot [`Registry::snapshots`] names has its
+    /// [`TxSlot::snapshot_reader`] flag up. Asked by the MV write-back
+    /// after its commit's odd-timestamp store and `SeqCst` fence, so a
+    /// reader it misses has read that odd timestamp (DESIGN.md §12).
+    /// Touches one bitmap word and the flags of the slots that ever ran a
+    /// declared reader, stopping at the first one up.
+    pub fn snapshot_reader_in_flight(&self) -> bool {
+        self.snapshots
+            .iter_set_bits()
+            .any(|i| self.slots[i].snapshot_reader.load(Ordering::SeqCst))
     }
 
     /// Clears the horizon pin at transaction end (commit or abort). The
@@ -483,6 +536,15 @@ impl Registry {
     #[inline]
     pub fn live(&self) -> &AtomicBitmap {
         &self.live
+    }
+
+    /// The declared-reader summary map of the multi-version engine: bit
+    /// `i` is set by slot `i`'s first MV declared reader and cleared only
+    /// by [`Registry::release`], so it names a superset of the slots that
+    /// may be running one ([`Registry::snapshot_reader_in_flight`]).
+    #[inline]
+    pub fn snapshots(&self) -> &AtomicBitmap {
+        &self.snapshots
     }
 
     /// The slot at `idx`.
@@ -716,6 +778,7 @@ mod tests {
             .store(rs.as_mut_ptr(), Ordering::Relaxed);
         reg.slot(idx).req_rs_len.store(rs.len(), Ordering::Relaxed);
         reg.pending().set(idx);
+        reg.begin_snapshot_reader(idx, 0);
         reg.release(idx);
         // Dense checks: every word, whatever the summaries claim.
         for (name, bf) in [
@@ -738,6 +801,31 @@ mod tests {
         assert_eq!(reg.slot(idx).req_rs_len.load(Ordering::Relaxed), 0);
         assert!(!reg.pending().get(idx));
         assert!(!reg.live().get(idx));
+        assert!(!reg.snapshots().get(idx));
+        assert!(!reg.slot(idx).snapshot_reader.load(Ordering::Relaxed));
+        assert!(!reg.snapshot_reader_in_flight());
+    }
+
+    /// A declared reader's summary bit is set once and outlives its
+    /// attempts; only its flag tracks whether one is in flight.
+    #[test]
+    fn snapshot_reader_flag_tracks_attempts_and_the_bit_sticks() {
+        let reg = Registry::new(130);
+        assert!(!reg.snapshot_reader_in_flight());
+        for idx in [3, 129] {
+            reg.begin_snapshot_reader(idx, 7);
+            assert!(reg.snapshots().get(idx));
+            assert_eq!(reg.slot(idx).start_era.load(Ordering::Relaxed), 7);
+            assert!(reg.snapshot_reader_in_flight(), "slot {idx}");
+            reg.end_snapshot_reader(idx);
+            assert!(reg.snapshots().get(idx), "the bit is per owner");
+            assert_eq!(reg.slot(idx).start_era.load(Ordering::Relaxed), u64::MAX);
+            assert!(!reg.snapshot_reader_in_flight(), "slot {idx}");
+        }
+        reg.begin_snapshot_reader(3, 0);
+        reg.begin_snapshot_reader(129, 0);
+        reg.end_snapshot_reader(3);
+        assert!(reg.snapshot_reader_in_flight(), "129 is still reading");
     }
 
     #[test]

@@ -134,7 +134,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Applies a published write-set to the heap.
+/// Applies a published write-set to the heap, releasing at `release_ts`.
+///
+/// On a multi-version heap this is where a commit is versioned or not —
+/// decided once, here, after the caller's odd-timestamp store and its
+/// `SeqCst` fence: only while a declared reader is in flight
+/// ([`crate::registry::Registry::snapshot_reader_in_flight`]) does each
+/// store also stamp
+/// the word's version ring with `release_ts`. Otherwise the words are
+/// stored plainly and the heap's version base advances to `release_ts`
+/// first, so the base is visible before the release (DESIGN.md §12, §14).
+/// V1/V2/V3 heaps have no rings and always store plainly.
 ///
 /// # Safety contract (checked dynamically where possible)
 /// `ptr/len` were published by a client that is waiting on its request
@@ -146,14 +156,18 @@ unsafe fn write_back(stm: &StmInner, ptr: *const WriteEntry, len: usize, release
     if ptr.is_null() {
         return;
     }
-    for i in 0..len {
-        let e = unsafe { *ptr.add(i) };
-        // Versioned store: under RInvalMV each write-back also stamps the
-        // word's version ring with `release_ts` — the even timestamp this
-        // commit releases at — so snapshot readers at earlier timestamps
-        // keep resolving against the retired pre-image (no-op when the
-        // ring is disabled).
-        stm.heap.store_versioned_checked(e.addr, e.val, release_ts);
+    let entries = unsafe { std::slice::from_raw_parts(ptr, len) };
+    let mut versioned = stm.heap.versions_enabled();
+    if versioned && !stm.registry.snapshot_reader_in_flight() {
+        stm.heap.advance_version_base(release_ts);
+        versioned = false;
+    }
+    for e in entries {
+        if versioned {
+            stm.heap.store_versioned_checked(e.addr, e.val, release_ts);
+        } else {
+            stm.heap.store_checked(e.addr, e.val);
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 //! Profiling is opt-in ([`crate::StmBuilder::profile`]) because two
 //! `Instant::now()` calls per read would distort throughput benchmarks.
 
+use crate::sync::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -113,9 +114,14 @@ pub fn log2_quantile_ns(buckets: &[u64; 32], q: f64) -> Option<u64> {
 /// These make the summary-bitmap optimization *observable*: a full
 /// registry walk would examine `registry.len()` slots per pass, while the
 /// bitmap scans examine only the set bits. Counters are plain relaxed
-/// `fetch_add`s on server-owned cache lines — cheap enough to stay on
-/// unconditionally.
+/// `fetch_add`s — cheap enough to stay on unconditionally because each
+/// group of them sits on cache-line pairs of its own: the commit-server's
+/// per-pass and per-commit counters, the invalidation scans', the
+/// clients' per-transaction (and the rare fault) counters, and the
+/// latency histogram clients record into. The struct is 128-aligned, so
+/// no counter shares a line with a field of whatever embeds it.
 #[derive(Debug, Default)]
+#[repr(C)]
 pub struct ServerCounters {
     /// Commit-server passes over the `pending` summary map.
     pub scan_passes: AtomicU64,
@@ -123,49 +129,42 @@ pub struct ServerCounters {
     pub empty_passes: AtomicU64,
     /// Slots actually examined by commit-server passes (set `pending` bits).
     pub slots_visited: AtomicU64,
-    /// Invalidation scans over the `live` summary map.
-    pub inval_scans: AtomicU64,
-    /// Slots actually examined by invalidation and census scans (set
-    /// `live` bits).
-    pub inval_slots_visited: AtomicU64,
     /// Commit-admission census walks over the `live` summary map
     /// (DESIGN.md §13). Counted apart from `inval_scans`: a census walk
     /// dooms nothing, and how often aging arms it depends on contention
     /// timing.
     pub census_scans: AtomicU64,
-    /// Watchdog intervals in which a server with outstanding work made no
-    /// heartbeat progress.
-    pub heartbeat_misses: AtomicU64,
-    /// Dead server threads respawned by the watchdog.
-    pub respawns: AtomicU64,
-    /// Times the instance degraded from a remote engine to InvalSTM.
-    pub degradations: AtomicU64,
-    /// Client commit requests that hit a [`crate::TxError::Timeout`]
-    /// deadline while waiting for a server verdict.
-    pub timed_out_requests: AtomicU64,
-    /// Bounded runs cut short by their deadline: up-front fast-fails of
-    /// [`crate::ThreadHandle::try_run_for`] with an already-expired
-    /// deadline (no attempt runs) plus posted commit requests a client
-    /// retracted when its deadline expired mid-wait.
-    pub timeout_withdrawals: AtomicU64,
-    /// Posted requests withdrawn by clients (deadline, degradation or
-    /// handle teardown) before a server claimed them.
-    pub withdrawn_requests: AtomicU64,
-    /// Outstanding requests answered with an abort verdict by shutdown or
-    /// crash-recovery drains rather than by normal server processing.
-    pub drained_requests: AtomicU64,
-    /// Live transactions doomed by admitted commits (every invalidation
-    /// path); `txs_doomed / commits` is the doom rate.
-    pub txs_doomed: AtomicU64,
+    /// Commits the V2/V3 commit-server retired on an invalidation-server's
+    /// behalf because its partition held nothing to doom — one per server
+    /// per commit, each a wake (and a scan) that never happened.
+    pub quiet_retirements: AtomicU64,
+    /// Unregistered write-sets the commit-server refused because a commit
+    /// that landed after their snapshot changed a value they read
+    /// (DESIGN.md §14) — the *validation failure* abort of the RInval
+    /// kinds. The retry runs registered.
+    pub stale_refusals: AtomicU64,
     /// Commits refused because a conflicting live transaction had a
     /// strictly higher priority than the committer (DESIGN.md §13); each
     /// refusal raised the committer's inherited priority.
     pub priority_refusals: AtomicU64,
     /// Irrevocable-token grants (server- or seqlock-side).
     pub irrevocable_grants: AtomicU64,
-    /// Highest abort streak any transaction reached (`fetch_max`, so the
-    /// mark survives the streak's own reset on commit).
-    pub streak_high_water: AtomicU64,
+    /// Times a server seat parked (an idle seat parks once per park bound).
+    pub server_parks: AtomicU64,
+    /// Unparks sent by posters that found a sleeper flag raised.
+    pub wakes_sent: AtomicU64,
+    /// Starts the invalidation scans' line pair.
+    _inval_line: CachePadded<()>,
+    /// Invalidation scans over the `live` summary map.
+    pub inval_scans: AtomicU64,
+    /// Slots actually examined by invalidation and census scans (set
+    /// `live` bits).
+    pub inval_slots_visited: AtomicU64,
+    /// Live transactions doomed by admitted commits (every invalidation
+    /// path); `txs_doomed / commits` is the doom rate.
+    pub txs_doomed: AtomicU64,
+    /// Starts the clients' line pair.
+    _client_line: CachePadded<()>,
     /// Read-only transactions committed straight off their begin snapshot
     /// (multi-version engines; no validation, no server round-trip).
     pub ro_snapshot_commits: AtomicU64,
@@ -177,21 +176,34 @@ pub struct ServerCounters {
     /// to the invalidation protocol on the first commit they observe in a
     /// read — readers and writers alike.
     pub ro_promotions: AtomicU64,
-    /// Unregistered write-sets the commit-server refused because a commit
-    /// that landed after their snapshot changed a value they read
-    /// (DESIGN.md §14) — the *validation failure* abort of the RInval
-    /// kinds. The retry runs registered.
-    pub stale_refusals: AtomicU64,
-    /// Times a server seat parked (an idle seat parks once per park bound).
-    pub server_parks: AtomicU64,
     /// Times a client parked on its request slot waiting for a verdict.
     pub client_parks: AtomicU64,
-    /// Unparks sent by posters that found a sleeper flag raised.
-    pub wakes_sent: AtomicU64,
-    /// Commits the V2/V3 commit-server retired on an invalidation-server's
-    /// behalf because its partition held nothing to doom — one per server
-    /// per commit, each a wake (and a scan) that never happened.
-    pub quiet_retirements: AtomicU64,
+    /// Highest abort streak any transaction reached (`fetch_max`, so the
+    /// mark survives the streak's own reset on commit).
+    pub streak_high_water: AtomicU64,
+    /// Client commit requests that hit a [`crate::TxError::Timeout`]
+    /// deadline while waiting for a server verdict.
+    pub timed_out_requests: AtomicU64,
+    /// Bounded runs cut short by their deadline: up-front fast-fails of
+    /// [`crate::ThreadHandle::try_run_for`] with an already-expired
+    /// deadline (no attempt runs) plus posted commit requests a client
+    /// retracted when its deadline expired mid-wait.
+    pub timeout_withdrawals: AtomicU64,
+    /// Posted requests withdrawn by clients (deadline, degradation or
+    /// handle teardown) before a server claimed them.
+    pub withdrawn_requests: AtomicU64,
+    /// Watchdog intervals in which a server with outstanding work made no
+    /// heartbeat progress.
+    pub heartbeat_misses: AtomicU64,
+    /// Dead server threads respawned by the watchdog.
+    pub respawns: AtomicU64,
+    /// Times the instance degraded from a remote engine to InvalSTM.
+    pub degradations: AtomicU64,
+    /// Outstanding requests answered with an abort verdict by shutdown or
+    /// crash-recovery drains rather than by normal server processing.
+    pub drained_requests: AtomicU64,
+    /// Starts the latency histogram's lines.
+    _histogram_line: CachePadded<()>,
     /// log₂ commit-latency histogram: bucket `i` counts commits whose
     /// attempt latency fell in `[2^i, 2^(i+1))` nanoseconds. Recording is
     /// opt-in ([`crate::StmBuilder::latency_histogram`]) — it costs two
@@ -428,6 +440,40 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each writer's counters sit on line pairs of their own: the
+    /// commit-server's per-commit bumps never invalidate a line a client
+    /// bumps per transaction, or an invalidation-server per scan.
+    #[test]
+    fn counter_groups_share_no_line_pair() {
+        use crate::tests::{share_a_pair, span};
+        let c = ServerCounters::default();
+        let server = [
+            span(&c, &c.scan_passes),
+            span(&c, &c.quiet_retirements),
+            span(&c, &c.wakes_sent),
+            span(&c, &c.server_parks),
+        ];
+        let inval = [span(&c, &c.inval_scans), span(&c, &c.txs_doomed)];
+        let client = [
+            span(&c, &c.ro_snapshot_commits),
+            span(&c, &c.ro_promotions),
+            span(&c, &c.client_parks),
+            span(&c, &c.drained_requests),
+        ];
+        let histogram = [span(&c, &c.commit_latency)];
+        let groups = [&server[..], &inval[..], &client[..], &histogram[..]];
+        for (gi, g) in groups.iter().enumerate() {
+            for h in &groups[gi + 1..] {
+                for &a in g.iter() {
+                    for &b in h.iter() {
+                        assert!(!share_a_pair(a, b), "{a:?} and {b:?} share a line pair");
+                    }
+                }
+            }
+        }
+        assert_eq!(std::mem::align_of::<ServerCounters>(), 128);
+    }
 
     #[test]
     fn default_is_zero() {

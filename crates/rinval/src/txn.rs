@@ -131,8 +131,9 @@ impl<'a> ThreadHandle<'a> {
     /// declaration buys (DESIGN.md §14):
     ///
     /// * [`crate::AlgorithmKind::RInvalMV`] routes every attempt to the
-    ///   wait-free snapshot path — no registration, no validation and,
-    ///   ring misses aside, no aborts.
+    ///   version-ring snapshot path — no registration, no validation and,
+    ///   ring misses aside, no aborts; its begin waits out at most one
+    ///   in-flight commit.
     /// * [`crate::AlgorithmKind::RInvalV1`], `RInvalV2` and `RInvalV3`
     ///   behave like [`ThreadHandle::run`]: the first attempt reads
     ///   unregistered and registers in place only once it observes a
@@ -255,6 +256,7 @@ impl<'a> ThreadHandle<'a> {
             stm: self.stm,
             slot_idx: self.slot_idx,
             snapshot: 0,
+            version_base: 0,
             lock_held: false,
             registered: false,
             declared_ro,
@@ -429,6 +431,10 @@ pub struct Txn<'t> {
     pub(crate) slot_idx: usize,
     /// Sequence-lock snapshot (NOrec) or commit acquisition time.
     pub(crate) snapshot: u64,
+    /// The heap's version base, loaded once by an MV declared reader's
+    /// begin (stable for the whole attempt; `heap::VERSION_RING`). Unused
+    /// by every other engine.
+    pub(crate) version_base: u64,
     /// Whether this transaction currently owns the global seqlock (the
     /// NOrec / InvalSTM commit critical section). Gates the
     /// `cleanup_panic` seqlock repair.

@@ -17,7 +17,9 @@
 
 use rinval::{AlgorithmKind, Stm, TxResult};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Concurrent alloc/hold/verify/free churn. Each handed-out block carries a
 /// unique tag pair; a double-handout trips the held-set insert, a premature
@@ -183,24 +185,43 @@ fn aborted_free_is_discarded() {
     }
 }
 
-/// MV version recycling: ring entries retired by write commits are shed
-/// when their block passes the reclamation horizon and is handed out
-/// again — old versions never survive into a recycled block, and the
-/// occupancy telemetry reflects the shedding.
-#[test]
-fn retired_versions_recycle_past_the_horizon() {
-    let stm = Stm::builder(AlgorithmKind::RInvalMV {
+fn mv_stm() -> Stm {
+    Stm::builder(AlgorithmKind::RInvalMV {
         invalidators: 2,
         steps_ahead: 2,
     })
     .heap_words(1 << 10)
-    .build();
-    let mut th = stm.register_thread();
-    let h = th.run(|tx| tx.alloc(3));
-    // Churn: every write commit retires the pre-image into the word's
-    // ring, far past the ring depth.
-    const ROUNDS: u64 = 40;
-    for i in 0..ROUNDS {
+    .build()
+}
+
+/// Runs `f` while a declared reader is parked mid-`run_ro` on a second
+/// thread. MV versions a commit only while such a reader is in flight, so
+/// every commit `f` makes appends to its words' rings.
+fn with_parked_reader<R>(stm: &Stm, f: impl FnOnce() -> R) -> R {
+    let (parked, release) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut th = stm.register_thread();
+            th.run_ro(|_| {
+                parked.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                Ok(())
+            });
+        });
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let r = f();
+        release.store(true, Ordering::SeqCst);
+        r
+    })
+}
+
+/// Churns three words for `rounds` write commits.
+fn churn(th: &mut rinval::ThreadHandle<'_>, h: rinval::Handle, rounds: u64) {
+    for i in 0..rounds {
         th.run(|tx| {
             for k in 0..3u32 {
                 tx.write(h.field(k), i * 10 + k as u64 + 1)?;
@@ -208,11 +229,27 @@ fn retired_versions_recycle_past_the_horizon() {
             Ok(())
         });
     }
+}
+
+/// MV version recycling: ring entries retired by write commits made while
+/// a declared reader is in flight are shed when their block passes the
+/// reclamation horizon and is handed out again — old versions never
+/// survive into a recycled block, and the occupancy telemetry reflects the
+/// shedding.
+#[test]
+fn retired_versions_recycle_past_the_horizon() {
+    let stm = mv_stm();
+    let mut th = stm.register_thread();
+    let h = th.run(|tx| tx.alloc(3));
+    // Churn with a reader in flight: every write commit retires the
+    // pre-image into the word's ring, far past the ring depth.
+    const ROUNDS: u64 = 40;
+    with_parked_reader(&stm, || churn(&mut th, h, ROUNDS));
     let st = stm.heap_stats();
     assert!(st.version_ring_depth > 0, "MV instances must enable the ring");
     assert!(
         st.version_appends >= ROUNDS * 3,
-        "every write-back must append a version (appends = {})",
+        "every write-back under a reader must append a version (appends = {})",
         st.version_appends
     );
     assert!(
@@ -222,9 +259,10 @@ fn retired_versions_recycle_past_the_horizon() {
         st.version_entries
     );
 
-    // Free the block and cycle it through the horizon: the freeing
-    // thread's own next transaction starts past the free's era stamp, so
-    // the very next alloc recycles it — and must shed its versions.
+    // Free the block and cycle it through the horizon (the parked reader,
+    // which pinned it, has ended): the freeing thread's own next
+    // transaction starts past the free's era stamp, so the very next alloc
+    // recycles it — and must shed its versions.
     th.run(|tx| tx.free(h, 3));
     let fresh = th.run(|tx| tx.alloc(3));
     let st = stm.heap_stats();
@@ -233,18 +271,36 @@ fn retired_versions_recycle_past_the_horizon() {
         st.version_entries, 0,
         "recycled block kept stale versions: {st:?}"
     );
-    // The recycled block reads as zero transactionally (a stale ring
-    // entry would resurface the old values through the snapshot path).
-    th.run(|tx| {
+    // The recycled block reads as zero through the snapshot path (a stale
+    // ring entry would resurface the old values there).
+    th.run_ro(|tx| {
         for k in 0..3u32 {
             assert_eq!(tx.read(fresh.field(k))?, 0, "stale value resurfaced");
         }
         Ok(())
     });
     // And fresh write-backs re-seed the ring from scratch: one commit on
-    // one word leaves exactly the pre-image seed plus the new version.
-    th.run(|tx| tx.write(fresh, 99));
+    // one word under a reader leaves exactly the pre-image seed plus the
+    // new version.
+    with_parked_reader(&stm, || th.run(|tx| tx.write(fresh, 99)));
     assert_eq!(stm.heap_stats().version_entries, 2);
+}
+
+/// The converse: with no declared reader in flight, MV commits store
+/// plainly — no version is appended and no ring entry is ever occupied.
+#[test]
+fn commits_without_a_reader_append_no_versions() {
+    let stm = mv_stm();
+    let mut th = stm.register_thread();
+    let h = th.run(|tx| tx.alloc(3));
+    churn(&mut th, h, 40);
+    let st = stm.heap_stats();
+    assert_eq!(stm.timestamp(), 2 * 40, "every round committed");
+    assert_eq!(
+        (st.version_appends, st.version_entries),
+        (0, 0),
+        "a commit with no reader in flight was versioned: {st:?}"
+    );
 }
 
 /// The growable heap keeps allocating far past its initial arena under

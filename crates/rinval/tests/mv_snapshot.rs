@@ -358,3 +358,172 @@ fn ro_with_deadline_on_snapshot_path() {
     assert_eq!(stm.timestamp(), 0, "a read-only attempt posted a request");
     assert_eq!((st.ro_snapshot_commits, st.ro_promotions), (0, 0), "{st:?}");
 }
+
+/// Parks a declared reader mid-`run_ro` on a thread of `s`: its snapshot
+/// is taken and its flag is up once `parked` is raised; it reads `w` — or
+/// nothing, if `w` is `None` — once `go` is raised, and returns the value.
+fn park_reader<'s>(
+    s: &'s std::thread::Scope<'s, '_>,
+    stm: &'s Stm,
+    w: Option<rinval::Handle>,
+    parked: &'s AtomicBool,
+    go: &'s AtomicBool,
+) -> std::thread::ScopedJoinHandle<'s, u64> {
+    let h = s.spawn(move || {
+        let mut th = stm.register_thread();
+        th.run_ro(|tx| {
+            parked.store(true, Ordering::SeqCst);
+            while !go.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            w.map_or(Ok(0), |w| tx.read(w))
+        })
+    });
+    while !parked.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+    h
+}
+
+/// (iv) The version base, deterministically. A commit made while reader
+/// A is in flight is versioned; once A ends, the next commit is not — it
+/// stores plainly and leaves the ring entries below it stale. Reader B
+/// then snapshots between that commit and a third, versioned one, so the
+/// value B must read exists in no version: the third commit's write-back
+/// seeds it at the base stamp, and only the seed can answer B. A stale
+/// entry read as current gives B 1; no seed gives B a ring miss, and the
+/// fallback's present value 3.
+#[test]
+fn stale_ring_entries_never_answer_a_later_snapshot() {
+    let stm = Stm::builder(mv())
+        .heap_words(1 << 10)
+        .max_threads(4)
+        .build();
+    let w = stm.alloc(1);
+    let mut th = stm.register_thread();
+    let appends = || stm.heap_stats().version_appends;
+    let flags: [AtomicBool; 4] = Default::default();
+    let [a_parked, a_go, b_parked, b_go] = &flags;
+    // Each count is asserted after its parked reader is released, so a
+    // failing assert cannot leave the scope waiting on a parked thread.
+    let b_read = std::thread::scope(|s| {
+        let a = park_reader(s, &stm, None, a_parked, a_go);
+        th.run(|tx| tx.write(w, 1));
+        let under_a = appends();
+        a_go.store(true, Ordering::SeqCst);
+        a.join().unwrap();
+        assert_eq!(under_a, 1, "a commit under reader A was not versioned");
+        th.run(|tx| tx.write(w, 2));
+        assert_eq!(
+            appends(),
+            1,
+            "a commit with no reader in flight was versioned"
+        );
+        let b = park_reader(s, &stm, Some(w), b_parked, b_go);
+        th.run(|tx| tx.write(w, 3));
+        let under_b = appends();
+        b_go.store(true, Ordering::SeqCst);
+        let b_read = b.join().unwrap();
+        assert_eq!(under_b, 2, "a commit under reader B was not versioned");
+        b_read
+    });
+    assert_eq!(b_read, 2, "reader B read past its snapshot's value");
+    let st = stm.server_stats();
+    assert_eq!((st.ring_misses, st.ro_snapshot_commits), (0, 2), "{st:?}");
+}
+
+/// (v) Declared readers begin and end continuously while writers rotate
+/// a conserved sum, so readers keep beginning while a commit that missed
+/// their flag writes back unversioned — the commit their begin must wait
+/// out. Every commit rewrites all `WORDS` words (a rotation of distinct
+/// powers of two), so a torn snapshot — some words before a write-back,
+/// some after — repeats one value and drops another, and the write-back
+/// a beginning reader can land in is long. Every reader checks the sum
+/// inside its attempt. Run on one core too (CI's oversubscribed job).
+/// Half the attempts hold their snapshot across a commit and the readers
+/// pause between attempts, so the run has commits of both kinds.
+#[test]
+fn readers_beginning_and_ending_under_writers_see_conserved_sums() {
+    const WORDS: u32 = 16;
+    const ROTATIONS: u64 = 2_000;
+    let stm = Stm::builder(mv())
+        .heap_words(1 << 12)
+        .max_threads(8)
+        .build();
+    let arr = stm.alloc(WORDS as usize);
+    for k in 0..WORDS {
+        stm.poke(arr.field(k), 1 << k);
+    }
+    let total: u64 = (1 << WORDS) - 1;
+    let done = AtomicBool::new(false);
+    let (stm, done) = (&stm, &done);
+    let reads = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut th = stm.register_thread();
+                    for _ in 0..ROTATIONS {
+                        th.run(|tx| {
+                            let first = tx.read(arr.field(0))?;
+                            for k in 0..WORDS - 1 {
+                                let next = tx.read(arr.field(k + 1))?;
+                                tx.write(arr.field(k), next)?;
+                            }
+                            tx.write(arr.field(WORDS - 1), first)
+                        });
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                s.spawn(move || {
+                    let mut th = stm.register_thread();
+                    let mut n = 0u64;
+                    while !done.load(Ordering::Relaxed) || n < 20 {
+                        let sum = th.run_ro(|tx| {
+                            let mut acc = 0u64;
+                            for k in 0..WORDS {
+                                // Every other attempt holds its snapshot
+                                // until a commit lands, which must then be
+                                // versioned.
+                                if k == WORDS / 2 && n.is_multiple_of(2) {
+                                    let t = stm.timestamp();
+                                    while stm.timestamp() == t && !done.load(Ordering::Relaxed) {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                acc += tx.read(arr.field(k))?;
+                            }
+                            assert_eq!(acc, total, "torn snapshot inside an attempt");
+                            Ok(acc)
+                        });
+                        assert_eq!(sum, total);
+                        n += 1;
+                        if n % 4 == r {
+                            std::thread::sleep(Duration::from_micros(100));
+                        }
+                    }
+                    n
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        readers.into_iter().map(|r| r.join().unwrap()).sum::<u64>()
+    });
+    let sum: u64 = (0..WORDS).map(|k| stm.peek(arr.field(k))).sum();
+    assert_eq!(sum, total);
+    let (st, hs) = (stm.server_stats(), stm.heap_stats());
+    assert_eq!(st.ro_snapshot_commits, reads, "{st:?}");
+    // Every commit writes every word; a versioned one appends `WORDS`.
+    let commits = stm.timestamp() / 2;
+    assert!(
+        hs.version_appends > 0 && hs.version_appends < u64::from(WORDS) * commits,
+        "expected versioned and unversioned commits: {} appends over {commits} commits",
+        hs.version_appends
+    );
+    assert!(!stm.is_degraded());
+}
