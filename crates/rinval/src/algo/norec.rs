@@ -4,9 +4,12 @@
 //! One global sequence lock, no ownership records. Reads are logged as
 //! `(address, value)` pairs; whenever the global timestamp moves, the whole
 //! read-set is revalidated *by value* — the incremental validation whose
-//! quadratic cost (paper §II) motivates invalidation-based designs. Commit
-//! acquires the sequence lock with a CAS, revalidates, writes back and
-//! releases.
+//! quadratic cost (paper §II) motivates invalidation-based designs. Commit:
+//!
+//! 0. a silent write-set — every buffered value already in the heap —
+//!    commits as read-only, locally ([`silent_commit`]);
+//! 1. otherwise acquire the sequence lock with a CAS (revalidating on
+//!    failure), write back and release.
 //!
 //! ## Ordering
 //! Readers use the seqlock recipe: acquire-load of the timestamp, relaxed
@@ -121,9 +124,48 @@ pub(crate) fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     }
 }
 
+/// Commits the attempt locally as read-only if its write-set is *silent*:
+/// it allocated and freed nothing, and every buffered `(addr, val)` already
+/// holds in the heap at the attempt's snapshot (DESIGN.md §14). The check
+/// is the seqlock recipe of [`read`] applied to the write addresses:
+/// checked loads, acquire fence, `timestamp == snapshot`. The caller's
+/// reads all held at that even snapshot, and no write-back overlapped the
+/// loads, so the attempt is a read-only transaction serialized there, and
+/// committing it changes no word. It publishes nothing, so it needs neither
+/// the irrevocable-token gate nor a commit-server's grant.
+///
+/// Sound only where every logged read was checked against `tx.snapshot`:
+/// NOrec, and an unregistered `RInvalSnapshot` attempt. A mismatch stops
+/// at the first differing word and the caller takes its ordinary commit.
+/// A `true` is counted in [`crate::PhaseStats::silent_commits`].
+pub(crate) fn silent_commit(tx: &mut Txn<'_>) -> bool {
+    // Frees retire only under a commit that bumped the timestamp (§9).
+    if !tx.alog.is_empty() {
+        return false;
+    }
+    let heap = &tx.stm.heap;
+    if !tx
+        .ws
+        .entries()
+        .iter()
+        .all(|e| heap.load_checked(e.addr) == Some(e.val))
+    {
+        return false;
+    }
+    fence(Ordering::Acquire);
+    if tx.stm.timestamp.load(Ordering::SeqCst) != tx.snapshot {
+        return false;
+    }
+    tx.stats.silent_commits += 1;
+    true
+}
+
 pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     if tx.ws.is_empty() {
         // Read-only: consistent as of the last (re)validation.
+        return Ok(());
+    }
+    if silent_commit(tx) {
         return Ok(());
     }
     let ts = &tx.stm.timestamp;

@@ -4,6 +4,9 @@
 //! shared with InvalSTM (module `invalstm`), and commit never touches the
 //! global timestamp. Instead the client:
 //!
+//! 0. unregistered, commits a silent write-set — every buffered value
+//!    already in the heap at its snapshot — as read-only, locally and
+//!    without a request ([`norec::silent_commit`]);
 //! 1. checks its own invalidation flag (Algorithm 2, line 5);
 //! 2. publishes its write signature and write-set into its cache-aligned
 //!    request slot;
@@ -30,7 +33,8 @@
 //! sees the timestamp move (DESIGN.md §14). A write-set it still holds
 //! unregistered at commit is posted with its snapshot and its reads, and
 //! the commit-server admits it if the timestamp has not moved since — or,
-//! if it has, if the reads still hold. Retries run the registered engines.
+//! if it has, if the reads still hold — unless it is silent, and commits
+//! where it ran. Retries run the registered engines.
 
 use super::{invalstm, norec, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
@@ -128,12 +132,16 @@ rinval_engine!(
 ///   for readers, and more writer commits on V2/V3 (DESIGN.md §14).
 /// * **Commit** — read-only: nothing to publish or ask (unpromoted, the
 ///   reads are consistent at the snapshot; promoted, every read checked
-///   the invalidation flag — Algorithm 2, lines 2–3). With writes,
-///   registered or not, the request goes to the commit-server
-///   ([`client_commit`]). An unregistered write-set is posted with its
-///   snapshot and its value read-set; the server admits it at once while
-///   the timestamp still equals the snapshot, and otherwise only if the
-///   reads still hold. A refusal therefore means a read really changed.
+///   the invalidation flag — Algorithm 2, lines 2–3). An unregistered
+///   write-set that is silent — every buffered value already in the heap,
+///   with the timestamp still at the snapshot — is a read-only transaction
+///   at the snapshot and commits the same way, locally
+///   ([`norec::silent_commit`]). Any other write-set, registered or not,
+///   goes to the commit-server ([`client_commit`]). An unregistered one is
+///   posted with its snapshot and its value read-set; the server admits it
+///   at once while the timestamp still equals the snapshot, and otherwise
+///   only if the reads still hold. A refusal therefore means a read really
+///   changed.
 pub(crate) struct RInvalSnapshot<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool>;
 
 impl<const C: bool, const RO: bool> sealed::Sealed for RInvalSnapshot<C, RO> {}
@@ -239,6 +247,12 @@ fn client_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         // Read-only transactions never contact the server (Algorithm 2,
         // lines 2–3): each read already checked the invalidation flag, or,
         // unregistered, the snapshot.
+        return Ok(());
+    }
+    // An unregistered attempt's reads held at its snapshot: a silent
+    // write-set commits as read-only there, publishing nothing, so it
+    // needs no server — live or degraded (DESIGN.md §14).
+    if !tx.registered && norec::silent_commit(tx) {
         return Ok(());
     }
     let slot = tx.stm.registry.slot(tx.slot_idx);

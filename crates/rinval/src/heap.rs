@@ -541,21 +541,39 @@ impl Heap {
     /// rejects addresses in unmaterialized segments.
     #[inline]
     pub(crate) fn store_checked(&self, addr: u32, v: u64) -> bool {
+        self.word_checked(addr)
+            .map(|w| w.store(v, Ordering::Relaxed))
+            .is_some()
+    }
+
+    /// Bounds-checking relaxed load, `None` exactly where
+    /// [`Heap::store_checked`] would reject the address. The silent
+    /// write-set check reads a write-set's addresses through it, so a
+    /// corrupt address makes the write-set non-silent instead of faulting
+    /// the client.
+    #[inline]
+    pub(crate) fn load_checked(&self, addr: u32) -> Option<u64> {
+        self.word_checked(addr).map(|w| w.load(Ordering::Relaxed))
+    }
+
+    /// The word at `addr`, or `None` for the null address, an address past
+    /// the capacity ceiling, or one in an unmaterialized segment: the one
+    /// check behind both checked accessors.
+    #[inline]
+    fn word_checked(&self, addr: u32) -> Option<&AtomicU64> {
         if addr == 0 || addr as usize > self.max_words {
-            return false;
+            return None;
         }
         let idx = addr as usize;
         if idx < self.base_words {
             // SAFETY: `idx < base_words == base.len()`.
-            unsafe { self.base.get_unchecked(idx) }.store(v, Ordering::Relaxed);
-            return true;
+            return Some(unsafe { self.base.get_unchecked(idx) });
         }
         let ptr = self.table[idx >> self.seg_shift].load(Ordering::Acquire);
         if ptr.is_null() {
-            return false;
+            return None;
         }
-        unsafe { &*ptr.add(idx & (self.seg_words - 1)) }.store(v, Ordering::Relaxed);
-        true
+        Some(unsafe { &*ptr.add(idx & (self.seg_words - 1)) })
     }
 
     /// Zeroes `n` words starting at `addr` (recycled-block handout; fresh
@@ -1145,6 +1163,21 @@ mod tests {
         let h = heap.alloc(1).unwrap();
         assert!(heap.store_checked(h.addr(), 9));
         assert_eq!(heap.load(h), 9);
+    }
+
+    #[test]
+    fn load_checked_rejects_what_store_checked_rejects() {
+        let heap = Heap::new(4);
+        // The last word under the ceiling lies in a segment nobody has
+        // materialized; the one past it lies over the ceiling.
+        let last = heap.max_words as u32;
+        for addr in [0, last, last + 1] {
+            assert_eq!(heap.load_checked(addr), None, "{addr}");
+            assert!(!heap.store_checked(addr, 1), "{addr}");
+        }
+        let h = heap.alloc(1).unwrap();
+        assert!(heap.store_checked(h.addr(), 9));
+        assert_eq!(heap.load_checked(h.addr()), Some(9));
     }
 
     #[test]

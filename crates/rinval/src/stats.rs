@@ -39,6 +39,11 @@ pub struct PhaseStats {
     pub reads: u64,
     /// Transactional writes performed (including re-executions).
     pub writes: u64,
+    /// Committed transactions whose write-set was *silent* — every buffered
+    /// value already held in the heap — and that therefore committed
+    /// locally as read-only (DESIGN.md §14). A subset of `commits`; always
+    /// 0 on InvalSTM, which keeps the paper's commit for every write-set.
+    pub silent_commits: u64,
 }
 
 impl PhaseStats {
@@ -53,6 +58,7 @@ impl PhaseStats {
         self.aborts += other.aborts;
         self.reads += other.reads;
         self.writes += other.writes;
+        self.silent_commits += other.silent_commits;
     }
 
     /// Resets all counters.
@@ -488,18 +494,21 @@ mod tests {
         let mut a = PhaseStats {
             commits: 3,
             aborts: 1,
+            silent_commits: 1,
             validation: Duration::from_millis(5),
             ..Default::default()
         };
         let b = PhaseStats {
             commits: 2,
             aborts: 2,
+            silent_commits: 2,
             validation: Duration::from_millis(7),
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.commits, 5);
         assert_eq!(a.aborts, 3);
+        assert_eq!(a.silent_commits, 3);
         assert_eq!(a.validation, Duration::from_millis(12));
     }
 

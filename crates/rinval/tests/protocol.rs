@@ -338,8 +338,9 @@ fn server_serves_many_clients() {
     }
 }
 
-/// The commit-server's timestamp advances by exactly 2 per write commit
-/// and not at all for read-only transactions.
+/// The timestamp advances by exactly 2 per commit that changes a word and
+/// not at all for read-only transactions. Every write below writes a value
+/// the word does not hold, so the rule means the same on every kind.
 #[test]
 fn timestamp_discipline() {
     for algo in AlgorithmKind::all(1, 1) {
@@ -352,7 +353,7 @@ fn timestamp_discipline() {
             th.run(|tx| tx.read(x).map(|_| ()));
         }
         assert_eq!(stm.timestamp(), t0, "read-only commits bumped ts under {algo:?}");
-        for i in 0..3 {
+        for i in 1..=3 {
             th.run(|tx| tx.write(x, i));
         }
         assert_eq!(
@@ -360,6 +361,36 @@ fn timestamp_discipline() {
             t0 + 6,
             "write commits must bump ts by 2 under {algo:?}"
         );
+    }
+}
+
+/// The converse: a commit that rewrites the value a word already holds is
+/// a read-only transaction at its snapshot. NOrec and the remote kinds'
+/// first attempts commit it locally — the timestamp stays put and the
+/// thread counts a silent commit — while InvalSTM keeps the paper's commit
+/// and bumps the timestamp by 2.
+#[test]
+fn rewriting_held_values_moves_the_timestamp_on_invalstm_only() {
+    for algo in AlgorithmKind::all(1, 1) {
+        let stm = Stm::builder(algo).heap_words(256).build();
+        let x = stm.alloc_init(&[7, 8]);
+        let mut th = stm.register_thread();
+        let t0 = stm.timestamp();
+        th.run(|tx| tx.write(x, 7));
+        th.run(|tx| {
+            let v = tx.read(x.field(1))?;
+            tx.write(x.field(1), v)?;
+            tx.write(x, 7)
+        });
+        let (bump, silent) = if algo == AlgorithmKind::InvalStm {
+            (4, 0)
+        } else {
+            (0, 2)
+        };
+        assert_eq!(stm.timestamp(), t0 + bump, "{algo:?}");
+        assert_eq!(th.stats().silent_commits, silent, "{algo:?}");
+        assert_eq!(th.stats().commits, 2, "{algo:?}");
+        assert_eq!((stm.peek(x), stm.peek(x.field(1))), (7, 8), "{algo:?}");
     }
 }
 

@@ -29,6 +29,15 @@
 //!   moved words the write-set's transaction read — the registered retry
 //!   commits — and admitted if it moved other words.
 //!
+//! Silent write-sets — every buffered value already in the heap — commit
+//! locally as read-only on NOrec and on unregistered first attempts:
+//!
+//! * (i) a write-set that was silent at its snapshot but is no longer
+//!   current, because a commit it depends on landed after its read, still
+//!   takes the ordinary commit and aborts (every kind, deterministically);
+//! * (j) zero-amount transfers (silent) mixed with real ones over a
+//!   conserved sum, with in-attempt sum checks by readers.
+//!
 //! Opacity of declared readers under transfer writers (conserved sums,
 //! in-attempt partial-sum checks) is
 //! `mv_snapshot.rs::snapshots_are_opaque_no_torn_reads`, which runs these
@@ -661,5 +670,138 @@ fn stale_unregistered_write_set_is_rechecked_by_value() {
             assert_eq!(stm.timestamp(), 4, "{case}: two commits");
             assert!(!stm.is_degraded(), "{case}");
         }
+    }
+}
+
+/// (i) The timestamp re-check of a silent write-set, deterministically.
+/// With `x = 5` and `y = 0`, the body reads `y` and writes
+/// `x := if y == 0 { 5 } else { 7 }`. Its first attempt waits, between the
+/// read and the write, for another thread to commit `y := 1`: the buffered
+/// `x = 5` still equals the heap word, but the snapshot it was computed at
+/// is gone, so the write-set must not commit as silent. The attempt aborts
+/// and the retry writes 7 — on every kind.
+#[test]
+fn overtaken_silent_write_set_is_not_committed() {
+    for kind in AlgorithmKind::all(2, 1) {
+        let stm = Stm::builder(kind).heap_words(256).build();
+        let x = stm.alloc_init(&[5]);
+        let y = stm.alloc_init(&[0]);
+        let mut th = stm.register_thread();
+        let mut attempts = 0;
+        th.run(|tx| {
+            attempts += 1;
+            let v = tx.read(y)?;
+            if attempts == 1 {
+                std::thread::scope(|s| {
+                    s.spawn(|| stm.register_thread().run(|tx2| tx2.write(y, 1)));
+                });
+            }
+            tx.write(x, if v == 0 { 5 } else { 7 })
+        });
+        assert_eq!((stm.peek(x), attempts), (7, 2), "{kind:?}");
+        assert_eq!(th.stats().silent_commits, 0, "{kind:?}");
+        assert!(!stm.is_degraded(), "{kind:?}");
+    }
+}
+
+/// (j) Silent and real transfers over a conserved sum. Two writers move
+/// amounts between four accounts, every other transfer a zero-amount one
+/// (a silent write-set); some of their first attempts yield between the
+/// reads and the commit, so real commits land inside silent attempts even
+/// on one core. Two readers sum all four accounts inside each attempt.
+/// Covers NOrec and every remote kind.
+#[test]
+fn silent_transfers_keep_sums_conserved() {
+    const TOTAL: u64 = 1_000;
+    const TRANSFERS: u64 = 2_000;
+    let mut kinds = vec![AlgorithmKind::NOrec];
+    kinds.extend(writer_kinds());
+    for kind in kinds {
+        let stm = Stm::builder(kind)
+            .heap_words(1 << 12)
+            .max_threads(8)
+            .build();
+        let arr = stm.alloc(4);
+        stm.poke(arr.field(0), TOTAL);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(4);
+        let (stm, done, start) = (&stm, &done, &start);
+
+        let (silent, audits) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2u64)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut th = stm.register_thread();
+                        start.wait();
+                        let mut zero_amounts = 0;
+                        for i in 0..TRANSFERS {
+                            let from = arr.field(((i + w) % 4) as u32);
+                            let to = arr.field(((i + w + 1) % 4) as u32);
+                            let mut attempts = 0;
+                            let n = th.run(|tx| {
+                                attempts += 1;
+                                let (a, b) = (tx.read(from)?, tx.read(to)?);
+                                let n = if i % 2 == 0 { 0 } else { a.min(3) };
+                                tx.write(from, a - n)?;
+                                tx.write(to, b + n)?;
+                                if attempts == 1 && i % 8 < 2 {
+                                    // Give the other writer a bounded
+                                    // chance to commit inside this attempt.
+                                    let t = stm.timestamp();
+                                    for _ in 0..64 {
+                                        if stm.timestamp() != t {
+                                            break;
+                                        }
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                Ok(n)
+                            });
+                            zero_amounts += u64::from(n == 0);
+                        }
+                        let silent = th.stats().silent_commits;
+                        assert!(
+                            silent <= zero_amounts,
+                            "{kind:?}: a transfer that moved units counted silent"
+                        );
+                        silent
+                    })
+                })
+                .collect();
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut th = stm.register_thread();
+                        start.wait();
+                        let mut n = 0u64;
+                        while !done.load(Ordering::Relaxed) || n < 50 {
+                            th.run_ro(|tx| {
+                                let mut acc = 0;
+                                for k in 0..4 {
+                                    acc += tx.read(arr.field(k))?;
+                                    assert!(acc <= TOTAL, "{kind:?}: partial sum {acc}");
+                                }
+                                assert_eq!(acc, TOTAL, "{kind:?}: torn sum");
+                                Ok(())
+                            });
+                            n += 1;
+                            // Leave the core to the writers and the servers.
+                            std::thread::yield_now();
+                        }
+                        n
+                    })
+                })
+                .collect();
+            let silent: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            done.store(true, Ordering::Relaxed);
+            let audits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            (silent, audits)
+        });
+
+        let sum: u64 = (0..4).map(|k| stm.peek(arr.field(k))).sum();
+        assert_eq!(sum, TOTAL, "{kind:?}");
+        assert!(audits >= 100, "{kind:?}");
+        assert!(silent > 0, "{kind:?}: no transfer committed silently");
+        assert!(!stm.is_degraded(), "{kind:?}");
     }
 }
