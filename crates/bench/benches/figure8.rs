@@ -21,7 +21,9 @@ fn expectation(app: App) -> &'static str {
             "NOrec best (read-intensive; aborts dominate invalidation); \
              RInval between NOrec and InvalSTM"
         }
-        App::Labyrinth | App::Bayes => "all algorithms roughly equal (non-transactional work dominates)",
+        App::Labyrinth | App::Bayes => {
+            "all algorithms roughly equal (non-transactional work dominates)"
+        }
     }
 }
 

@@ -117,7 +117,10 @@ fn dispatch_gate(ops: u64) -> bool {
     for algo in [AlgorithmKind::NOrec, AlgorithmKind::InvalStm] {
         let (mono, enumed) = dispatch_pair(algo, ops);
         let ratio = mono / enumed;
-        println!("{:>14} {mono:>12.2} {enumed:>12.2} {ratio:>8.2}", algo.name());
+        println!(
+            "{:>14} {mono:>12.2} {enumed:>12.2} {ratio:>8.2}",
+            algo.name()
+        );
         if ratio > TOLERANCE {
             eprintln!(
                 "FAIL: {}: monomorphized read path is {ratio:.2}x the enum-dispatch \

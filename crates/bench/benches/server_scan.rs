@@ -131,7 +131,8 @@ fn kernel_speedup(slots: usize, iters: u32, reps: usize) -> f64 {
     for i in 0..slots {
         reg.live().set(i);
         let s = reg.slot(i);
-        s.tx_status.store(TX_ALIVE, std::sync::atomic::Ordering::SeqCst);
+        s.tx_status
+            .store(TX_ALIVE, std::sync::atomic::Ordering::SeqCst);
         for k in 0..16u32 {
             s.read_bf.owner_insert((i as u32) * 64 + k);
         }

@@ -502,7 +502,10 @@ mod tests {
                 false_hits += 1;
             }
         }
-        assert!(false_hits < 20, "too many false intersections: {false_hits}");
+        assert!(
+            false_hits < 20,
+            "too many false intersections: {false_hits}"
+        );
     }
 
     #[test]
@@ -528,7 +531,10 @@ mod tests {
             }
         }
         // ~ 100/16384 ≈ 0.6%; allow generous slack.
-        assert!(fp < probes / 10, "false positive rate too high: {fp}/{probes}");
+        assert!(
+            fp < probes / 10,
+            "false positive rate too high: {fp}/{probes}"
+        );
     }
 
     #[test]

@@ -203,13 +203,16 @@ pub fn parse_spec(spec: &str) -> Vec<SpecEntry> {
             .split_once('=')
             .unwrap_or_else(|| panic!("RINVAL_FAILPOINTS: missing '=' in '{entry}'"));
         let name = name.trim();
-        let idx = SITE_NAMES.iter().position(|&n| n == name).unwrap_or_else(|| {
-            panic!(
-                "RINVAL_FAILPOINTS: unknown site '{name}' in '{entry}' \
+        let idx = SITE_NAMES
+            .iter()
+            .position(|&n| n == name)
+            .unwrap_or_else(|| {
+                panic!(
+                    "RINVAL_FAILPOINTS: unknown site '{name}' in '{entry}' \
                  (valid sites: {})",
-                SITE_NAMES.join(", ")
-            )
-        });
+                    SITE_NAMES.join(", ")
+                )
+            });
         if let Some(prev) = seen[idx] {
             panic!(
                 "RINVAL_FAILPOINTS: site '{name}' armed twice ('{prev}' and \
@@ -484,9 +487,11 @@ mod imp {
             }
             let fire_code = if code == ACT_PROB {
                 // The i-th hit's draw is a pure function of (seed, i).
-                let draw = mix64(s.seed.load(Ordering::Relaxed).wrapping_add(
-                    hit.wrapping_add(1).wrapping_mul(GAMMA),
-                ));
+                let draw = mix64(
+                    s.seed
+                        .load(Ordering::Relaxed)
+                        .wrapping_add(hit.wrapping_add(1).wrapping_mul(GAMMA)),
+                );
                 if (draw >> 48) as u32 >= s.prob.load(Ordering::Relaxed) {
                     return None;
                 }
@@ -515,10 +520,8 @@ mod imp {
             );
             // Thread tag excluded: which thread lands on a hit index is
             // scheduling-dependent, the (site, action, index) triple is not.
-            self.digest.fetch_xor(
-                mix64(pack_entry(site_idx, code, hit, 0)),
-                Ordering::Relaxed,
-            );
+            self.digest
+                .fetch_xor(mix64(pack_entry(site_idx, code, hit, 0)), Ordering::Relaxed);
         }
 
         /// Total fires recorded since the last [`FaultPlan::set_seed`].
@@ -707,7 +710,9 @@ mod tests {
     #[test]
     fn spec_parsing_arms_sites() {
         let p = FaultPlan::default();
-        p.arm_from_spec("server.commit.death=exit:1; server.inval.lag=delay(7) ;txn.body.panic=panic");
+        p.arm_from_spec(
+            "server.commit.death=exit:1; server.inval.lag=delay(7) ;txn.body.panic=panic",
+        );
         assert_eq!(p.hit(site::SERVER_COMMIT_DEATH), Some(FaultAction::Exit));
         assert_eq!(p.hit(site::SERVER_COMMIT_DEATH), None);
         assert_eq!(
@@ -741,9 +746,15 @@ mod tests {
         let msg = err
             .downcast_ref::<String>()
             .expect("panic payload is a formatted string");
-        assert!(msg.contains("'no.such.site'"), "offending token missing: {msg}");
+        assert!(
+            msg.contains("'no.such.site'"),
+            "offending token missing: {msg}"
+        );
         for name in SITE_NAMES {
-            assert!(msg.contains(name), "valid site '{name}' missing from: {msg}");
+            assert!(
+                msg.contains(name),
+                "valid site '{name}' missing from: {msg}"
+            );
         }
     }
 
@@ -766,8 +777,14 @@ mod tests {
         })
         .expect_err("duplicate site must panic");
         let msg = err.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("'svc.reply.pre=exit:3'"), "first entry missing: {msg}");
-        assert!(msg.contains("'svc.reply.pre=panic'"), "second entry missing: {msg}");
+        assert!(
+            msg.contains("'svc.reply.pre=exit:3'"),
+            "first entry missing: {msg}"
+        );
+        assert!(
+            msg.contains("'svc.reply.pre=panic'"),
+            "second entry missing: {msg}"
+        );
     }
 
     #[test]
@@ -812,7 +829,11 @@ mod tests {
     fn prob_budget_bounds_hit_indexes_not_fires() {
         let p = FaultPlan::default();
         p.set_seed(7);
-        p.arm(site::SVC_ENQUEUE, FaultAction::prob(0.5, ProbFault::Fail), Some(8));
+        p.arm(
+            site::SVC_ENQUEUE,
+            FaultAction::prob(0.5, ProbFault::Fail),
+            Some(8),
+        );
         let mut fires = 0;
         for _ in 0..8 {
             if p.hit(site::SVC_ENQUEUE).is_some() {

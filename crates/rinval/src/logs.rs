@@ -248,7 +248,10 @@ mod tests {
     fn overwrite_keeps_single_entry() {
         let mut ws = WriteSet::new();
         assert!(ws.insert(h(1), 10));
-        assert!(!ws.insert(h(1), 11), "second write to same addr is an update");
+        assert!(
+            !ws.insert(h(1), 11),
+            "second write to same addr is an update"
+        );
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.get(h(1)), Some(11));
         assert_eq!(ws.entries()[0].val, 11);

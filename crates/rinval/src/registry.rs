@@ -851,7 +851,10 @@ mod tests {
         reg.slot(0)
             .tx_status
             .store(TX_INVALIDATED, Ordering::SeqCst);
-        assert!(reg.live().get(0), "invalidated (still live) slot lost its bit");
+        assert!(
+            reg.live().get(0),
+            "invalidated (still live) slot lost its bit"
+        );
         reg.end(0);
         assert!(!reg.slot(0).is_live());
     }

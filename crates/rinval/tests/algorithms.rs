@@ -51,7 +51,9 @@ fn bank_test(algo: AlgorithmKind) {
                 let mut th = stm.register_thread();
                 let mut seed = 12345 + t;
                 for _ in 0..TRANSFERS {
-                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     let from = (seed >> 33) as usize % ACCOUNTS;
                     let to = (seed >> 13) as usize % ACCOUNTS;
                     if from == to {
@@ -175,7 +177,10 @@ fn publication_test(algo: AlgorithmKind) {
                     while cur != 0 {
                         let node = rinval::Handle::from_word(cur);
                         let payload = tx.read(node.field(0))?;
-                        assert!(payload >= 100, "uninitialized node published under {algo:?}");
+                        assert!(
+                            payload >= 100,
+                            "uninitialized node published under {algo:?}"
+                        );
                         cur = tx.read(node.field(1))?;
                         n += 1;
                     }

@@ -194,7 +194,10 @@ fn from_str_inverts_name() {
         assert_eq!(parsed.name(), name);
     }
     // `all` is `NAMES`, engine for name: neither list can drop an engine.
-    assert_eq!(AlgorithmKind::all(2, 3).map(|k| k.name()), AlgorithmKind::NAMES);
+    assert_eq!(
+        AlgorithmKind::all(2, 3).map(|k| k.name()),
+        AlgorithmKind::NAMES
+    );
 }
 
 #[test]
@@ -217,17 +220,20 @@ fn from_str_rejects_junk() {
     for bad in [
         "rstm",
         "",
-        "norec:2",        // no parameters on a fixed kind
-        "rinval-v2:x",    // non-numeric parameter
-        "rinval-v2:1:2",  // too many parameters for V2
+        "norec:2",       // no parameters on a fixed kind
+        "rinval-v2:x",   // non-numeric parameter
+        "rinval-v2:1:2", // too many parameters for V2
         "rinval-v3:1:2:3",
-        "RINVAL-V2",      // names are case-sensitive and canonical
-        "rinval-v2:0",    // zero invalidators would silently run one
+        "RINVAL-V2",   // names are case-sensitive and canonical
+        "rinval-v2:0", // zero invalidators would silently run one
         "rinval-v3:0:2",
         "rinval-mv:0:2",
     ] {
         let e = bad.parse::<AlgorithmKind>().unwrap_err();
         let msg = e.to_string();
-        assert!(msg.contains("norec"), "error must list accepted names: {msg}");
+        assert!(
+            msg.contains("norec"),
+            "error must list accepted names: {msg}"
+        );
     }
 }

@@ -84,11 +84,7 @@ fn concurrent_churn_no_double_handout_no_corruption() {
         });
 
         let st = stm.heap_stats();
-        assert_eq!(
-            st.freed_words,
-            THREADS * ITERS * 2,
-            "{algo:?}: lost frees"
-        );
+        assert_eq!(st.freed_words, THREADS * ITERS * 2, "{algo:?}: lost frees");
         assert!(
             st.recycled_words > 0,
             "{algo:?}: no recycling under sustained churn"
@@ -246,15 +242,17 @@ fn retired_versions_recycle_past_the_horizon() {
     const ROUNDS: u64 = 40;
     with_parked_reader(&stm, || churn(&mut th, h, ROUNDS));
     let st = stm.heap_stats();
-    assert!(st.version_ring_depth > 0, "MV instances must enable the ring");
+    assert!(
+        st.version_ring_depth > 0,
+        "MV instances must enable the ring"
+    );
     assert!(
         st.version_appends >= ROUNDS * 3,
         "every write-back under a reader must append a version (appends = {})",
         st.version_appends
     );
     assert!(
-        st.version_entries > 0
-            && st.version_entries <= 3 * st.version_ring_depth as u64,
+        st.version_entries > 0 && st.version_entries <= 3 * st.version_ring_depth as u64,
         "occupancy must be bounded by words × depth (entries = {})",
         st.version_entries
     );

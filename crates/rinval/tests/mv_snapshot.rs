@@ -36,7 +36,10 @@ fn mv() -> AlgorithmKind {
 fn ro_commits_in_one_attempt_under_hostile_writers() {
     const QUIET: u32 = 16;
     const RO_TXS: u64 = 400;
-    let stm = Stm::builder(mv()).heap_words(1 << 12).max_threads(8).build();
+    let stm = Stm::builder(mv())
+        .heap_words(1 << 12)
+        .max_threads(8)
+        .build();
     let arr = stm.alloc(QUIET as usize + 1);
     let contended = arr.field(QUIET);
     let stop = AtomicBool::new(false);
@@ -236,7 +239,10 @@ fn snapshots_are_opaque_no_torn_reads() {
 #[test]
 fn ring_miss_fallback_terminates_and_advances() {
     const OVERWRITES: u64 = 64; // comfortably > any plausible ring depth
-    let stm = Stm::builder(mv()).heap_words(1 << 10).max_threads(4).build();
+    let stm = Stm::builder(mv())
+        .heap_words(1 << 10)
+        .max_threads(4)
+        .build();
     let arr = stm.alloc(2);
     let quiet = arr.field(0);
     let hot = arr.field(1);

@@ -288,7 +288,10 @@ fn latency_histogram_records_commit_quantiles() {
     let p50 = s.latency_quantile_ns(0.5);
     let p99 = s.latency_quantile_ns(0.99);
     assert!(p50.is_some(), "histogram recorded nothing");
-    assert!(p99 >= p50, "quantiles not monotone: p50 {p50:?} p99 {p99:?}");
+    assert!(
+        p99 >= p50,
+        "quantiles not monotone: p50 {p50:?} p99 {p99:?}"
+    );
 }
 
 /// `irrevocable_after(u32::MAX)` means never: no token is ever granted,

@@ -305,7 +305,8 @@ impl<'a> Engine<'a> {
         let wait = start - self.now;
         // Data access: big-structure probes miss the cache hierarchy.
         let data = (self.cfg.workload.data_miss_frac * costs.dram as f64
-            + (1.0 - self.cfg.workload.data_miss_frac) * costs.hit as f64) as u64;
+            + (1.0 - self.cfg.workload.data_miss_frac) * costs.hit as f64)
+            as u64;
         let mut cost;
         match self.cfg.algo {
             SimAlgorithm::NOrec => {
@@ -436,9 +437,7 @@ impl<'a> Engine<'a> {
         let victims = self.sample_victims(tid, p);
         // Reader-bias policy: too many victims → the committer yields.
         if let Some(budget) = self.cfg.reader_bias {
-            if !matches!(self.cfg.algo, SimAlgorithm::NOrec)
-                && victims.len() as u32 > budget
-            {
+            if !matches!(self.cfg.algo, SimAlgorithm::NOrec) && victims.len() as u32 > budget {
                 let census = self.scaled((self.cfg.threads as u64) * self.cfg.costs.hit);
                 self.accs[tid].commit += census + (self.now - self.clients[tid].commit_enter);
                 self.release_lock(self.now + census);
@@ -501,11 +500,10 @@ impl<'a> Engine<'a> {
         // V2/V3: before touching the ring slot, wait until no
         // invalidation-server lags more than `steps` commits.
         let mut start = self.now;
-        if nk > 0
-            && self.inval_history.len() > steps {
-                let idx = self.inval_history.len() - 1 - steps;
-                start = start.max(self.inval_history[idx]);
-            }
+        if nk > 0 && self.inval_history.len() > steps {
+            let idx = self.inval_history.len() - 1 - steps;
+            start = start.max(self.inval_history[idx]);
+        }
 
         // Authoritative status check (requester's own invalidations have
         // been applied by `start` thanks to the catch-up above).

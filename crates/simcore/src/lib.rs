@@ -84,7 +84,10 @@ mod tests {
             SimAlgorithm::InvalStm,
             SimAlgorithm::RInvalV1,
             SimAlgorithm::RInvalV2 { invalidators: 4 },
-            SimAlgorithm::RInvalV3 { invalidators: 4, steps_ahead: 3 },
+            SimAlgorithm::RInvalV3 {
+                invalidators: 4,
+                steps_ahead: 3,
+            },
         ] {
             let r = quick(algo, 8, presets::rbtree(50));
             assert!(r.commits > 100, "{algo:?} committed only {}", r.commits);
@@ -158,7 +161,10 @@ mod tests {
             simulate(&cfg).commits
         };
         let v2 = mk(SimAlgorithm::RInvalV2 { invalidators: 4 });
-        let v3 = mk(SimAlgorithm::RInvalV3 { invalidators: 4, steps_ahead: 4 });
+        let v3 = mk(SimAlgorithm::RInvalV3 {
+            invalidators: 4,
+            steps_ahead: 4,
+        });
         assert!(
             v3 as f64 >= v2 as f64 * 0.95,
             "V3 ({v3}) should tolerate stalls at least as well as V2 ({v2})"

@@ -307,7 +307,11 @@ mod tests {
         assert_eq!(SimAlgorithm::RInvalV1.server_cores(), 1);
         assert_eq!(SimAlgorithm::RInvalV2 { invalidators: 4 }.server_cores(), 5);
         assert_eq!(
-            SimAlgorithm::RInvalV3 { invalidators: 2, steps_ahead: 3 }.server_cores(),
+            SimAlgorithm::RInvalV3 {
+                invalidators: 2,
+                steps_ahead: 3
+            }
+            .server_cores(),
             3
         );
     }

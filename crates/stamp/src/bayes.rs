@@ -56,13 +56,7 @@ pub fn generate_candidates(cfg: &Config) -> Vec<(u64, u64)> {
 /// Transactionally checks whether `to` can already reach `from` through
 /// the adjacency bitmap (row `u` = bits `u*vars .. u*vars+vars`); if so,
 /// adding `from → to` would create a cycle.
-fn reaches(
-    adj: &TBitmap,
-    vars: u64,
-    tx: &mut Txn<'_>,
-    start: u64,
-    target: u64,
-) -> TxResult<bool> {
+fn reaches(adj: &TBitmap, vars: u64, tx: &mut Txn<'_>, start: u64, target: u64) -> TxResult<bool> {
     let mut stack = vec![start];
     let mut visited = vec![false; vars as usize];
     visited[start as usize] = true;
@@ -131,8 +125,7 @@ fn run_on(
                             if reaches(adj, cfg.vars, tx, to, from)? {
                                 return Ok(());
                             }
-                            adj.set(tx, from * cfg.vars + to)
-                                .map(|_| ())
+                            adj.set(tx, from * cfg.vars + to).map(|_| ())
                         });
                     }
                     th.take_stats()
@@ -214,7 +207,9 @@ mod tests {
     #[test]
     fn sequential_graph_is_acyclic() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 12)
+            .build();
         run_verified(&stm, 1, &cfg).unwrap();
     }
 

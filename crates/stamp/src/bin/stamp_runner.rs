@@ -122,7 +122,12 @@ fn main() {
     let app_arg = args.get(1).map(String::as_str).unwrap_or("all");
     // The canonical parser lives on AlgorithmKind (FromStr); its error
     // already lists AlgorithmKind::NAMES and the parameter syntax.
-    let algo: AlgorithmKind = match args.get(2).map(String::as_str).unwrap_or("rinval-v2").parse() {
+    let algo: AlgorithmKind = match args
+        .get(2)
+        .map(String::as_str)
+        .unwrap_or("rinval-v2")
+        .parse()
+    {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");

@@ -157,7 +157,8 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
                             // (k-1)-prefix: drop the last symbol, keep guard.
                             let prefix = seg >> 2;
                             // (k-1)-suffix: drop the first symbol, re-guard.
-                            let suffix = (seg & ((1u64 << (2 * (seg_len - 1))) - 1)) | (1u64 << (2 * (seg_len - 1)));
+                            let suffix = (seg & ((1u64 << (2 * (seg_len - 1))) - 1))
+                                | (1u64 << (2 * (seg_len - 1)));
                             let was_linked = th.run(|tx| {
                                 chain.insert(tx, prefix, seg)?;
                                 // Does some segment end with our prefix —
@@ -252,7 +253,9 @@ mod tests {
     #[test]
     fn sequential_run_verifies() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
         let report = run(&stm, 1, &cfg);
         verify(&cfg, &report).unwrap();
     }

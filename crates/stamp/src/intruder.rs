@@ -71,7 +71,10 @@ pub fn generate_trace(cfg: &Config) -> Vec<Fragment> {
         for i in 0..cfg.frags_per_flow - 1 {
             let p = rng.next_u64() & PAYLOAD_MASK;
             acc ^= p;
-            trace.push(Fragment { flow: f, payload: p });
+            trace.push(Fragment {
+                flow: f,
+                payload: p,
+            });
             let _ = i;
         }
         // Last fragment fixes the XOR: attack flows hit the signature,
@@ -138,10 +141,8 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
                         // Tx 2: fold into the flow's reassembly state; if
                         // complete, extract the flow.
                         let done = th.run(|tx| {
-                            let (count, xor) = assembly
-                                .get(tx, flow)?
-                                .map(unpack_state)
-                                .unwrap_or((0, 0));
+                            let (count, xor) =
+                                assembly.get(tx, flow)?.map(unpack_state).unwrap_or((0, 0));
                             let count = count + 1;
                             let xor = xor ^ payload;
                             if count == cfg.frags_per_flow {
@@ -191,7 +192,10 @@ pub fn verify(cfg: &Config, report: &RunReport) -> Result<(), String> {
     if report.checksum == want {
         Ok(())
     } else {
-        Err(format!("detected {} attacks, planted {want}", report.checksum))
+        Err(format!(
+            "detected {} attacks, planted {want}",
+            report.checksum
+        ))
     }
 }
 
@@ -241,7 +245,9 @@ mod tests {
     #[test]
     fn sequential_detects_all_planted() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build();
         let report = run(&stm, 1, &cfg);
         verify(&cfg, &report).unwrap();
     }

@@ -183,9 +183,7 @@ pub fn run(stm: &Stm, threads: usize, cfg: &Config) -> RunReport {
 
     // Checksum: points assigned to their generating blob. With well
     // separated blobs this should be every point once converged.
-    let correct = (0..cfg.points)
-        .filter(|&p| assignments[p] == p % k)
-        .count() as u64;
+    let correct = (0..cfg.points).filter(|&p| assignments[p] == p % k).count() as u64;
 
     RunReport {
         wall,
@@ -245,7 +243,9 @@ mod tests {
     #[test]
     fn single_thread_converges() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build();
         let report = run(&stm, 1, &cfg);
         verify(&cfg, &report).unwrap();
         assert!(report.stats.commits >= (cfg.points * cfg.iterations) as u64);

@@ -139,8 +139,7 @@ fn route_all(
                                     != 0;
                             }
                             // (2) Private BFS — the dominant, non-tx cost.
-                            let Some(path) = bfs(cfg.width, cfg.height, &occupied, src, dst)
-                            else {
+                            let Some(path) = bfs(cfg.width, cfg.height, &occupied, src, dst) else {
                                 break; // permanently blocked
                             };
                             // (3) Short all-or-nothing claim transaction.
@@ -286,8 +285,7 @@ mod tests {
             AlgorithmKind::RInvalV2 { invalidators: 2 },
         ] {
             let stm = Stm::builder(algo).heap_words(1 << 14).build();
-            let report = run_verified(&stm, 3, &cfg)
-                .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            let report = run_verified(&stm, 3, &cfg).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             assert!(report.checksum > 0, "{algo:?} routed nothing");
         }
     }

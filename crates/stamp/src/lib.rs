@@ -66,7 +66,7 @@ impl RunReport {
             checksum: 0,
             heap: stm.heap_stats(),
             server: stm.server_stats(),
-            }
+        }
     }
 
     /// Committed transactions per second over the parallel phase.
@@ -354,7 +354,10 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle left the slice sorted (astronomically unlikely)");
+        assert_ne!(
+            v, sorted,
+            "shuffle left the slice sorted (astronomically unlikely)"
+        );
     }
 
     #[test]

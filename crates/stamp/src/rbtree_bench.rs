@@ -157,7 +157,10 @@ mod tests {
             let stm = Stm::builder(algo).heap_words(cfg.heap_words()).build();
             let tree = setup(&stm, &cfg);
             let report = run_on(&stm, tree, 3, &cfg);
-            assert!(report.stats.commits > 0, "no transactions ran under {algo:?}");
+            assert!(
+                report.stats.commits > 0,
+                "no transactions ran under {algo:?}"
+            );
             tree.check_invariants(&stm)
                 .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
         }

@@ -158,7 +158,9 @@ mod tests {
     #[test]
     fn sequential_matches_model() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build();
         let report = run(&stm, 1, &cfg);
         verify(&stm, &cfg, &report).unwrap();
     }

@@ -144,7 +144,13 @@ impl Database {
     }
 
     /// Manager update: re-price a resource.
-    pub fn update_price(&self, tx: &mut Txn<'_>, rel_idx: usize, id: u64, price: u64) -> TxResult<()> {
+    pub fn update_price(
+        &self,
+        tx: &mut Txn<'_>,
+        rel_idx: usize,
+        id: u64,
+        price: u64,
+    ) -> TxResult<()> {
         let rel = self.relations[rel_idx];
         if let Some(v) = rel.get(tx, id)? {
             let (avail, _) = unpack(v);
@@ -183,7 +189,8 @@ impl Database {
             if keys.len() as u64 != cfg.resources {
                 return Err(format!("relation {t} lost resources"));
             }
-            rel.check_invariants(stm).map_err(|e| format!("relation {t}: {e}"))?;
+            rel.check_invariants(stm)
+                .map_err(|e| format!("relation {t}: {e}"))?;
         }
         // total - available == reservations, per relation.
         for t in 0..NUM_TYPES {
@@ -321,7 +328,9 @@ mod tests {
     #[test]
     fn sequential_conserves_everything() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
         let report = run_verified(&stm, 1, &cfg).unwrap();
         assert!(report.checksum > 0, "no reservations happened");
     }
@@ -335,8 +344,7 @@ mod tests {
             AlgorithmKind::RInvalV2 { invalidators: 2 },
         ] {
             let stm = Stm::builder(algo).heap_words(1 << 16).build();
-            let report = run_verified(&stm, 3, &cfg)
-                .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            let report = run_verified(&stm, 3, &cfg).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             assert!(report.checksum > 0);
         }
     }
@@ -344,7 +352,9 @@ mod tests {
     #[test]
     fn quote_matches_reserve_choice_and_is_read_only() {
         let cfg = small();
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
         let db = Database::setup(&stm, &cfg);
         let cands: Vec<u64> = (0..cfg.resources).collect();
         let mut th = stm.register_thread();
@@ -366,7 +376,9 @@ mod tests {
         cfg.initial_avail = 3;
         cfg.reserve_pct = 100;
         cfg.transactions = 300;
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
         let db = Database::setup(&stm, &cfg);
         let report = run_on(&stm, db, 2, &cfg);
         db.verify(&stm, &cfg).unwrap();

@@ -10,7 +10,10 @@ use stamp::{intruder, vacation};
 /// 1 Ki-word initial arena forces many growth steps mid-run.
 #[test]
 fn vacation_completes_with_tiny_initial_arena() {
-    for algo in [AlgorithmKind::NOrec, AlgorithmKind::RInvalV2 { invalidators: 2 }] {
+    for algo in [
+        AlgorithmKind::NOrec,
+        AlgorithmKind::RInvalV2 { invalidators: 2 },
+    ] {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let cfg = vacation::Config {
             resources: 64,
@@ -42,7 +45,10 @@ fn vacation_completes_with_tiny_initial_arena() {
 /// the arena all over again (the old bump heap doubled every batch).
 #[test]
 fn intruder_batches_recycle_instead_of_growing() {
-    for algo in [AlgorithmKind::NOrec, AlgorithmKind::RInvalV2 { invalidators: 2 }] {
+    for algo in [
+        AlgorithmKind::NOrec,
+        AlgorithmKind::RInvalV2 { invalidators: 2 },
+    ] {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let cfg = intruder::Config {
             flows: 256,
@@ -58,7 +64,11 @@ fn intruder_batches_recycle_instead_of_growing() {
             "{algo:?}: working set never outgrew the initial arena: {:?}",
             r1.heap
         );
-        assert!(r1.heap.live_segments > 1, "{algo:?}: no growth: {:?}", r1.heap);
+        assert!(
+            r1.heap.live_segments > 1,
+            "{algo:?}: no growth: {:?}",
+            r1.heap
+        );
         assert!(
             r1.heap.freed_words > 0,
             "{algo:?}: node churn produced no frees: {:?}",

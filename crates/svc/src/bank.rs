@@ -101,7 +101,10 @@ impl Workload for BankService {
 
     fn query(&self, tx: &mut Txn<'_>, req: &Request) -> TxResult<u64> {
         match req.endpoint {
-            EP_BALANCE => tx.read(self.accounts.field((req.args[0] % self.accounts_len) as u32)),
+            EP_BALANCE => tx.read(
+                self.accounts
+                    .field((req.args[0] % self.accounts_len) as u32),
+            ),
             EP_AUDIT => {
                 let mut sum = 0u64;
                 for i in 0..self.accounts_len {
@@ -125,7 +128,9 @@ mod tests {
 
     #[test]
     fn transfer_conserves_and_audit_sees_total() {
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 12)
+            .build();
         let bank = BankService::setup(&stm, 8, 100);
         let mut th = stm.register_thread();
         let req = Request {

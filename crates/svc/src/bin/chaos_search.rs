@@ -75,7 +75,10 @@ fn main() {
                 if still_fails { "still fails" } else { "passes" }
             );
         });
-        println!("minimal failing episode ({} armed sites):", min_ep.plan.entries.len());
+        println!(
+            "minimal failing episode ({} armed sites):",
+            min_ep.plan.entries.len()
+        );
         for v in &min_out.violations {
             println!("  violation: {v}");
         }

@@ -68,7 +68,10 @@ impl WorkloadKind {
 /// The bank request shape shared by `svc_loadgen` and the search episodes.
 pub fn bank_plan(_c: u64, rng: &mut SplitMix, hot: u64, write: bool) -> (u8, [u64; 4]) {
     if write {
-        (bank::EP_TRANSFER, [hot, rng.below(256), 1 + rng.below(50), 0])
+        (
+            bank::EP_TRANSFER,
+            [hot, rng.below(256), 1 + rng.below(50), 0],
+        )
     } else if rng.below(10) == 0 {
         (bank::EP_AUDIT, [0; 4])
     } else {
@@ -156,7 +159,11 @@ impl PlanSpec {
             entries: faults::parse_spec(spec)
                 .into_iter()
                 .filter_map(|(site, action, times)| {
-                    action.map(|action| PlanEntry { site, action, times })
+                    action.map(|action| PlanEntry {
+                        site,
+                        action,
+                        times,
+                    })
                 })
                 .collect(),
         }
@@ -295,9 +302,7 @@ impl Episode {
             match k {
                 "algo" => ep.algo = v.parse().map_err(|e| format!("algo: {e}"))?,
                 "wl" => ep.workload = WorkloadKind::from_name(v)?,
-                "seed" => {
-                    ep.seed = u64::from_str_radix(v, 16).map_err(|e| format!("seed: {e}"))?
-                }
+                "seed" => ep.seed = u64::from_str_radix(v, 16).map_err(|e| format!("seed: {e}"))?,
                 "cli" => ep.clients = num()?,
                 "ops" => ep.ops_per_client = num()?,
                 "wr" => ep.write_pct = num()?,
@@ -634,10 +639,7 @@ mod tests {
                     "sampled a stall: {e:?}"
                 );
                 // No duplicate sites within a plan.
-                assert_eq!(
-                    p1.entries.iter().filter(|o| o.site == e.site).count(),
-                    1
-                );
+                assert_eq!(p1.entries.iter().filter(|o| o.site == e.site).count(), 1);
             }
             // The rendered spec must survive the duplicate-checking parser.
             let _ = PlanSpec::parse(&p1.render());

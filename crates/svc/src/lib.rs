@@ -419,7 +419,10 @@ pub fn serve<R>(
         // allocated for.
         dedup: Dedup::new(stm, cfg.clients, cfg.dedup_window),
         slots: Slots::new(cfg.clients, cfg.workers),
-        hists: endpoints.iter().map(|_| WindowHist::new(cfg.hist_window)).collect(),
+        hists: endpoints
+            .iter()
+            .map(|_| WindowHist::new(cfg.hist_window))
+            .collect(),
         counters: Counters::default(),
         cfg,
     };

@@ -107,7 +107,10 @@ pub fn check_ledger(report: &LoadReport, out: &mut Vec<String>) {
         out.push(format!("ledger: {} operations lost", report.lost));
     }
     if report.duplicated != 0 {
-        out.push(format!("ledger: {} operations duplicated", report.duplicated));
+        out.push(format!(
+            "ledger: {} operations duplicated",
+            report.duplicated
+        ));
     }
     if report.undrained != 0 {
         out.push(format!(
@@ -201,7 +204,9 @@ mod tests {
 
     #[test]
     fn quiescent_engine_passes_and_checks_fire() {
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 12)
+            .build();
         let mut out = Vec::new();
         check_engine(&stm, &Allowances::default(), &mut out);
         assert!(out.is_empty(), "{out:?}");
@@ -221,7 +226,9 @@ mod tests {
     fn conservation_check_reports_workload_violation() {
         use crate::{EndpointDesc, Request};
         use rinval::{TxResult, Txn};
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 12)
+            .build();
         let bank = crate::bank::BankService::setup(&stm, 4, 100);
         let mut out = Vec::new();
         check_conservation(&stm, &bank, &mut out);

@@ -171,7 +171,10 @@ impl Slots {
             }
             if !w.is_yielding() || Instant::now() < deadline {
                 w.pause();
-            } else if slot.req.step(s, if s == CLAIMED { ABANDONED } else { FREE }) {
+            } else if slot
+                .req
+                .step(s, if s == CLAIMED { ABANDONED } else { FREE })
+            {
                 // Abandoned, or withdrawn (`POSTED`) / freed (`LOST`). A
                 // failed CAS is the worker moving the slot: look again.
                 break false;
@@ -180,7 +183,8 @@ impl Slots {
         let out = if answered {
             let [tag, val] = [REPLY, REPLY + 1].map(|i| slot.words[i].load(Relaxed));
             slot.req.post(FREE);
-            tag.checked_sub(1).map_or(Ok(val), |e| Err(ERRORS[e as usize]))
+            tag.checked_sub(1)
+                .map_or(Ok(val), |e| Err(ERRORS[e as usize]))
         } else {
             Err(SvcError::Timeout)
         };
@@ -214,8 +218,15 @@ impl Slots {
     /// Claims everything still posted (the supervisor's shutdown sweep,
     /// after the workers are joined).
     pub(crate) fn claim_posted<'s>(&'s self, c: &'s Counters) -> impl Iterator<Item = Claim<'s>> {
-        let posted = |w: usize| self.seats[w].posted.iter_set_bits().map(move |bit| (w, bit));
-        (0..self.seats.len()).flat_map(posted).filter_map(move |(w, bit)| self.claim(w, bit, c))
+        let posted = |w: usize| {
+            self.seats[w]
+                .posted
+                .iter_set_bits()
+                .map(move |bit| (w, bit))
+        };
+        (0..self.seats.len())
+            .flat_map(posted)
+            .filter_map(move |(w, bit)| self.claim(w, bit, c))
     }
 
     /// Stops the workers: every [`Slots::claim_next`] returns `None` from
@@ -238,7 +249,12 @@ impl Slots {
             Claim {
                 slot,
                 counters: c,
-                req: Request { client, key, endpoint, args },
+                req: Request {
+                    client,
+                    key,
+                    endpoint,
+                    args,
+                },
                 deadline: self.epoch + Duration::from_nanos(ns),
                 next: LOST,
             }
@@ -405,14 +421,21 @@ mod tests {
                     })
                 })
                 .collect();
-            let worst = callers.into_iter().map(|h| h.join().unwrap()).max().unwrap();
+            let worst = callers
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .max()
+                .unwrap();
             slots.shut_down(c);
             // A turn is at most 100 ms and at most THREADS turns pass per
             // call; a slept-out park would add PARK_BOUND on top.
             assert!(worst < PARK_BOUND / 2, "a caller stalled for {worst:?}");
         });
         assert_eq!(c.snapshot().accepted, THREADS * CALLS);
-        assert!(c.snapshot().caller_parks > 0, "the park path was not reached");
+        assert!(
+            c.snapshot().caller_parks > 0,
+            "the park path was not reached"
+        );
     }
 
     /// The other three exits: a posted request nobody claimed is withdrawn

@@ -9,9 +9,9 @@
 //! request semantics a pure function of the request.
 
 use crate::{EndpointDesc, Request, Workload};
+use rinval::{Stm, TxResult, Txn};
 use stamp::vacation::{Config, Database};
 use stamp::SplitMix;
-use rinval::{Stm, TxResult, Txn};
 
 /// `reserve(relation, customer, candidate_seed)` — write; returns 1 if a
 /// resource was reserved, 0 if everything examined was sold out.
@@ -134,7 +134,9 @@ mod tests {
             transactions: 0,
             ..Config::default()
         };
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
         let svc = TravelService::setup(&stm, cfg);
         let mut th = stm.register_thread();
         let mk = |endpoint, args| Request {

@@ -60,7 +60,10 @@ fn chaos_soak_recovers_ledger_and_slo() {
     };
     let report = loadgen::run(&stm, &service, &svc_cfg, &cfg, &|_c, rng, hot, write| {
         if write {
-            (bank::EP_TRANSFER, [hot, rng.below(128), 1 + rng.below(20), 0])
+            (
+                bank::EP_TRANSFER,
+                [hot, rng.below(128), 1 + rng.below(20), 0],
+            )
         } else if rng.below(8) == 0 {
             (bank::EP_AUDIT, [0; 4])
         } else {

@@ -51,7 +51,8 @@ fn round_trip_on_every_engine() {
             );
             assert_eq!(front.applied_ops(3), 1);
         });
-        bank.verify(&stm).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        bank.verify(&stm)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
     }
 }
 
@@ -86,7 +87,8 @@ fn duplicate_keys_are_exactly_once_on_every_engine() {
                 "{kind:?}"
             );
         });
-        bank.verify(&stm).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        bank.verify(&stm)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
     }
 }
 
@@ -116,7 +118,9 @@ fn zero_deadline_times_out_then_retry_applies_once() {
 /// supervisor that never learns about shutdown.
 #[test]
 fn panicking_closure_propagates_instead_of_hanging() {
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 12)
+        .build();
     let bank = bank::BankService::setup(&stm, 4, 100);
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         serve(&stm, &bank, &SvcConfig::default(), |_front| -> () {
@@ -131,7 +135,9 @@ fn panicking_closure_propagates_instead_of_hanging() {
 #[test]
 #[should_panic(expected = "u32 handle index space")]
 fn oversized_dedup_table_panics_up_front() {
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 12)
+        .build();
     let bank = bank::BankService::setup(&stm, 4, 100);
     let cfg = SvcConfig {
         clients: 1 << 40,
@@ -146,7 +152,9 @@ fn oversized_dedup_table_panics_up_front() {
 #[test]
 #[should_panic(expected = "u32 handle index space")]
 fn oversized_dedup_window_panics_up_front() {
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 12)
+        .build();
     let bank = bank::BankService::setup(&stm, 4, 100);
     let cfg = SvcConfig {
         clients: 1,
@@ -185,7 +193,9 @@ impl svc::Workload for Sleepy {
 /// falls first times out without ever posting.
 #[test]
 fn busy_client_slot_is_waited_for_not_refused() {
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 12)
+        .build();
     let cfg = SvcConfig {
         workers: 1,
         ..SvcConfig::default()
@@ -214,7 +224,10 @@ fn busy_client_slot_is_waited_for_not_refused() {
         assert_eq!(front.stats().accepted, 1, "C must not have posted");
         // B: a long deadline outlasts the nap, gets the slot and is served.
         assert_eq!(front.call(nap(0), Duration::from_secs(30)), Ok(0));
-        assert!(t0.elapsed() >= Duration::from_millis(600), "B overtook the nap");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(600),
+            "B overtook the nap"
+        );
         let done = front.stats();
         assert_eq!(done.accepted, 2);
         assert_eq!(done.late_replies, 1, "A's answer found the slot abandoned");
@@ -241,7 +254,10 @@ fn slo_breach_sheds_writes_but_serves_reads() {
     };
     serve(&stm, &bank, &cfg, |front| {
         assert_eq!(front.call(transfer(0, 1, 0, 1, 10), TIMEOUT), Ok(10));
-        assert!(front.shedding_writes(), "breached window did not trip the gate");
+        assert!(
+            front.shedding_writes(),
+            "breached window did not trip the gate"
+        );
         assert_eq!(
             front.call(transfer(0, 2, 0, 1, 10), TIMEOUT),
             Err(SvcError::RetryAfter),
@@ -262,7 +278,9 @@ fn slo_breach_sheds_writes_but_serves_reads() {
 /// write regardless of latency.
 #[test]
 fn backpressure_threshold_sheds_writes() {
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 14)
+        .build();
     let bank = bank::BankService::setup(&stm, 8, 1_000);
     let cfg = SvcConfig {
         shed_pending: 0,
@@ -273,7 +291,11 @@ fn backpressure_threshold_sheds_writes() {
             front.call(transfer(0, 1, 0, 1, 10), TIMEOUT),
             Err(SvcError::RetryAfter)
         );
-        assert_eq!(front.call(audit(0), TIMEOUT), Ok(8_000), "reads must survive");
+        assert_eq!(
+            front.call(audit(0), TIMEOUT),
+            Ok(8_000),
+            "reads must survive"
+        );
     });
 }
 
@@ -320,7 +342,8 @@ mod drills {
                 assert!(stats.dedup_hits >= 5, "{kind:?}: recovery bypassed dedup");
             });
             stm.faults().disarm(site::SVC_REPLY_PRE);
-            bank.verify(&stm).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            bank.verify(&stm)
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         }
     }
 
@@ -351,7 +374,9 @@ mod drills {
     /// deaths and service continues on respawned workers.
     #[test]
     fn injected_worker_exits_are_respawned() {
-        let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build();
         let bank = bank::BankService::setup(&stm, 8, 1_000);
         stm.faults()
             .arm(site::SVC_WORKER_DEATH, FaultAction::Exit, Some(2));
@@ -368,14 +393,18 @@ mod drills {
     /// accepted request — and the retry of the same key stays exactly-once.
     #[test]
     fn enqueue_faults_reject_or_lose_but_never_duplicate() {
-        let stm = Stm::builder(AlgorithmKind::RInvalV1).heap_words(1 << 14).build();
+        let stm = Stm::builder(AlgorithmKind::RInvalV1)
+            .heap_words(1 << 14)
+            .build();
         let bank = bank::BankService::setup(&stm, 8, 1_000);
         let cfg = SvcConfig::default();
         serve(&stm, &bank, &cfg, |front| {
-            stm.faults().arm(site::SVC_ENQUEUE, FaultAction::Fail, Some(1));
+            stm.faults()
+                .arm(site::SVC_ENQUEUE, FaultAction::Fail, Some(1));
             let req = transfer(0, 1, 0, 1, 9);
             assert_eq!(front.call(req, RETRY_TIMEOUT), Err(SvcError::RetryAfter));
-            stm.faults().arm(site::SVC_ENQUEUE, FaultAction::Exit, Some(1));
+            stm.faults()
+                .arm(site::SVC_ENQUEUE, FaultAction::Exit, Some(1));
             assert_eq!(front.call(req, RETRY_TIMEOUT), Err(SvcError::Timeout));
             // Both faults consumed; the plain retry resolves the key.
             assert_eq!(call_until_acked(front, req), 9);

@@ -116,7 +116,8 @@ fn ping_pong_never_loses_a_wake() {
             "{kind:?}: the hammer never reached the park path: {stats:?}"
         );
         assert_eq!(stats.client_timeouts, 0, "{kind:?}: {stats:?}");
-        bank.verify(&stm).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        bank.verify(&stm)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
     }
 }
 
@@ -156,7 +157,8 @@ fn oversubscribed_clients_are_all_answered() {
                 "{kind:?}: {stats:?}"
             );
         });
-        bank.verify(&stm).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        bank.verify(&stm)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
     }
 }
 
@@ -168,7 +170,9 @@ fn oversubscribed_clients_are_all_answered() {
 fn hot_path_never_parks() {
     let _serial = serial();
     const CALLS: u64 = 20_000;
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 14)
+        .build();
     let bank = bank::BankService::setup(&stm, 16, 1_000_000);
     serve(&stm, &bank, &config(1, 1), |front| {
         assert_eq!(front.call(transfer(0, 1), Duration::from_secs(30)), Ok(1));
@@ -178,7 +182,10 @@ fn hot_path_never_parks() {
         }
         let st = front.stats();
         let parks = st.caller_parks + st.worker_parks - before.caller_parks - before.worker_parks;
-        assert!(parks <= CALLS / 100, "{parks} parks in {CALLS} calls: {st:?}");
+        assert!(
+            parks <= CALLS / 100,
+            "{parks} parks in {CALLS} calls: {st:?}"
+        );
     });
 }
 
@@ -188,7 +195,9 @@ fn hot_path_never_parks() {
 #[test]
 fn idle_service_parks_and_shuts_down_at_once() {
     let _serial = serial();
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 14)
+        .build();
     let bank = bank::BankService::setup(&stm, 16, 1_000);
     let cfg = config(4, 8);
     let closed = serve(&stm, &bank, &cfg, |front| {
@@ -203,7 +212,11 @@ fn idle_service_parks_and_shuts_down_at_once() {
         // And a parked worker is woken by the next post.
         let t0 = Instant::now();
         assert_eq!(front.call(transfer(0, 2), Duration::from_secs(30)), Ok(1));
-        assert!(t0.elapsed() < Duration::from_millis(500), "{:?}", t0.elapsed());
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
         assert!(front.stats().wakes_sent > st.wakes_sent);
         eventually("the woken worker parks again", || {
             front.stats().worker_parks > st.worker_parks
@@ -252,7 +265,9 @@ fn parked_caller_is_withdrawn_at_its_deadline() {
         endpoint: 0,
         args: [ms, 0, 0, 0],
     };
-    let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build();
+    let stm = Stm::builder(AlgorithmKind::NOrec)
+        .heap_words(1 << 12)
+        .build();
     serve(&stm, &Sleepy, &config(1, 2), |front| {
         std::thread::scope(|s| {
             let wedge = s.spawn(move || front.call(nap(0, 400), Duration::from_secs(30)));
@@ -300,7 +315,9 @@ mod injected {
             (site::SVC_MAILBOX_POP, FaultAction::Exit),
             (site::SVC_REPLY_PRE, FaultAction::Panic),
         ] {
-            let stm = Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build();
+            let stm = Stm::builder(AlgorithmKind::NOrec)
+                .heap_words(1 << 14)
+                .build();
             let bank = bank::BankService::setup(&stm, 16, 1_000);
             stm.faults().arm(fault, action, Some(DEATHS as u32));
             serve(&stm, &bank, &config(1, 1), |front| {
@@ -323,7 +340,10 @@ mod injected {
                 assert!(t0.elapsed() >= DEADLINE * DEATHS as u32, "site {fault}");
                 let st = front.stats();
                 assert_eq!(tries, 2 * DEATHS, "site {fault}: {st:?}");
-                assert_eq!(st.accepted, tries, "site {fault}: a retry was refused: {st:?}");
+                assert_eq!(
+                    st.accepted, tries,
+                    "site {fault}: a retry was refused: {st:?}"
+                );
                 assert_eq!(
                     (st.worker_deaths, st.client_timeouts, st.late_replies),
                     (DEATHS, DEATHS, 0),
@@ -333,7 +353,8 @@ mod injected {
                 // The slot is free: the next key goes straight through.
                 assert_eq!(front.call(transfer(0, DEATHS + 1), DEADLINE), Ok(1));
             });
-            bank.verify(&stm).unwrap_or_else(|e| panic!("site {fault}: {e}"));
+            bank.verify(&stm)
+                .unwrap_or_else(|e| panic!("site {fault}: {e}"));
         }
     }
 }

@@ -106,7 +106,9 @@ mod tests {
     use rinval::AlgorithmKind;
 
     fn new_stm() -> Stm {
-        Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 12).build()
+        Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 12)
+            .build()
     }
 
     #[test]
@@ -159,7 +161,9 @@ mod tests {
 
     #[test]
     fn concurrent_claims_never_overlap() {
-        let stm = Stm::builder(AlgorithmKind::InvalStm).heap_words(1 << 12).build();
+        let stm = Stm::builder(AlgorithmKind::InvalStm)
+            .heap_words(1 << 12)
+            .build();
         let bm = TBitmap::new(&stm, 256);
         let stm = &stm;
         let claimed: Vec<Vec<u64>> = std::thread::scope(|s| {

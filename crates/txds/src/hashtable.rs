@@ -44,7 +44,8 @@ impl THashMap {
 
     #[inline]
     fn bucket(&self, key: u64) -> Handle {
-        self.buckets.field((hash(key) % self.nbuckets as u64) as u32)
+        self.buckets
+            .field((hash(key) % self.nbuckets as u64) as u32)
     }
 
     /// Number of entries.
@@ -183,7 +184,9 @@ mod tests {
     use rinval::AlgorithmKind;
 
     fn new_stm() -> Stm {
-        Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build()
+        Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build()
     }
 
     #[test]
@@ -248,7 +251,9 @@ mod tests {
 
     #[test]
     fn concurrent_adds_sum_correctly() {
-        let stm = Stm::builder(AlgorithmKind::RInvalV1).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::RInvalV1)
+            .heap_words(1 << 16)
+            .build();
         let m = THashMap::new(&stm, 4);
         let stm = &stm;
         std::thread::scope(|s| {

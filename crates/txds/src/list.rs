@@ -144,7 +144,9 @@ mod tests {
     use rinval::AlgorithmKind;
 
     fn new_stm() -> Stm {
-        Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build()
+        Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build()
     }
 
     #[test]
@@ -180,7 +182,10 @@ mod tests {
                 assert_eq!(th.run(|tx| l.remove(tx, k)), model.remove(&k));
             }
         }
-        assert_eq!(l.snapshot_keys(&stm), model.iter().copied().collect::<Vec<_>>());
+        assert_eq!(
+            l.snapshot_keys(&stm),
+            model.iter().copied().collect::<Vec<_>>()
+        );
         l.check_invariants(&stm).unwrap();
     }
 
@@ -198,7 +203,9 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_inserts_all_land() {
-        let stm = Stm::builder(AlgorithmKind::InvalStm).heap_words(1 << 16).build();
+        let stm = Stm::builder(AlgorithmKind::InvalStm)
+            .heap_words(1 << 16)
+            .build();
         let l = TSortedList::new(&stm);
         let stm = &stm;
         std::thread::scope(|s| {

@@ -95,7 +95,9 @@ mod tests {
     use rinval::AlgorithmKind;
 
     fn new_stm() -> Stm {
-        Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 14).build()
+        Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 14)
+            .build()
     }
 
     #[test]
@@ -191,9 +193,7 @@ mod tests {
         let leftover = q.snapshot(stm);
         let mut all: Vec<u64> = consumed.into_iter().chain(leftover).collect();
         all.sort_unstable();
-        let mut want: Vec<u64> = (0..PER_PRODUCER)
-            .flat_map(|i| [i, 1000 + i])
-            .collect();
+        let mut want: Vec<u64> = (0..PER_PRODUCER).flat_map(|i| [i, 1000 + i]).collect();
         want.sort_unstable();
         assert_eq!(all, want, "items lost or duplicated");
     }

@@ -465,7 +465,9 @@ mod tests {
     use rinval::AlgorithmKind;
 
     fn new_stm() -> Stm {
-        Stm::builder(AlgorithmKind::NOrec).heap_words(1 << 16).build()
+        Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build()
     }
 
     #[test]

@@ -130,7 +130,11 @@ fn main() {
     }
 
     let stm = Stm::builder(algo).heap_words(1 << 12).build();
-    println!("bank: {} transfer threads + 1 auditor, algorithm {}", threads, algo.name());
+    println!(
+        "bank: {} transfer threads + 1 auditor, algorithm {}",
+        threads,
+        algo.name()
+    );
 
     let accounts = stm.alloc(ACCOUNTS);
     for i in 0..ACCOUNTS {
@@ -183,7 +187,9 @@ fn main() {
                 assert_eq!(total, expected, "AUDIT VIOLATION: torn snapshot observed!");
                 audits += 1;
                 if transfers_done.load(Ordering::Relaxed) >= threads as u64 * 20_000 {
-                    println!("auditor: {audits} audits, every one saw the conserved total {expected}");
+                    println!(
+                        "auditor: {audits} audits, every one saw the conserved total {expected}"
+                    );
                     break;
                 }
                 std::thread::yield_now();
@@ -196,7 +202,11 @@ fn main() {
         .sum();
     println!(
         "final ledger total: {final_total} (expected {expected}) — {}",
-        if final_total == expected { "OK" } else { "BROKEN" }
+        if final_total == expected {
+            "OK"
+        } else {
+            "BROKEN"
+        }
     );
     assert_eq!(final_total, expected);
 }

@@ -46,7 +46,12 @@ fn main() {
         b.modify(tx, |v| v + take)?;
         Ok(())
     });
-    println!("a = {}, b = {} (sum invariant: {})", a.peek(&stm), b.peek(&stm), a.peek(&stm) + b.peek(&stm));
+    println!(
+        "a = {}, b = {} (sum invariant: {})",
+        a.peek(&stm),
+        b.peek(&stm),
+        a.peek(&stm) + b.peek(&stm)
+    );
     assert_eq!(a.peek(&stm) + b.peek(&stm), 100);
 
     // --- A transactional data structure. -----------------------------------
@@ -58,7 +63,10 @@ fn main() {
         Ok(())
     });
     let val = th.run(|tx| tree.get(tx, 7));
-    println!("tree.get(7) = {val:?}; in-order keys = {:?}", tree.snapshot_keys(&stm));
+    println!(
+        "tree.get(7) = {val:?}; in-order keys = {:?}",
+        tree.snapshot_keys(&stm)
+    );
 
     // Per-thread statistics — the paper's critical-path accounting.
     let stats = th.stats();

@@ -57,9 +57,8 @@ fn items_live_in_exactly_one_container() {
                     let mut th = stm.register_thread();
                     for _ in 0..150 {
                         for k in 0..KEYS {
-                            let (in_tree, in_map) = th.run(|tx| {
-                                Ok((tree.get(tx, k)?, map.get(tx, k)?))
-                            });
+                            let (in_tree, in_map) =
+                                th.run(|tx| Ok((tree.get(tx, k)?, map.get(tx, k)?)));
                             match (in_tree, in_map) {
                                 (Some(v), None) | (None, Some(v)) => {
                                     assert_eq!(v, k * 10, "value corrupted under {algo:?}")

@@ -37,11 +37,7 @@ fn zombie_transactions_never_see_torn_invariants() {
                             let b = tx.read(y)?;
                             // The opacity assertion: holds on EVERY
                             // execution of the body, aborted ones included.
-                            assert_eq!(
-                                a * a,
-                                b,
-                                "torn read inside a transaction under {algo:?}"
-                            );
+                            assert_eq!(a * a, b, "torn read inside a transaction under {algo:?}");
                             Ok(())
                         });
                     }
@@ -195,6 +191,10 @@ fn aborted_transactions_leave_no_trace() {
             !saw_data_without_flag.load(Ordering::Relaxed),
             "aborted write leaked into shared memory under {algo:?}"
         );
-        assert_ne!(stm.peek(data), 777, "aborted write persisted under {algo:?}");
+        assert_ne!(
+            stm.peek(data),
+            777,
+            "aborted write persisted under {algo:?}"
+        );
     }
 }

@@ -27,10 +27,7 @@ fn v2_beats_invalstm_across_miss_costs() {
         };
         let v2 = throughput_with(costs.clone(), V2, 48, &w);
         let inval = throughput_with(costs, SimAlgorithm::InvalStm, 48, &w);
-        assert!(
-            v2 > 2.0 * inval,
-            "miss={miss}: v2 {v2} vs invalstm {inval}"
-        );
+        assert!(v2 > 2.0 * inval, "miss={miss}: v2 {v2} vs invalstm {inval}");
     }
 }
 

@@ -143,7 +143,10 @@ fn ablation_invalidator_count_plateaus() {
     let t1 = throughput(SimAlgorithm::RInvalV2 { invalidators: 1 }, 32, &w);
     let t4 = throughput(SimAlgorithm::RInvalV2 { invalidators: 4 }, 32, &w);
     let t8 = throughput(SimAlgorithm::RInvalV2 { invalidators: 8 }, 32, &w);
-    assert!(t4 > 1.3 * t1, "4 servers should clearly beat 1 ({t1} -> {t4})");
+    assert!(
+        t4 > 1.3 * t1,
+        "4 servers should clearly beat 1 ({t1} -> {t4})"
+    );
     assert!(
         (t8 - t4).abs() / t4 < 0.10,
         "8 servers should add little over 4 ({t4} -> {t8})"

@@ -89,8 +89,7 @@ fn vacation_conserves_under_every_algorithm() {
     };
     for algo in algorithms() {
         let stm = Stm::builder(algo).heap_words(1 << 16).build();
-        stamp::vacation::run_verified(&stm, 2, &cfg)
-            .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        stamp::vacation::run_verified(&stm, 2, &cfg).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
     }
 }
 
@@ -137,6 +136,7 @@ fn rbtree_workload_preserves_invariants_under_every_algorithm() {
         let stm = Stm::builder(algo).heap_words(cfg.heap_words()).build();
         let tree = stamp::rbtree_bench::setup(&stm, &cfg);
         stamp::rbtree_bench::run_on(&stm, tree, 3, &cfg);
-        tree.check_invariants(&stm).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+        tree.check_invariants(&stm)
+            .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
     }
 }
