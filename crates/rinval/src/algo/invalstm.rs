@@ -12,6 +12,12 @@
 //! insertion, and a check of this transaction's own invalidation flag —
 //! this is the linear-vs-quadratic validation advantage over NOrec.
 //!
+//! The commit is Algorithm 1's lock steps around the commit-server's own
+//! routine: take the seqlock by CAS, recheck the invalidation flag, then
+//! call `server`'s census, invalidation and write-back in the server's
+//! order. RInval-V1 moved exactly this routine onto a server (paper
+//! §IV-A); here the two share one copy of it.
+//!
 //! ## The bloom-visibility race
 //! A reader inserts into its read signature and *then* rechecks the
 //! timestamp; a committer bumps the timestamp to odd and *then* scans
@@ -23,13 +29,11 @@
 use super::{registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
-use crate::registry::{refusal, TX_ALIVE, TX_INVALIDATED};
-use crate::scan::{scan, ScanKind};
-use crate::stats::ServerCounters;
+use crate::registry::TX_INVALIDATED;
+use crate::server;
 use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
-use std::ops::ControlFlow;
 use std::sync::atomic::{fence, Ordering};
 
 /// Engine for [`crate::AlgorithmKind::InvalStm`].
@@ -121,13 +125,14 @@ pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
 }
 
 pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
-    let slot = tx.stm.registry.slot(tx.slot_idx);
+    let (stm, me) = (tx.stm, tx.slot_idx);
+    let slot = stm.registry.slot(me);
     if tx.ws.is_empty() {
         // Read-only: every read checked the invalidation flag, so the value
         // set is consistent as of the last read. Nothing to publish.
         return Ok(());
     }
-    let ts = &tx.stm.timestamp;
+    let ts = &stm.timestamp;
     let mut bk = SpinYield::new();
     // Algorithm 1, line 13: spin until the timestamp is even and we win the
     // CAS that makes it odd. An irrevocable-token holder other than us
@@ -136,7 +141,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         if bk.is_yielding() && tx.deadline_expired() {
             return Err(Aborted);
         }
-        if tx.stm.token_held_by_other(tx.slot_idx) {
+        if stm.token_held_by_other(me) {
             bk.pause();
             continue;
         }
@@ -159,7 +164,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // anything between here and a release store unwinds.
     tx.snapshot = t;
     tx.lock_held = true;
-    tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
+    stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
     // Algorithm 1, lines 15–16: the flag may have been set between our
     // pre-check and the CAS; recheck under the lock.
     fence(Ordering::SeqCst);
@@ -170,88 +175,19 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         tx.lock_held = false;
         return Err(Aborted);
     }
-    // Algorithm 1, lines 15–19 fused into a single kernel walk of the
-    // `live` summary map ([`crate::scan::scan`]): collect the conflicting
-    // in-flight transactions, apply the §13 admission census (priority
-    // refusal), and only then invalidate them (committer always wins;
-    // paper §IV-D). One scan serves both, and its [`ScanKind`] says so:
-    // `InvalCensus` records both scan flavours' counters when the census
-    // is armed, plain `Inval` otherwise. Priority loads ride the same scan
-    // and are skipped entirely — `check_census` false — while nothing has
-    // ever aged (`priority_ceiling` still zero), and for the token holder,
-    // whose commit must never be refused.
-    let st = &tx.stm.server_stats;
-    // Cheap arm first: the ceiling test alone decides the common unarmed
-    // case, so neither the token word nor the own-priority load is
-    // touched on an uncontended commit.
-    let check_census = tx.stm.priority_ceiling.load(Ordering::SeqCst) != 0
-        && tx.stm.irrevocable_holder() != Some(tx.slot_idx);
-    let pc = if check_census {
-        slot.priority.load(Ordering::SeqCst)
-    } else {
-        0
-    };
-    let mut max_pv = 0u32;
-    let mut doomed: Vec<usize> = Vec::new();
-    let _ = scan(
-        &tx.stm.registry,
-        st,
-        tx.stm.registry.live(),
-        if check_census {
-            ScanKind::InvalCensus
-        } else {
-            ScanKind::Inval
-        },
-        |i| i != tx.slot_idx,
-        |i, other| {
-            // Loads the reader's words our write signature's summary
-            // names — never the live reader's own summary (`bloom.rs`).
-            if other.is_live() && other.read_bf.intersects_plain(tx.wbf) {
-                if check_census {
-                    max_pv = max_pv.max(other.priority.load(Ordering::SeqCst));
-                }
-                doomed.push(i);
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    // The refusal rule itself is `registry::refusal`, shared with the
-    // commit-servers' `census_refusal`. An unarmed census leaves `max_pv`
-    // zero, which refuses nothing.
-    if let Some(inherit) = refusal(max_pv, pc) {
-        slot.priority.fetch_max(inherit, Ordering::SeqCst);
-        tx.stm.note_priority(inherit);
-        ServerCounters::add(&st.priority_refusals, 1);
+    // Algorithm 1, lines 17–20, through the commit-server's own helpers and
+    // in its order: the §13 admission census, then invalidation of every
+    // conflicting in-flight transaction (committer always wins; paper
+    // §IV-D), then write-back — which also decides, as for every commit,
+    // whether a degraded MV instance versions this one (DESIGN.md §14).
+    if let Some(inherit) = server::census_refusal(stm, tx.wbf, me) {
+        server::note_refusal(stm, me, inherit);
         ts.store(t + 2, Ordering::SeqCst);
         tx.lock_held = false;
         return Err(Aborted);
     }
-    let mut doomed_n = 0u64;
-    for &i in &doomed {
-        if tx
-            .stm
-            .registry
-            .slot(i)
-            .tx_status
-            .compare_exchange(TX_ALIVE, TX_INVALIDATED, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            doomed_n += 1;
-        }
-    }
-    if doomed_n != 0 {
-        ServerCounters::add(&st.txs_doomed, doomed_n);
-    }
-    // Algorithm 1, line 20: publish the write-set. Versioned: when the MV
-    // ring is enabled (degraded RInvalMV instances fall back to this
-    // engine), each store also retires the pre-image into the word's ring
-    // stamped with this commit's release timestamp, so concurrent
-    // snapshot readers keep resolving.
-    for e in tx.ws.entries() {
-        tx.stm
-            .heap
-            .store_versioned(Handle::from_addr(e.addr), e.val, t + 2);
-    }
+    server::invalidate_conflicting(stm, tx.wbf, |j| j == me, None);
+    server::write_back(stm, tx.ws.entries(), t + 2);
     // Algorithm 1, line 21: release the sequence lock.
     ts.store(t + 2, Ordering::SeqCst);
     tx.lock_held = false;

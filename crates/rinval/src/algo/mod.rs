@@ -46,10 +46,13 @@ pub(crate) mod sealed {
 ///
 /// Every engine is deferred-update (redo-log): **no engine stores to a
 /// published heap word before its commit is admitted; the only
-/// in-transaction heap writers are `server::write_back`,
-/// `invalstm::commit`, `norec::commit` and `Txn::init` on unpublished
+/// in-transaction heap writers are [`crate::server::write_back`] — the
+/// one write-back, which the commit-server, crash recovery and the
+/// InvalSTM and NOrec commits all call — and `Txn::init` on unpublished
 /// records.** An abort therefore has nothing to undo, and one
-/// [`Algorithm::cleanup`] serves commit and abort alike.
+/// [`Algorithm::cleanup`] serves commit and abort alike. Nor can a commit
+/// be torn: `write_back` bounds-checks every address and drops one
+/// outside the heap.
 ///
 /// The default methods encode the common era-pinning lifecycle (DESIGN.md
 /// §9); each engine overrides only what differs. Writes are not a hook:
@@ -127,10 +130,11 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// thread, so if `Txn::lock_held` says this thread owns it, release it
     /// with a version bump (exactly the aborted-commit release). Nothing
     /// was written back before the only panic window (the commit
-    /// failpoint fires before write-back), so the bump publishes no
-    /// partial state. The RInval family, which can instead panic with a
-    /// commit request posted to a server, overrides this to withdraw the
-    /// request first.
+    /// failpoint fires before write-back, and the write-back itself,
+    /// [`crate::server::write_back`], cannot panic on a bad address), so
+    /// the bump publishes no partial state. The RInval family, which can
+    /// instead panic with a commit request posted to a server, overrides
+    /// this to withdraw the request first.
     #[inline]
     fn cleanup_panic(tx: &mut Txn<'_>) {
         if tx.lock_held {

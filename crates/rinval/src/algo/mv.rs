@@ -10,10 +10,11 @@
 //!
 //! **Versions exist only while a declared reader is in flight.** A reader
 //! raises its slot's `snapshot_reader` flag before it reads the timestamp
-//! and lowers it when the attempt ends; the commit-server versions a
+//! and lowers it when the attempt ends; every write-back versions a
 //! commit only if it finds a flag up after the commit's odd-timestamp
 //! store, and otherwise stores plainly and advances the heap's version
-//! base (`server.rs`, `write_back`). Writers that run with no reader about
+//! base (`server.rs`, `write_back` — also a degraded instance's InvalSTM
+//! commits). Writers that run with no reader about
 //! therefore fill no ring at all. The flag sits on the reader's own slot
 //! and shares one fence with its era pin; the registry's `snapshots` map
 //! names the slots to look at, and a reader sets its bit there once, not

@@ -9,7 +9,8 @@
 //! 0. a silent write-set — every buffered value already in the heap —
 //!    commits as read-only, locally ([`silent_commit`]);
 //! 1. otherwise acquire the sequence lock with a CAS (revalidating on
-//!    failure), write back and release.
+//!    failure), write back through the commit-server's own
+//!    [`crate::server::write_back`] and release.
 //!
 //! ## Ordering
 //! Readers use the seqlock recipe: acquire-load of the timestamp, relaxed
@@ -20,6 +21,7 @@
 use super::{sealed, Algorithm};
 use crate::faults;
 use crate::heap::Handle;
+use crate::server;
 use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
@@ -203,9 +205,7 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // flag lets `cleanup_panic` release it if anything below unwinds.
     tx.lock_held = true;
     tx.stm.faults.fire(faults::site::TXN_COMMIT_PANIC);
-    for e in tx.ws.entries() {
-        tx.stm.heap.store(Handle::from_addr(e.addr), e.val);
-    }
+    server::write_back(tx.stm, tx.ws.entries(), tx.snapshot + 2);
     ts.store(tx.snapshot + 2, Ordering::SeqCst);
     tx.lock_held = false;
     Ok(())

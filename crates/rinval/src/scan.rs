@@ -4,9 +4,11 @@
 //! Before this layer, the `iter_set_bits → load slot → is_live →
 //! read_bf.intersects_plain(wbf)` loop was hand-rolled four times — the
 //! commit-server's admission pass, the V2/V3 invalidation scans, the
-//! InvalSTM committer's fused doom/census pass, and the §13 priority
-//! census — each with its own slot accounting (and each accounting
-//! slightly differently). [`scan`] is the one walk they all call now:
+//! InvalSTM committer's doom pass, and the §13 priority census — each
+//! with its own slot accounting (and each accounting slightly
+//! differently). [`scan`] is the one walk they all call now (the InvalSTM
+//! committer through the commit-server's own census and invalidation
+//! helpers):
 //!
 //! * **Word cursor with lookahead prefetch.** The kernel walks the map's
 //!   words via [`AtomicBitmap::load_word`] and, while processing word
@@ -55,11 +57,6 @@ pub enum ScanKind {
     /// A §13 priority census over the `live` map: one `census_scans`,
     /// delivered slots into `inval_slots_visited`.
     Census,
-    /// A fused invalidation + census pass (the InvalSTM committer with the
-    /// starvation layer armed): one pass over the words serves both roles,
-    /// so both scan counters are recorded, while each delivered slot
-    /// counts once in `inval_slots_visited`.
-    InvalCensus,
     /// A bookkeeping walk (token-request discovery, request drains) that
     /// records nothing.
     Quiet,
@@ -128,11 +125,6 @@ where
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
         ScanKind::Census => {
-            ServerCounters::add(&counters.census_scans, 1);
-            ServerCounters::add(&counters.inval_slots_visited, delivered);
-        }
-        ScanKind::InvalCensus => {
-            ServerCounters::add(&counters.inval_scans, 1);
             ServerCounters::add(&counters.census_scans, 1);
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
@@ -225,25 +217,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!(s.census_scans, 1);
         assert_eq!(s.inval_slots_visited, 2, "the breaking slot counts");
-    }
-
-    #[test]
-    fn fused_kind_records_both_scan_flavours_once() {
-        let reg = Registry::new(64);
-        let c = ServerCounters::default();
-        reg.live().set(7);
-        let _ = scan(
-            &reg,
-            &c,
-            reg.live(),
-            ScanKind::InvalCensus,
-            |_| true,
-            |_, _| ControlFlow::Continue(()),
-        );
-        let s = c.snapshot();
-        assert_eq!(s.inval_scans, 1);
-        assert_eq!(s.census_scans, 1);
-        assert_eq!(s.inval_slots_visited, 1, "one visit, counted once");
     }
 
     #[test]
