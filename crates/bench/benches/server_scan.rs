@@ -8,7 +8,7 @@
 //! * slots actually visited per commit-server pass (bitmap scan) vs. the
 //!   slots a full-registry walk would have examined — the pre-rework cost
 //!   of *every* pass, reported as the `reduction` factor;
-//! * the same for invalidation/census scans over the `live` map.
+//! * the same for invalidation scans over the `live` map.
 //!
 //! The repository's acceptance bars (EXPERIMENTS.md §server_scan):
 //!

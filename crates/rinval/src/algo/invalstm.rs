@@ -14,9 +14,9 @@
 //!
 //! The commit is Algorithm 1's lock steps around the commit-server's own
 //! routine: take the seqlock by CAS, recheck the invalidation flag, then
-//! call `server`'s census, invalidation and write-back in the server's
-//! order. RInval-V1 moved exactly this routine onto a server (paper
-//! §IV-A); here the two share one copy of it.
+//! call `server`'s invalidation and write-back in the server's order.
+//! RInval-V1 moved exactly this routine onto a server (paper §IV-A); here
+//! the two share one copy of it.
 //!
 //! ## The bloom-visibility race
 //! A reader inserts into its read signature and *then* rechecks the
@@ -176,16 +176,10 @@ pub(crate) fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
         return Err(Aborted);
     }
     // Algorithm 1, lines 17–20, through the commit-server's own helpers and
-    // in its order: the §13 admission census, then invalidation of every
-    // conflicting in-flight transaction (committer always wins; paper
-    // §IV-D), then write-back — which also decides, as for every commit,
-    // whether a degraded MV instance versions this one (DESIGN.md §14).
-    if let Some(inherit) = server::census_refusal(stm, tx.wbf, me) {
-        server::note_refusal(stm, me, inherit);
-        ts.store(t + 2, Ordering::SeqCst);
-        tx.lock_held = false;
-        return Err(Aborted);
-    }
+    // in its order: invalidation of every conflicting in-flight transaction
+    // (committer always wins; paper §IV-D), then write-back — which also
+    // decides, as for every commit, whether a degraded MV instance versions
+    // this one (DESIGN.md §14).
     server::invalidate_conflicting(stm, tx.wbf, |j| j == me, None);
     server::write_back(stm, tx.ws.entries(), t + 2);
     // Algorithm 1, line 21: release the sequence lock.

@@ -75,7 +75,7 @@ pub use txn::{ThreadHandle, Txn};
 
 use bloom::AtomicBloom;
 use registry::Registry;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -414,12 +414,6 @@ pub(crate) struct StmInner {
     /// Consecutive aborts of one transaction before it requests the
     /// global irrevocable token (DESIGN.md §13); `u32::MAX` = never.
     pub(crate) irrevocable_after: u32,
-    /// Highest transaction priority ever published on this instance — a
-    /// monotone hint, not a live maximum. While it is zero (no
-    /// transaction has aged), commit admission skips the priority census
-    /// entirely, so uncontended runs pay nothing for the starvation
-    /// layer.
-    pub(crate) priority_ceiling: CachePadded<AtomicU32>,
     /// Registry index of the transaction holding the global irrevocable
     /// token, or [`registry::NO_IRREVOCABLE_HOLDER`]. Granted by the
     /// commit-server (RInval) or under the seqlock (serverless engines);
@@ -452,16 +446,6 @@ impl StmInner {
         } else {
             self.algo
         }
-    }
-
-    /// Records that some slot's priority was raised to `p`. The hint is
-    /// monotone and never decays: once any transaction has aged, every
-    /// later commit admission runs the census (its cost is proportional
-    /// to the live-transaction count, riding the same summary-map scan
-    /// invalidation uses).
-    #[inline]
-    pub(crate) fn note_priority(&self, p: u32) {
-        self.priority_ceiling.fetch_max(p, Ordering::SeqCst);
     }
 
     /// The slot currently holding the global irrevocable token, if any.
@@ -561,10 +545,10 @@ impl StmBuilder {
     }
 
     /// Consecutive aborts of one transaction before it requests the
-    /// global irrevocable token (default 32, far beyond what priority
-    /// aging normally lets accumulate; `u32::MAX` = never). The one
+    /// global irrevocable token (default 32; `u32::MAX` = never). The one
     /// contention-management knob: the committer always wins, as in the
-    /// paper, and priority aging is always on (DESIGN.md §13).
+    /// paper, and the token alone bounds how often a transaction can lose
+    /// (DESIGN.md §13).
     pub fn irrevocable_after(mut self, aborts: u32) -> Self {
         self.irrevocable_after = aborts;
         self
@@ -656,7 +640,6 @@ impl StmBuilder {
             watchdog: self.watchdog,
             profile: self.profile,
             irrevocable_after: self.irrevocable_after,
-            priority_ceiling: CachePadded::new(AtomicU32::new(0)),
             irrevocable: CachePadded::new(AtomicUsize::new(registry::NO_IRREVOCABLE_HOLDER)),
             latency_histogram: self.latency_histogram,
             server_stats: stats::ServerCounters::default(),
@@ -920,7 +903,6 @@ mod tests {
         ];
         let written = [
             ("timestamp", span(s, &s.timestamp)),
-            ("priority_ceiling", span(s, &s.priority_ceiling)),
             ("irrevocable", span(s, &s.irrevocable)),
             ("server_stats", span(s, &s.server_stats)),
             ("heap", span(s, &s.heap)),

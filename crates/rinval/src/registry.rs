@@ -252,12 +252,12 @@ pub struct TxSlot {
     pub req_rs_ptr: AtomicPtr<(Handle, u64)>,
     /// Length of the read-set at `req_rs_ptr`.
     pub req_rs_len: AtomicUsize,
-    /// Published starvation priority (DESIGN.md §13). Raised by the owner
-    /// with its abort streak and by servers granting inheritance
-    /// (`fetch_max` only, so concurrent raises never lose); reset to zero
-    /// by the owner on commit and by [`Registry::release`]. Read by every
-    /// census scan — it rides the same slot visit the scan makes anyway.
-    pub priority: AtomicU32,
+    /// Rank of this slot's irrevocable-token request (DESIGN.md §13): the
+    /// requester's abort streak, stored by its owner just before it asks
+    /// for the token. Read only by token arbitration ([`precedes`]), and
+    /// only while the slot's request is in [`REQ_IRREVOCABLE`], so a stale
+    /// value at rest is never consulted and nothing resets it.
+    pub token_rank: AtomicU32,
 }
 
 impl Default for TxSlot {
@@ -275,7 +275,7 @@ impl Default for TxSlot {
             req_snapshot: AtomicU64::new(u64::MAX),
             req_rs_ptr: AtomicPtr::new(std::ptr::null_mut()),
             req_rs_len: AtomicUsize::new(0),
-            priority: AtomicU32::new(0),
+            token_rank: AtomicU32::new(0),
         }
     }
 }
@@ -317,26 +317,13 @@ impl TxSlot {
 }
 
 /// The token-arbitration order (DESIGN.md §13): true when the request in
-/// slot `v_idx` with priority `pv` *precedes* the one in slot `c_idx`
-/// with priority `pc` — higher priority first, ties broken by lower slot
-/// index. A total order with a unique maximum, so simultaneous
-/// irrevocable-token requests always have exactly one winner.
+/// slot `v_idx` with rank `pv` *precedes* the one in slot `c_idx` with
+/// rank `pc` — higher rank first, ties broken by lower slot index. A
+/// total order with a unique maximum, so simultaneous irrevocable-token
+/// requests always have exactly one winner.
 #[inline]
 pub fn precedes(pv: u32, v_idx: usize, pc: u32, c_idx: usize) -> bool {
     pv > pc || (pv == pc && v_idx < c_idx)
-}
-
-/// The commit-admission refusal rule (DESIGN.md §13), the one place it
-/// lives: a committer with priority `pc` whose write signature conflicts
-/// with live transactions of maximum priority `max_pv` is refused iff some
-/// victim's priority is *strictly* higher. Returns the priority the
-/// refused committer inherits — `max_pv + 1 > pc`, so it outranks the
-/// victim that blocked it and is never refused twice at the same level.
-/// Equal priorities never refuse (the committer wins, as in the paper);
-/// ties are resolved by aging and ultimately by the irrevocable token.
-#[inline]
-pub fn refusal(max_pv: u32, pc: u32) -> Option<u32> {
-    (max_pv > pc).then(|| max_pv + 1)
 }
 
 /// Fixed array of [`TxSlot`]s plus slot-index recycling and the summary
@@ -393,10 +380,11 @@ impl Registry {
     ///
     /// Resets *all* observable per-slot state, including the read
     /// signature: a recycled slot must not inherit the previous owner's
-    /// read Bloom filter, or a committer's census/invalidation scan could
-    /// spuriously count (or doom) the new owner between `claim()` and its
-    /// first `begin()`. The request payload goes too — after an answered
-    /// commit `req_ws_ptr` points into the departing handle's buffer.
+    /// read Bloom filter, or a committer's invalidation scan could
+    /// spuriously doom the new owner between `claim()` and its first
+    /// `begin()`. The request payload goes too — after an answered commit
+    /// `req_ws_ptr` points into the departing handle's buffer. The token
+    /// rank stays: it is read only beside a posted token request.
     pub fn release(&self, idx: usize) {
         debug_assert!(idx < self.slots.len());
         self.slots[idx].tx_status.store(TX_IDLE, Ordering::SeqCst);
@@ -405,7 +393,6 @@ impl Registry {
         self.slots[idx]
             .snapshot_reader
             .store(false, Ordering::SeqCst);
-        self.slots[idx].priority.store(0, Ordering::SeqCst);
         self.slots[idx].read_bf.owner_clear();
         self.slots[idx].req_write_bf.owner_clear();
         self.slots[idx].clear_payload();
@@ -557,7 +544,7 @@ impl Registry {
     ///
     /// The scan kernel (`scan.rs`) issues this for the slots named by the
     /// summary-map word *ahead* of its cursor, so by the time the scan
-    /// reaches them the `tx_status`/`priority` line is already resident.
+    /// reaches them the `tx_status` line is already resident.
     /// Purely a hint: no-op on non-x86 targets and never a data access,
     /// so it is safe to issue for any in-bounds index regardless of the
     /// slot's state.
@@ -860,17 +847,8 @@ mod tests {
     }
 
     #[test]
-    fn release_resets_priority() {
-        let reg = Registry::new(1);
-        let idx = reg.claim().unwrap();
-        reg.slot(idx).priority.store(9, Ordering::SeqCst);
-        reg.release(idx);
-        assert_eq!(reg.slot(idx).priority.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
     fn precedence_is_a_total_order_with_unique_maximum() {
-        // Higher priority precedes; equal priority falls back to index.
+        // Higher rank precedes; equal rank falls back to index.
         assert!(precedes(2, 5, 1, 0));
         assert!(!precedes(1, 0, 2, 5));
         assert!(precedes(1, 0, 1, 1));
@@ -881,14 +859,6 @@ mod tests {
         for (pv, v, pc, c) in [(0, 0, 0, 1), (1, 3, 2, 0), (5, 2, 5, 7)] {
             assert_ne!(precedes(pv, v, pc, c), precedes(pc, c, pv, v));
         }
-    }
-
-    #[test]
-    fn refusal_needs_strictly_higher_priority_and_inherits_above_it() {
-        assert_eq!(refusal(0, 0), None);
-        assert_eq!(refusal(3, 3), None, "equal priority: committer wins");
-        assert_eq!(refusal(2, 5), None);
-        assert_eq!(refusal(5, 2), Some(6));
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //! committer-side registry scan.
 //!
 //! Before this layer, the `iter_set_bits → load slot → is_live →
-//! read_bf.intersects_plain(wbf)` loop was hand-rolled four times — the
-//! commit-server's admission pass, the V2/V3 invalidation scans, the
-//! InvalSTM committer's doom pass, and the §13 priority census — each
-//! with its own slot accounting (and each accounting slightly
-//! differently). [`scan`] is the one walk they all call now (the InvalSTM
-//! committer through the commit-server's own census and invalidation
-//! helpers):
+//! read_bf.intersects_plain(wbf)` loop was hand-rolled at each call site —
+//! the commit-server's admission pass, the V2/V3 invalidation scans and
+//! the InvalSTM committer's doom pass — each with its own slot accounting
+//! (and each accounting slightly differently). [`scan`] is the one walk
+//! they all call now (the InvalSTM committer through the commit-server's
+//! own invalidation helper):
 //!
 //! * **Word cursor with lookahead prefetch.** The kernel walks the map's
 //!   words via [`AtomicBitmap::load_word`] and, while processing word
 //!   `w`, loads word `w + 1` and issues [`Registry::prefetch_slot`] hints
 //!   for its set bits — so by the time the cursor reaches those slots
-//!   their first cache-line pair (status, priority) is already in
-//!   flight. The signature test each visit performs loads only the
-//!   reader's words the writer's summary names (`bloom.rs`) — a handful
+//!   their first cache-line pair (`tx_status`) is already in flight.
+//!   The signature test each visit performs loads only the reader's
+//!   words the writer's summary names (`bloom.rs`) — a handful
 //!   of scattered lines no hint could name in advance — so the prefetch
 //!   distance is covered by the previous word's visits, not by one long
 //!   sweep.
@@ -54,9 +53,6 @@ pub enum ScanKind {
     /// An invalidation scan over the `live` map: one `inval_scans`,
     /// delivered slots into `inval_slots_visited`.
     Inval,
-    /// A §13 priority census over the `live` map: one `census_scans`,
-    /// delivered slots into `inval_slots_visited`.
-    Census,
     /// A bookkeeping walk (token-request discovery, request drains) that
     /// records nothing.
     Quiet,
@@ -122,10 +118,6 @@ where
         }
         ScanKind::Inval => {
             ServerCounters::add(&counters.inval_scans, 1);
-            ServerCounters::add(&counters.inval_slots_visited, delivered);
-        }
-        ScanKind::Census => {
-            ServerCounters::add(&counters.census_scans, 1);
             ServerCounters::add(&counters.inval_slots_visited, delivered);
         }
         ScanKind::Quiet => {}
@@ -201,7 +193,7 @@ mod tests {
             &reg,
             &c,
             reg.live(),
-            ScanKind::Census,
+            ScanKind::Inval,
             |_| true,
             |i, _| {
                 seen.push(i);
@@ -215,7 +207,7 @@ mod tests {
         assert_eq!(flow, ControlFlow::Break(()));
         assert_eq!(seen, vec![1, 2], "walk must stop at the break");
         let s = c.snapshot();
-        assert_eq!(s.census_scans, 1);
+        assert_eq!(s.inval_scans, 1);
         assert_eq!(s.inval_slots_visited, 2, "the breaking slot counts");
     }
 

@@ -73,10 +73,9 @@
 //! ## Summary-bitmap scans
 //!
 //! The paper's loops walk the whole `max_threads` registry on every pass —
-//! three times per commit (request discovery, priority census,
-//! invalidation). All three walks now iterate only the set bits of the
-//! registry's `pending` / `live` summary maps
-//! ([`crate::registry::Registry::pending`] /
+//! twice per commit (request discovery, invalidation). Both walks now
+//! iterate only the set bits of the registry's `pending` / `live` summary
+//! maps ([`crate::registry::Registry::pending`] /
 //! [`crate::registry::Registry::live`]), so per-pass work is proportional
 //! to the number of *active* slots, not the registry capacity. The
 //! publication orders (pending bit set after `REQ_PENDING`; live bit set
@@ -101,10 +100,10 @@
 //! Recovery leans on two protocol invariants (DESIGN.md §11):
 //!
 //! 1. **Odd timestamp ⇒ claimed requests are an admitted commit.** The
-//!    commit-server answers doomed requests (invalidated, census-refused,
-//!    or unregistered with reads that no longer hold) *before* bumping the
-//!    timestamp, so any slot still `CLAIMED` while
-//!    the timestamp is odd passed its status checks and its commit must be
+//!    commit-server answers doomed requests (invalidated, or unregistered
+//!    with reads that no longer hold) *before* bumping the timestamp, so
+//!    any slot still `CLAIMED` while the timestamp is odd passed its
+//!    status checks and its commit must be
 //!    *completed*: readers spin while the timestamp is odd, so no partial
 //!    write-back was observed, and re-running invalidation + write-back is
 //!    idempotent ([`recover_inflight`] does exactly this).
@@ -121,8 +120,8 @@ use crate::bloom::Bloom;
 use crate::faults::{self, FaultAction};
 use crate::logs::WriteEntry;
 use crate::registry::{
-    precedes, refusal, TxSlot, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED,
-    REQ_IDLE, REQ_IRREVOCABLE, REQ_PENDING, TX_ALIVE, TX_INVALIDATED,
+    precedes, TxSlot, NO_IRREVOCABLE_HOLDER, REQ_ABORTED, REQ_CLAIMED, REQ_COMMITTED, REQ_IDLE,
+    REQ_IRREVOCABLE, REQ_PENDING, TX_ALIVE, TX_INVALIDATED,
 };
 use crate::scan::{scan, ScanKind};
 use crate::stats::ServerCounters;
@@ -315,69 +314,10 @@ pub(crate) fn invalidate_conflicting(
     examined
 }
 
-/// Commit admission census (DESIGN.md §13), shared by the commit-server
-/// and the InvalSTM committer: walks the `live` summary map for the
-/// highest priority among the transactions the commit of slot `c_idx`
-/// would doom and applies the refusal rule ([`refusal`]) against
-/// `c_idx`'s own priority. Returns `Some(inherited_priority)` when the
-/// commit must be **refused** — some conflicting victim's priority
-/// strictly exceeds the committer's — and the caller must hand the
-/// returned value to [`note_refusal`].
-///
-/// Refusal happens only here, at admission; post-admission invalidation
-/// scans doom *every* conflicting reader regardless of priority (skipping
-/// one after write-back is admitted would leave it on an inconsistent
-/// snapshot).
-///
-/// With a zero [`crate::StmInner::priority_ceiling`] (nothing has aged)
-/// the rule cannot fire: the census returns before loading anything
-/// else. Only an armed census loads the token word — the holder is never
-/// refused — and the committer's priority.
-pub(crate) fn census_refusal(stm: &StmInner, wbf: &Bloom, c_idx: usize) -> Option<u32> {
-    if stm.priority_ceiling.load(Ordering::SeqCst) == 0 || stm.irrevocable_holder() == Some(c_idx) {
-        return None;
-    }
-    let pc = stm.registry.slot(c_idx).priority.load(Ordering::SeqCst);
-    let mut max_pv = 0u32;
-    let _ = scan(
-        &stm.registry,
-        &stm.server_stats,
-        stm.registry.live(),
-        ScanKind::Census,
-        |i| i != c_idx,
-        |_, slot| {
-            // As in `invalidate_conflicting`: the words to load are `wbf`'s.
-            if slot.is_live() && slot.read_bf.intersects_plain(wbf) {
-                max_pv = max_pv.max(slot.priority.load(Ordering::SeqCst));
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    refusal(max_pv, pc)
-}
-
-/// Books a census refusal of slot `i`'s commit: raises its published
-/// priority to `inherit` (and the instance's ceiling hint) and counts the
-/// refusal. The refused committer then aborts — answered `ABORTED` by
-/// [`refuse_request`], or releasing its own seqlock under InvalSTM.
-pub(crate) fn note_refusal(stm: &StmInner, i: usize, inherit: u32) {
-    stm.registry
-        .slot(i)
-        .priority
-        .fetch_max(inherit, Ordering::SeqCst);
-    stm.note_priority(inherit);
-    ServerCounters::add(&stm.server_stats.priority_refusals, 1);
-}
-
-/// Refuses a claimed commit request on census grounds ([`note_refusal`])
-/// and answers it `ABORTED`. The pending bit must already be cleared.
-fn refuse_request(stm: &StmInner, i: usize, inherit: u32) {
-    note_refusal(stm, i, inherit);
-    answer(stm, i, REQ_ABORTED);
-}
-
 /// Best posted irrevocable-token request — the pending slot in
-/// [`REQ_IRREVOCABLE`] state that precedes every other requester — if any.
+/// [`REQ_IRREVOCABLE`] state that precedes every other requester by
+/// [`precedes`] over the requesters' [`TxSlot::token_rank`]s (abort
+/// streaks) — if any.
 fn token_request(stm: &StmInner) -> Option<usize> {
     let mut best: Option<(u32, usize)> = None;
     let _ = scan(
@@ -388,7 +328,7 @@ fn token_request(stm: &StmInner) -> Option<usize> {
         |_| true,
         |i, slot| {
             if slot.req.state() == REQ_IRREVOCABLE {
-                let pv = slot.priority.load(Ordering::SeqCst);
+                let pv = slot.token_rank.load(Ordering::SeqCst);
                 best = match best {
                     Some((bp, bi)) if !precedes(pv, i, bp, bi) => Some((bp, bi)),
                     _ => Some((pv, i)),
@@ -662,13 +602,6 @@ pub(crate) fn commit_server(stm: &StmInner) {
                 // The copy moves the occupied words only: the claimed
                 // request is frozen.
                 slot.req_write_bf.load_into(&mut wbf);
-                // Admission census (§13): the commit-server applies the
-                // priority refusal itself before anyone invalidates. The
-                // token holder bypasses it.
-                if let Some(inherit) = census_refusal(stm, &wbf, i) {
-                    refuse_request(stm, i, inherit);
-                    return ControlFlow::Continue(());
-                }
                 // Algorithm 3 line 12 / Algorithm 4 line 8: hand the write
                 // signature (and the requester's identity, which invalidators
                 // skip) to the invalidation-servers via the ring slot for
@@ -1272,11 +1205,15 @@ mod tests {
             inner.registry.slot(i).req.post(REQ_IRREVOCABLE);
             inner.registry.pending().set(i);
         }
-        // Equal priority: the lower index precedes.
+        // Equal rank: the lower index precedes.
         assert_eq!(token_request(&inner), Some(a.min(b)));
-        // A strictly higher priority beats the index tiebreak.
+        // A strictly higher rank beats the index tiebreak.
         let hi = a.max(b);
-        inner.registry.slot(hi).priority.store(7, Ordering::SeqCst);
+        inner
+            .registry
+            .slot(hi)
+            .token_rank
+            .store(7, Ordering::SeqCst);
         assert_eq!(token_request(&inner), Some(hi));
 
         for &i in &[a, b] {
@@ -1300,41 +1237,5 @@ mod tests {
         assert!(!inner.registry.pending().get(idx));
         assert_eq!(inner.irrevocable_holder(), None);
         inner.registry.release(idx);
-    }
-
-    #[test]
-    fn census_gate_skips_scan_without_aged_priorities() {
-        // Zero ceiling: no refusal, regardless of victims.
-        let inner = inner_v1();
-        let rd = inner.registry.claim().unwrap();
-        let h = inner.heap.alloc(1).unwrap();
-        inner.registry.begin(rd, 0);
-        inner.registry.slot(rd).read_bf.owner_insert(h.addr());
-        let mut wbf = Bloom::new();
-        wbf.insert(h.addr());
-
-        let c = inner.registry.claim().unwrap();
-        assert_eq!(census_refusal(&inner, &wbf, c), None);
-
-        // Once a victim has aged past the committer, the same commit is
-        // refused and the refusal hands back a strictly greater priority.
-        inner.registry.slot(rd).priority.store(5, Ordering::SeqCst);
-        inner.note_priority(5);
-        assert_eq!(census_refusal(&inner, &wbf, c), Some(6));
-        // …but the aged side itself (as committer) is never refused by a
-        // lower-priority reader: it is the order's local maximum.
-        inner.registry.slot(c).priority.store(6, Ordering::SeqCst);
-        assert_eq!(census_refusal(&inner, &wbf, c), None);
-        // Nor is the token holder, whatever its priority.
-        inner.registry.slot(c).priority.store(0, Ordering::SeqCst);
-        inner.irrevocable.store(c, Ordering::SeqCst);
-        assert_eq!(census_refusal(&inner, &wbf, c), None);
-        inner
-            .irrevocable
-            .store(NO_IRREVOCABLE_HOLDER, Ordering::SeqCst);
-
-        inner.registry.end(rd);
-        inner.registry.release(rd);
-        inner.registry.release(c);
     }
 }

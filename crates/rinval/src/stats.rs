@@ -135,11 +135,6 @@ pub struct ServerCounters {
     pub empty_passes: AtomicU64,
     /// Slots actually examined by commit-server passes (set `pending` bits).
     pub slots_visited: AtomicU64,
-    /// Commit-admission census walks over the `live` summary map
-    /// (DESIGN.md §13). Counted apart from `inval_scans`: a census walk
-    /// dooms nothing, and how often aging arms it depends on contention
-    /// timing.
-    pub census_scans: AtomicU64,
     /// Commits the V2/V3 commit-server retired on an invalidation-server's
     /// behalf because its partition held nothing to doom — one per server
     /// per commit, each a wake (and a scan) that never happened.
@@ -149,10 +144,6 @@ pub struct ServerCounters {
     /// (DESIGN.md §14) — the *validation failure* abort of the RInval
     /// kinds. The retry runs registered.
     pub stale_refusals: AtomicU64,
-    /// Commits refused because a conflicting live transaction had a
-    /// strictly higher priority than the committer (DESIGN.md §13); each
-    /// refusal raised the committer's inherited priority.
-    pub priority_refusals: AtomicU64,
     /// Irrevocable-token grants (server- or seqlock-side).
     pub irrevocable_grants: AtomicU64,
     /// Times a server seat parked (an idle seat parks once per park bound).
@@ -163,8 +154,7 @@ pub struct ServerCounters {
     _inval_line: CachePadded<()>,
     /// Invalidation scans over the `live` summary map.
     pub inval_scans: AtomicU64,
-    /// Slots actually examined by invalidation and census scans (set
-    /// `live` bits).
+    /// Slots actually examined by invalidation scans (set `live` bits).
     pub inval_slots_visited: AtomicU64,
     /// Live transactions doomed by admitted commits (every invalidation
     /// path); `txs_doomed / commits` is the doom rate.
@@ -244,7 +234,6 @@ impl ServerCounters {
             slots_visited: self.slots_visited.load(Ordering::Relaxed),
             inval_scans: self.inval_scans.load(Ordering::Relaxed),
             inval_slots_visited: self.inval_slots_visited.load(Ordering::Relaxed),
-            census_scans: self.census_scans.load(Ordering::Relaxed),
             heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
@@ -253,7 +242,6 @@ impl ServerCounters {
             withdrawn_requests: self.withdrawn_requests.load(Ordering::Relaxed),
             drained_requests: self.drained_requests.load(Ordering::Relaxed),
             txs_doomed: self.txs_doomed.load(Ordering::Relaxed),
-            priority_refusals: self.priority_refusals.load(Ordering::Relaxed),
             irrevocable_grants: self.irrevocable_grants.load(Ordering::Relaxed),
             streak_high_water: self.streak_high_water.load(Ordering::Relaxed),
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
@@ -281,10 +269,8 @@ pub struct ServerStats {
     pub slots_visited: u64,
     /// Invalidation scans over the `live` summary map.
     pub inval_scans: u64,
-    /// Slots examined by invalidation and census scans.
+    /// Slots examined by invalidation scans.
     pub inval_slots_visited: u64,
-    /// Commit-admission census walks (doom nothing).
-    pub census_scans: u64,
     /// Watchdog intervals with a silent-but-busy server.
     pub heartbeat_misses: u64,
     /// Dead server threads respawned by the watchdog.
@@ -302,8 +288,6 @@ pub struct ServerStats {
     pub drained_requests: u64,
     /// Live transactions doomed by admitted commits.
     pub txs_doomed: u64,
-    /// Commits refused in favour of a higher-priority live transaction.
-    pub priority_refusals: u64,
     /// Irrevocable-token grants.
     pub irrevocable_grants: u64,
     /// Highest abort streak any transaction reached.
@@ -362,7 +346,6 @@ impl ServerStats {
             slots_visited: self.slots_visited - earlier.slots_visited,
             inval_scans: self.inval_scans - earlier.inval_scans,
             inval_slots_visited: self.inval_slots_visited - earlier.inval_slots_visited,
-            census_scans: self.census_scans - earlier.census_scans,
             heartbeat_misses: self.heartbeat_misses - earlier.heartbeat_misses,
             respawns: self.respawns - earlier.respawns,
             degradations: self.degradations - earlier.degradations,
@@ -371,7 +354,6 @@ impl ServerStats {
             withdrawn_requests: self.withdrawn_requests - earlier.withdrawn_requests,
             drained_requests: self.drained_requests - earlier.drained_requests,
             txs_doomed: self.txs_doomed - earlier.txs_doomed,
-            priority_refusals: self.priority_refusals - earlier.priority_refusals,
             irrevocable_grants: self.irrevocable_grants - earlier.irrevocable_grants,
             // A high-water mark has no meaningful difference; report the
             // later window's mark as-is.
@@ -605,13 +587,11 @@ mod tests {
     fn fairness_counters_snapshot_and_since() {
         let c = ServerCounters::default();
         ServerCounters::add(&c.txs_doomed, 5);
-        ServerCounters::add(&c.priority_refusals, 2);
         ServerCounters::add(&c.irrevocable_grants, 1);
         ServerCounters::raise(&c.streak_high_water, 9);
         ServerCounters::raise(&c.streak_high_water, 4); // must not lower it
         let s = c.snapshot();
         assert_eq!(s.txs_doomed, 5);
-        assert_eq!(s.priority_refusals, 2);
         assert_eq!(s.irrevocable_grants, 1);
         assert_eq!(s.streak_high_water, 9);
         assert!(!s.degraded());
@@ -619,7 +599,6 @@ mod tests {
         ServerCounters::add(&c.txs_doomed, 2);
         let d = c.snapshot().since(&s);
         assert_eq!(d.txs_doomed, 2);
-        assert_eq!(d.priority_refusals, 0);
         assert_eq!(d.streak_high_water, 9, "high-water mark carries over");
     }
 

@@ -151,8 +151,7 @@ impl<'a> ThreadHandle<'a> {
         self.alog.clear();
         loop {
             // Only a first attempt reads unregistered: a retry binds the
-            // registered engine from its begin, so an aged transaction's
-            // priority is visible to the commit census (DESIGN.md §13).
+            // registered engine from its begin.
             let first = self.cm.streak() == 0;
             let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = true, first = first, A => {
                 self.attempt::<A, T>(&mut body, None, true)
@@ -276,10 +275,17 @@ impl<'a> ThreadHandle<'a> {
         // token before this attempt starts. Best-effort — on failure
         // (another holder, deadline) the attempt simply runs revocably and
         // retries acquisition next time. The token is held for exactly
-        // this one attempt; every exit arm below releases it.
+        // this one attempt; every exit arm below releases it. The streak
+        // is the request's rank in token arbitration; the request's post
+        // publishes it.
         let it = self.stm.irrevocable_after;
         let want_token = it != u32::MAX && self.cm.streak() >= it;
         if want_token {
+            self.stm
+                .registry
+                .slot(self.slot_idx)
+                .token_rank
+                .store(self.cm.streak(), Ordering::Relaxed);
             let _ = A::try_acquire_irrevocable(&mut tx);
         }
         A::pin(&mut tx);
@@ -318,19 +324,7 @@ impl<'a> ThreadHandle<'a> {
                 self.cache.commit(&self.stm.heap, &mut self.alog);
                 self.stats.commits += 1;
                 p_total.stop(&mut self.stats.total_tx);
-                // Starvation bookkeeping: the commit retires the published
-                // priority and ends any irrevocable tenure. A nonzero
-                // priority implies at least one abort this transaction
-                // (self-aging and server-side inheritance both follow a
-                // refusal-abort), and only an attempt past the streak
-                // threshold can hold the token — so a first-try commit,
-                // the overwhelmingly common case, touches neither line.
-                if self.cm.streak() != 0 {
-                    let slot = self.stm.registry.slot(self.slot_idx);
-                    if slot.priority.load(Ordering::Relaxed) != 0 {
-                        slot.priority.store(0, Ordering::SeqCst);
-                    }
-                }
+                // The commit ends any irrevocable tenure.
                 self.cm.on_commit();
                 if want_token {
                     self.stm.release_irrevocable(self.slot_idx);
@@ -352,21 +346,8 @@ impl<'a> ThreadHandle<'a> {
                 // Surrender speculative allocations; drop pending frees.
                 self.cache.abort(&mut self.alog);
                 self.stats.aborts += 1;
-                // Priority aging (§13): publish `streak - 1` from the
-                // second consecutive abort on. A single sporadic abort —
-                // ubiquitous under any contention — publishes nothing, so
-                // it never arms the census.
                 let expired = self.cm.on_abort_bounded(deadline);
                 let streak = self.cm.streak();
-                if streak >= 2 {
-                    let p = streak - 1;
-                    self.stm
-                        .registry
-                        .slot(self.slot_idx)
-                        .priority
-                        .fetch_max(p, Ordering::SeqCst);
-                    self.stm.note_priority(p);
-                }
                 ServerCounters::raise(&self.stm.server_stats.streak_high_water, streak as u64);
                 p_abort.stop(&mut self.stats.abort);
                 p_total.stop(&mut self.stats.total_tx);

@@ -273,5 +273,5 @@ fn scan_counters_show_sparse_visits() {
     assert!(stats.full_scan_equivalent(stm.registry_len()) >= 128 * stats.scan_passes);
     // Invalidation scans visited only live slots (here: nobody but the
     // committer, which is skipped), never the whole registry.
-    assert!(stats.inval_slots_visited <= stats.inval_scans + stats.census_scans);
+    assert!(stats.inval_slots_visited <= stats.inval_scans);
 }

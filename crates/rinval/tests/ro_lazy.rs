@@ -142,8 +142,7 @@ fn parked_reader_stays_off_the_registry() {
 /// reader at its next read (registered from then on) and the attempt
 /// commits first try; a commit to a word the reader already read fails
 /// the promotion's revalidation, and the retry — on the registered engine
-/// from its begin, so the §13 census can see an aged reader — returns the
-/// new value.
+/// from its begin — returns the new value.
 #[test]
 fn observed_commit_promotes_in_place() {
     for kind in kinds() {

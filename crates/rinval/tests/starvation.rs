@@ -2,13 +2,11 @@
 //!
 //! * A long reader hammered by small writers must commit within a small,
 //!   configuration-derived attempt bound on **every** engine — the
-//!   irrevocable token is the hard backstop once priority aging alone
-//!   does not win.
-//! * The refusal rule, end to end over the invalidation family: a fresh
-//!   committer is refused in favour of a strictly higher-priority live
-//!   reader, inherits a priority above it and then wins; at *equal*
-//!   priority the committer wins outright, and two symmetric committers
-//!   both finish.
+//!   irrevocable token alone carries that bound.
+//! * The committer always wins, end to end over the invalidation family:
+//!   a conflicting live reader is doomed however long its abort streak,
+//!   an aged transaction leaves no extra walk behind on later commits,
+//!   and two symmetric committers both finish.
 //! * Fairness without aborts: two writers in different invalidation
 //!   partitions get comparable commit counts from the commit-server.
 //! * The commit-latency histogram is observable through `ServerStats`.
@@ -86,7 +84,7 @@ fn aged_reader_commits_within_token_bound_on_every_engine() {
     }
 }
 
-/// The engines whose commit admission runs the priority census.
+/// The engines whose admitted commits doom conflicting live readers.
 fn inval_family() -> [AlgorithmKind; 3] {
     [
         AlgorithmKind::InvalStm,
@@ -95,90 +93,99 @@ fn inval_family() -> [AlgorithmKind; 3] {
     ]
 }
 
-/// Ages `th`'s next transaction to published priority `p` (≥ 1): the
-/// abort streak survives a failed `try_run`, and `streak - 1` is published
-/// from the second consecutive abort on.
+/// Ages `th`'s next transaction to an abort streak of `p + 1`: the streak
+/// survives a failed `try_run`, so the next transaction starts with it and
+/// runs registered from its begin.
 fn age_to(th: &mut ThreadHandle<'_>, p: usize) {
     let r = th.try_run(p + 1, |tx| tx.user_abort::<()>());
     assert_eq!(r, Err(Aborted));
 }
 
-fn published_priority(stm: &Stm, th: &ThreadHandle<'_>) -> u32 {
-    stm.registry()
-        .slot(th.slot())
-        .priority
-        .load(Ordering::SeqCst)
-}
-
-/// The refusal path through the public API (nested handles give the exact
-/// interleaving): a reader aged to priority 1 and parked live is *not*
-/// doomed by a fresh conflicting committer — the committer is refused,
-/// `priority_refusals` rises and it inherits priority 2. Its next attempt
-/// carries that priority, outranks the reader and commits, dooming it.
-#[test]
-fn aged_live_reader_refuses_fresh_committer_which_inherits_and_wins() {
-    for kind in inval_family() {
-        let stm = Stm::builder(kind).heap_words(256).build();
-        let x = stm.alloc_init(&[10]);
-        let mut reader = stm.register_thread();
-        let mut writer = stm.register_thread();
-        age_to(&mut reader, 1);
-        assert_eq!(published_priority(&stm, &reader), 1, "{kind:?}");
-
-        let mut first = true;
-        let seen = reader.run(|tx| {
-            let v = tx.read(x)?;
-            if !first {
-                return Ok(v);
-            }
-            first = false;
-            let refused = writer.try_run(1, |tx2| tx2.write(x, 99));
-            assert_eq!(refused, Err(Aborted), "{kind:?}: fresh committer won");
-            assert_eq!(stm.server_stats().priority_refusals, 1, "{kind:?}");
-            assert_eq!(published_priority(&stm, &writer), 2, "{kind:?}");
-            assert_eq!(tx.read(x), Ok(10), "{kind:?}: aged reader was doomed");
-
-            let won = writer.try_run(1, |tx2| tx2.write(x, 99));
-            assert_eq!(won, Ok(()), "{kind:?}: inherited priority did not win");
-            assert_eq!(stm.server_stats().priority_refusals, 1, "{kind:?}");
-            assert_eq!(published_priority(&stm, &writer), 0, "{kind:?}");
-            assert_eq!(tx.read(x), Err(Aborted), "{kind:?}: outranked reader lived");
-            Err(Aborted)
-        });
-        assert_eq!(seen, 99, "{kind:?}");
-    }
-}
-
-/// Equal priority refuses nothing: the committer wins, as in the paper,
-/// whichever slot index it has (the index tie-break exists only in token
-/// arbitration).
+/// The committer always wins (paper §IV-D): a conflicting live reader is
+/// doomed, never a reason to refuse the commit, whatever either side's
+/// abort streak — equal streaks, or a reader aged past a fresh committer.
+/// The committer commits first try whichever slot index it has (the
+/// index tie-break exists only in token arbitration).
 #[test]
 fn equal_priority_victim_is_doomed_not_refused() {
     for kind in inval_family() {
+        for (reader_age, writer_age) in [(1, 1), (2, 0)] {
+            let stm = Stm::builder(kind).heap_words(256).build();
+            let x = stm.alloc_init(&[10]);
+            // The reader holds the lower slot index.
+            let mut reader = stm.register_thread();
+            let mut writer = stm.register_thread();
+            assert!(reader.slot() < writer.slot());
+            age_to(&mut reader, reader_age);
+            if writer_age > 0 {
+                age_to(&mut writer, writer_age);
+            }
+
+            let r = reader.try_run(1, |tx| {
+                tx.read(x)?;
+                let w = writer.try_run(1, |tx2| tx2.write(x, 99));
+                assert_eq!(
+                    w,
+                    Ok(()),
+                    "{kind:?}: committer refused by a reader aged {reader_age}"
+                );
+                tx.read(x)
+            });
+            assert_eq!(r, Err(Aborted), "{kind:?}: aged reader survived");
+            assert_eq!(stm.peek(x), 99, "{kind:?}");
+        }
+    }
+}
+
+/// An abort streak leaves nothing behind once its transaction commits:
+/// every later commit walks the live map once, for invalidation. A
+/// registered reader parked on a word the writer never touches is the one
+/// live slot each of the writer's commits examines.
+#[test]
+fn an_aged_transaction_leaves_one_walk_per_commit() {
+    const COMMITS: u64 = 20;
+    for kind in [AlgorithmKind::InvalStm, AlgorithmKind::RInvalV1] {
         let stm = Stm::builder(kind).heap_words(256).build();
-        let x = stm.alloc_init(&[10]);
-        // The reader holds the lower slot index.
-        let mut reader = stm.register_thread();
+        let x = stm.alloc_init(&[0]);
+        let y = stm.alloc_init(&[7]);
         let mut writer = stm.register_thread();
-        assert!(reader.slot() < writer.slot());
-        age_to(&mut reader, 1);
-        age_to(&mut writer, 1);
+        let mut reader = stm.register_thread();
+        let increment = |th: &mut ThreadHandle<'_>| {
+            th.run(|tx| {
+                let v = tx.read(x)?;
+                tx.write(x, v + 1)
+            })
+        };
+        age_to(&mut writer, 2);
+        increment(&mut writer);
+        // One abort behind it: the reader runs registered, so it is live.
+        age_to(&mut reader, 0);
 
         let r = reader.try_run(1, |tx| {
-            tx.read(x)?;
-            let w = writer.try_run(1, |tx2| tx2.write(x, 99));
-            assert_eq!(w, Ok(()), "{kind:?}: equal-priority committer refused");
-            tx.read(x)
+            tx.read(y)?;
+            let before = stm.server_stats();
+            for _ in 0..COMMITS {
+                increment(&mut writer);
+            }
+            let d = stm.server_stats().since(&before);
+            assert_eq!(
+                d.inval_slots_visited, COMMITS,
+                "{kind:?}: commits after an aged one walked the live map more than once"
+            );
+            tx.read(y)
         });
-        assert_eq!(r, Err(Aborted), "{kind:?}: equal-priority reader survived");
-        assert_eq!(stm.server_stats().priority_refusals, 0, "{kind:?}");
-        assert_eq!(stm.peek(x), 99, "{kind:?}");
+        assert_eq!(
+            r,
+            Ok(7),
+            "{kind:?}: a reader of an untouched word was doomed"
+        );
+        assert_eq!(stm.peek(x), COMMITS + 1, "{kind:?}");
     }
 }
 
 /// Mutual-abort regression: two identical read-modify-write transactions
 /// over the same two words. Each commit dooms the other in-flight
-/// transaction; ties are resolved by aging, then by the token. Both must
+/// transaction; the token resolves the tie. Both must
 /// finish a fixed workload, bounded in wall time.
 #[test]
 fn symmetric_committers_stay_live() {
