@@ -2,15 +2,12 @@
 //! red-black tree, NOrec vs InvalSTM, at 8/16/32/48 threads, normalized
 //! to NOrec's execution time.
 //!
-//! The simulated layer reproduces the paper's thread counts; the real
-//! layer runs the instrumented implementations (`StmBuilder::profile`) at
-//! small scale and prints the same stacked-bar numbers from measured
-//! `PhaseStats`.
+//! The simulated sweep reproduces the paper's thread counts. Measured
+//! phase shares on this host are the ledger's
+//! `phase.{validation,commit}_share.E` rows, not timed a second time here.
 
 use bench::banner;
-use rinval::{AlgorithmKind, Stm};
 use simcore::{SimAlgorithm, SimConfig};
-use std::time::Duration;
 
 fn simulated() {
     banner(
@@ -47,45 +44,6 @@ fn simulated() {
     }
 }
 
-fn real_profiled() {
-    banner(
-        "Figure 2 (real implementation, profiled host run)",
-        "red-black tree measured phase shares at 4 threads",
-        "same qualitative split from measured PhaseStats",
-    );
-    println!(
-        "{:>10} {:>11} {:>8} {:>8} {:>9}",
-        "algorithm", "validation", "commit", "other", "aborts"
-    );
-    let cfg = stamp::rbtree_bench::Config {
-        initial_size: 4096,
-        read_pct: 50,
-        delay_noops: 10,
-        duration: Duration::from_millis(300),
-        seed: 2,
-    };
-    for algo in [AlgorithmKind::NOrec, AlgorithmKind::InvalStm] {
-        let stm = Stm::builder(algo)
-            .heap_words(cfg.heap_words())
-            .profile(true)
-            .build();
-        let tree = stamp::rbtree_bench::setup(&stm, &cfg);
-        let report = stamp::rbtree_bench::run_on(&stm, tree, 4, &cfg);
-        // Phase shares of summed per-thread busy time.
-        let wall = report.wall * 4;
-        let (v, c, o) = report.stats.breakdown(wall);
-        println!(
-            "{:>10} {:>10.0}% {:>7.0}% {:>7.0}% {:>9}",
-            algo.name(),
-            v * 100.0,
-            c * 100.0,
-            o * 100.0,
-            report.stats.aborts
-        );
-    }
-}
-
 fn main() {
     simulated();
-    real_profiled();
 }

@@ -5,9 +5,12 @@
 //! intruder / kmeans / ssca2; genome and vacation additionally blow up
 //! InvalSTM's read/abort side; labyrinth (and bayes) are dominated by
 //! non-transactional work under every algorithm.
+//!
+//! Simulated sweep only: measured phase shares are the ledger's rows, and
+//! every application's output is verified under every engine by
+//! `figure8` and `tests/stamp_matrix.rs`.
 
 use bench::banner;
-use rinval::{AlgorithmKind, Stm};
 use simcore::{SimAlgorithm, SimConfig};
 use stamp::App;
 
@@ -48,43 +51,6 @@ fn simulated() {
     }
 }
 
-fn real_profiled() {
-    banner(
-        "Figure 3 (real implementation, profiled host run, 3 threads)",
-        "measured phase shares per application",
-        "same qualitative split from measured PhaseStats; every run is \
-         verified for correctness",
-    );
-    println!(
-        "{:>10} {:>10} {:>11} {:>8} {:>8} {:>9}",
-        "app", "algorithm", "validation", "commit", "other", "aborts"
-    );
-    for app in App::ALL {
-        for algo in [AlgorithmKind::NOrec, AlgorithmKind::InvalStm] {
-            let stm = Stm::builder(algo)
-                .heap_words(app.default_heap_words())
-                .profile(true)
-                .build();
-            let (report, verdict) = app.run_small(&stm, 3);
-            if let Err(e) = verdict {
-                panic!("{} verification failed under {algo:?}: {e}", app.name());
-            }
-            let wall = report.wall * 3;
-            let (v, c, o) = report.stats.breakdown(wall);
-            println!(
-                "{:>10} {:>10} {:>10.0}% {:>7.0}% {:>7.0}% {:>9}",
-                app.name(),
-                algo.name(),
-                v * 100.0,
-                c * 100.0,
-                o * 100.0,
-                report.stats.aborts
-            );
-        }
-    }
-}
-
 fn main() {
     simulated();
-    real_profiled();
 }

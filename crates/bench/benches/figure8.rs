@@ -4,11 +4,12 @@
 //!
 //! Fixed-work experiments: each simulated point executes the same number
 //! of committed transactions; lower is better. The real layer runs every
-//! application end-to-end at small thread counts and *verifies the
-//! computed results* before reporting times.
+//! application end-to-end under every engine at small thread counts and
+//! *verifies the computed results*. On-host timing is the ledger's
+//! (`stamp_vacation`), not taken a second time here.
 
 use bench::{banner, header, row, sim_fixed_work, sim_lineup, PAPER_THREADS, REAL_THREADS};
-use rinval::Stm;
+use rinval::{AlgorithmKind, Stm};
 use stamp::App;
 
 fn expectation(app: App) -> &'static str {
@@ -49,33 +50,26 @@ fn simulated() {
 fn real_cross_check() {
     banner(
         "Figure 8 (real implementation, host threads)",
-        "verified end-to-end execution time per application [ms]",
+        "every application's output, verified under every engine",
         "every run's output is checked (clustering, graph counts, attack \
          detection, path disjointness, conservation invariants)",
     );
-    let lineup = bench::real_lineup();
-    print!("{:>10} {:>8}", "app", "threads");
-    for name in bench::lineup_names(&lineup) {
-        print!(" {:>10}", name);
-    }
-    println!(" {:>12}", "heap-peak");
     for app in App::ALL {
         for t in REAL_THREADS {
-            print!("{:>10} {t:>8}", app.name());
-            let mut peak_words = 0u64;
-            for &algo in &lineup {
+            for algo in AlgorithmKind::all(4, 4) {
                 let stm = Stm::builder(algo)
                     .heap_words(app.default_heap_words())
                     .build();
-                let (report, verdict) = app.run_small(&stm, t);
-                if let Err(e) = verdict {
+                if let Err(e) = app.run_small(&stm, t).1 {
                     panic!("{} verification failed under {algo:?}: {e}", app.name());
                 }
-                peak_words = peak_words.max(report.heap_peak_words());
-                print!(" {:>9.1}", report.wall.as_secs_f64() * 1000.0);
             }
-            println!(" {:>11}w", peak_words);
         }
+        println!(
+            "{:>10}: verified at {REAL_THREADS:?} threads under {}",
+            app.name(),
+            AlgorithmKind::NAMES.join(", ")
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! The facade read hot path (one per-attempt `AlgorithmKind` resolution,
 //! then op-table calls) must be no slower than the seed's per-read enum
-//! dispatch, which is re-created here as a `match` over six
+//! dispatch, which is re-created here as a `match` over five
 //! `#[inline(never)]` arms around the same reads. Hand-rolled timing
 //! (best of repeated rounds over fixed operation counts — no external
 //! benchmark harness, so the workspace builds hermetically). The bench
@@ -36,7 +36,7 @@ fn best_ns_per_op(rounds: usize, ops: u64, mut op: impl FnMut()) -> f64 {
 // Dispatch gate: monomorphized facade reads vs. re-created enum dispatch.
 //
 // The seed resolved `AlgorithmKind` inside `Txn::read` on every access.
-// To keep that cost measurable after the refactor removed it, the six
+// To keep that cost measurable after the refactor removed it, the five
 // arms are reconstructed as distinct `#[inline(never)]` functions (so the
 // optimizer cannot collapse the match back into a single call) selected
 // by the same `match` the seed executed per read.
@@ -53,7 +53,6 @@ dispatch_arm!(arm_norec);
 dispatch_arm!(arm_invalstm);
 dispatch_arm!(arm_rinval_v1);
 dispatch_arm!(arm_rinval_v2);
-dispatch_arm!(arm_rinval_v3);
 dispatch_arm!(arm_rinval_mv);
 
 /// The seed's per-read dispatch shape: one kind branch per access.
@@ -64,7 +63,6 @@ fn enum_dispatch_read(kind: AlgorithmKind, tx: &mut Txn<'_>, h: Handle) -> TxRes
         AlgorithmKind::InvalStm => arm_invalstm(tx, h),
         AlgorithmKind::RInvalV1 => arm_rinval_v1(tx, h),
         AlgorithmKind::RInvalV2 { .. } => arm_rinval_v2(tx, h),
-        AlgorithmKind::RInvalV3 { .. } => arm_rinval_v3(tx, h),
         AlgorithmKind::RInvalMV { .. } => arm_rinval_mv(tx, h),
     }
 }

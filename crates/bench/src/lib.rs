@@ -5,44 +5,26 @@
 //! 1. **Simulated 64-core sweep** (`simcore`) — regenerates the paper's
 //!    figure at its original thread counts. This is the substitution for
 //!    the paper's testbed documented in DESIGN.md §4.
-//! 2. **Real-implementation cross-check** — runs the actual `rinval`
-//!    algorithms on host threads at small scale, so every reported series
-//!    is anchored to code that demonstrably computes correct results
-//!    (the cross-checks call the applications' verifiers).
+//! 2. **Real-implementation cross-check** (`figure7`, `figure8`) — runs
+//!    every `rinval` engine on host threads at small scale and verifies
+//!    the output (the tree's invariants, each application's verifier).
+//!    It times nothing: on-host timing is the ledger's.
 //!
 //! Output is plain aligned text, one table per paper panel, suitable for
 //! diffing into EXPERIMENTS.md.
 
-use rinval::AlgorithmKind;
 use simcore::{CostModel, SimAlgorithm, SimConfig, SimResult, Workload};
 
 /// The thread counts the paper sweeps in Figs. 7 and 8.
 pub const PAPER_THREADS: [usize; 8] = [2, 4, 8, 16, 24, 32, 48, 64];
 
 /// Thread counts for on-host cross-checks (kept small: the host may have
-/// a single core, and oversubscribed spinning distorts absolute numbers).
+/// a single core).
 pub const REAL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// The algorithm line-up of the paper's figures, as simulator kinds.
 pub fn sim_lineup() -> [SimAlgorithm; 4] {
     SimAlgorithm::paper_lineup()
-}
-
-/// The same line-up as real-implementation kinds, plus the multi-version
-/// engine (`rinval-mv`), which has no simulator counterpart but anchors
-/// the read-mostly story in the figure 7/8 cross-check tables.
-pub fn real_lineup() -> Vec<AlgorithmKind> {
-    let mut v = AlgorithmKind::paper_lineup().to_vec();
-    v.push(AlgorithmKind::RInvalMV {
-        invalidators: 4,
-        steps_ahead: 4,
-    });
-    v
-}
-
-/// The display names of a line-up, for [`header`].
-pub fn lineup_names(lineup: &[AlgorithmKind]) -> Vec<&'static str> {
-    lineup.iter().map(|a| a.name()).collect()
 }
 
 /// Prints a table header: `threads` + one column per algorithm.
@@ -100,6 +82,7 @@ pub fn banner(figure: &str, what: &str, expectation: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rinval::AlgorithmKind;
 
     #[test]
     fn lineups_align() {
@@ -109,12 +92,6 @@ mod tests {
         for (s, r) in sim.iter().zip(real.iter()) {
             assert_eq!(s.name(), r.name(), "figure legends must match");
         }
-    }
-
-    #[test]
-    fn lineup_names_match_kinds() {
-        let names = lineup_names(&AlgorithmKind::paper_lineup());
-        assert_eq!(names, ["norec", "invalstm", "rinval-v1", "rinval-v2"]);
     }
 
     #[test]

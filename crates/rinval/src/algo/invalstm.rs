@@ -4,7 +4,7 @@
 //! first attempt once it has promoted (`rinval::RInvalSnapshot`): under
 //! RInval the read protocol is identical (paper §IV-A: "The read procedure
 //! is the same in both InvalSTM and RInval"), with one extra check in
-//! V2/V3 that the reader's invalidation-server has caught up (Algorithm 3,
+//! V2/MV that the reader's invalidation-server has caught up (Algorithm 3,
 //! line 28). This engine itself is the paper's baseline and keeps that
 //! path for every attempt, declared read-only or not.
 //!
@@ -64,7 +64,7 @@ impl Algorithm for InvalStm {
 }
 
 /// The family read path, monomorphized over whether the reader must wait
-/// for its invalidation-server (`CHECK_INVAL_SERVER`: RInval V2/V3 only;
+/// for its invalidation-server (`CHECK_INVAL_SERVER`: RInval V2/MV only;
 /// Algorithm 3, line 28). The check compiles out entirely for InvalSTM
 /// and V1.
 pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
@@ -76,7 +76,7 @@ pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
     }
     let slot = tx.stm.registry.slot(tx.slot_idx);
     let ts = &tx.stm.timestamp;
-    // V2/V3: the invalidation-server responsible for this slot must have
+    // V2/MV: the invalidation-server responsible for this slot must have
     // processed every commit up to the snapshot we accept (else a pending
     // invalidation aimed at us could still be in flight).
     let my_inval = if CHECK_INVAL_SERVER {

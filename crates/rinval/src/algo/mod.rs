@@ -274,14 +274,14 @@ pub(crate) fn registry_end(tx: &mut Txn<'_>) {
 /// kind's engines:
 ///
 /// * `first` — the attempt is a transaction's first (abort streak 0). A
-///   first attempt on V1/V2/V3 runs the unregistered snapshot engine
+///   first attempt on V1/V2 runs the unregistered snapshot engine
 ///   ([`crate::algo::rinval::RInvalSnapshot`]), and so does an MV
 ///   attempt that may write; a retry runs the registered engine from its
 ///   begin (MV's is V2's client, which is what a promoted MV transaction
 ///   runs).
 /// * `declared_ro` — the attempt runs under
 ///   [`crate::ThreadHandle::run_ro`]. MV's declared readers always run
-///   the version-ring [`crate::algo::mv::RInvalMV`]; on V1/V2/V3 the flag
+///   the version-ring [`crate::algo::mv::RInvalMV`]; on V1/V2 the flag
 ///   only compiles the snapshot engine's write-set lookup out of its read.
 ///
 /// Neither input adds a per-read branch: each picks a type.
@@ -308,7 +308,7 @@ macro_rules! with_algorithm {
                     $e
                 }
             }
-            $crate::AlgorithmKind::RInvalV2 { .. } | $crate::AlgorithmKind::RInvalV3 { .. } => {
+            $crate::AlgorithmKind::RInvalV2 { .. } => {
                 if !$first {
                     type $A = $crate::algo::rinval::RInvalV2;
                     $e

@@ -5,7 +5,7 @@
 //! This engine runs [`crate::ThreadHandle::run_ro`] attempts only. A
 //! transaction that may write runs its first attempt as an unregistered
 //! snapshot transaction ([`super::rinval::RInvalSnapshot`], shared with
-//! V1/V2/V3) and its retries on the V2/V3 client
+//! V1/V2) and its retries on the V2 client
 //! ([`super::rinval::RInvalV2`]); `with_algorithm!` picks which.
 //!
 //! **Versions exist only while a declared reader is in flight.** A reader

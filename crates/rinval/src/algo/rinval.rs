@@ -1,6 +1,6 @@
 //! RInval client side (paper Algorithm 2, `CLIENT COMMIT`).
 //!
-//! Identical for V1/V2/V3: a registered attempt's begin and read paths are
+//! Identical for V1, V2 and MV's writers: a registered attempt's begin and read paths are
 //! shared with InvalSTM (module `invalstm`), and commit never touches the
 //! global timestamp. Instead the client:
 //!
@@ -97,17 +97,18 @@ rinval_engine!(
     check_inval_server = false
 );
 rinval_engine!(
-    /// Engine for [`crate::AlgorithmKind::RInvalV2`] and
-    /// [`crate::AlgorithmKind::RInvalV3`]: one client, whose reads wait on
-    /// their slot's invalidation-server. The two kinds differ only in how
-    /// far the commit-server may run ahead (`steps_ahead`).
+    /// Engine for [`crate::AlgorithmKind::RInvalV2`] and for the retries
+    /// of [`crate::AlgorithmKind::RInvalMV`]'s writers: one client, whose
+    /// reads wait on their slot's invalidation-server. The two kinds'
+    /// writers differ only in how far the commit-server may run ahead
+    /// (`steps_ahead`, Algorithm 4).
     RInvalV2,
     check_inval_server = true
 );
 
 /// Engine for the first attempt of every transaction on
 /// [`crate::AlgorithmKind::RInvalV1`] (`CHECK_INVAL_SERVER = false`) and
-/// on V2/V3 (`true`), and for MV's first attempt that may write (`true`):
+/// on V2 (`true`), and for MV's first attempt that may write (`true`):
 /// an *unregistered snapshot transaction* until the first commit it
 /// observes, through every entry point. `DECLARED_RO` is true under
 /// [`crate::ThreadHandle::run_ro`], whose read then compiles without the
@@ -129,7 +130,7 @@ rinval_engine!(
 ///   (`invalstm::read_impl`), whose O(1) validation per read is what
 ///   invalidation buys while commits interleave. Measured against
 ///   revalidating NOrec-style on every timestamp move instead: no worse
-///   for readers, and more writer commits on V2/V3 (DESIGN.md §14).
+///   for readers, and more writer commits on V2 (DESIGN.md §14).
 /// * **Commit** — read-only: nothing to publish or ask (unpromoted, the
 ///   reads are consistent at the snapshot; promoted, every read checked
 ///   the invalidation flag — Algorithm 2, lines 2–3). An unregistered
@@ -364,7 +365,7 @@ fn await_verdict(tx: &mut Txn<'_>) -> Option<bool> {
 /// exactly like [`client_commit`]. No CAS anywhere on the client path.
 ///
 /// The commit-server grants (`COMMITTED`) only between commits and, under
-/// V2/V3, only once every invalidation-server has consumed every
+/// V2/MV, only once every invalidation-server has consumed every
 /// published commit, so the token holder's next snapshot cannot be doomed
 /// by anything admitted before the grant. Every give-up path — verdictless
 /// withdrawal at the deadline, `ABORTED` from a drain, shutdown,

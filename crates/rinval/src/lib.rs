@@ -11,10 +11,9 @@
 //! | [`AlgorithmKind::InvalStm`] | commit-time invalidation baseline (Gottschlich et al., Algorithm 1) |
 //! | [`AlgorithmKind::RInvalV1`] | commit executed remotely on a dedicated commit-server (Algorithm 2) |
 //! | [`AlgorithmKind::RInvalV2`] | + invalidation parallelized over invalidation-servers (Algorithm 3) |
-//! | [`AlgorithmKind::RInvalV3`] | + commit-server may run ahead of lagging invalidators (Algorithm 4) |
-//! | [`AlgorithmKind::RInvalMV`] | V3 + per-word version ring: read-only transactions read a begin snapshot and never validate or abort; commits are versioned only while such a reader is in flight (§V read-mostly extension) |
+//! | [`AlgorithmKind::RInvalMV`] | V2 + commit-server may run ahead of lagging invalidators (Algorithm 4) + per-word version ring: read-only transactions read a begin snapshot and never validate or abort; commits are versioned only while such a reader is in flight (§V read-mostly extension) |
 //!
-//! All six are deferred-update: writes are buffered in a redo log and
+//! All five are deferred-update: writes are buffered in a redo log and
 //! reach the heap only once the commit is admitted, so an abort has
 //! nothing to undo.
 //!
@@ -176,23 +175,15 @@ pub enum AlgorithmKind {
         /// Number of invalidation-server threads (paper uses 4–8 on 64 cores).
         invalidators: usize,
     },
-    /// RInval version 3 (paper Algorithm 4): like V2, but the commit-server
-    /// may run up to `steps_ahead` commits ahead of lagging
-    /// invalidation-servers (robustness to server stalls).
-    RInvalV3 {
-        /// Number of invalidation-server threads.
-        invalidators: usize,
-        /// How many commits the commit-server may outrun the slowest
-        /// invalidation-server by.
-        steps_ahead: usize,
-    },
-    /// Multi-version RInval: the V3 protocol for writers plus a per-word
-    /// version ring written by the commit write-back, so declared
-    /// read-only transactions ([`ThreadHandle::run_ro`]) read a consistent
-    /// snapshot at their begin timestamp — they never validate, never
-    /// abort, and never appear in invalidation scans. A transaction that
-    /// may write runs as on V3: its first attempt off the registry until
-    /// it observes a commit, its retries registered.
+    /// Multi-version RInval: Algorithm 4 for writers (V2, with the
+    /// commit-server running up to `steps_ahead` commits ahead of lagging
+    /// invalidation-servers) plus a per-word version ring written by the
+    /// commit write-back, so declared read-only transactions
+    /// ([`ThreadHandle::run_ro`]) read a consistent snapshot at their
+    /// begin timestamp — they never validate, never abort, and never
+    /// appear in invalidation scans. A transaction that may write runs its
+    /// first attempt off the registry until it observes a commit, its
+    /// retries registered.
     RInvalMV {
         /// Number of invalidation-server threads.
         invalidators: usize,
@@ -205,14 +196,8 @@ pub enum AlgorithmKind {
 impl AlgorithmKind {
     /// The canonical names accepted by the [`std::str::FromStr`] impl, in
     /// declaration order — the single source for CLI help strings.
-    pub const NAMES: [&'static str; 6] = [
-        "norec",
-        "invalstm",
-        "rinval-v1",
-        "rinval-v2",
-        "rinval-v3",
-        "rinval-mv",
-    ];
+    pub const NAMES: [&'static str; 5] =
+        ["norec", "invalstm", "rinval-v1", "rinval-v2", "rinval-mv"];
 
     /// Short stable name used in benchmark output (matches the paper's
     /// legends where applicable).
@@ -222,7 +207,6 @@ impl AlgorithmKind {
             AlgorithmKind::InvalStm => "invalstm",
             AlgorithmKind::RInvalV1 => "rinval-v1",
             AlgorithmKind::RInvalV2 { .. } => "rinval-v2",
-            AlgorithmKind::RInvalV3 { .. } => "rinval-v3",
             AlgorithmKind::RInvalMV { .. } => "rinval-mv",
         }
     }
@@ -231,16 +215,14 @@ impl AlgorithmKind {
     pub fn invalidators(&self) -> usize {
         match *self {
             AlgorithmKind::RInvalV2 { invalidators } => invalidators.max(1),
-            AlgorithmKind::RInvalV3 { invalidators, .. } => invalidators.max(1),
             AlgorithmKind::RInvalMV { invalidators, .. } => invalidators.max(1),
             _ => 0,
         }
     }
 
-    /// Number of commits the commit-server may run ahead (V3/MV only).
+    /// Number of commits the commit-server may run ahead (MV only).
     pub fn steps_ahead(&self) -> usize {
         match *self {
-            AlgorithmKind::RInvalV3 { steps_ahead, .. } => steps_ahead,
             AlgorithmKind::RInvalMV { steps_ahead, .. } => steps_ahead,
             _ => 0,
         }
@@ -252,7 +234,6 @@ impl AlgorithmKind {
             self,
             AlgorithmKind::RInvalV1
                 | AlgorithmKind::RInvalV2 { .. }
-                | AlgorithmKind::RInvalV3 { .. }
                 | AlgorithmKind::RInvalMV { .. }
         )
     }
@@ -279,16 +260,12 @@ impl AlgorithmKind {
     /// every "all engines" test, bench and chaos lineup draws from (and
     /// filters, where an engine legitimately differs), so a new engine
     /// enters all of them at once.
-    pub fn all(invalidators: usize, steps_ahead: usize) -> [AlgorithmKind; 6] {
+    pub fn all(invalidators: usize, steps_ahead: usize) -> [AlgorithmKind; 5] {
         [
             AlgorithmKind::NOrec,
             AlgorithmKind::InvalStm,
             AlgorithmKind::RInvalV1,
             AlgorithmKind::RInvalV2 { invalidators },
-            AlgorithmKind::RInvalV3 {
-                invalidators,
-                steps_ahead,
-            },
             AlgorithmKind::RInvalMV {
                 invalidators,
                 steps_ahead,
@@ -307,9 +284,8 @@ impl std::fmt::Display for ParseAlgorithmKindError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown algorithm '{}' (expected one of: {}; rinval-v2:<invalidators>, \
-             rinval-v3:<invalidators>:<steps_ahead> and rinval-mv:<invalidators>:<steps_ahead> \
-             set the server parameters)",
+            "unknown algorithm '{}' (expected one of: {}; rinval-v2:<invalidators> and \
+             rinval-mv:<invalidators>:<steps_ahead> set the server parameters)",
             self.input,
             AlgorithmKind::NAMES.join(", ")
         )
@@ -320,10 +296,10 @@ impl std::error::Error for ParseAlgorithmKindError {}
 
 /// Inverse of [`AlgorithmKind::name`]: parses the canonical names in
 /// [`AlgorithmKind::NAMES`]. The parameterized kinds default to the
-/// paper's configuration (`rinval-v2` → 4 invalidators, `rinval-v3` and
-/// `rinval-mv` → 4 invalidators running 4 steps ahead) and accept explicit
-/// parameters as colon-separated suffixes: `rinval-v2:8`, `rinval-v3:8:2`,
-/// `rinval-mv:8:2` (at least one invalidator).
+/// paper's configuration (`rinval-v2` → 4 invalidators, `rinval-mv` → 4
+/// invalidators running 4 steps ahead) and accept explicit parameters as
+/// colon-separated suffixes: `rinval-v2:8`, `rinval-mv:8:2` (at least one
+/// invalidator).
 impl std::str::FromStr for AlgorithmKind {
     type Err = ParseAlgorithmKindError;
 
@@ -363,10 +339,6 @@ impl std::str::FromStr for AlgorithmKind {
                     invalidators: params[0].unwrap_or(4),
                 })
             }
-            "rinval-v3" => Ok(AlgorithmKind::RInvalV3 {
-                invalidators: params[0].unwrap_or(4),
-                steps_ahead: params[1].unwrap_or(4),
-            }),
             "rinval-mv" => Ok(AlgorithmKind::RInvalMV {
                 invalidators: params[0].unwrap_or(4),
                 steps_ahead: params[1].unwrap_or(4),
@@ -385,7 +357,7 @@ pub(crate) struct StmInner {
     /// The global sequence-lock timestamp. Odd = a commit is in flight.
     /// Under RInval only the commit-server ever writes it.
     pub(crate) timestamp: CachePadded<AtomicU64>,
-    /// Per-invalidation-server local timestamps (RInval V2/V3); each chases
+    /// Per-invalidation-server local timestamps (RInval V2/MV); each chases
     /// `timestamp` in increments of 2.
     pub(crate) inval_ts: Box<[CachePadded<AtomicU64>]>,
     /// Ring of commit write signatures handed from the commit-server to the
@@ -395,7 +367,7 @@ pub(crate) struct StmInner {
     /// Requester registry index for each ring slot, so invalidation-servers
     /// skip the committer itself (its reads always intersect its writes).
     pub(crate) commit_req: Box<[AtomicUsize]>,
-    /// V3's `num_steps_ahead` in timestamp units (2 × commits).
+    /// Algorithm 4's `num_steps_ahead` (MV only) in timestamp units (2 × commits).
     pub(crate) steps_ahead_ts: u64,
     pub(crate) shutdown: AtomicBool,
     /// One-way fault flag: set by the watchdog (or [`server::degrade`])
@@ -501,31 +473,20 @@ impl StmInner {
 pub struct StmBuilder {
     algo: AlgorithmKind,
     heap_words: usize,
-    heap_max_words: Option<usize>,
     max_threads: usize,
     profile: bool,
     irrevocable_after: u32,
     latency_histogram: bool,
     watchdog: WatchdogConfig,
     fault_seed: Option<u64>,
-    fault_spec: Option<String>,
 }
 
 impl StmBuilder {
     /// *Initial* size of the transactional heap in 64-bit words (default
     /// `1 << 20`). The heap grows segment-by-segment past this on demand;
-    /// it is a pre-materialization hint, not a capacity limit (see
-    /// [`StmBuilder::heap_max_words`]).
+    /// it is a pre-materialization hint, not a capacity limit.
     pub fn heap_words(mut self, words: usize) -> Self {
         self.heap_words = words;
-        self
-    }
-
-    /// Hard capacity ceiling in words (default: as far as the segment
-    /// table and 32-bit handles reach). Allocation past the ceiling
-    /// panics; mainly for tests that exercise true exhaustion.
-    pub fn heap_max_words(mut self, words: usize) -> Self {
-        self.heap_max_words = Some(words);
         self
     }
 
@@ -538,7 +499,8 @@ impl StmBuilder {
 
     /// Enables per-phase timing (validation / commit / abort buckets) at the
     /// cost of two clock reads per transactional operation. Required by the
-    /// Fig. 2 / Fig. 3 harnesses; off by default.
+    /// measured phase shares (the ledger's `phase.*_share` rows,
+    /// `stamp_runner --phases`); off by default.
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = on;
         self
@@ -579,20 +541,6 @@ impl StmBuilder {
         self
     }
 
-    /// Arms the fault plan from an `RINVAL_FAILPOINTS`-syntax spec string,
-    /// applied after the `RINVAL_FAILPOINTS` environment variable (if any)
-    /// and after [`StmBuilder::fault_seed`], before servers spawn. The
-    /// in-process alternative to mutating the environment (which is racy
-    /// across threads); a no-op without the `failpoints` feature.
-    ///
-    /// # Panics
-    /// [`StmBuilder::build`] panics on unknown sites, malformed actions or
-    /// duplicate site entries, like the environment path does.
-    pub fn fault_spec(mut self, spec: impl Into<String>) -> Self {
-        self.fault_spec = Some(spec.into());
-        self
-    }
-
     /// Builds the shared state without spawning any threads — the unit
     /// tests drive server/recovery code on it directly.
     pub(crate) fn build_inner(self) -> Arc<StmInner> {
@@ -607,10 +555,7 @@ impl StmBuilder {
         if let Some(seed) = self.fault_seed {
             faults.set_seed(seed);
         }
-        if let Some(spec) = &self.fault_spec {
-            faults.arm_from_spec(spec);
-        }
-        let mut heap = Heap::with_limits(self.heap_words, self.heap_max_words);
+        let mut heap = Heap::new(self.heap_words);
         if self.algo.is_multi_version() {
             heap.enable_versions();
         }
@@ -697,14 +642,12 @@ impl Stm {
         StmBuilder {
             algo,
             heap_words: 1 << 20,
-            heap_max_words: None,
             max_threads: 64,
             profile: false,
             irrevocable_after: 32,
             latency_histogram: false,
             watchdog: WatchdogConfig::default(),
             fault_seed: None,
-            fault_spec: None,
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Before this layer, the `iter_set_bits → load slot → is_live →
 //! read_bf.intersects_plain(wbf)` loop was hand-rolled at each call site —
-//! the commit-server's admission pass, the V2/V3 invalidation scans and
+//! the commit-server's admission pass, the V2/MV invalidation scans and
 //! the InvalSTM committer's doom pass — each with its own slot accounting
 //! (and each accounting slightly differently). [`scan`] is the one walk
 //! they all call now (the InvalSTM committer through the commit-server's

@@ -13,7 +13,7 @@
 //!     the commit through a ring of write signatures, or skipped where the
 //!     partition has nothing to doom (see "Waiting" below). The server
 //!     waits for every invalidator before each request.
-//!   - **V3 / MV** (Algorithm 4, `steps_ahead = n > 0`): as V2, but only
+//!   - **MV** (Algorithm 4, `steps_ahead = n > 0`): as V2, but only
 //!     the *requester's* invalidator must be caught up, and the others may
 //!     lag up to `n` commits.
 //! * [`invalidation_server`] — Algorithm 3's `INVALIDATION-SERVER LOOP`:
@@ -349,7 +349,7 @@ fn token_request(stm: &StmInner) -> Option<usize> {
 /// names `i` (a server died between its token store and its answer), the
 /// grant is simply re-answered — idempotent across respawns.
 ///
-/// The caller must ensure no commit is in flight and (V2/V3) every
+/// The caller must ensure no commit is in flight and (V2/MV) every
 /// invalidation-server has caught up, so that nothing admitted before the
 /// grant can still doom the holder's next attempt.
 fn try_grant_token(stm: &StmInner, i: usize) -> bool {
@@ -785,7 +785,7 @@ pub(crate) fn drain_requests_abort(stm: &StmInner) {
 ///   it also was not observed (readers spin while the timestamp is odd) —
 ///   so the commit is *completed*: merged invalidation scan (idempotent:
 ///   `ALIVE → INVALIDATED` CAS only), full write-back (idempotent: same
-///   values), release the timestamp, answer `COMMITTED`. Under V2/V3 the
+///   values), release the timestamp, answer `COMMITTED`. Under V2/MV the
 ///   dead server had already published the ring slot before bumping, so
 ///   the inline invalidation here merely duplicates what the
 ///   invalidation-servers will (idempotently) do as they catch up.
@@ -869,7 +869,7 @@ fn seat_busy(stm: &StmInner, seat: usize) -> bool {
 pub(crate) enum ServerRole {
     /// The commit-server.
     Commit,
-    /// Invalidation-server `k` (V2/V3 only).
+    /// Invalidation-server `k` (V2/MV only).
     Inval(usize),
 }
 

@@ -135,7 +135,7 @@ pub struct ServerCounters {
     pub empty_passes: AtomicU64,
     /// Slots actually examined by commit-server passes (set `pending` bits).
     pub slots_visited: AtomicU64,
-    /// Commits the V2/V3 commit-server retired on an invalidation-server's
+    /// Commits the V2/MV commit-server retired on an invalidation-server's
     /// behalf because its partition held nothing to doom — one per server
     /// per commit, each a wake (and a scan) that never happened.
     pub quiet_retirements: AtomicU64,
@@ -168,7 +168,7 @@ pub struct ServerCounters {
     /// snapshot and fell back to revalidation.
     pub ring_misses: AtomicU64,
     /// Unregistered first attempts (`RInvalSnapshot`: every first attempt
-    /// on V1/V2/V3, MV's first attempts that may write) promoted in place
+    /// on V1/V2, MV's first attempts that may write) promoted in place
     /// to the invalidation protocol on the first commit they observe in a
     /// read — readers and writers alike.
     pub ro_promotions: AtomicU64,

@@ -134,11 +134,11 @@ impl<'a> ThreadHandle<'a> {
     ///   version-ring snapshot path — no registration, no validation and,
     ///   ring misses aside, no aborts; its begin waits out at most one
     ///   in-flight commit.
-    /// * [`crate::AlgorithmKind::RInvalV1`], `RInvalV2` and `RInvalV3`
-    ///   behave like [`ThreadHandle::run`]: the first attempt reads
-    ///   unregistered and registers in place only once it observes a
-    ///   commit, and a retry runs registered from its begin. The
-    ///   declaration only drops the write-set lookup from those reads.
+    /// * [`crate::AlgorithmKind::RInvalV1`] and `RInvalV2` behave like
+    ///   [`ThreadHandle::run`]: the first attempt reads unregistered and
+    ///   registers in place only once it observes a commit, and a retry
+    ///   runs registered from its begin. The declaration only drops the
+    ///   write-set lookup from those reads.
     /// * NOrec and InvalSTM — and degraded instances, which run InvalSTM —
     ///   behave like [`ThreadHandle::run`] with an empty write-set.
     pub fn run_ro<T>(&mut self, mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>) -> T {

@@ -336,13 +336,6 @@ algorithm_suite!(invalstm, AlgorithmKind::InvalStm);
 algorithm_suite!(rinval_v1, AlgorithmKind::RInvalV1);
 algorithm_suite!(rinval_v2, AlgorithmKind::RInvalV2 { invalidators: 2 });
 algorithm_suite!(
-    rinval_v3,
-    AlgorithmKind::RInvalV3 {
-        invalidators: 2,
-        steps_ahead: 3
-    }
-);
-algorithm_suite!(
     rinval_v2_single_invalidator,
     AlgorithmKind::RInvalV2 { invalidators: 1 }
 );

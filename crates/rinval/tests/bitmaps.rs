@@ -31,7 +31,7 @@ fn stress_algos() -> [AlgorithmKind; 4] {
         AlgorithmKind::InvalStm,
         AlgorithmKind::RInvalV1,
         AlgorithmKind::RInvalV2 { invalidators: 2 },
-        AlgorithmKind::RInvalV3 {
+        AlgorithmKind::RInvalMV {
             invalidators: 2,
             steps_ahead: 2,
         },

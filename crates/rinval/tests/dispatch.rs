@@ -142,7 +142,6 @@ fn server_counters_match_write_commits() {
             }
             AlgorithmKind::RInvalV1
             | AlgorithmKind::RInvalV2 { .. }
-            | AlgorithmKind::RInvalV3 { .. }
             | AlgorithmKind::RInvalMV { .. } => {
                 // The commit-server bumps the timestamp twice per write
                 // commit (odd to lock, even to release).
@@ -174,11 +173,7 @@ fn from_str_inverts_name() {
         // The bare name yields the paper-default parameters.
         match parsed {
             AlgorithmKind::RInvalV2 { invalidators } => assert_eq!(invalidators, 4),
-            AlgorithmKind::RInvalV3 {
-                invalidators,
-                steps_ahead,
-            }
-            | AlgorithmKind::RInvalMV {
+            AlgorithmKind::RInvalMV {
                 invalidators,
                 steps_ahead,
             } => {
@@ -206,8 +201,8 @@ fn from_str_accepts_parameter_suffixes() {
         AlgorithmKind::RInvalV2 { invalidators: 8 }
     );
     assert_eq!(
-        "rinval-v3:8:2".parse::<AlgorithmKind>().unwrap(),
-        AlgorithmKind::RInvalV3 {
+        "rinval-mv:8:2".parse::<AlgorithmKind>().unwrap(),
+        AlgorithmKind::RInvalMV {
             invalidators: 8,
             steps_ahead: 2
         }
@@ -222,17 +217,24 @@ fn from_str_rejects_junk() {
         "norec:2",       // no parameters on a fixed kind
         "rinval-v2:x",   // non-numeric parameter
         "rinval-v2:1:2", // too many parameters for V2
-        "rinval-v3:1:2:3",
+        "rinval-mv:1:2:3",
         "RINVAL-V2",   // names are case-sensitive and canonical
         "rinval-v2:0", // zero invalidators would silently run one
-        "rinval-v3:0:2",
         "rinval-mv:0:2",
+        // Algorithm 4's run-ahead runs on MV's writers; there is no
+        // separate V3 kind under any spelling.
+        "rinval-v3",
+        "rinval-v3:2:2",
     ] {
         let e = bad.parse::<AlgorithmKind>().unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("norec"),
-            "error must list accepted names: {msg}"
+            msg.contains("expected one of: norec, invalstm, rinval-v1, rinval-v2, rinval-mv;"),
+            "error must list exactly the five accepted names: {msg}"
         );
     }
+    assert_eq!(
+        AlgorithmKind::all(2, 2).map(|k| k.name()),
+        AlgorithmKind::NAMES
+    );
 }

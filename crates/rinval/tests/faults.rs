@@ -378,7 +378,7 @@ mod injected {
     #[test]
     fn lagging_invalidator_never_strands_requests() {
         const INCS: u64 = 30;
-        let stm = Stm::builder("rinval-v3:2:4".parse().unwrap())
+        let stm = Stm::builder("rinval-mv:2:4".parse().unwrap())
             .heap_words(1 << 10)
             .max_threads(8)
             .build();
@@ -662,7 +662,7 @@ mod injected {
         for kind in [
             AlgorithmKind::RInvalV1,
             AlgorithmKind::RInvalV2 { invalidators: 2 },
-            AlgorithmKind::RInvalV3 {
+            AlgorithmKind::RInvalMV {
                 invalidators: 2,
                 steps_ahead: 2,
             },

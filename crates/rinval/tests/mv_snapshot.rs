@@ -5,7 +5,7 @@
 //! 1. commit in **exactly one attempt** under a hostile writer stream
 //!    (they never validate and nothing can doom them),
 //! 2. observe **opaque snapshots** — no torn multi-word reads across a
-//!    concurrent commit (checked on the V1/V2/V3 declared readers too,
+//!    concurrent commit (checked on the V1/V2 declared readers too,
 //!    beside writers that run their first attempts off the registry),
 //! 3. survive **ring misses** (a word overwritten more than the ring
 //!    depth since the snapshot) through the bounded
@@ -124,15 +124,14 @@ fn ro_commits_in_one_attempt_under_hostile_writers() {
 /// every value they return must be consistent, and no partial sum may
 /// exceed the total even inside an attempt that later aborts.
 ///
-/// The same stream runs against the V1/V2/V3 declared readers, which read
+/// The same stream runs against the V1/V2 declared readers, which read
 /// unregistered and promote in place once a commit lands inside their
 /// attempt (DESIGN.md §14): promotions must actually happen there.
 #[test]
 fn snapshots_are_opaque_no_torn_reads() {
     const TOTAL: u64 = 1_000;
     const TRANSFERS: u64 = 3_000;
-    let kinds: [AlgorithmKind; 3] =
-        ["rinval-v1", "rinval-v2:2", "rinval-v3:2:1"].map(|s| s.parse().unwrap());
+    let kinds: [AlgorithmKind; 2] = ["rinval-v1", "rinval-v2:2"].map(|s| s.parse().unwrap());
     for kind in std::iter::once(mv()).chain(kinds) {
         let stm = Stm::builder(kind)
             .heap_words(1 << 12)
@@ -225,7 +224,7 @@ fn snapshots_are_opaque_no_torn_reads() {
             // MV's declared readers never leave the snapshot path.
             assert!(st.ro_snapshot_commits >= 100, "{kind:?}: {st:?}");
         } else {
-            // V1/V2/V3 readers promote on the first commit they observe.
+            // V1/V2 readers promote on the first commit they observe.
             assert!(st.ro_promotions > 0, "{kind:?}: nothing ever promoted");
         }
         assert!(!stm.is_degraded(), "{kind:?}");
@@ -296,18 +295,12 @@ fn ring_miss_fallback_terminates_and_advances() {
 
 /// `run_ro` works on every engine — they differ only in what the
 /// declaration buys (NOrec runs a plain transaction with an empty
-/// write-set, V3 an unregistered snapshot reader) — and the declared-RO
-/// state does not leak into the handle's next transaction.
+/// write-set, V1/V2 an unregistered snapshot reader, MV a version-ring
+/// reader) — and the declared-RO state does not leak into the handle's
+/// next transaction.
 #[test]
 fn run_ro_is_engine_independent() {
-    for kind in [
-        AlgorithmKind::NOrec,
-        AlgorithmKind::RInvalV3 {
-            invalidators: 2,
-            steps_ahead: 2,
-        },
-        mv(),
-    ] {
+    for kind in AlgorithmKind::all(2, 2) {
         let stm = Stm::builder(kind).heap_words(1 << 10).build();
         let c = stm.alloc_init(&[7]);
         let mut th = stm.register_thread();

@@ -151,7 +151,7 @@ fn disjoint_commit_does_not_abort() {
 
 /// Signatures are cleared, published and snapshotted by their occupancy
 /// summary, and every filter involved is reused: the slot's `read_bf` and
-/// `req_write_bf`, the servers' working copies, the V2/V3 commit ring. A
+/// `req_write_bf`, the servers' working copies, the V2/MV commit ring. A
 /// handle that alternates a large and a small read/write set 10⁵ times
 /// must leave no stale bit anywhere a later conflict test could find it.
 #[test]
@@ -165,7 +165,7 @@ fn no_stale_signature_bit_survives_slot_or_ring_reuse() {
     };
     let kinds = AlgorithmKind::all(2, 2).into_iter().chain([
         // A two-entry ring, wrapped 5·10⁴ times.
-        AlgorithmKind::RInvalV3 {
+        AlgorithmKind::RInvalMV {
             invalidators: 1,
             steps_ahead: 1,
         },

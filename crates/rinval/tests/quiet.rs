@@ -1,5 +1,5 @@
 //! Quiet partitions skip the hand-off (`server::hand_off_invalidation`):
-//! right after a commit's odd-timestamp store the V2/V3 commit-server
+//! right after a commit's odd-timestamp store the V2/MV commit-server
 //! retires the commit on behalf of every invalidation-server whose
 //! partition holds no live transaction but the requester's, instead of
 //! waking it.
@@ -14,7 +14,7 @@
 //!   back (CI's `oversubscribed` job runs this again under `taskset -c 0`).
 //!
 //! Every kind with invalidation-servers is covered, with one and two of
-//! them and with V3 run-ahead.
+//! them and with Algorithm 4's run-ahead (MV).
 
 use rinval::{Aborted, AlgorithmKind, Stm, ThreadHandle, TxResult};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,7 +23,7 @@ fn kinds() -> [AlgorithmKind; 4] {
     [
         "rinval-v2:1",
         "rinval-v2:2",
-        "rinval-v3:2:1",
+        "rinval-mv:2:1",
         "rinval-mv:1:2",
     ]
     .map(|s| s.parse().unwrap())

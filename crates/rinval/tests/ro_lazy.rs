@@ -1,7 +1,7 @@
 //! Every RInval kind runs a transaction's first attempt as an
 //! *unregistered snapshot transaction* and promotes it in place to the
 //! paper's invalidation path only once it observes a commit (DESIGN.md
-//! §14). Declared readers (`ThreadHandle::run_ro`) on V1/V2/V3:
+//! §14). Declared readers (`ThreadHandle::run_ro`) on V1/V2:
 //!
 //! * (a) a reader parked mid-attempt is off the registry — not live, so its
 //!   partition stays quiet and no invalidation scan ever examines it;
@@ -13,7 +13,7 @@
 //!   nodes: no read returns a recycled block (CI's `oversubscribed` job
 //!   runs this file again under `taskset -c 0`).
 //!
-//! Writers (`ThreadHandle::run`) on V1, V2, V3 and MV:
+//! Writers (`ThreadHandle::run`) on V1, V2 and MV:
 //!
 //! * (d) a writer parked mid-attempt is off the registry too, and no scan
 //!   visits it;
@@ -49,14 +49,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-fn kinds() -> [AlgorithmKind; 3] {
-    ["rinval-v1", "rinval-v2:2", "rinval-v3:2:1"].map(|s| s.parse().unwrap())
+fn kinds() -> [AlgorithmKind; 2] {
+    ["rinval-v1", "rinval-v2:2"].map(|s| s.parse().unwrap())
 }
 
 /// Every remote kind: the writer tests run MV too, whose writers take the
 /// same unregistered first attempt.
-fn writer_kinds() -> [AlgorithmKind; 4] {
-    ["rinval-v1", "rinval-v2:2", "rinval-v3:2:1", "rinval-mv:2:2"].map(|s| s.parse().unwrap())
+fn writer_kinds() -> [AlgorithmKind; 3] {
+    ["rinval-v1", "rinval-v2:2", "rinval-mv:2:2"].map(|s| s.parse().unwrap())
 }
 
 /// Partitions of `kind`: one per invalidation-server, and V1's one.
@@ -86,7 +86,7 @@ fn registered(stm: &Stm, i: usize) -> bool {
 
 /// (a) A reader parked after its first read in partition `k` holds only an
 /// era pin. Another client then commits `N` times: every commit finds the
-/// partition quiet — V2/V3 retire commits on its invalidator's behalf, and
+/// partition quiet — V2 retires commits on its invalidator's behalf, and
 /// no invalidation scan (V1's inline one included) examines a single slot.
 #[test]
 fn parked_reader_stays_off_the_registry() {
@@ -268,7 +268,7 @@ fn toggle(tx: &mut Txn<'_>, head: Handle, key: u64) -> TxResult<()> {
 /// (c) Reclamation: a writer toggles random keys — unlinking and freeing
 /// nodes, allocating recycled blocks for new ones — while two `run_ro`
 /// readers walk the list. No walk ever reads a recycled block, and blocks
-/// really were recycled. One writer, because a second V2/V3 writer in
+/// really were recycled. One writer, because a second V2 or MV writer in
 /// another partition can be held mid-attempt for the whole run on one core
 /// (the commit-server skips a request whose invalidator lags), and its pin
 /// would then hold back every free.

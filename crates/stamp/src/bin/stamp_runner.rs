@@ -76,7 +76,7 @@ fn run_one(app: App, algo: AlgorithmKind, threads: usize, latency: bool, phases:
     if phases {
         // Per-thread shares: the wall clock ran once for each of the
         // `threads` workers, so the phase durations are normalized
-        // against `wall × threads` (the figure2 convention).
+        // against `wall × threads`.
         let (validation, commit, other) = report.stats.breakdown(report.wall * threads as u32);
         println!(
             "{:>10} {:>10} phases[validation={:.1}% commit={:.1}% other={:.1}%]",

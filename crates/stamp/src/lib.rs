@@ -69,11 +69,6 @@ impl RunReport {
         }
     }
 
-    /// Committed transactions per second over the parallel phase.
-    pub fn throughput(&self) -> f64 {
-        self.stats.commits as f64 / self.wall.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
     /// Peak heap footprint in words (bump-frontier high-water mark; node
     /// recycling keeps this flat under churn).
     pub fn heap_peak_words(&self) -> u64 {
@@ -366,21 +361,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), App::ALL.len());
-    }
-
-    #[test]
-    fn run_report_throughput() {
-        let r = RunReport {
-            wall: Duration::from_secs(2),
-            stats: PhaseStats {
-                commits: 100,
-                ..Default::default()
-            },
-            threads: 1,
-            checksum: 0,
-            heap: Default::default(),
-            server: Default::default(),
-        };
-        assert!((r.throughput() - 50.0).abs() < 1e-9);
     }
 }

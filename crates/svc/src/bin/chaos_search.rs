@@ -56,7 +56,7 @@ fn main() {
     let episodes: u64 = arg_val(&args, "--episodes").map_or(20, |v| v.parse().unwrap());
     let seed: u64 = arg_val(&args, "--seed").map_or(0x5EA2C4, |v| v.parse().unwrap());
     let algo: AlgorithmKind = arg_val(&args, "--algo")
-        .unwrap_or_else(|| "rinval-v3:2:2".into())
+        .unwrap_or_else(|| "rinval-mv:2:2".into())
         .parse()
         .unwrap_or_else(|e| panic!("--algo: {e}"));
     let workload = arg_val(&args, "--workload").unwrap_or_else(|| "mix".into());

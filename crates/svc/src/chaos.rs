@@ -9,7 +9,7 @@
 //! contract). Episodes serialize to one-line repro tokens:
 //!
 //! ```text
-//! CHAOS1,algo=rinval-v3:2:2,wl=bank,seed=1f2e,cli=4,ops=200,wr=60,
+//! CHAOS1,algo=rinval-mv:2:2,wl=bank,seed=1f2e,cli=4,ops=200,wr=60,
 //!        keys=128,zipf=1000,workers=2,slo=50,to=100,tries=64,dedup=1,
 //!        plan=7376632e…           (one line; plan is the hex-coded spec)
 //! ```
@@ -209,7 +209,7 @@ pub struct Episode {
 impl Default for Episode {
     fn default() -> Episode {
         Episode {
-            algo: AlgorithmKind::RInvalV3 {
+            algo: AlgorithmKind::RInvalMV {
                 invalidators: 2,
                 steps_ahead: 2,
             },
@@ -231,14 +231,10 @@ impl Default for Episode {
 }
 
 /// Parameterized engine name that round-trips through `AlgorithmKind`'s
-/// `FromStr` impl (`rinval-v3:2:2`, not just `rinval-v3`).
+/// `FromStr` impl (`rinval-mv:2:2`, not just `rinval-mv`).
 fn algo_token(k: AlgorithmKind) -> String {
     match k {
         AlgorithmKind::RInvalV2 { invalidators } => format!("rinval-v2:{invalidators}"),
-        AlgorithmKind::RInvalV3 {
-            invalidators,
-            steps_ahead,
-        } => format!("rinval-v3:{invalidators}:{steps_ahead}"),
         AlgorithmKind::RInvalMV {
             invalidators,
             steps_ahead,

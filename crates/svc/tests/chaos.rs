@@ -24,7 +24,7 @@ fn chaos_soak_recovers_ledger_and_slo() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2.0);
     let duration = Duration::from_secs_f64(secs);
-    let stm = rinval::Stm::builder(AlgorithmKind::RInvalV3 {
+    let stm = rinval::Stm::builder(AlgorithmKind::RInvalMV {
         invalidators: 2,
         steps_ahead: 2,
     })

@@ -71,7 +71,7 @@ fn replay_is_deterministic_with_probabilistic_sites() {
     // Prob sites fire on draws keyed to hit indexes, so determinism needs
     // stable hit counts: one client, one worker (no concurrent attempts).
     let ep = Episode {
-        algo: AlgorithmKind::RInvalV3 {
+        algo: AlgorithmKind::RInvalMV {
             invalidators: 2,
             steps_ahead: 2,
         },
@@ -127,7 +127,7 @@ fn canary_episode_fails_and_shrinks_to_at_most_two_sites() {
     // fault with the dedup window disabled must violate the ledger, and
     // the shrinker must strip the decoy sites from the plan.
     let fatal = Episode {
-        algo: AlgorithmKind::RInvalV3 {
+        algo: AlgorithmKind::RInvalMV {
             invalidators: 2,
             steps_ahead: 2,
         },

@@ -5,7 +5,7 @@
 //! Palmieri, Ravindran — IPDPS 2014). It re-exports the four member
 //! crates:
 //!
-//! * [`rinval`] — the STM library: NOrec, InvalSTM and RInval V1/V2/V3
+//! * [`rinval`] — the STM library: NOrec, InvalSTM and RInval V1/V2/MV
 //!   over a word-based transactional heap.
 //! * [`txds`] — transactional data structures (red-black tree, sorted
 //!   list, hash map, queue, bitmap, arrays).
