@@ -1,7 +1,7 @@
 //! Commit-time invalidation (InvalSTM — Gottschlich et al., CGO 2010),
 //! transcribed from the paper's Algorithm 1. Also provides the *client
 //! read path* of every registered RInval attempt — every retry, and a
-//! first attempt once it has promoted (`rinval::RInvalSnapshot`): under
+//! first attempt once it has promoted (`rinval::RInvalClient`): under
 //! RInval the read protocol is identical (paper §IV-A: "The read procedure
 //! is the same in both InvalSTM and RInval"), with one extra check in
 //! V2/MV that the reader's invalidation-server has caught up (Algorithm 3,
@@ -34,7 +34,7 @@ use crate::server;
 use crate::sync::SpinYield;
 use crate::txn::Txn;
 use crate::{Aborted, TxResult};
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Engine for [`crate::AlgorithmKind::InvalStm`].
 pub(crate) struct InvalStm;
@@ -49,7 +49,7 @@ impl Algorithm for InvalStm {
 
     #[inline]
     fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
-        read_impl::<false>(tx, h)
+        read_impl(tx, h, None)
     }
 
     #[inline]
@@ -63,27 +63,24 @@ impl Algorithm for InvalStm {
     }
 }
 
-/// The family read path, monomorphized over whether the reader must wait
-/// for its invalidation-server (`CHECK_INVAL_SERVER`: RInval V2/MV only;
-/// Algorithm 3, line 28). The check compiles out entirely for InvalSTM
-/// and V1.
-pub(crate) fn read_impl<const CHECK_INVAL_SERVER: bool>(
+/// The family read path. `my_inval` is the reader's invalidation-server
+/// cursor, which must have caught up with the snapshot it accepts (RInval
+/// V2/MV only; Algorithm 3, line 28): [`Txn::inval_cursor`] from the RInval
+/// client, and `None` from InvalSTM and V1. InvalSTM passes a literal
+/// `None`, never the handle's cursor: a degraded V2/MV instance runs
+/// InvalSTM after its invalidation-servers died, and a read that waited on
+/// their frozen cursors would abort forever.
+#[inline]
+pub(crate) fn read_impl(
     tx: &mut Txn<'_>,
     h: Handle,
+    my_inval: Option<&AtomicU64>,
 ) -> TxResult<u64> {
     if let Some(v) = tx.ws.get(h) {
         return Ok(v);
     }
     let slot = tx.stm.registry.slot(tx.slot_idx);
     let ts = &tx.stm.timestamp;
-    // V2/MV: the invalidation-server responsible for this slot must have
-    // processed every commit up to the snapshot we accept (else a pending
-    // invalidation aimed at us could still be in flight).
-    let my_inval = if CHECK_INVAL_SERVER {
-        Some(&tx.stm.inval_ts[tx.stm.inval_server_of(tx.slot_idx)])
-    } else {
-        None
-    };
     let mut bk = SpinYield::new();
     loop {
         if bk.is_yielding() && tx.deadline_expired() {

@@ -1,8 +1,10 @@
 //! The engine layer: one monomorphized [`Algorithm`] implementation per
-//! concurrency-control algorithm.
+//! client protocol — four in all: NOrec, InvalSTM, the RInval client
+//! (every V1 and V2 attempt and MV's writers; V1 is its zero-invalidator
+//! case) and MV's declared reader.
 //!
-//! Each submodule implements one algorithm's `begin` / `read` / `commit`
-//! over the shared [`crate::txn::Txn`] state and exposes it as a unit type
+//! Each submodule implements one protocol's `begin` / `read` / `commit`
+//! over the shared [`crate::txn::Txn`] state and exposes it as a type
 //! implementing [`Algorithm`]. The transaction loop
 //! ([`crate::txn::ThreadHandle`]) resolves [`crate::AlgorithmKind`] **once
 //! per attempt** through [`with_algorithm!`] and then runs fully
@@ -21,7 +23,7 @@
 //! words in [`crate::StmInner`] (timestamp parity conventions, registry
 //! slot states, request-slot handshakes), and a foreign implementation
 //! could violate those invariants from safe code. Adding an algorithm
-//! means adding a unit type *here*, implementing `Algorithm` (most
+//! means adding a type *here*, implementing `Algorithm` (most
 //! lifecycle hooks have correct defaults), and listing it in
 //! [`with_algorithm!`] — one impl, not a match arm in every dispatcher.
 
@@ -73,12 +75,13 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     /// uncontended `Release` store, keeping the fast algorithms' critical
     /// path free of shared-map traffic. MV overrides this with a fenced
     /// pin that also raises its declared-reader flag
-    /// ([`crate::registry::Registry::begin_snapshot_reader`]); the
-    /// invalidation family overrides it with the full [`registry_begin`]
-    /// (which also publishes the slot in the `live` map and clears the
-    /// read signature that committers/servers scan). The RInval snapshot
-    /// attempts ([`rinval::RInvalSnapshot`]) keep the plain pin and run
-    /// `registry_begin` only if they promote.
+    /// ([`crate::registry::Registry::begin_snapshot_reader`]); InvalSTM
+    /// overrides it with the full [`registry_begin`] (which also publishes
+    /// the slot in the `live` map and clears the read signature that
+    /// committers/servers scan). The RInval client
+    /// ([`rinval::RInvalClient`]) keeps the plain pin on a first attempt,
+    /// running `registry_begin` only if it promotes, and takes the full
+    /// begin on a retry.
     ///
     /// The pinned era is the thread's cached copy of the clock, not a
     /// fresh read — begins must not touch the era cache line, which every
@@ -90,8 +93,8 @@ pub(crate) trait Algorithm: sealed::Sealed + 'static {
     }
 
     /// Starts a transaction attempt (snapshot acquisition). Runs after
-    /// [`Algorithm::pin`]. Default: nothing — the invalidation family's
-    /// begin is entirely the registry work its `pin` override performs.
+    /// [`Algorithm::pin`]. Default: nothing — InvalSTM's begin, and a
+    /// registered RInval attempt's, is entirely the registry work of `pin`.
     ///
     /// Fallible because a begin that *waits* (even-timestamp spins) must
     /// be able to give up when the attempt's deadline expires
@@ -239,8 +242,8 @@ impl OpTable {
     }
 }
 
-/// Full registry begin: the invalidation family's [`Algorithm::pin`], and
-/// the first step of a snapshot attempt's `rinval::promote`. Marks the
+/// Full registry begin: InvalSTM's [`Algorithm::pin`] and an RInval
+/// retry's, and the first step of `rinval::promote`. Marks the
 /// attempt [`Txn::registered`], which selects its cleanup.
 #[inline]
 pub(crate) fn registry_begin(tx: &mut Txn<'_>) {
@@ -250,8 +253,8 @@ pub(crate) fn registry_begin(tx: &mut Txn<'_>) {
 
 /// The invalidation family's [`Algorithm::cleanup`], one for every engine
 /// that registers or may register: deregister from the in-flight registry
-/// if the attempt registered, else just unpin (a snapshot attempt that
-/// never promoted).
+/// if the attempt registered, else just unpin (an RInval client attempt
+/// that never promoted).
 #[inline]
 pub(crate) fn registry_end(tx: &mut Txn<'_>) {
     if tx.registered {
@@ -265,28 +268,23 @@ pub(crate) fn registry_end(tx: &mut Txn<'_>) {
 /// once, binding it as a type alias visible to the expression:
 ///
 /// ```ignore
-/// with_algorithm!(self.stm.algo, declared_ro = false, first = true, A => ...)
+/// with_algorithm!(self.stm.algo, declared_ro = false, A => ...)
 /// ```
 ///
 /// This is the single place in the crate where the kind enum is matched
 /// on the transaction path; everything the expression calls is
-/// monomorphized for the bound engine. Two inputs pick among a remote
-/// kind's engines:
-///
-/// * `first` — the attempt is a transaction's first (abort streak 0). A
-///   first attempt on V1/V2 runs the unregistered snapshot engine
-///   ([`crate::algo::rinval::RInvalSnapshot`]), and so does an MV
-///   attempt that may write; a retry runs the registered engine from its
-///   begin (MV's is V2's client, which is what a promoted MV transaction
-///   runs).
-/// * `declared_ro` — the attempt runs under
-///   [`crate::ThreadHandle::run_ro`]. MV's declared readers always run
-///   the version-ring [`crate::algo::mv::RInvalMV`]; on V1/V2 the flag
-///   only compiles the snapshot engine's write-set lookup out of its read.
-///
-/// Neither input adds a per-read branch: each picks a type.
+/// monomorphized for the bound engine. V1 and V2 — every attempt, first
+/// or retry — run the one RInval client
+/// ([`crate::algo::rinval::RInvalClient`]), and so do MV's attempts that
+/// may write; whether an attempt is a first one and which
+/// invalidation-server it waits on are runtime facts of its [`Txn`]. The
+/// one input, `declared_ro` (the attempt runs under
+/// [`crate::ThreadHandle::run_ro`]), routes MV's declared readers to the
+/// version-ring [`crate::algo::mv::RInvalMV`]; on V1/V2 it only compiles
+/// the client's write-set lookup out of its unregistered read, so it adds
+/// no per-read branch.
 macro_rules! with_algorithm {
-    ($kind:expr, declared_ro = $ro:expr, first = $first:expr, $A:ident => $e:expr) => {
+    ($kind:expr, declared_ro = $ro:expr, $A:ident => $e:expr) => {
         match $kind {
             $crate::AlgorithmKind::NOrec => {
                 type $A = $crate::algo::norec::NOrec;
@@ -296,27 +294,12 @@ macro_rules! with_algorithm {
                 type $A = $crate::algo::invalstm::InvalStm;
                 $e
             }
-            $crate::AlgorithmKind::RInvalV1 => {
-                if !$first {
-                    type $A = $crate::algo::rinval::RInvalV1;
-                    $e
-                } else if $ro {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<false, true>;
+            $crate::AlgorithmKind::RInvalV1 | $crate::AlgorithmKind::RInvalV2 { .. } => {
+                if $ro {
+                    type $A = $crate::algo::rinval::RInvalClient<true>;
                     $e
                 } else {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<false, false>;
-                    $e
-                }
-            }
-            $crate::AlgorithmKind::RInvalV2 { .. } => {
-                if !$first {
-                    type $A = $crate::algo::rinval::RInvalV2;
-                    $e
-                } else if $ro {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<true, true>;
-                    $e
-                } else {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<true, false>;
+                    type $A = $crate::algo::rinval::RInvalClient<false>;
                     $e
                 }
             }
@@ -324,11 +307,8 @@ macro_rules! with_algorithm {
                 if $ro {
                     type $A = $crate::algo::mv::RInvalMV;
                     $e
-                } else if $first {
-                    type $A = $crate::algo::rinval::RInvalSnapshot<true, false>;
-                    $e
                 } else {
-                    type $A = $crate::algo::rinval::RInvalV2;
+                    type $A = $crate::algo::rinval::RInvalClient<false>;
                     $e
                 }
             }

@@ -3,10 +3,10 @@
 //! `heap::VERSION_RING` and DESIGN.md §14).
 //!
 //! This engine runs [`crate::ThreadHandle::run_ro`] attempts only. A
-//! transaction that may write runs its first attempt as an unregistered
-//! snapshot transaction ([`super::rinval::RInvalSnapshot`], shared with
-//! V1/V2) and its retries on the V2 client
-//! ([`super::rinval::RInvalV2`]); `with_algorithm!` picks which.
+//! transaction that may write runs on the RInval client shared with V1/V2
+//! ([`super::rinval::RInvalClient`]): its first attempt unregistered until
+//! it observes a commit, its retries registered and waiting on their
+//! invalidation-server like V2's.
 //!
 //! **Versions exist only while a declared reader is in flight.** A reader
 //! raises its slot's `snapshot_reader` flag before it reads the timestamp

@@ -137,7 +137,7 @@ pub(crate) fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
 /// the irrevocable-token gate nor a commit-server's grant.
 ///
 /// Sound only where every logged read was checked against `tx.snapshot`:
-/// NOrec, and an unregistered `RInvalSnapshot` attempt. A mismatch stops
+/// NOrec, and an unregistered `RInvalClient` attempt. A mismatch stops
 /// at the first differing word and the caller takes its ordinary commit.
 /// A `true` is counted in [`crate::PhaseStats::silent_commits`].
 pub(crate) fn silent_commit(tx: &mut Txn<'_>) -> bool {

@@ -1,8 +1,8 @@
 //! RInval client side (paper Algorithm 2, `CLIENT COMMIT`).
 //!
-//! Identical for V1, V2 and MV's writers: a registered attempt's begin and read paths are
-//! shared with InvalSTM (module `invalstm`), and commit never touches the
-//! global timestamp. Instead the client:
+//! One engine for V1, V2 and MV's writers: a registered attempt's read
+//! path is shared with InvalSTM (module `invalstm`), and commit never
+//! touches the global timestamp. Instead the client:
 //!
 //! 0. unregistered, commits a silent write-set — every buffered value
 //!    already in the heap at its snapshot — as read-only, locally and
@@ -26,15 +26,17 @@
 //! a `SeqCst` fence per read — exists only so that a concurrent committer
 //! can find and doom the transaction. The first attempt of every
 //! transaction — [`crate::ThreadHandle::run`], `try_run`, `try_run_for`
-//! and `run_ro` alike, and on MV every attempt that may write — runs
-//! [`RInvalSnapshot`] instead: it reads NOrec-style against an even
+//! and `run_ro` alike — therefore reads NOrec-style against an even
 //! timestamp snapshot, off the registry, buffers its writes, and
 //! [`promote`]s itself in place to the paper's read path the first time it
 //! sees the timestamp move (DESIGN.md §14). A write-set it still holds
 //! unregistered at commit is posted with its snapshot and its reads, and
 //! the commit-server admits it if the timestamp has not moved since — or,
 //! if it has, if the reads still hold — unless it is silent, and commits
-//! where it ran. Retries run the registered engines.
+//! where it ran. A retry registers from its pin. Both are one engine,
+//! [`RInvalClient`]: whether an attempt is a first one is a runtime fact
+//! ([`Txn::first`]), and so is its invalidation-server cursor
+//! ([`Txn::inval_cursor`], `None` on V1, which has no invalidation-server).
 
 use super::{invalstm, norec, registry_begin, registry_end, sealed, Algorithm};
 use crate::faults;
@@ -46,119 +48,73 @@ use crate::txn::Txn;
 use crate::{Aborted, TxResult};
 use std::sync::atomic::{fence, Ordering};
 
-/// The lifecycle shared by both RInval engines; only the read path's
-/// invalidation-server check distinguishes them at the client.
-macro_rules! rinval_engine {
-    ($(#[$meta:meta])* $name:ident, check_inval_server = $chk:literal) => {
-        $(#[$meta])*
-        pub(crate) struct $name;
-
-        impl sealed::Sealed for $name {}
-
-        impl Algorithm for $name {
-            #[inline]
-            fn pin(tx: &mut Txn<'_>) {
-                registry_begin(tx);
-            }
-
-            #[inline]
-            fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
-                invalstm::read_impl::<$chk>(tx, h)
-            }
-
-            #[inline]
-            fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
-                client_commit(tx)
-            }
-
-            #[inline]
-            fn cleanup(tx: &mut Txn<'_>) {
-                registry_end(tx);
-            }
-
-            #[inline]
-            fn cleanup_panic(tx: &mut Txn<'_>) {
-                withdraw_then_end(tx);
-            }
-
-            #[inline]
-            fn try_acquire_irrevocable(tx: &mut Txn<'_>) -> bool {
-                remote_grant_token(tx)
-            }
-        }
-    };
-}
-
-rinval_engine!(
-    /// Engine for [`crate::AlgorithmKind::RInvalV1`]: the single
-    /// commit-server invalidates synchronously, so readers never wait on
-    /// an invalidation-server timestamp.
-    RInvalV1,
-    check_inval_server = false
-);
-rinval_engine!(
-    /// Engine for [`crate::AlgorithmKind::RInvalV2`] and for the retries
-    /// of [`crate::AlgorithmKind::RInvalMV`]'s writers: one client, whose
-    /// reads wait on their slot's invalidation-server. The two kinds'
-    /// writers differ only in how far the commit-server may run ahead
-    /// (`steps_ahead`, Algorithm 4).
-    RInvalV2,
-    check_inval_server = true
-);
-
-/// Engine for the first attempt of every transaction on
-/// [`crate::AlgorithmKind::RInvalV1`] (`CHECK_INVAL_SERVER = false`) and
-/// on V2 (`true`), and for MV's first attempt that may write (`true`):
-/// an *unregistered snapshot transaction* until the first commit it
-/// observes, through every entry point. `DECLARED_RO` is true under
-/// [`crate::ThreadHandle::run_ro`], whose read then compiles without the
-/// write-set lookup (with the lookup in, `rbtree_ro`'s V2 lookups ran
-/// 18 % slower, DESIGN.md §10). Retries run the registered engines.
+/// Engine for every attempt of [`crate::AlgorithmKind::RInvalV1`] and
+/// `RInvalV2`, and for every attempt of [`crate::AlgorithmKind::RInvalMV`]
+/// that may write. V1 and V2 differ only in who invalidates: a registered
+/// read waits on its slot's invalidation-server cursor where there is one
+/// (Algorithm 3, line 28) and on nothing under V1, the zero-invalidator
+/// case. `DECLARED_RO` is true under [`crate::ThreadHandle::run_ro`],
+/// whose unregistered read then compiles without the write-set lookup
+/// (with the lookup in, `rbtree_ro`'s V2 lookups ran 18 % slower,
+/// DESIGN.md §10).
 ///
-/// * **Pin** — the default plain `pin_era`: no `live` bit, no `TX_ALIVE`,
-///   no read-signature clear. Sound by NOrec's argument (DESIGN.md §9):
-///   every value is checked against the timestamp before it is returned,
-///   and a block is recycled only after its freeing commit bumped it.
-/// * **Read** — own buffered write first (writers only), then heap load,
-///   acquire fence, `timestamp == snapshot`, exactly `norec::read`'s
-///   check; a hit is logged in the value read-set.
+/// * **Pin** — on a first attempt the default plain `pin_era`: no `live`
+///   bit, no `TX_ALIVE`, no read-signature clear. Sound by NOrec's
+///   argument (DESIGN.md §9): every value is checked against the timestamp
+///   before it is returned, and a block is recycled only after its freeing
+///   commit bumped it. A retry runs the full [`registry_begin`] instead.
+/// * **Read** — registered, the paper's path (`invalstm::read_impl`),
+///   whose O(1) validation per read is what invalidation buys while
+///   commits interleave. Unregistered: own buffered write first (writers
+///   only), then heap load, acquire fence, `timestamp == snapshot`, exactly
+///   `norec::read`'s check; a hit is logged in the value read-set.
 /// * **Write** — buffered like every engine's; nothing is published
 ///   before commit.
-/// * **Promotion** — a mismatch means a commit landed since the snapshot:
-///   [`promote`] registers in place and revalidates the logged reads once,
-///   and from then on every read takes the paper's path
-///   (`invalstm::read_impl`), whose O(1) validation per read is what
-///   invalidation buys while commits interleave. Measured against
-///   revalidating NOrec-style on every timestamp move instead: no worse
-///   for readers, and more writer commits on V2 (DESIGN.md §14).
-/// * **Commit** — read-only: nothing to publish or ask (unpromoted, the
-///   reads are consistent at the snapshot; promoted, every read checked
-///   the invalidation flag — Algorithm 2, lines 2–3). An unregistered
-///   write-set that is silent — every buffered value already in the heap,
-///   with the timestamp still at the snapshot — is a read-only transaction
-///   at the snapshot and commits the same way, locally
-///   ([`norec::silent_commit`]). Any other write-set, registered or not,
-///   goes to the commit-server ([`client_commit`]). An unregistered one is
+/// * **Promotion** — an unregistered mismatch means a commit landed since
+///   the snapshot: [`promote`] registers in place and revalidates the
+///   logged reads once, and from then on every read takes the paper's
+///   path. Measured against revalidating NOrec-style on every timestamp
+///   move instead: no worse for readers, and more writer commits on V2
+///   (DESIGN.md §14).
+/// * **Commit** — [`client_commit`]. An empty write-set is read-only:
+///   nothing to publish or ask (unpromoted, the reads are consistent at
+///   the snapshot; registered, every read checked the invalidation flag —
+///   Algorithm 2, lines 2–3). An unregistered write-set that is silent —
+///   every buffered value already in the heap, with the timestamp still at
+///   the snapshot — is a read-only transaction at the snapshot and commits
+///   the same way, locally ([`norec::silent_commit`]). Any other write-set,
+///   registered or not, goes to the commit-server. An unregistered one is
 ///   posted with its snapshot and its value read-set; the server admits it
 ///   at once while the timestamp still equals the snapshot, and otherwise
 ///   only if the reads still hold. A refusal therefore means a read really
 ///   changed.
-pub(crate) struct RInvalSnapshot<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool>;
+pub(crate) struct RInvalClient<const DECLARED_RO: bool>;
 
-impl<const C: bool, const RO: bool> sealed::Sealed for RInvalSnapshot<C, RO> {}
+impl<const DECLARED_RO: bool> sealed::Sealed for RInvalClient<DECLARED_RO> {}
 
-impl<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool> Algorithm
-    for RInvalSnapshot<CHECK_INVAL_SERVER, DECLARED_RO>
-{
+impl<const DECLARED_RO: bool> Algorithm for RInvalClient<DECLARED_RO> {
+    #[inline]
+    fn pin(tx: &mut Txn<'_>) {
+        if tx.first {
+            tx.stm.registry.pin_era(tx.slot_idx, tx.cache.era_cache);
+        } else {
+            registry_begin(tx);
+        }
+    }
+
     #[inline]
     fn begin(tx: &mut Txn<'_>) -> TxResult<()> {
+        if tx.registered {
+            return Ok(());
+        }
         norec::begin(tx)
     }
 
     #[inline]
     fn read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
         if tx.registered {
-            return invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h);
+            let cursor = tx.inval_cursor;
+            return invalstm::read_impl(tx, h, cursor);
         }
         if !DECLARED_RO {
             if let Some(v) = tx.ws.get(h) {
@@ -171,15 +127,11 @@ impl<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool> Algorithm
             tx.rs.push(h, v);
             return Ok(v);
         }
-        promote_and_read::<CHECK_INVAL_SERVER>(tx, h)
+        promote_and_read(tx, h)
     }
 
     #[inline]
     fn commit(tx: &mut Txn<'_>) -> TxResult<()> {
-        if DECLARED_RO {
-            debug_assert!(tx.ws.is_empty(), "declared-RO attempt buffered a write");
-            return Ok(());
-        }
         client_commit(tx)
     }
 
@@ -199,13 +151,14 @@ impl<const CHECK_INVAL_SERVER: bool, const DECLARED_RO: bool> Algorithm
     }
 }
 
-/// The first commit an [`RInvalSnapshot`] attempt observes: promote, then
-/// read `h` on the paper's path (the value loaded before the mismatch is
-/// discarded).
+/// The first commit an unregistered [`RInvalClient`] attempt observes:
+/// promote, then read `h` on the paper's path (the value loaded before the
+/// mismatch is discarded).
 #[cold]
-fn promote_and_read<const CHECK_INVAL_SERVER: bool>(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
+fn promote_and_read(tx: &mut Txn<'_>, h: Handle) -> TxResult<u64> {
     promote(tx)?;
-    invalstm::read_impl::<CHECK_INVAL_SERVER>(tx, h)
+    let cursor = tx.inval_cursor;
+    invalstm::read_impl(tx, h, cursor)
 }
 
 /// Panic repair of every engine that can post a commit request: a panic
@@ -218,8 +171,8 @@ fn withdraw_then_end(tx: &mut Txn<'_>) {
     registry_end(tx);
 }
 
-/// In-place upgrade of an [`RInvalSnapshot`] attempt to the registered
-/// protocol, on the first commit it observes in a read:
+/// In-place upgrade of an unregistered [`RInvalClient`] attempt to the
+/// registered protocol, on the first commit it observes in a read:
 /// register in the `live` map, republish the reads into the slot's
 /// signature (before the fence, so a committer admitted after the fence
 /// either sees the signature and invalidates us or wrote before our

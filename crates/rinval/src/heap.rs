@@ -427,9 +427,9 @@ impl Heap {
 
     /// Materializes every segment covering word indices `[start, start+n)`.
     fn ensure_segments(&self, start: usize, n: usize) {
-        let first = start >> self.seg_shift;
-        let last = (start + n.max(1) - 1) >> self.seg_shift;
-        for s in first..=last {
+        let lo = start >> self.seg_shift;
+        let hi = (start + n.max(1) - 1) >> self.seg_shift;
+        for s in lo..=hi {
             if !self.table[s].load(Ordering::Acquire).is_null() {
                 continue;
             }

@@ -859,4 +859,40 @@ mod tests {
             }
         }
     }
+
+    /// A degraded remote instance runs InvalSTM, whose reads must not wait
+    /// on the dead invalidation-servers' cursors: they froze at
+    /// degradation, so a read that checked them would abort on every
+    /// attempt once a commit moved the timestamp past them.
+    #[test]
+    fn degraded_instances_read_past_the_frozen_cursors() {
+        const PER_THREAD: u64 = 500;
+        for kind in [
+            AlgorithmKind::RInvalV2 { invalidators: 2 },
+            AlgorithmKind::RInvalMV {
+                invalidators: 2,
+                steps_ahead: 2,
+            },
+        ] {
+            let stm = Stm::new(kind);
+            server::degrade(&stm.inner);
+            let ctr = stm.alloc_init(&[0]);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let mut th = stm.register_thread();
+                        for _ in 0..PER_THREAD {
+                            let r = th.try_run_for(std::time::Duration::from_secs(10), |tx| {
+                                let v = tx.read(ctr)?;
+                                tx.write(ctr, v + 1)
+                            });
+                            assert_eq!(r, Ok(()), "{kind:?}: degraded increment");
+                        }
+                    });
+                }
+            });
+            let mut th = stm.register_thread();
+            assert_eq!(th.run_ro(|tx| tx.read(ctr)), 2 * PER_THREAD, "{kind:?}");
+        }
+    }
 }

@@ -433,8 +433,8 @@ impl Registry {
     /// global timestamp — after the missed transaction's snapshot, and
     /// NOrec revalidates against the timestamp *before returning any read
     /// value*, so a read that could observe recycled contents aborts
-    /// instead (DESIGN.md §9). The RInval snapshot attempts
-    /// (`RInvalSnapshot`, every first attempt) make the same argument until
+    /// instead (DESIGN.md §9). The unregistered RInval attempts
+    /// (`RInvalClient`'s first attempts) make the same argument until
     /// they promote: every value they return was checked against the
     /// snapshot timestamp, a mismatch promotes rather than returns, and an
     /// unregistered write-set is admitted only while the timestamp still

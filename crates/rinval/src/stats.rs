@@ -167,16 +167,13 @@ pub struct ServerCounters {
     /// Snapshot reads that found the version ring overwritten past the
     /// snapshot and fell back to revalidation.
     pub ring_misses: AtomicU64,
-    /// Unregistered first attempts (`RInvalSnapshot`: every first attempt
+    /// Unregistered first attempts (`RInvalClient`: every first attempt
     /// on V1/V2, MV's first attempts that may write) promoted in place
     /// to the invalidation protocol on the first commit they observe in a
     /// read — readers and writers alike.
     pub ro_promotions: AtomicU64,
     /// Times a client parked on its request slot waiting for a verdict.
     pub client_parks: AtomicU64,
-    /// Highest abort streak any transaction reached (`fetch_max`, so the
-    /// mark survives the streak's own reset on commit).
-    pub streak_high_water: AtomicU64,
     /// Client commit requests that hit a [`crate::TxError::Timeout`]
     /// deadline while waiting for a server verdict.
     pub timed_out_requests: AtomicU64,
@@ -214,12 +211,6 @@ impl ServerCounters {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises `counter` to at least `n` (relaxed `fetch_max`).
-    #[inline]
-    pub(crate) fn raise(counter: &AtomicU64, n: u64) {
-        counter.fetch_max(n, Ordering::Relaxed);
-    }
-
     /// Adds one commit latency observation to the log₂ histogram.
     #[inline]
     pub(crate) fn record_latency_ns(&self, ns: u64) {
@@ -243,7 +234,6 @@ impl ServerCounters {
             drained_requests: self.drained_requests.load(Ordering::Relaxed),
             txs_doomed: self.txs_doomed.load(Ordering::Relaxed),
             irrevocable_grants: self.irrevocable_grants.load(Ordering::Relaxed),
-            streak_high_water: self.streak_high_water.load(Ordering::Relaxed),
             ro_snapshot_commits: self.ro_snapshot_commits.load(Ordering::Relaxed),
             ring_misses: self.ring_misses.load(Ordering::Relaxed),
             ro_promotions: self.ro_promotions.load(Ordering::Relaxed),
@@ -290,8 +280,6 @@ pub struct ServerStats {
     pub txs_doomed: u64,
     /// Irrevocable-token grants.
     pub irrevocable_grants: u64,
-    /// Highest abort streak any transaction reached.
-    pub streak_high_water: u64,
     /// Read-only transactions committed straight off their begin snapshot.
     pub ro_snapshot_commits: u64,
     /// Snapshot reads that fell off the version ring into revalidation.
@@ -355,9 +343,6 @@ impl ServerStats {
             drained_requests: self.drained_requests - earlier.drained_requests,
             txs_doomed: self.txs_doomed - earlier.txs_doomed,
             irrevocable_grants: self.irrevocable_grants - earlier.irrevocable_grants,
-            // A high-water mark has no meaningful difference; report the
-            // later window's mark as-is.
-            streak_high_water: self.streak_high_water,
             ro_snapshot_commits: self.ro_snapshot_commits - earlier.ro_snapshot_commits,
             ring_misses: self.ring_misses - earlier.ring_misses,
             ro_promotions: self.ro_promotions - earlier.ro_promotions,
@@ -588,18 +573,14 @@ mod tests {
         let c = ServerCounters::default();
         ServerCounters::add(&c.txs_doomed, 5);
         ServerCounters::add(&c.irrevocable_grants, 1);
-        ServerCounters::raise(&c.streak_high_water, 9);
-        ServerCounters::raise(&c.streak_high_water, 4); // must not lower it
         let s = c.snapshot();
         assert_eq!(s.txs_doomed, 5);
         assert_eq!(s.irrevocable_grants, 1);
-        assert_eq!(s.streak_high_water, 9);
         assert!(!s.degraded());
 
         ServerCounters::add(&c.txs_doomed, 2);
         let d = c.snapshot().since(&s);
         assert_eq!(d.txs_doomed, 2);
-        assert_eq!(d.streak_high_water, 9, "high-water mark carries over");
     }
 
     #[test]

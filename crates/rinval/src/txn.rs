@@ -5,8 +5,8 @@
 //! the state that survives across retries (logs, contention manager,
 //! stats) and the begin / run / commit / abort choreography shared by
 //! every algorithm. The [`crate::AlgorithmKind`] is resolved exactly once
-//! per attempt (`algo::with_algorithm!` in [`ThreadHandle::run`] /
-//! [`ThreadHandle::try_run`] / [`ThreadHandle::try_run_for`]) — per
+//! per attempt (`algo::with_algorithm!` in the one retry loop behind
+//! [`ThreadHandle::run`], `run_ro`, `try_run` and `try_run_for`) — per
 //! *attempt*, not per call, so a degraded instance re-resolves remote
 //! kinds to their InvalSTM fallback between retries
 //! (`StmInner::effective_algo`). From there the lifecycle dispatches
@@ -34,7 +34,7 @@ use crate::logs::{AllocLog, ValueReadSet, WriteSet};
 use crate::stats::{PhaseStats, Probe, ServerCounters};
 use crate::{Aborted, StmInner, TxError, TxResult};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Per-registered-thread transaction context.
@@ -45,6 +45,9 @@ use std::time::{Duration, Instant};
 pub struct ThreadHandle<'a> {
     pub(crate) stm: &'a StmInner,
     pub(crate) slot_idx: usize,
+    /// This slot's invalidation-server cursor (RInval V2/MV), resolved
+    /// once per handle; `None` without invalidation-servers.
+    inval_cursor: Option<&'a AtomicU64>,
     cm: ContentionManager,
     rs: ValueReadSet,
     ws: WriteSet,
@@ -59,6 +62,10 @@ impl<'a> ThreadHandle<'a> {
         ThreadHandle {
             stm,
             slot_idx,
+            inval_cursor: stm
+                .inval_ts
+                .get(stm.inval_server_of(slot_idx))
+                .map(|c| &**c),
             cm: ContentionManager::new(slot_idx as u64 + 1),
             rs: ValueReadSet::new(),
             ws: WriteSet::new(),
@@ -107,17 +114,9 @@ impl<'a> ThreadHandle<'a> {
     /// [`crate::ServerStats::stale_refusals`]) and the attempt aborts.
     /// Every retry runs registered from its begin.
     pub fn run<T>(&mut self, mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>) -> T {
-        loop {
-            // The one kind branch of the transaction path, once per
-            // attempt: everything inside is monomorphized, and a
-            // degradation takes effect on the next retry.
-            let first = self.cm.streak() == 0;
-            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
-                self.attempt::<A, T>(&mut body, None, false)
-            });
-            if let Ok(v) = r {
-                return v;
-            }
+        match self.retry::<false, T>(&mut body, usize::MAX, None) {
+            Ok(v) => v,
+            Err(_) => unreachable!("an unbounded retry loop gave up"),
         }
     }
 
@@ -149,16 +148,9 @@ impl<'a> ThreadHandle<'a> {
         self.ws.clear();
         self.wbf.clear();
         self.alog.clear();
-        loop {
-            // Only a first attempt reads unregistered: a retry binds the
-            // registered engine from its begin.
-            let first = self.cm.streak() == 0;
-            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = true, first = first, A => {
-                self.attempt::<A, T>(&mut body, None, true)
-            });
-            if let Ok(v) = r {
-                return v;
-            }
+        match self.retry::<true, T>(&mut body, usize::MAX, None) {
+            Ok(v) => v,
+            Err(_) => unreachable!("an unbounded retry loop gave up"),
         }
     }
 
@@ -171,16 +163,8 @@ impl<'a> ThreadHandle<'a> {
         max_attempts: usize,
         mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>,
     ) -> TxResult<T> {
-        for _ in 0..max_attempts {
-            let first = self.cm.streak() == 0;
-            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
-                self.attempt::<A, T>(&mut body, None, false)
-            });
-            if let Ok(v) = r {
-                return Ok(v);
-            }
-        }
-        Err(Aborted)
+        self.retry::<false, T>(&mut body, max_attempts, None)
+            .map_err(|_| Aborted)
     }
 
     /// Like [`ThreadHandle::run`] but bounded in *time*: retries until the
@@ -204,29 +188,42 @@ impl<'a> ThreadHandle<'a> {
         timeout: Duration,
         mut body: impl FnMut(&mut Txn<'_>) -> TxResult<T>,
     ) -> Result<T, TxError> {
-        let deadline = Instant::now() + timeout;
-        loop {
+        self.retry::<false, T>(&mut body, usize::MAX, Some(Instant::now() + timeout))
+    }
+
+    /// The one retry loop behind every entry point: up to `max_attempts`
+    /// attempts (`usize::MAX` runs until a commit), each resolving the
+    /// engine afresh, so a degradation takes effect on the next retry.
+    /// `Err` is [`TxError::Timeout`] once `deadline` cut an attempt short
+    /// or passed before one began, else [`TxError::Aborted`] after the
+    /// last attempt.
+    fn retry<const DECLARED_RO: bool, T>(
+        &mut self,
+        body: &mut impl FnMut(&mut Txn<'_>) -> TxResult<T>,
+        max_attempts: usize,
+        deadline: Option<Instant>,
+    ) -> Result<T, TxError> {
+        for _ in 0..max_attempts {
             // Fast-fail before the attempt: a deadline that has already
             // passed — a zero/expired budget handed down by a caller with
             // its own deadline — must not buy one more attempt's worth of
             // work.
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
                 ServerCounters::add(&self.stm.server_stats.timeout_withdrawals, 1);
                 return Err(TxError::Timeout);
             }
-            let first = self.cm.streak() == 0;
-            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = false, first = first, A => {
-                self.attempt::<A, T>(&mut body, Some(deadline), false)
+            // The one kind branch of the transaction path, once per
+            // attempt: everything inside is monomorphized.
+            let r = algo::with_algorithm!(self.stm.effective_algo(), declared_ro = DECLARED_RO, A => {
+                self.attempt::<A, T>(body, deadline, DECLARED_RO)
             });
             match r {
                 Ok(v) => return Ok(v),
-                Err(timed_out) => {
-                    if timed_out {
-                        return Err(TxError::Timeout);
-                    }
-                }
+                Err(true) => return Err(TxError::Timeout),
+                Err(false) => {}
             }
         }
+        Err(TxError::Aborted)
     }
 
     /// One transaction attempt of engine `A`: pin → begin → body → commit,
@@ -258,6 +255,8 @@ impl<'a> ThreadHandle<'a> {
             version_base: 0,
             lock_held: false,
             registered: false,
+            first: self.cm.streak() == 0,
+            inval_cursor: self.inval_cursor,
             declared_ro,
             deadline,
             timed_out: false,
@@ -347,8 +346,6 @@ impl<'a> ThreadHandle<'a> {
                 self.cache.abort(&mut self.alog);
                 self.stats.aborts += 1;
                 let expired = self.cm.on_abort_bounded(deadline);
-                let streak = self.cm.streak();
-                ServerCounters::raise(&self.stm.server_stats.streak_high_water, streak as u64);
                 p_abort.stop(&mut self.stats.abort);
                 p_total.stop(&mut self.stats.total_tx);
                 Err(timed_out || expired)
@@ -418,13 +415,21 @@ pub struct Txn<'t> {
     /// `cleanup_panic` seqlock repair.
     pub(crate) lock_held: bool,
     /// Whether this attempt is on the in-flight registry (`live` bit,
-    /// `TX_ALIVE`): from its pin on the registered engines, from its
-    /// promotion on an unregistered snapshot attempt
-    /// ([`crate::algo::rinval::RInvalSnapshot`]). Set only by
-    /// `algo::registry_begin`; selects the snapshot engine's read path,
-    /// the admission tag of a posted write-set and the family's one
+    /// `TX_ALIVE`): from its pin on InvalSTM and on an RInval retry, from
+    /// its promotion on an unregistered first attempt
+    /// ([`crate::algo::rinval::RInvalClient`]). Set only by
+    /// `algo::registry_begin`; selects the RInval client's begin and read
+    /// path, the admission tag of a posted write-set and the family's one
     /// cleanup (`algo::registry_end`).
     pub(crate) registered: bool,
+    /// Whether this is the transaction's first attempt (abort streak 0):
+    /// the RInval client then starts unregistered, and a retry registers
+    /// from its pin.
+    pub(crate) first: bool,
+    /// The slot's invalidation-server cursor, which a registered RInval
+    /// read waits on (Algorithm 3, line 28); `None` on V1 and on the
+    /// serverless kinds. Copied from the handle, never recomputed per read.
+    pub(crate) inval_cursor: Option<&'t AtomicU64>,
     /// Whether this attempt runs under [`ThreadHandle::run_ro`]: writes,
     /// allocs and frees panic, and [`Txn::is_read_only`] is `true` by
     /// declaration.

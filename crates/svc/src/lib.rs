@@ -163,8 +163,6 @@ pub struct SvcConfig {
     /// How long a breached p99 window sheds before the signal goes stale
     /// and probe writes are re-admitted to re-measure.
     pub breach_ttl: Duration,
-    /// Respawn workers that die (panic or injected death).
-    pub respawn_workers: bool,
     /// **Chaos-canary test hook — never enable in a real deployment.**
     /// Skips the dedup window entirely: fresh and retried keys alike are
     /// applied (the per-client applied counter still ticks), so any
@@ -184,7 +182,6 @@ impl Default for SvcConfig {
             hist_window: 64,
             shed_pending: 32,
             breach_ttl: Duration::from_millis(100),
-            respawn_workers: true,
             disable_dedup: false,
         }
     }
@@ -471,10 +468,8 @@ fn supervise<'scope>(s: &'scope Scope<'scope, '_>, sh: &'scope Shared<'_>) {
                 let _ = slot.take().unwrap().join();
                 if !shutting_down {
                     bump(&sh.counters.worker_deaths);
-                    if sh.cfg.respawn_workers {
-                        bump(&sh.counters.worker_respawns);
-                        *slot = Some(spawn(w));
-                    }
+                    bump(&sh.counters.worker_respawns);
+                    *slot = Some(spawn(w));
                 }
             }
         }
