@@ -7,29 +7,23 @@
 //! then op-table calls) must be no slower than the seed's per-read enum
 //! dispatch, which is re-created here as a `match` over five
 //! `#[inline(never)]` arms around the same reads. Hand-rolled timing
-//! (best of repeated rounds over fixed operation counts — no external
-//! benchmark harness, so the workspace builds hermetically). The bench
-//! exits non-zero if the monomorphized path regresses past the
-//! tolerance, so the CI smoke step (`cargo bench --bench micro --
-//! --test`) enforces it on every run; `--test` only shrinks the
-//! operation count.
+//! (best of many short rounds, the two sides alternating, over fixed
+//! operation counts — no external benchmark harness, so the workspace
+//! builds hermetically). The bench exits non-zero if the monomorphized
+//! path regresses past the tolerance, so the CI smoke step (`cargo bench
+//! --bench micro -- --test`) enforces it on every run; `--test` only
+//! shrinks the operation count.
 
 use rinval::{AlgorithmKind, Handle, Stm, TxResult, Txn};
 use std::time::Instant;
 
-/// Best-of-`rounds` time for `ops` repetitions of `op`, in ns/op.
-/// Minimum (not mean) so background scheduling noise on shared CI hosts
-/// biases results high, never low.
-fn best_ns_per_op(rounds: usize, ops: u64, mut op: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        for _ in 0..ops {
-            op();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / ops as f64);
+/// Time for one round of `ops` repetitions of `op`, in ns/op.
+fn ns_per_op(ops: u64, mut op: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..ops {
+        op();
     }
-    best
+    t0.elapsed().as_secs_f64() * 1e9 / ops as f64
 }
 
 // ---------------------------------------------------------------------
@@ -67,31 +61,44 @@ fn enum_dispatch_read(kind: AlgorithmKind, tx: &mut Txn<'_>, h: Handle) -> TxRes
     }
 }
 
+/// Rounds per side. Many short rounds rather than a few long ones, so a
+/// slow spell on the host that spans several rounds still leaves each
+/// side rounds outside it.
+const ROUNDS: usize = 20;
+
 /// Returns (monomorphized ns/read, enum-dispatch ns/read) for read-only
-/// transactions over 32 words under `algo`.
+/// transactions over 32 words under `algo`: the best of [`ROUNDS`] rounds
+/// of `ops` transactions per side. The rounds alternate sides inside one
+/// loop, so both minima come from the same window and a change in host
+/// state between two separate blocks of rounds cannot read as a ratio.
+/// Minimum (not mean) so background scheduling noise on shared CI hosts
+/// biases results high, never low.
 fn dispatch_pair(algo: AlgorithmKind, ops: u64) -> (f64, f64) {
     let stm = Stm::builder(algo).heap_words(1 << 10).build();
     let arr = stm.alloc(32);
     let mut th = stm.register_thread();
-    let mono = best_ns_per_op(5, ops, || {
-        th.run(|tx| {
-            let mut acc = 0u64;
-            for i in 0..32u32 {
-                acc = acc.wrapping_add(tx.read(arr.field(i))?);
-            }
-            Ok(acc)
-        });
-    });
     let kind = stm.algorithm();
-    let enumed = best_ns_per_op(5, ops, || {
-        th.run(|tx| {
-            let mut acc = 0u64;
-            for i in 0..32u32 {
-                acc = acc.wrapping_add(enum_dispatch_read(kind, tx, arr.field(i))?);
-            }
-            Ok(acc)
-        });
-    });
+    let (mut mono, mut enumed) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        mono = mono.min(ns_per_op(ops, || {
+            th.run(|tx| {
+                let mut acc = 0u64;
+                for i in 0..32u32 {
+                    acc = acc.wrapping_add(tx.read(arr.field(i))?);
+                }
+                Ok(acc)
+            });
+        }));
+        enumed = enumed.min(ns_per_op(ops, || {
+            th.run(|tx| {
+                let mut acc = 0u64;
+                for i in 0..32u32 {
+                    acc = acc.wrapping_add(enum_dispatch_read(kind, tx, arr.field(i))?);
+                }
+                Ok(acc)
+            });
+        }));
+    }
     (mono / 32.0, enumed / 32.0)
 }
 
@@ -133,7 +140,7 @@ fn dispatch_gate(ops: u64) -> bool {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    if !dispatch_gate(if smoke { 6_000 } else { 60_000 }) {
+    if !dispatch_gate(if smoke { 1_500 } else { 15_000 }) {
         std::process::exit(1);
     }
 }

@@ -48,20 +48,26 @@ impl Config {
     }
 }
 
-/// Builds the initial tree (single-threaded, before measurement).
+/// Builds the initial tree before measurement, outside the commit path:
+/// `initial_size` distinct keys drawn from `0..2·initial_size`, each
+/// mapped to itself, laid out by [`RbTree::from_sorted`] (quiescent, no
+/// thread registered, nothing committed).
 pub fn setup(stm: &Stm, cfg: &Config) -> RbTree {
-    let tree = RbTree::new(stm);
-    let mut th = stm.register_thread();
     let range = cfg.initial_size * 2;
     let mut rng = SplitMix::new(cfg.seed);
-    let mut inserted = 0;
-    while inserted < cfg.initial_size {
+    let mut chosen = vec![false; range as usize];
+    let mut drawn = 0;
+    while drawn < cfg.initial_size {
         let k = rng.below(range);
-        if th.run(|tx| tree.insert(tx, k, k)) {
-            inserted += 1;
+        if !std::mem::replace(&mut chosen[k as usize], true) {
+            drawn += 1;
         }
     }
-    tree
+    let entries: Vec<(u64, u64)> = (0..range)
+        .filter(|&k| chosen[k as usize])
+        .map(|k| (k, k))
+        .collect();
+    RbTree::from_sorted(stm, &entries)
 }
 
 /// Runs the timed mixed workload against an already-built tree.
@@ -142,6 +148,7 @@ mod tests {
             .heap_words(cfg.heap_words())
             .build();
         let tree = setup(&stm, &cfg);
+        assert_eq!(stm.timestamp(), 0, "set-up committed");
         assert_eq!(tree.snapshot_keys(&stm).len() as u64, cfg.initial_size);
         tree.check_invariants(&stm).unwrap();
     }

@@ -77,27 +77,26 @@ pub struct Database {
 }
 
 impl Database {
-    /// Builds and populates the database (quiescent).
+    /// Builds and populates the database (quiescent), outside the commit
+    /// path: every table is laid out by [`RbTree::from_sorted`], so set-up
+    /// registers no thread and commits nothing — table construction stays
+    /// out of the measured region, as in STAMP. Prices come from one
+    /// `SplitMix` stream drawn relation by relation, id ascending.
     pub fn setup(stm: &Stm, cfg: &Config) -> Database {
-        let db = Database {
-            relations: [RbTree::new(stm), RbTree::new(stm), RbTree::new(stm)],
-            customers: RbTree::new(stm),
+        let mut rng = SplitMix::new(cfg.seed ^ 0xDB);
+        let relations = [(); NUM_TYPES].map(|()| {
+            let rows: Vec<(u64, u64)> = (0..cfg.resources)
+                .map(|r| (r, pack(cfg.initial_avail, 50 + rng.below(450))))
+                .collect();
+            RbTree::from_sorted(stm, &rows)
+        });
+        let customers: Vec<(u64, u64)> = (0..cfg.customers).map(|c| (c, 0)).collect();
+        Database {
+            relations,
+            customers: RbTree::from_sorted(stm, &customers),
             reserved: TArray::new(stm, NUM_TYPES),
             money: TArray::new(stm, 2),
-        };
-        let mut th = stm.register_thread();
-        let mut rng = SplitMix::new(cfg.seed ^ 0xDB);
-        for (t, rel) in db.relations.iter().enumerate() {
-            for r in 0..cfg.resources {
-                let price = 50 + rng.below(450);
-                th.run(|tx| rel.insert(tx, r, pack(cfg.initial_avail, price)));
-                let _ = t;
-            }
         }
-        for c in 0..cfg.customers {
-            th.run(|tx| db.customers.insert(tx, c, 0));
-        }
-        db
     }
 
     /// Reservation: query `queries` resources in one relation, reserve the
@@ -316,6 +315,54 @@ mod tests {
             queries: 4,
             reserve_pct: 80,
             seed: 77,
+        }
+    }
+
+    /// Every `(key, value)` of `tree`, in key order, read through `run_ro`.
+    fn rows(stm: &Stm, tree: RbTree) -> Vec<(u64, u64)> {
+        let mut th = stm.register_thread();
+        tree.snapshot_keys(stm)
+            .into_iter()
+            .map(|k| (k, th.run_ro(|tx| tree.get(tx, k)).expect("listed key")))
+            .collect()
+    }
+
+    /// The tables the per-row set-up (one committed insert per row, on
+    /// NOrec) built from the same config: the reference the bulk build
+    /// must reproduce.
+    fn per_row_reference(cfg: &Config) -> Vec<Vec<(u64, u64)>> {
+        let stm = Stm::builder(AlgorithmKind::NOrec)
+            .heap_words(1 << 16)
+            .build();
+        let tables = [(); NUM_TYPES + 1].map(|()| RbTree::new(&stm));
+        let mut th = stm.register_thread();
+        let mut rng = SplitMix::new(cfg.seed ^ 0xDB);
+        for rel in &tables[..NUM_TYPES] {
+            for r in 0..cfg.resources {
+                let price = 50 + rng.below(450);
+                th.run(|tx| rel.insert(tx, r, pack(cfg.initial_avail, price)));
+            }
+        }
+        for c in 0..cfg.customers {
+            th.run(|tx| tables[NUM_TYPES].insert(tx, c, 0));
+        }
+        drop(th);
+        tables.iter().map(|&t| rows(&stm, t)).collect()
+    }
+
+    #[test]
+    fn setup_commits_nothing_and_matches_the_per_row_tables() {
+        let cfg = small();
+        let reference = per_row_reference(&cfg);
+        for algo in AlgorithmKind::all(2, 2) {
+            let stm = Stm::builder(algo).heap_words(1 << 16).build();
+            let db = Database::setup(&stm, &cfg);
+            assert_eq!(stm.timestamp(), 0, "{algo:?}: set-up committed");
+            db.verify(&stm, &cfg)
+                .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
+            let tables = db.relations.iter().chain([&db.customers]);
+            let built: Vec<_> = tables.map(|&t| rows(&stm, t)).collect();
+            assert_eq!(built, reference, "{algo:?}: tables differ");
         }
     }
 

@@ -4,10 +4,14 @@
 //! recycling freed nodes — instead of exhausting a fixed arena.
 
 use rinval::{AlgorithmKind, Stm};
-use stamp::{intruder, vacation};
+use stamp::{intruder, rbtree_bench, vacation};
+use std::time::Duration;
 
-/// Vacation's default small-run config needs ~hundreds of KiB of heap; a
-/// 1 Ki-word initial arena forces many growth steps mid-run.
+/// Vacation's tables (3 × 128 resources and 64 customers, 6 words a row)
+/// outgrow a 1 Ki-word initial arena, whose three base segments hold
+/// 1,535 words. Set-up builds them outside any transaction, so that is
+/// where the heap grows; the run itself never allocates (every customer
+/// key pre-exists) and must complete and conserve on the grown heap.
 #[test]
 fn vacation_completes_with_tiny_initial_arena() {
     for algo in [
@@ -16,26 +20,67 @@ fn vacation_completes_with_tiny_initial_arena() {
     ] {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
         let cfg = vacation::Config {
-            resources: 64,
-            customers: 32,
+            resources: 128,
+            customers: 64,
             initial_avail: 30,
             transactions: 1200,
             queries: 6,
             reserve_pct: 80,
             seed: 0xACA7,
         };
-        let r = vacation::run_verified(&stm, 2, &cfg)
+        let fresh = stm.heap_stats();
+        let db = vacation::Database::setup(&stm, &cfg);
+        let built = stm.heap_stats();
+        assert!(
+            built.live_segments > fresh.live_segments,
+            "{algo:?}: set-up never outgrew the initial arena \
+             (test misconfigured): {built:?}"
+        );
+        let r = vacation::run_on(&stm, db, 2, &cfg);
+        db.verify(&stm, &cfg)
             .unwrap_or_else(|e| panic!("{algo:?}: vacation failed: {e}"));
-        let st = r.heap;
+        assert!(r.stats.commits > 0, "{algo:?}: nothing committed");
+    }
+}
+
+/// Growth steps mid-run: every successful red-black-tree insert calls
+/// `Txn::alloc`. Set-up fills the 1 Ki-word initial arena to within one
+/// node, so the first node the run takes from the bump frontier must
+/// materialize a new segment inside a transaction.
+#[test]
+fn rbtree_grows_the_heap_mid_run() {
+    const NODE_WORDS: usize = 6;
+    for algo in [
+        AlgorithmKind::NOrec,
+        AlgorithmKind::RInvalV2 { invalidators: 2 },
+    ] {
+        let stm = Stm::builder(algo).heap_words(1 << 10).build();
+        let fresh = stm.heap_stats();
+        let cfg = rbtree_bench::Config {
+            initial_size: 254,
+            read_pct: 0,
+            delay_noops: 0,
+            duration: Duration::from_millis(100),
+            seed: 0xB0B,
+        };
+        let tree = rbtree_bench::setup(&stm, &cfg);
+        let built = stm.heap_stats();
+        // Word 0 is the reserved null index.
+        let room = built.reserved_words - 1 - built.allocated_words as usize;
         assert!(
-            st.allocated_words as usize > 1 << 10,
-            "{algo:?}: working set never outgrew the initial arena \
-             (test misconfigured): {st:?}"
+            built.live_segments == fresh.live_segments && room < NODE_WORDS,
+            "{algo:?}: set-up must leave less than a node free in the \
+             initial arena (test misconfigured): {built:?}"
         );
+        let r = rbtree_bench::run_on(&stm, tree, 2, &cfg);
+        assert!(r.stats.commits > 0, "{algo:?}: nothing committed");
         assert!(
-            st.live_segments > 1,
-            "{algo:?}: no segment growth observed: {st:?}"
+            r.heap.live_segments > built.live_segments,
+            "{algo:?}: no segment growth during the run: {built:?} -> {:?}",
+            r.heap
         );
+        tree.check_invariants(&stm)
+            .unwrap_or_else(|e| panic!("{algo:?}: {e}"));
     }
 }
 
@@ -50,6 +95,7 @@ fn intruder_batches_recycle_instead_of_growing() {
         AlgorithmKind::RInvalV2 { invalidators: 2 },
     ] {
         let stm = Stm::builder(algo).heap_words(1 << 10).build();
+        let fresh = stm.heap_stats();
         let cfg = intruder::Config {
             flows: 256,
             frags_per_flow: 8,
@@ -65,7 +111,7 @@ fn intruder_batches_recycle_instead_of_growing() {
             r1.heap
         );
         assert!(
-            r1.heap.live_segments > 1,
+            r1.heap.live_segments > fresh.live_segments,
             "{algo:?}: no growth: {:?}",
             r1.heap
         );

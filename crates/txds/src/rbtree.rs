@@ -6,7 +6,9 @@
 //! version; every node access goes through the transaction, so a single
 //! `insert`/`remove`/`get` is one atomic operation and its read-set is the
 //! root-to-leaf path (≈ 2·log₂ n words) — the workload shape the paper's
-//! validation-cost analysis assumes.
+//! validation-cost analysis assumes. The one exception is the initial
+//! state: [`RbTree::from_sorted`] lays out a balanced tree with plain
+//! stores before any transaction runs.
 
 use rinval::{Handle, Stm, TxResult, Txn};
 
@@ -42,6 +44,60 @@ impl RbTree {
         let root = stm.alloc_init(&[nil.to_word()]);
         let size = stm.alloc_init(&[0]);
         RbTree { root, nil, size }
+    }
+
+    /// Builds a balanced tree holding `entries`, outside any transaction:
+    /// nothing is logged and nothing commits. Quiescent only, like
+    /// [`RbTree::new`] and [`Stm::poke`].
+    ///
+    /// The shape is a recursive mid-split, allocated in pre-order so each
+    /// subtree lies contiguously in the heap. A mid-split's leaves differ
+    /// in depth by at most one, so colouring the deepest level red (unless
+    /// it is the root's) and every other node black meets every red-black
+    /// invariant, for perfect and incomplete trees alike.
+    ///
+    /// # Panics
+    /// If the keys are not strictly ascending (unsorted or duplicated).
+    pub fn from_sorted(stm: &Stm, entries: &[(u64, u64)]) -> RbTree {
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "RbTree::from_sorted: keys must be strictly ascending"
+        );
+        let tree = RbTree::new(stm);
+        let deepest = entries.len().checked_ilog2().unwrap_or(0);
+        let root = tree.build(stm, entries, tree.nil, 0, deepest);
+        stm.poke(tree.root, root.to_word());
+        stm.poke(tree.size, entries.len() as u64);
+        tree
+    }
+
+    /// `from_sorted`'s recursion: the subtree over `entries`, hung under
+    /// `parent` at `depth`.
+    fn build(
+        &self,
+        stm: &Stm,
+        entries: &[(u64, u64)],
+        parent: Handle,
+        depth: u32,
+        deepest: u32,
+    ) -> Handle {
+        if entries.is_empty() {
+            return self.nil;
+        }
+        let mid = entries.len() / 2;
+        let (key, val) = entries[mid];
+        let color = if depth == deepest && depth > 0 {
+            RED
+        } else {
+            BLACK
+        };
+        let nil = self.nil.to_word();
+        let n = stm.alloc_init(&[key, val, nil, nil, parent.to_word(), color]);
+        let l = self.build(stm, &entries[..mid], n, depth + 1, deepest);
+        let r = self.build(stm, &entries[mid + 1..], n, depth + 1, deepest);
+        stm.poke(n.field(LEFT), l.to_word());
+        stm.poke(n.field(RIGHT), r.to_word());
+        n
     }
 
     #[inline]
@@ -391,17 +447,20 @@ impl RbTree {
         out
     }
 
-    /// Verifies every red-black invariant (BST order, root black, no red
-    /// node with a red child, equal black heights). Quiescent only.
+    /// Verifies every red-black invariant (BST order, root black with a
+    /// `nil` parent, no red node with a red child, equal black heights).
+    /// Quiescent only.
     pub fn check_invariants(&self, stm: &Stm) -> Result<(), String> {
         let root = Handle::from_word(stm.peek(self.root));
-        if self.is_nil(root) {
-            return Ok(());
+        if !self.is_nil(root) {
+            if stm.peek(root.field(COLOR)) != BLACK {
+                return Err("root is not black".into());
+            }
+            if !self.is_nil(self.peek_ptr(stm, root, PARENT)) {
+                return Err("root's parent is not nil".into());
+            }
+            self.check_node(stm, root, None, None)?;
         }
-        if stm.peek(root.field(COLOR)) != BLACK {
-            return Err("root is not black".into());
-        }
-        self.check_node(stm, root, None, None).map(|_| ())?;
         let n = self.snapshot_keys(stm).len() as u64;
         let recorded = stm.peek(self.size);
         if n != recorded {
@@ -563,6 +622,43 @@ mod tests {
         }
         // One node parked at most; no growth proportional to churn.
         assert!(stm.heap_allocated() <= before + 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_unsorted_keys() {
+        RbTree::from_sorted(&new_stm(), &[(1, 1), (3, 3), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_duplicate_keys() {
+        RbTree::from_sorted(&new_stm(), &[(1, 1), (2, 2), (2, 3)]);
+    }
+
+    #[test]
+    fn check_invariants_requires_a_nil_root_parent() {
+        let stm = new_stm();
+        let t = RbTree::from_sorted(&stm, &[(1, 1), (2, 2), (3, 3)]);
+        t.check_invariants(&stm).unwrap();
+        let root = Handle::from_word(stm.peek(t.root));
+        stm.poke(root.field(PARENT), Handle::NULL.to_word());
+        assert_eq!(
+            t.check_invariants(&stm),
+            Err("root's parent is not nil".into())
+        );
+    }
+
+    #[test]
+    fn check_invariants_counts_an_empty_tree() {
+        let stm = new_stm();
+        let t = RbTree::from_sorted(&stm, &[]);
+        t.check_invariants(&stm).unwrap();
+        stm.poke(t.size, 5);
+        assert_eq!(
+            t.check_invariants(&stm),
+            Err("size cell says 5, tree has 0 nodes".into())
+        );
     }
 
     #[test]

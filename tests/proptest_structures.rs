@@ -33,6 +33,76 @@ fn algorithms() -> [AlgorithmKind; 2] {
     ]
 }
 
+/// `RbTree::from_sorted` over `n` keys `3i + 1 → i` (so keys `3i` and
+/// `3i + 2` are absent) must be a valid red-black tree holding exactly
+/// those entries; a random insert/remove sequence run on top of it must
+/// then match a `BTreeMap`, under NOrec and RInval-V2 with 2 invalidators.
+fn bulk_build_then_churn(n: u64, ops: &[MapOp]) -> TestCaseResult {
+    let entries: Vec<(u64, u64)> = (0..n).map(|i| (3 * i + 1, i)).collect();
+    for algo in [
+        AlgorithmKind::NOrec,
+        AlgorithmKind::RInvalV2 { invalidators: 2 },
+    ] {
+        let stm = Stm::builder(algo).heap_words(1 << 14).build();
+        let tree = RbTree::from_sorted(&stm, &entries);
+        tree.check_invariants(&stm)
+            .map_err(|e| TestCaseError::fail(format!("{n} keys under {algo:?}: {e}")))?;
+        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
+        prop_assert_eq!(tree.snapshot_keys(&stm), keys);
+        let mut th = stm.register_thread();
+        prop_assert_eq!(th.run_ro(|tx| tree.len(tx)), n);
+        for &(k, v) in &entries {
+            prop_assert_eq!(th.run_ro(|tx| tree.get(tx, k)), Some(v));
+            for absent in [k - 1, k + 1] {
+                prop_assert_eq!(th.run_ro(|tx| tree.get(tx, absent)), None);
+            }
+        }
+        let mut model: BTreeMap<u64, u64> = entries.iter().copied().collect();
+        let range = 3 * n + 3;
+        for op in ops {
+            match *op {
+                MapOp::Insert(k, v) => {
+                    let k = k % range;
+                    let fresh = th.run(|tx| tree.insert(tx, k, v));
+                    prop_assert_eq!(fresh, model.insert(k, v).is_none());
+                }
+                MapOp::Remove(k) => {
+                    let k = k % range;
+                    let got = th.run(|tx| tree.remove(tx, k));
+                    prop_assert_eq!(got, model.remove(&k));
+                }
+                MapOp::Get(k) => {
+                    let k = k % range;
+                    let got = th.run(|tx| tree.get(tx, k));
+                    prop_assert_eq!(got, model.get(&k).copied());
+                }
+            }
+        }
+        drop(th);
+        tree.check_invariants(&stm).map_err(|e| {
+            TestCaseError::fail(format!("{n} keys, after the churn under {algo:?}: {e}"))
+        })?;
+        let keys: Vec<u64> = model.keys().copied().collect();
+        prop_assert_eq!(tree.snapshot_keys(&stm), keys);
+    }
+    Ok(())
+}
+
+/// Sizes where a mid-split changes shape: empty, tiny, and either side of
+/// every power of two up to 128.
+#[test]
+fn rbtree_from_sorted_builds_every_shape() {
+    let mut rng = proptest::TestRng::deterministic("rbtree_from_sorted_builds_every_shape");
+    let mut sizes = vec![0, 1, 2, 3];
+    for k in 2..=7 {
+        sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    for n in sizes {
+        let ops = map_ops(1 << 10).generate(&mut rng);
+        bulk_build_then_churn(n, &ops).unwrap_or_else(|e| panic!("{n} keys: {e}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -69,6 +139,11 @@ proptest! {
             let keys: Vec<u64> = model.keys().copied().collect();
             prop_assert_eq!(tree.snapshot_keys(&stm), keys);
         }
+    }
+
+    #[test]
+    fn rbtree_from_sorted_matches_btreemap(n in 0..300u64, ops in map_ops(1 << 10)) {
+        bulk_build_then_churn(n, &ops)?;
     }
 
     #[test]
